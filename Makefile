@@ -1,6 +1,6 @@
 # Convenience targets for the PortLand reproduction.
 
-.PHONY: install test bench bench-kernel bench-smoke bench-flows bench-flows-smoke bench-hybrid bench-hybrid-smoke bench-topo bench-parallel bench-fm bench-policy examples lint-clean verify verify-flows verify-hybrid verify-topo verify-parallel verify-fm verify-policy test-topo all
+.PHONY: install test bench ledger ledger-smoke ledger-test bench-kernel bench-smoke bench-flows bench-flows-smoke bench-hybrid bench-hybrid-smoke bench-topo bench-parallel bench-fm bench-policy examples lint-clean verify verify-flows verify-hybrid verify-topo verify-parallel verify-fm verify-policy test-topo all
 
 install:
 	pip install -e .
@@ -13,6 +13,19 @@ test-fast:
 
 bench:
 	pytest benchmarks/ --benchmark-only
+
+# The performance ledger (BENCHMARK.json, ledger/README.md): four
+# workloads end to end, whole-run and per-layer numbers, about 90 s.
+ledger:
+	python ledger/run.py
+
+# The same on k=4 sizes, under 30 s.
+ledger-smoke:
+	python ledger/run.py --smoke
+
+# The ledger's own tests (outside tier-1's testpaths).
+ledger-test:
+	PYTHONPATH=src python -m pytest ledger -q
 
 # Simulator-substrate benchmarks (event kernel, flow table, decision
 # cache); writes BENCH_sim_kernel.json (common schema, see

@@ -10,8 +10,9 @@ foreground window. Gates:
 
 * **scale** — ≥10,240 background fluid flows admitted and allocated,
   ≥32 frame-level foreground transfers completed;
-* **event reduction** — the hybrid run must cost ≥20x fewer *workload*
-  simulator events over the foreground completion window than an
+* **event reduction** — the hybrid run must cost ≥20x fewer simulator
+  events (raw ``events_executed``, LDP's beacon and liveness ticks
+  included) over the foreground completion window than an
   all-frame execution of the identical offered load. The all-frame arm
   is measured as a steady-state rate sample (see below), because
   actually running 10,240 UDP senders at 2,000 pkt/s for the full
@@ -26,10 +27,10 @@ foreground window. Gates:
 **All-frame arm methodology.** A frame-mode fabric of the same seed
 and degree runs the identical workload (10,240 UDP CBR senders at
 2,000 pkt/s x 1,000 B plus the same 32-flow TCP foreground). After a
-short ramp, the steady event rate is sampled over a 2 ms slice and the
-idle (beacon) rate subtracted; the all-frame cost over the hybrid's
-measured foreground window is then `workload_rate x window` — an
-extrapolation, reported as such in `BENCH_hybrid.json`. The sampled
+short ramp, the steady event rate is sampled over a 2 ms slice; the
+all-frame cost over the hybrid's measured foreground window is then
+`rate x window` — an extrapolation, reported as such in
+`BENCH_hybrid.json`. The sampled
 rate is the *floor* of the true cost: it excludes the foreground's
 retransmission tail under faults, which only adds events.
 
@@ -62,8 +63,6 @@ FG_FLOWS = 32
 FG_BYTES = 500_000
 EVENT_REDUCTION_FLOOR = 20.0
 
-#: Idle (LDP beacon) baseline measurement window, simulated seconds.
-IDLE_WINDOW_S = 0.02
 #: All-frame arm: stagger-ramp then steady-rate sample windows.
 RAMP_S = 0.0045
 SAMPLE_S = 0.002
@@ -90,13 +89,6 @@ def _pairs(hosts):
     return bg, fg
 
 
-def _idle_event_rate(fabric) -> float:
-    before = fabric.sim.events_executed
-    t0 = fabric.sim.now
-    fabric.sim.run(until=t0 + IDLE_WINDOW_S)
-    return (fabric.sim.events_executed - before) / IDLE_WINDOW_S
-
-
 def _schedule_faults(fabric, at_base: float):
     sim = fabric.sim
     for offset, agg, core in FAULTS:
@@ -116,8 +108,6 @@ def test_hybrid_sea_under_frame_foreground(benchmark):
     hosts = fabric.host_list()
     bg_pairs, fg_pairs = _pairs(hosts)
     assert len(bg_pairs) >= 10_240 and len(fg_pairs) >= 32
-
-    idle_rate = _idle_event_rate(fabric)
 
     # Attached before admission, so every one of the 10k+ initial fluid
     # path resolutions is invariant-checked, not just the fault-window
@@ -147,7 +137,6 @@ def test_hybrid_sea_under_frame_foreground(benchmark):
     t0 = time.perf_counter()
     window_s, hybrid_events = run_once(benchmark, hybrid_foreground)
     hybrid_wall = time.perf_counter() - t0
-    hybrid_workload_events = max(1.0, hybrid_events - idle_rate * window_s)
     fct = workload.fct_stats()
     bg_delivered = workload.background_delivered_bytes()
 
@@ -169,7 +158,6 @@ def test_hybrid_sea_under_frame_foreground(benchmark):
         config=PortlandConfig(path_cache_entries=32768))
     fhosts = frame_fab.host_list()
     fbg, ffg = _pairs(fhosts)
-    frame_idle = _idle_event_rate(frame_fab)
     udp = UdpFlowSet(fbg, rate_pps=BG_RATE_BPS / (BG_PAYLOAD * 8),
                      payload_bytes=BG_PAYLOAD, base_port=20000)
     fg_shuffle = ShuffleWorkload(frame_fab.sim, hosts=[], pairs=ffg,
@@ -184,11 +172,10 @@ def test_hybrid_sea_under_frame_foreground(benchmark):
     frame_fab.sim.run(until=ts + SAMPLE_S)
     sample_wall = time.perf_counter() - t0
     frame_rate = (frame_fab.sim.events_executed - events_before) / SAMPLE_S
-    frame_workload_rate = frame_rate - frame_idle
-    projected_frame_events = frame_workload_rate * window_s
+    projected_frame_events = frame_rate * window_s
     udp.stop()
 
-    reduction = projected_frame_events / hybrid_workload_events
+    reduction = projected_frame_events / hybrid_events
 
     # ------------------------------------------------------------------
     print_header(
@@ -204,10 +191,9 @@ def test_hybrid_sea_under_frame_foreground(benchmark):
           f"{len(FAULTS)} agg-core faults injected+recovered")
     print(f"oracle: {oracle.hops} frame hops, {oracle.flow_paths} fluid "
           f"paths checked, {len(oracle.violations)} violations")
-    print(f"hybrid events over window: {hybrid_events} "
-          f"({hybrid_workload_events:.0f} after idle baseline "
-          f"{idle_rate:.0f} ev/s); wall {hybrid_wall:.1f} s")
-    print(f"all-frame steady rate: {frame_workload_rate:.0f} workload ev/s "
+    print(f"hybrid events over window: {hybrid_events}; "
+          f"wall {hybrid_wall:.1f} s")
+    print(f"all-frame steady rate: {frame_rate:.0f} ev/s "
           f"(sampled {SAMPLE_S * 1e3:.0f} ms in {sample_wall:.1f} s wall) "
           f"-> projected {projected_frame_events:.0f} events over the "
           f"same window")
@@ -223,7 +209,7 @@ def test_hybrid_sea_under_frame_foreground(benchmark):
     payload = bench_payload(
         "hybrid",
         ratio=round(reduction, 1),
-        events=int(hybrid_workload_events),
+        events=hybrid_events,
         wall_s=round(hybrid_total_wall, 2),
         config={
             "k": K, "seed": SEED,
@@ -238,10 +224,9 @@ def test_hybrid_sea_under_frame_foreground(benchmark):
         fct_p99_ms=round(fct.p99 * 1e3, 2),
         background_rate_gbps=round(bg_rate / 1e9, 2),
         background_delivered_mb=round(bg_delivered / 1e6, 1),
-        idle_event_rate=round(idle_rate),
-        allframe_workload_event_rate=round(frame_workload_rate),
+        allframe_event_rate=round(frame_rate),
         allframe_projection=(
-            "allframe events = steady workload rate x hybrid foreground "
+            "allframe events = steady event rate x hybrid foreground "
             "window (full all-frame run is infeasible; rate excludes the "
             "fault retransmission tail, so the ratio is a floor)"),
         oracle={"hops": oracle.hops, "flow_paths": oracle.flow_paths,

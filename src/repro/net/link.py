@@ -67,7 +67,12 @@ class Port:
         self.node = node
         self.index = index
         self.link: Link | None = None
-        self.counters = PortCounters()
+        self._counters = PortCounters()
+        #: ``(deliver_at, frame, on_void)`` of a frame the link accounted
+        #: toward this port instead of scheduling (see
+        #: :meth:`Link.account`): it counts as received from
+        #: ``deliver_at`` on, unless the link is cut first.
+        self._arriving: tuple | None = None
         #: Administrative state; a port can be disabled independently of
         #: its link (used to model switch-local port shutdown).
         self.enabled = True
@@ -76,6 +81,16 @@ class Port:
     def name(self) -> str:
         """``<node>[<index>]`` for traces."""
         return f"{self.node.name}[{self.index}]"
+
+    @property
+    def counters(self) -> PortCounters:
+        """Traffic counters, as of the current simulated instant."""
+        arriving = self._arriving
+        if arriving is not None and arriving[0] <= self.node.sim.now:
+            self._arriving = None
+            self._counters.rx_frames += 1
+            self._counters.rx_bytes += arriving[1].wire_length()
+        return self._counters
 
     @property
     def is_up(self) -> bool:
@@ -105,12 +120,17 @@ class Port:
 class _Direction:
     """Transmitter state for one direction of a link."""
 
-    __slots__ = ("queue", "queued_bytes", "transmitting", "class_queues")
+    __slots__ = ("queue", "queued_bytes", "transmitting", "busy_until",
+                 "class_queues")
 
     def __init__(self) -> None:
         self.queue: deque[EthernetFrame] = deque()
         self.queued_bytes = 0
         self.transmitting = False
+        # When the wire is free again after an *accounted* frame (see
+        # Link.account): no _transmission_done is pending for it unless
+        # a data frame turned up meanwhile and transmit() scheduled one.
+        self.busy_until = 0.0
         # Strict-priority queues for tclass > 0 frames, created lazily by
         # the first classed frame that has to wait behind a busy
         # transmitter. None on every direction that only ever carries
@@ -122,6 +142,7 @@ class _Direction:
         self.queue.clear()
         self.queued_bytes = 0
         self.transmitting = False
+        self.busy_until = 0.0
         self.class_queues = None
 
 
@@ -309,8 +330,9 @@ class Link:
         per-frame events; this books the equivalent tx/rx totals so
         :mod:`repro.metrics.utilization` aggregates are mode-agnostic.
         """
-        src_port.counters.tx_frames += frames
-        src_port.counters.tx_bytes += nbytes
+        src = src_port.counters
+        src.tx_frames += frames
+        src.tx_bytes += nbytes
         pid = id(src_port)
         self._fluid_tx_bytes[pid] = self._fluid_tx_bytes.get(pid, 0) + nbytes
         dst = self.other_end(src_port).counters
@@ -327,41 +349,112 @@ class Link:
             src_port.counters.drops += 1
             return False
         direction = self._dirs[id(src_port)]
-        if direction.transmitting:
-            size = frame.wire_length()
-            if direction.queued_bytes + size > self.queue_bytes:
-                src_port.counters.drops += 1
-                if frame.tclass:
-                    per = self._class_drops.setdefault(id(src_port), {})
-                    per[frame.tclass] = per.get(frame.tclass, 0) + 1
-                self.sim.trace.emit(
-                    self.sim.now, "link.drop", self.name,
-                    port=src_port.name, reason="queue_full", frame=repr(frame),
-                )
-                return False
-            if frame.tclass and self.priority_queues:
-                queues = direction.class_queues
-                if queues is None:
-                    queues = direction.class_queues = {}
-                queues.setdefault(frame.tclass, deque()).append(frame)
-            else:
-                direction.queue.append(frame)
-            direction.queued_bytes += size
-            return True
-        self._start_transmission(src_port, direction, frame)
+        if not direction.transmitting:
+            if self.sim.now >= direction.busy_until:
+                self._start_transmission(src_port, direction, frame)
+                return True
+            # An accounted frame is still being clocked out. Now that
+            # something waits behind it, its end of serialization has to
+            # happen for real, at the instant it always would have.
+            direction.transmitting = True
+            self.sim.schedule_at(direction.busy_until,
+                                 self._transmission_done, src_port, direction)
+        size = frame.wire_length()
+        if direction.queued_bytes + size > self.queue_bytes:
+            src_port.counters.drops += 1
+            if frame.tclass:
+                per = self._class_drops.setdefault(id(src_port), {})
+                per[frame.tclass] = per.get(frame.tclass, 0) + 1
+            self.sim.trace.emit(
+                self.sim.now, "link.drop", self.name,
+                port=src_port.name, reason="queue_full", frame=repr(frame),
+            )
+            return False
+        if frame.tclass and self.priority_queues:
+            queues = direction.class_queues
+            if queues is None:
+                queues = direction.class_queues = {}
+            queues.setdefault(frame.tclass, deque()).append(frame)
+        else:
+            direction.queue.append(frame)
+        direction.queued_bytes += size
         return True
 
     def _start_transmission(self, src_port: Port, direction: _Direction,
                             frame: EthernetFrame) -> None:
         direction.transmitting = True
         duration = self.serialization_time(frame, src_port)
-        src_port.counters.tx_frames += 1
-        src_port.counters.tx_bytes += frame.wire_length()
+        self._charge_tx(src_port, frame)
+        self.sim.schedule(duration, self._transmission_done, src_port, direction)
+        self.sim.schedule(duration + self.delay_s, self._deliver, src_port, frame)
+
+    def _charge_tx(self, src_port: Port, frame: EthernetFrame) -> None:
+        counters = src_port._counters  # tx side: nothing to settle
+        counters.tx_frames += 1
+        counters.tx_bytes += frame.wire_length()
         if frame.tclass:
             per = self._class_tx_bytes.setdefault(id(src_port), {})
             per[frame.tclass] = per.get(frame.tclass, 0) + frame.wire_length()
-        self.sim.schedule(duration, self._transmission_done, src_port, direction)
-        self.sim.schedule(duration + self.delay_s, self._deliver, src_port, frame)
+
+    # ------------------------------------------------------------------
+    # Accounted frames: the wire occupancy and counters of a frame
+    # nothing will look at, without the events (docs/PERF.md, "Keepalive
+    # floor"). The caller vouches that the receiver has nothing to do
+    # with the frame; the link vouches for the wire.
+
+    def account(self, src_port: Port, frame: EthernetFrame, admit) -> bool:
+        """Book ``frame`` as transmitted from ``src_port`` now, without
+        scheduling anything — if it would go straight onto the wire and
+        be certain to arrive (direction healthy, both ports enabled, no
+        random loss, nothing being serialized) and the receiving side
+        agrees: ``admit(frame, dst_port, deliver_at)`` returns a
+        callback, or ``None`` to insist on a real frame. False means
+        nothing was booked and the caller should transmit.
+
+        Tx counters move now and the wire is busy for the serialization
+        time, as in :meth:`_start_transmission`; the far port counts the
+        frame from ``deliver_at`` on. If the link is cut before then,
+        the frame becomes a real ``_deliver`` event (to be dropped, or
+        not, by the rules in-flight frames always had) after the
+        callback has told the receiving side that the arrival is off.
+        """
+        dst_port = self.b if src_port is self.a else self.a
+        if (self.failed or self._failed_tx or self.loss_rate
+                or not src_port.enabled or not dst_port.enabled):
+            # (Either direction failed: not worth telling them apart.)
+            return False
+        direction = self._dirs[id(src_port)]
+        now = self.sim.now
+        if direction.transmitting or now < direction.busy_until:
+            return False
+        duration = self.serialization_time(frame, src_port)
+        deliver_at = now + (duration + self.delay_s)
+        on_void = admit(frame, dst_port, deliver_at)
+        if on_void is None:
+            return False
+        direction.busy_until = now + duration
+        self._charge_tx(src_port, frame)
+        previous = dst_port._arriving
+        if previous is not None:
+            # One slot is enough while senders space accounted frames
+            # more than a flight apart (LDP: 10 ms against ~2 us).
+            assert previous[0] <= now, "two accounted frames in flight"
+            counters = dst_port._counters
+            counters.rx_frames += 1
+            counters.rx_bytes += previous[1].wire_length()
+        dst_port._arriving = (deliver_at, frame, on_void)
+        return True
+
+    def _materialise_arrival(self, dst_port: Port) -> None:
+        """The link is being cut: an accounted frame still on the wire
+        toward ``dst_port`` goes back to being an event."""
+        arriving = dst_port._arriving
+        if arriving is not None and arriving[0] > self.sim.now:
+            deliver_at, frame, on_void = arriving
+            dst_port._arriving = None
+            on_void()
+            self.sim.schedule_at(deliver_at, self._deliver,
+                                 self.other_end(dst_port), frame)
 
     def _transmission_done(self, src_port: Port, direction: _Direction) -> None:
         if self.failed:
@@ -408,8 +501,9 @@ class Link:
         if not dst_port.enabled:
             dst_port.counters.drops += 1
             return
-        dst_port.counters.rx_frames += 1
-        dst_port.counters.rx_bytes += frame.wire_length()
+        counters = dst_port.counters
+        counters.rx_frames += 1
+        counters.rx_bytes += frame.wire_length()
         dst_port.node.receive(frame, dst_port)
 
     def fail(self) -> None:
@@ -420,6 +514,8 @@ class Link:
         self.failed = True
         for direction in self._dirs.values():
             direction.clear()
+        self._materialise_arrival(self.a)
+        self._materialise_arrival(self.b)
         self.sim.trace.emit(self.sim.now, "link.fail", self.name)
         self._notify_state()
         if self.carrier_detect:
@@ -438,6 +534,7 @@ class Link:
             raise LinkError(f"{src_port} is not an endpoint of {self.name}")
         self._failed_tx.add(id(src_port))
         self._dirs[id(src_port)].clear()
+        self._materialise_arrival(self.other_end(src_port))
         self.sim.trace.emit(self.sim.now, "link.fail_direction", self.name,
                             from_port=src_port.name)
         self._notify_state()

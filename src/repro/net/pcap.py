@@ -64,14 +64,23 @@ class PcapTap:
     """Mirrors every frame received by selected nodes into a pcap file.
 
     Works by wrapping each node's ``receive`` method; call
-    :meth:`detach` to restore the originals and close the file.
+    :meth:`detach` to restore the originals and close the file. While
+    attached it subscribes to the ``keepalive.ldm`` trace category, so
+    that LDP keepalives travel as frames and show up in the capture.
     """
 
     def __init__(self, path: str, nodes: list[Node]) -> None:
         self.writer = PcapWriter(open(path, "wb"))
         self._originals: list[tuple[Node, object]] = []
+        self._buses = {node.sim.trace for node in nodes}
+        for bus in self._buses:
+            bus.subscribe("keepalive.ldm", self._keepalive_seen)
         for node in nodes:
             self._attach(node)
+
+    @staticmethod
+    def _keepalive_seen(record) -> None:
+        """The subscription is the point; the frames arrive via receive."""
 
     def _attach(self, node: Node) -> None:
         original = node.receive
@@ -90,6 +99,9 @@ class PcapTap:
         for node, original in self._originals:
             node.receive = original  # type: ignore[method-assign]
         self._originals.clear()
+        for bus in self._buses:
+            bus.unsubscribe("keepalive.ldm", self._keepalive_seen)
+        self._buses.clear()
         self.writer.close()
 
 

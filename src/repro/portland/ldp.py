@@ -19,6 +19,15 @@ Discovery Messages (LDMs) exchanged with neighbours:
 LDMs double as liveness probes: ``miss_threshold`` consecutive silent
 periods on a port that used to have a neighbour declares the link dead —
 this is the failure detector whose latency dominates Fig. 10.
+
+On a settled fabric almost every LDM is a pure keepalive: it crosses a
+healthy idle link to a located switch whose only reaction is to refresh
+one timestamp. Such an LDM is *accounted* instead of sent
+(:meth:`LdpProcess.hear_ahead`, :meth:`repro.net.link.Link.account`):
+counters, wire occupancy and the neighbour's ``last_heard`` end up
+exactly as the frame would have left them, with no events scheduled.
+Subscribing to the ``keepalive.ldm`` trace category turns every LDM back
+into a frame.
 """
 
 from __future__ import annotations
@@ -51,6 +60,14 @@ LDP_MULTICAST = MacAddress.parse("01:80:c2:00:00:0e")
 #: Hard cap on the position space (matches the 8-bit PMAC field).
 MAX_POSITIONS = 256
 
+#: Level whose LDMs a pod-less switch of the keyed level takes its pod
+#: number from (aggregation adopts from edges below, edges from
+#: aggregation above).
+_POD_SOURCE = {SwitchLevel.EDGE: SwitchLevel.AGGREGATION,
+               SwitchLevel.AGGREGATION: SwitchLevel.EDGE}
+
+_PINNED = float("inf")
+
 
 class LdpListener(Protocol):
     """Callbacks the owning agent implements."""
@@ -72,7 +89,7 @@ class NeighborInfo:
     """What we currently know about the switch across one port."""
 
     __slots__ = ("port_index", "switch_id", "level", "pod", "position",
-                 "last_heard")
+                 "last_heard", "_heard_before", "_in_flight")
 
     def __init__(self, port_index: int, switch_id: int, now: float) -> None:
         self.port_index = port_index
@@ -80,7 +97,16 @@ class NeighborInfo:
         self.level = SwitchLevel.UNKNOWN
         self.pod: int | None = None
         self.position: int | None = None
+        #: When the latest LDM reached (or, for an accounted LDM still in
+        #: flight, will reach) switch software: up to one flight time
+        #: ahead of the clock, see :meth:`LdpProcess.hear_ahead`.
         self.last_heard = now
+        self._heard_before = now
+        self._in_flight: EthernetFrame | None = None
+
+    def unhear(self) -> None:
+        """The accounted LDM that set ``last_heard`` was lost on the wire."""
+        self.last_heard = self._heard_before
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<Neighbor port={self.port_index} id={self.switch_id:#x} "
@@ -97,6 +123,16 @@ class _Proposal:
         self.deadline = deadline
         self.grants: set[int] = set()
         self.rejected = False
+
+
+def _admit_ldm(frame: EthernetFrame, in_port: Port, deliver_at: float):
+    """:meth:`Link.account`'s question, passed on to the LDP instance of
+    the switch that owns ``in_port``."""
+    try:
+        ldp = in_port.node.agent.ldp
+    except AttributeError:
+        return None  # a host, or a switch that does not speak LDP
+    return ldp.hear_ahead(frame, in_port, deliver_at)
 
 
 class LdpProcess:
@@ -226,10 +262,23 @@ class LdpProcess:
             position=self.position if self.position is not None else NO_POSITION,
             seq=self._seq,
         )
+        trace = self.sim.trace
+        observed = trace.wants("keepalive.ldm")
+        # Accounted LDMs are only ever sized, so they share one frame.
+        keepalive = None if observed else EthernetFrame(
+            LDP_MULTICAST, self.switch_mac, ETHERTYPE_LDP, message)
         for port in self.data_ports():
             if port.index in self.host_ports:
                 continue  # never bother hosts with LDMs once classified
             self.ldms_sent += 1
+            if observed:
+                trace.emit(self.sim.now, "keepalive.ldm", self.switch.name,
+                           port=port.index, seq=self._seq)
+            elif port.link.account(port, keepalive, _admit_ldm):
+                # Nothing can observe this LDM travelling (docs/PERF.md,
+                # "Keepalive floor"): idle healthy link, and a switch at
+                # the far end that would only note that it came.
+                continue
             port.send(EthernetFrame(LDP_MULTICAST, self.switch_mac,
                                     ETHERTYPE_LDP, message))
 
@@ -238,6 +287,12 @@ class LdpProcess:
 
     def on_frame(self, frame: EthernetFrame, in_port: Port) -> None:
         """Dispatch one received LDP-family frame."""
+        link = in_port.link
+        if link is None or (link.carrier_detect and link.failed):
+            # Punted just before the PHY reported loss of signal: the
+            # neighbour is already gone (on_carrier_down), and a frame
+            # from a dead link must not bring it back.
+            return
         payload = frame.payload
         if isinstance(payload, (bytes, bytearray)):
             message: Packet = decode_ldp(bytes(payload))
@@ -250,8 +305,63 @@ class LdpProcess:
         elif isinstance(message, PositionAck):
             self._on_ack(message, in_port)
 
+    def _refreshed_by(self, ldm: LocationDiscoveryMessage,
+                      index: int) -> NeighborInfo | None:
+        """The neighbour entry that ``ldm``, arriving on port ``index``,
+        would refresh — ``None`` if processing it would do anything more
+        than set ``last_heard`` (see the steps of :meth:`_on_ldm`)."""
+        info = self.neighbors.get(index)
+        if info is None or info.switch_id != ldm.switch_id:
+            return None
+        pod = None if ldm.pod == NO_POD else ldm.pod
+        position = None if ldm.position == NO_POSITION else ldm.position
+        if (info.level is not ldm.level or info.pod != pod
+                or info.position != position):
+            return None
+        level = self.level
+        if level is SwitchLevel.UNKNOWN:
+            return None  # _classify has work to do
+        if (self.pod is None and pod is not None
+                and _POD_SOURCE.get(level) is ldm.level):
+            return None  # _adopt_pod would take the pod
+        if (level is SwitchLevel.AGGREGATION
+                and ldm.level is SwitchLevel.EDGE and position is not None
+                and self._grants.get(position) != (ldm.switch_id, _PINNED)):
+            return None  # the grant is not pinned yet
+        return info
+
+    def hear_ahead(self, frame: EthernetFrame, in_port: Port,
+                   deliver_at: float):
+        """Take note now that the LDM in ``frame``, delivered to
+        ``in_port`` at ``deliver_at``, will have reached this switch's
+        software a packet-in delay later — if that is all there is to
+        it; the sender then accounts the frame instead of transmitting
+        it. Returns the callback that takes the note back (the frame got
+        lost after all), or ``None`` when the LDM needs real processing.
+
+        ``last_heard`` runs ahead of the clock until the LDM is in. That
+        is invisible to :meth:`_check` because the stamp it replaces is
+        required not to expire before then: earlier checks find the
+        neighbour alive under either stamp, later ones see this one.
+        """
+        info = self._refreshed_by(frame.payload, in_port.index)
+        if info is None:
+            return None
+        heard_at = deliver_at + self.switch.agent_delay_s
+        timeout = self.config.miss_threshold * self.config.ldm_period_s
+        if heard_at - info.last_heard > timeout:
+            return None
+        info._heard_before = info.last_heard
+        info._in_flight = frame
+        info.last_heard = heard_at
+        return info.unhear
+
     def _on_ldm(self, ldm: LocationDiscoveryMessage, in_port: Port) -> None:
         index = in_port.index
+        info = self._refreshed_by(ldm, index)
+        if info is not None:
+            info.last_heard = self.sim.now
+            return
         info = self.neighbors.get(index)
         is_new = info is None or info.switch_id != ldm.switch_id
         if is_new:
@@ -275,22 +385,18 @@ class LdpProcess:
         # edge actually beaconing with it.
         if (self.level is SwitchLevel.AGGREGATION
                 and ldm.level is SwitchLevel.EDGE and position is not None):
-            self._grants[position] = (ldm.switch_id, float("inf"))
+            self._grants[position] = (ldm.switch_id, _PINNED)
         if changed:
             self.listener.on_neighbor_changed(index)
 
     def _adopt_pod(self, info: NeighborInfo) -> None:
-        if self.pod is not None or info.pod is None:
+        if (self.pod is not None or info.pod is None
+                or _POD_SOURCE.get(self.level) is not info.level):
             return
-        if (self.level is SwitchLevel.EDGE
-                and info.level is SwitchLevel.AGGREGATION):
-            self.pod = info.pod
+        self.pod = info.pod
+        if self.level is SwitchLevel.EDGE:
             self._pod_request_timer.stop()
-            self._maybe_announce()
-        elif (self.level is SwitchLevel.AGGREGATION
-              and info.level is SwitchLevel.EDGE):
-            self.pod = info.pod
-            self._maybe_announce()
+        self._maybe_announce()
 
     # ------------------------------------------------------------------
     # Level classification
@@ -444,6 +550,12 @@ class LdpProcess:
         """Immediate failure signal from the PHY (when links provide it)."""
         info = self.neighbors.get(port.index)
         if info is not None:
+            if info.last_heard > self.sim.now:
+                # An accounted LDM had crossed the link before it died
+                # and is still on its way to us: from here on it is a
+                # real packet-in, judged on arrival like any other.
+                self.sim.schedule_at(info.last_heard, self.on_frame,
+                                     info._in_flight, port)
             self._lose_neighbor(info)
 
     def _lose_neighbor(self, info: NeighborInfo) -> None:

@@ -1,9 +1,11 @@
 """Event objects and the pending-event queue for the discrete-event kernel.
 
-The queue is a binary heap ordered by ``(time, priority, sequence)``.
-``sequence`` is a monotonically increasing tie-breaker so that two events
-scheduled for the same instant at the same priority always fire in the
-order they were scheduled — this is what makes simulations reproducible.
+The queue is a binary heap of ``(time, priority, sequence, event)``
+tuples. ``sequence`` is a monotonically increasing tie-breaker so that
+two events scheduled for the same instant at the same priority always
+fire in the order they were scheduled — this is what makes simulations
+reproducible. It is also unique, so tuple comparison (done in C by
+``heapq``) never reaches the :class:`Event` itself.
 
 Cancellation is *lazy*: cancelled events stay in the heap but are skipped
 when popped. This keeps cancellation O(1), which matters because protocol
@@ -72,9 +74,6 @@ class Event:
         """Prevent the event from firing. Safe to call more than once."""
         self._cancelled = True
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.priority, self.seq) < (other.time, other.priority, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self._cancelled else "pending"
         name = getattr(self.callback, "__qualname__", repr(self.callback))
@@ -89,7 +88,10 @@ class EventQueue:
     """Min-heap of :class:`Event` objects with lazy cancellation."""
 
     def __init__(self, compact_min_heap: int = COMPACT_MIN_HEAP) -> None:
-        self._heap: list[Event] = []
+        #: ``(time, priority, seq, event)`` entries. Only ever mutated in
+        #: place: :meth:`Simulator.run` holds on to the list while
+        #: callbacks push, cancel and compact.
+        self._heap: list[tuple[float, int, int, Event]] = []
         self._counter = itertools.count()
         self._live = 0
         self._compact_min_heap = compact_min_heap
@@ -121,8 +123,9 @@ class EventQueue:
         """Queue ``callback(*args)`` to run at simulated ``time``."""
         if time != time:  # NaN guard: NaN would corrupt heap ordering.
             raise SimulationError("event time is NaN")
-        event = Event(time, priority, next(self._counter), callback, args)
-        heapq.heappush(self._heap, event)
+        seq = next(self._counter)
+        event = Event(time, priority, seq, callback, args)
+        heapq.heappush(self._heap, (time, priority, seq, event))
         self._live += 1
         self.pushes += 1
         if len(self._heap) > self.peak_heap:
@@ -132,8 +135,8 @@ class EventQueue:
     def pop(self) -> Event | None:
         """Remove and return the earliest live event, or ``None`` if empty."""
         while self._heap:
-            event = heapq.heappop(self._heap)
-            if event.cancelled:
+            event = heapq.heappop(self._heap)[3]
+            if event._cancelled:
                 continue
             self._live -= 1
             self.pops += 1
@@ -142,11 +145,11 @@ class EventQueue:
 
     def peek_time(self) -> float | None:
         """Time of the earliest live event without removing it."""
-        while self._heap and self._heap[0].cancelled:
+        while self._heap and self._heap[0][3]._cancelled:
             heapq.heappop(self._heap)
         if not self._heap:
             return None
-        return self._heap[0].time
+        return self._heap[0][0]
 
     def pop_before(self, bound: float) -> Event | None:
         """Remove and return the earliest live event *strictly before*
@@ -181,10 +184,11 @@ class EventQueue:
         dead = len(heap) - self._live
         if dead <= self._live:
             return
-        self._heap = [event for event in heap if not event._cancelled]
-        heapq.heapify(self._heap)
+        before = len(heap)
+        heap[:] = [entry for entry in heap if not entry[3]._cancelled]
+        heapq.heapify(heap)
         self.compactions += 1
-        self.compacted_entries += len(heap) - len(self._heap)
+        self.compacted_entries += before - len(heap)
 
     def stats(self) -> dict[str, int]:
         """Lifetime queue counters plus the current heap occupancy."""

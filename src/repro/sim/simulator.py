@@ -14,6 +14,7 @@ Typical driver loop::
 
 from __future__ import annotations
 
+import heapq
 from typing import Any, Callable
 
 from repro.errors import SimulationError
@@ -80,26 +81,7 @@ class Simulator:
         is advanced to exactly ``until`` even if the queue drained earlier,
         so back-to-back ``run`` calls compose predictably.
         """
-        if self._running:
-            raise SimulationError("simulator is already running (reentrant run())")
-        self._running = True
-        self._stopped = False
-        try:
-            while not self._stopped:
-                next_time = self._queue.peek_time()
-                if next_time is None:
-                    break
-                if until is not None and next_time > until:
-                    break
-                event = self._queue.pop()
-                assert event is not None  # peek_time() said non-empty
-                self._now = event.time
-                self.events_executed += 1
-                if self.max_events is not None and self.events_executed > self.max_events:
-                    raise SimulationError(f"exceeded max_events={self.max_events}")
-                event.callback(*event.args)
-        finally:
-            self._running = False
+        self._drain(until, inclusive=True)
         if until is not None and self._now < until:
             self._now = until
         return self._now
@@ -116,28 +98,50 @@ class Simulator:
         executes exactly the same event set a single ``run(until)``
         would have.
         """
-        if self._running:
-            raise SimulationError("simulator is already running (reentrant run())")
         if bound < self._now:
             raise SimulationError(
                 f"cannot run_before({bound}) with clock at {self._now}")
+        self._drain(bound, inclusive=False)
+        if self._now < bound:
+            self._now = bound
+        return self._now
+
+    def _drain(self, bound: float | None, inclusive: bool) -> None:
+        """Execute events in order up to ``bound`` (all of them when it
+        is ``None``); an event exactly at ``bound`` runs only when
+        ``inclusive``.
+
+        One loop straight over the queue's heap: per event, one look at
+        the head, one ``heappop`` and the counters — no per-event method
+        calls into the queue.
+        """
+        if self._running:
+            raise SimulationError("simulator is already running (reentrant run())")
         self._running = True
         self._stopped = False
+        queue = self._queue
+        heap = queue._heap  # mutated in place only, see EventQueue
+        heappop = heapq.heappop
+        if bound is None:
+            bound = float("inf")
         try:
-            while not self._stopped:
-                event = self._queue.pop_before(bound)
-                if event is None:
+            while heap and not self._stopped:
+                time, _, _, event = heap[0]
+                if event._cancelled:
+                    heappop(heap)
+                    continue
+                if time >= bound and (time > bound or not inclusive):
                     break
-                self._now = event.time
+                heappop(heap)
+                queue._live -= 1
+                queue.pops += 1
+                self._now = time
                 self.events_executed += 1
                 if self.max_events is not None and self.events_executed > self.max_events:
                     raise SimulationError(f"exceeded max_events={self.max_events}")
                 event.callback(*event.args)
         finally:
             self._running = False
-        if self._now < bound:
-            self._now = bound
-        return self._now
 
     def next_event_time(self) -> float | None:
         """Absolute time of the earliest pending event (``None`` if idle).

@@ -77,3 +77,24 @@ def test_reader_rejects_garbage(tmp_path):
     path.write_bytes(b"not a pcap")
     with pytest.raises(ValueError):
         read_pcap_headers(str(path))
+
+
+def test_tap_on_a_switch_still_sees_ldp_keepalives(tmp_path):
+    # Keepalives on a settled fabric are accounted, not sent, unless
+    # someone is looking; a capture is someone looking.
+    from repro.topology import build_portland_fabric
+
+    sim = Simulator(seed=2)
+    fabric = build_portland_fabric(sim, k=4)
+    fabric.start()
+    fabric.run_until_located()
+    sim.run(until=sim.now + 0.05)
+    path = tmp_path / "core.pcap"
+    tap = PcapTap(str(path), [fabric.switches["core-0"]])
+    sim.run(until=sim.now + 0.1)
+    tap.detach()
+    captured = len(read_pcap_headers(str(path)))
+    assert 4 * 8 <= captured <= 4 * 12    # four neighbours, ~10 LDMs each
+    sim.run(until=sim.now + 0.1)
+    assert len(read_pcap_headers(str(path))) == captured
+    assert not sim.trace.wants("keepalive.ldm")

@@ -129,3 +129,47 @@ def test_ldp_on_irregular_multirooted_tree():
     assert levels[SwitchLevel.CORE] == 2
     fabric.announce_hosts()
     fabric.run_until_registered()
+
+
+def test_ldm_in_software_path_cannot_resurrect_a_carrier_lost_neighbor():
+    """Regression: an LDM delivered just before ``fail()`` is still in
+    the receiving switch's 50 us packet-in path when carrier loss
+    deletes the neighbour. It used to re-create the entry for the dead
+    link — a false "link up" report to the fabric manager — which then
+    took a full LDP timeout to expire again."""
+    from repro.net.ethernet import ETHERTYPE_LDP
+    from repro.sim import TraceCollector
+
+    sim = Simulator(seed=5)
+    # Every LDM as a frame, so that the tap below sees the delivery.
+    sim.trace.subscribe("keepalive.ldm", lambda record: None)
+    fabric = converged_fabric(sim, k=4)
+    link = fabric.link_between("agg-p0-s0", "core-0")
+    agg = fabric.switches["agg-p0-s0"]
+    deliver = agg.receive
+
+    def cut_right_after_an_ldm(frame, in_port):
+        deliver(frame, in_port)
+        if (in_port.link is link and frame.ethertype == ETHERTYPE_LDP
+                and not link.failed):
+            link.fail()
+
+    agg.receive = cut_right_after_an_ldm
+    lost = TraceCollector(sim.trace, "ldp.neighbor_lost")
+    changed = []
+    agent = fabric.agents["agg-p0-s0"]
+    on_changed = agent.on_neighbor_changed
+    agent.on_neighbor_changed = lambda index: (changed.append(index),
+                                               on_changed(index))
+    sim.run(until=sim.now + 0.1)
+    assert link.failed
+    assert sorted(r.source for r in lost.records) == ["agg-p0-s0", "core-0"]
+    assert changed == []
+    port = link.a if link.a.node is agg else link.b
+    assert port.index not in agent.ldp.neighbors
+
+    # Carrier back: the neighbour is learned again from fresh LDMs.
+    agg.receive = deliver
+    link.recover()
+    sim.run(until=sim.now + 0.03)
+    assert port.index in agent.ldp.neighbors
