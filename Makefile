@@ -1,6 +1,6 @@
 # Convenience targets for the PortLand reproduction.
 
-.PHONY: install test bench ledger ledger-smoke ledger-test bench-kernel bench-smoke bench-flows bench-flows-smoke bench-hybrid bench-hybrid-smoke bench-topo bench-parallel bench-fm bench-policy examples lint-clean verify verify-flows verify-hybrid verify-topo verify-parallel verify-fm verify-policy test-topo all
+.PHONY: install test bench ledger ledger-smoke ledger-test bench-kernel bench-smoke bench-flows bench-flows-smoke bench-hybrid bench-hybrid-smoke bench-topo bench-parallel bench-fm bench-policy examples loc verify verify-flows verify-hybrid verify-topo verify-parallel verify-fm verify-policy test-topo all
 
 install:
 	pip install -e .
@@ -135,6 +135,12 @@ bench-fm:
 # BENCH_policy.json (docs/POLICY.md).
 bench-policy:
 	PYTHONPATH=src pytest benchmarks/bench_policy.py --benchmark-only -q
+
+# Source size, for negative-line-count claims: total lines under src/
+# and the five largest files.
+loc:
+	@find src -name '*.py' | xargs cat | wc -l
+	@find src -name '*.py' | xargs wc -l | sort -rn | sed -n '2,6p'
 
 examples:
 	for f in examples/*.py; do echo "== $$f"; python $$f || exit 1; done

@@ -144,8 +144,6 @@ class FlowEngine:
         #: epoch-sampled frame load from the capacity water-filling sees.
         self.hybrid = config.flow_mode == "hybrid"
         self.epoch_s = config.hybrid_epoch_s
-        #: RTT-aware TCP rate model for greedy flows (see FluidTcp).
-        self.tcp_enabled = config.fluid_tcp
         if self.path_cache is not None:
             self.path_cache.add_invalidation_listener(self._on_invalidation)
         #: Admitted, not-yet-completed flows (stalled ones included).
@@ -337,7 +335,7 @@ class FlowEngine:
                                             dst=str(flow.dst_ip))
                 continue
             self.reresolutions += 1
-            if self.tcp_enabled and flow.demand_bps is None:
+            if flow.demand_bps is None:
                 self._tcp_attach(flow, resolved)
             sig = resolved.hop_records
             if sig != flow._path_sig:

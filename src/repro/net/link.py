@@ -67,6 +67,9 @@ class Port:
         self.node = node
         self.index = index
         self.link: Link | None = None
+        #: Transmit direction of ``link`` that starts here (set by
+        #: :class:`Link`; kept after a detach until the port is rewired).
+        self._tx: _Direction | None = None
         self._counters = PortCounters()
         #: ``(deliver_at, frame, on_void)`` of a frame the link accounted
         #: toward this port instead of scheduling (see
@@ -118,10 +121,17 @@ class Port:
 
 
 class _Direction:
-    """Transmitter state for one direction of a link."""
+    """Everything a link knows about one transmit direction.
+
+    The fields after ``class_queues`` stay at their initial values
+    outside unidirectional-failure, hybrid and policy runs, so the
+    classic frame and fluid paths execute the exact same float
+    operations as before they existed (golden-trace identical).
+    """
 
     __slots__ = ("queue", "queued_bytes", "transmitting", "busy_until",
-                 "class_queues")
+                 "class_queues", "failed_tx", "fluid_bps", "frame_bps",
+                 "fluid_tx_bytes", "class_tx_bytes", "class_drops")
 
     def __init__(self) -> None:
         self.queue: deque[EthernetFrame] = deque()
@@ -137,8 +147,23 @@ class _Direction:
         # best-effort traffic, so the classic dequeue path — and the
         # golden trace — is untouched by the queues existing at all.
         self.class_queues: dict[int, deque[EthernetFrame]] | None = None
+        #: This direction alone is dead (see Link.fail_direction).
+        self.failed_tx = False
+        #: Gross fluid rate currently allocated (hybrid mode), else 0.
+        self.fluid_bps = 0.0
+        #: Frame-path load estimate (hybrid epoch EWMA), else 0.
+        self.frame_bps = 0.0
+        #: Cumulative fluid-charged tx bytes — lets the epoch tick
+        #: separate frame bytes out of tx_bytes.
+        self.fluid_tx_bytes = 0
+        # Per-class accounting {tclass: count}, created by the first
+        # classed (tclass > 0) frame; class 0 is the port counter totals
+        # minus these.
+        self.class_tx_bytes: dict[int, int] | None = None
+        self.class_drops: dict[int, int] | None = None
 
     def clear(self) -> None:
+        """Drop what is queued or being serialized (the link was cut)."""
         self.queue.clear()
         self.queued_bytes = 0
         self.transmitting = False
@@ -178,9 +203,6 @@ class Link:
         self.queue_bytes = queue_bytes
         self.carrier_detect = carrier_detect
         self.failed = False
-        #: Port ids whose *transmit* direction is dead (unidirectional
-        #: failures; see :meth:`fail_direction`).
-        self._failed_tx: set[int] = set()
         self.name = name or f"{a.name}<->{b.name}"
         # Per-byte serialization cost, fixed at construction so the hot
         # path multiplies instead of recomputing from the bandwidth on
@@ -194,28 +216,13 @@ class Link:
         self.loss_rate = loss_rate
         self._loss_rng = (sim.random.stream(f"link-loss/{self.name}")
                           if loss_rate > 0 else None)
-        self._dirs: dict[int, _Direction] = {id(a): _Direction(), id(b): _Direction()}
-        # Hybrid fluid+frame capacity sharing (see docs/FLOWS.md). All
-        # three dicts are keyed by id(src_port) and stay EMPTY outside
-        # hybrid runs, so the classic frame and fluid paths execute the
-        # exact same float operations as before (golden-trace identical).
-        #: Gross fluid rate currently allocated per transmit direction.
-        self._fluid_bps: dict[int, float] = {}
-        #: Frame-path load estimate per transmit direction (epoch EWMA).
-        self._frame_bps: dict[int, float] = {}
-        #: Cumulative fluid-charged tx bytes per transmit direction —
-        #: lets the epoch tick separate frame bytes out of tx_bytes.
-        self._fluid_tx_bytes: dict[int, int] = {}
+        #: One object per transmit direction, also the source port's
+        #: ``_tx`` so the per-frame path has nothing to look up.
+        self._directions = a._tx, b._tx = _Direction(), _Direction()
         #: Serve tclass > 0 frames from strict-priority egress queues.
         #: False degrades every direction to a single FIFO — the
         #: comparison arm `make bench-policy` measures against.
         self.priority_queues = priority_queues
-        # Per-class accounting, keyed id(src_port) → {tclass: count}.
-        # Only classed (tclass > 0) traffic creates entries; class 0 is
-        # the port counter totals minus these, so default workloads keep
-        # both dicts empty (golden-trace identical).
-        self._class_tx_bytes: dict[int, dict[int, int]] = {}
-        self._class_drops: dict[int, dict[int, int]] = {}
         a.link = self
         b.link = self
         if carrier_detect:
@@ -243,8 +250,8 @@ class Link:
         classic single-mode expression runs unchanged.
         """
         base = (frame.wire_length() + PER_FRAME_OVERHEAD_BYTES) * self._sec_per_byte
-        if src_port is not None and self._fluid_bps:
-            fluid = self._fluid_bps.get(id(src_port), 0.0)
+        if src_port is not None:
+            fluid = src_port._tx.fluid_bps
             if fluid > 0.0:
                 residual = max(self.rate_bps - fluid,
                                self.rate_bps * HYBRID_CAPACITY_FLOOR)
@@ -259,7 +266,7 @@ class Link:
     def can_carry(self, src_port: Port) -> bool:
         """Whether a frame transmitted from ``src_port`` would currently
         traverse (no full or ``src_port``-direction failure)."""
-        return not self.failed and id(src_port) not in self._failed_tx
+        return not self.failed and not src_port._tx.failed_tx
 
     def capacity_bps(self, src_port: Port) -> float:
         """Usable capacity of the ``src_port`` → peer direction, in bits
@@ -280,47 +287,38 @@ class Link:
         direction. Identical to :meth:`capacity_bps` outside hybrid runs
         (no frame load registered)."""
         cap = self.capacity_bps(src_port)
-        if cap <= 0.0 or not self._frame_bps:
-            return cap
-        frame = self._frame_bps.get(id(src_port), 0.0)
-        if frame <= 0.0:
+        frame = src_port._tx.frame_bps
+        if cap <= 0.0 or frame <= 0.0:
             return cap
         return max(cap - frame, self.rate_bps * HYBRID_CAPACITY_FLOOR)
 
     def set_fluid_load(self, src_port: Port, bps: float) -> None:
         """Register the gross fluid rate allocated over the ``src_port``
-        direction (hybrid mode). Zero/negative clears the entry, so the
-        dict stays empty — and serialization bit-identical — whenever no
-        fluid flow actually crosses the direction."""
-        if bps > 0.0:
-            self._fluid_bps[id(src_port)] = bps
-        else:
-            self._fluid_bps.pop(id(src_port), None)
+        direction (hybrid mode). Zero/negative clears it, so
+        serialization stays bit-identical whenever no fluid flow
+        actually crosses the direction."""
+        src_port._tx.fluid_bps = bps if bps > 0.0 else 0.0
 
     def set_frame_load(self, src_port: Port, bps: float) -> None:
         """Register the frame path's estimated load on the ``src_port``
         direction (hybrid mode epoch tick). Zero/negative clears."""
-        if bps > 0.0:
-            self._frame_bps[id(src_port)] = bps
-        else:
-            self._frame_bps.pop(id(src_port), None)
+        src_port._tx.frame_bps = bps if bps > 0.0 else 0.0
 
     def class_tx_bytes(self, src_port: Port) -> dict[int, int]:
         """Wire bytes transmitted per traffic class on the ``src_port``
         direction. Classed (tclass > 0) traffic only; class 0 is
         ``counters.tx_bytes`` minus the sum of these."""
-        return dict(self._class_tx_bytes.get(id(src_port), ()))
+        return dict(src_port._tx.class_tx_bytes or ())
 
     def class_drops(self, src_port: Port) -> dict[int, int]:
         """Queue-full drops per traffic class on the ``src_port``
         direction (classed traffic only)."""
-        return dict(self._class_drops.get(id(src_port), ()))
+        return dict(src_port._tx.class_drops or ())
 
     def frame_tx_bytes(self, src_port: Port) -> int:
         """Transmit bytes the *frame* path put on the ``src_port``
         direction: the port counter minus fluid-charged bytes."""
-        return (src_port.counters.tx_bytes
-                - self._fluid_tx_bytes.get(id(src_port), 0))
+        return src_port.counters.tx_bytes - src_port._tx.fluid_tx_bytes
 
     def fluid_charge(self, src_port: Port, frames: int, nbytes: int) -> None:
         """Charge ``frames``/``nbytes`` of fluid (flow-level) traffic to
@@ -333,8 +331,7 @@ class Link:
         src = src_port.counters
         src.tx_frames += frames
         src.tx_bytes += nbytes
-        pid = id(src_port)
-        self._fluid_tx_bytes[pid] = self._fluid_tx_bytes.get(pid, 0) + nbytes
+        src_port._tx.fluid_tx_bytes += nbytes
         dst = self.other_end(src_port).counters
         dst.rx_frames += frames
         dst.rx_bytes += nbytes
@@ -345,10 +342,10 @@ class Link:
 
     def transmit(self, src_port: Port, frame: EthernetFrame) -> bool:
         """Send ``frame`` from ``src_port`` toward the other end."""
-        if self.failed or id(src_port) in self._failed_tx:
+        direction = src_port._tx
+        if self.failed or direction.failed_tx:
             src_port.counters.drops += 1
             return False
-        direction = self._dirs[id(src_port)]
         if not direction.transmitting:
             if self.sim.now >= direction.busy_until:
                 self._start_transmission(src_port, direction, frame)
@@ -363,7 +360,9 @@ class Link:
         if direction.queued_bytes + size > self.queue_bytes:
             src_port.counters.drops += 1
             if frame.tclass:
-                per = self._class_drops.setdefault(id(src_port), {})
+                per = direction.class_drops
+                if per is None:
+                    per = direction.class_drops = {}
                 per[frame.tclass] = per.get(frame.tclass, 0) + 1
             self.sim.trace.emit(
                 self.sim.now, "link.drop", self.name,
@@ -384,16 +383,19 @@ class Link:
                             frame: EthernetFrame) -> None:
         direction.transmitting = True
         duration = self.serialization_time(frame, src_port)
-        self._charge_tx(src_port, frame)
+        self._charge_tx(src_port, direction, frame)
         self.sim.schedule(duration, self._transmission_done, src_port, direction)
         self.sim.schedule(duration + self.delay_s, self._deliver, src_port, frame)
 
-    def _charge_tx(self, src_port: Port, frame: EthernetFrame) -> None:
+    def _charge_tx(self, src_port: Port, direction: _Direction,
+                   frame: EthernetFrame) -> None:
         counters = src_port._counters  # tx side: nothing to settle
         counters.tx_frames += 1
         counters.tx_bytes += frame.wire_length()
         if frame.tclass:
-            per = self._class_tx_bytes.setdefault(id(src_port), {})
+            per = direction.class_tx_bytes
+            if per is None:
+                per = direction.class_tx_bytes = {}
             per[frame.tclass] = per.get(frame.tclass, 0) + frame.wire_length()
 
     # ------------------------------------------------------------------
@@ -419,11 +421,12 @@ class Link:
         callback has told the receiving side that the arrival is off.
         """
         dst_port = self.b if src_port is self.a else self.a
-        if (self.failed or self._failed_tx or self.loss_rate
+        direction = src_port._tx
+        if (self.failed or direction.failed_tx or dst_port._tx.failed_tx
+                or self.loss_rate
                 or not src_port.enabled or not dst_port.enabled):
             # (Either direction failed: not worth telling them apart.)
             return False
-        direction = self._dirs[id(src_port)]
         now = self.sim.now
         if direction.transmitting or now < direction.busy_until:
             return False
@@ -433,7 +436,7 @@ class Link:
         if on_void is None:
             return False
         direction.busy_until = now + duration
-        self._charge_tx(src_port, frame)
+        self._charge_tx(src_port, direction, frame)
         previous = dst_port._arriving
         if previous is not None:
             # One slot is enough while senders space accounted frames
@@ -489,7 +492,7 @@ class Link:
             direction.transmitting = False
 
     def _deliver(self, src_port: Port, frame: EthernetFrame) -> None:
-        if self.failed or id(src_port) in self._failed_tx:
+        if self.failed or src_port._tx.failed_tx:
             # The cut happened while the frame was in flight: it is lost.
             return
         if self._loss_rng is not None and self._loss_rng.random() < self.loss_rate:
@@ -512,7 +515,7 @@ class Link:
         if self.failed:
             return
         self.failed = True
-        for direction in self._dirs.values():
+        for direction in self._directions:
             direction.clear()
         self._materialise_arrival(self.a)
         self._materialise_arrival(self.b)
@@ -532,8 +535,8 @@ class Link:
         """
         if src_port not in (self.a, self.b):
             raise LinkError(f"{src_port} is not an endpoint of {self.name}")
-        self._failed_tx.add(id(src_port))
-        self._dirs[id(src_port)].clear()
+        src_port._tx.failed_tx = True
+        src_port._tx.clear()
         self._materialise_arrival(self.other_end(src_port))
         self.sim.trace.emit(self.sim.now, "link.fail_direction", self.name,
                             from_port=src_port.name)
@@ -541,8 +544,10 @@ class Link:
 
     def recover(self) -> None:
         """Restore a failed link (full or unidirectional). Idempotent."""
-        was_failed = self.failed or bool(self._failed_tx)
-        self._failed_tx.clear()
+        was_failed = self.failed
+        for direction in self._directions:
+            was_failed = was_failed or direction.failed_tx
+            direction.failed_tx = False
         if not was_failed:
             return
         fully_failed = self.failed

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from repro.net.addresses import BROADCAST_MAC, ZERO_MAC, IPv4Address, MacAddress
 from repro.net.arp import ARP_REQUEST, ArpPacket
+from repro.net.codec import decode_payload
 from repro.net.ethernet import ETHERTYPE_ARP, ETHERTYPE_FABRIC, EthernetFrame
 from repro.net.igmp import IgmpMessage
 from repro.net.ipv4 import IPv4Packet
@@ -38,7 +39,6 @@ from repro.portland.messages import (
     FaultClear,
     FaultUpdate,
     FmMessage,
-    GratuitousArp,
     IgmpRelay,
     Invalidate,
     LinkFail,
@@ -122,6 +122,9 @@ class PortlandAgent(SwitchAgent):
         self.arp_queries = 0
         self.control_messages_sent = 0
         self.control_bytes_sent = 0
+        #: Control frames dropped as undecodable or of a type no fabric
+        #: manager sends a switch.
+        self.malformed_dropped = 0
 
     # ------------------------------------------------------------------
     # Identity helpers
@@ -213,66 +216,64 @@ class PortlandAgent(SwitchAgent):
         self.switch.send_control(frame)
 
     def _handle_fm_frame(self, frame: EthernetFrame) -> None:
-        payload = frame.payload
-        if isinstance(payload, (bytes, bytearray)):
-            message = decode_fabric(bytes(payload))
-        else:
-            message = payload
-        if isinstance(message, PodReply):
-            self.ldp.set_pod(message.pod)
-        elif isinstance(message, ArpResponse):
-            self._handle_arp_response(message)
-        elif isinstance(message, ArpFlood):
-            self._handle_arp_flood(message)
-        elif isinstance(message, FaultUpdate):
-            key = (message.prefix.value, message.prefix_len)
-            self._fault_overrides[key] = message.avoid_neighbor_ids
-            self._install_fault_entry(key)
-            # The table-change listener already flushed; this explicit
-            # flush also covers a FaultUpdate that re-prescribes the
-            # entry the switch already has installed.
-            self.switch.flush_decisions("fault-update")
-        elif isinstance(message, FaultClear):
-            key = (message.prefix.value, message.prefix_len)
-            self._fault_overrides.pop(key, None)
-            self.switch.table.remove_by_name(
-                f"fault:{MacAddress(key[0])}/{key[1]}")
-            self.switch.flush_decisions("fault-clear")
-        elif isinstance(message, McastInstall):
-            entry = fwd.mcast_group(message.group_mac, message.ports)
-            self.switch.table.remove_by_name(entry[3])
-            self.switch.table.install(entry[0], entry[1], entry[2], entry[3])
-        elif isinstance(message, McastRemove):
-            self.switch.table.remove_by_name(f"mcast:{message.group_mac}")
-        elif isinstance(message, Invalidate):
-            self._install_trap(message)
-        elif isinstance(message, GratuitousArp):
-            self._emit_gratuitous(message.ip, message.pmac)
-        elif isinstance(message, DisableLink):
-            self.fm_blocked_neighbors.add(message.neighbor_id)
-            self._refresh_entries()
-            # ECMP memberships just changed shape: retire any decision
-            # that could still steer a flow into the disabled link even
-            # if _refresh_entries produced a byte-identical table.
-            self.switch.flush_decisions("link-disable")
-        elif isinstance(message, EnableLink):
-            self.fm_blocked_neighbors.discard(message.neighbor_id)
-            self._refresh_entries()
-            self.switch.flush_decisions("link-enable")
-        elif isinstance(message, BroadcastRelay):
-            self._emit_relayed_broadcast(message)
-        elif isinstance(message, PolicyInstall):
-            self._install(fwd.acl_drop(message.port, message.dst_pmac,
-                                       str(message.src_ip),
-                                       str(message.dst_ip)))
-            # The table listener flushed, but a re-push that reproduces
-            # the installed entry byte-identically must still retire any
-            # cached verdict predating the ACL.
-            self.switch.flush_decisions("acl-install")
-        elif isinstance(message, PolicyRevoke):
-            self.switch.table.remove_by_name(
-                f"acl:{message.src_ip}->{message.dst_ip}")
-            self.switch.flush_decisions("acl-revoke")
+        message = decode_payload(frame.payload, decode_fabric)
+        handler = self._FM_HANDLERS.get(type(message))
+        if handler is None:
+            # Malformed bytes, or a type no fabric manager sends a switch.
+            self.malformed_dropped += 1
+            return
+        handler(self, message)
+
+    def _on_pod_reply(self, message: PodReply) -> None:
+        self.ldp.set_pod(message.pod)
+
+    def _on_fault_update(self, message: FaultUpdate) -> None:
+        key = (message.prefix.value, message.prefix_len)
+        self._fault_overrides[key] = message.avoid_neighbor_ids
+        self._install_fault_entry(key)
+        # The table-change listener already flushed; this explicit
+        # flush also covers a FaultUpdate that re-prescribes the
+        # entry the switch already has installed.
+        self.switch.flush_decisions("fault-update")
+
+    def _on_fault_clear(self, message: FaultClear) -> None:
+        key = (message.prefix.value, message.prefix_len)
+        self._fault_overrides.pop(key, None)
+        self.switch.table.remove_by_name(
+            f"fault:{MacAddress(key[0])}/{key[1]}")
+        self.switch.flush_decisions("fault-clear")
+
+    def _on_mcast_install(self, message: McastInstall) -> None:
+        self._install(fwd.mcast_group(message.group_mac, message.ports))
+
+    def _on_mcast_remove(self, message: McastRemove) -> None:
+        self.switch.table.remove_by_name(f"mcast:{message.group_mac}")
+
+    def _on_disable_link(self, message: DisableLink) -> None:
+        self.fm_blocked_neighbors.add(message.neighbor_id)
+        self._refresh_entries()
+        # ECMP memberships just changed shape: retire any decision
+        # that could still steer a flow into the disabled link even
+        # if _refresh_entries produced a byte-identical table.
+        self.switch.flush_decisions("link-disable")
+
+    def _on_enable_link(self, message: EnableLink) -> None:
+        self.fm_blocked_neighbors.discard(message.neighbor_id)
+        self._refresh_entries()
+        self.switch.flush_decisions("link-enable")
+
+    def _on_policy_install(self, message: PolicyInstall) -> None:
+        self._install(fwd.acl_drop(message.port, message.dst_pmac,
+                                   str(message.src_ip), str(message.dst_ip)))
+        # The table listener flushed, but a re-push that reproduces
+        # the installed entry byte-identically must still retire any
+        # cached verdict predating the ACL.
+        self.switch.flush_decisions("acl-install")
+
+    def _on_policy_revoke(self, message: PolicyRevoke) -> None:
+        self.switch.table.remove_by_name(
+            f"acl:{message.src_ip}->{message.dst_ip}")
+        self.switch.flush_decisions("acl-revoke")
 
     # ------------------------------------------------------------------
     # LDP listener callbacks
@@ -720,9 +721,7 @@ class PortlandAgent(SwitchAgent):
             if self.allocator is not None:
                 self.allocator.release(record.pmac)
         self._traps[old] = (message.ip, message.new_pmac)
-        spec = fwd.migration_trap(old)
-        self.switch.table.remove_by_name(spec[3])
-        self.switch.table.install(spec[0], spec[1], spec[2], spec[3])
+        self._install(fwd.migration_trap(old))
 
     def _remove_trap(self, pmac_mac: MacAddress) -> None:
         if self._traps.pop(pmac_mac, None) is not None:
@@ -741,13 +740,23 @@ class PortlandAgent(SwitchAgent):
             update = ArpPacket.reply(new_pmac, ip, frame.src, IPv4Address(0))
             self.switch.inject(EthernetFrame(frame.src, new_pmac,
                                              ETHERTYPE_ARP, update))
-        if self.config.forward_on_trap:
-            forwarded = frame.copy()
-            forwarded.dst = new_pmac
-            self.switch.inject(forwarded)
+        forwarded = frame.copy()
+        forwarded.dst = new_pmac
+        self.switch.inject(forwarded)
 
-    def _emit_gratuitous(self, ip: IPv4Address, pmac: MacAddress) -> None:
-        announcement = ArpPacket.gratuitous(pmac, ip)
-        for port_index in self.ldp.host_ports:
-            self.switch.ports[port_index].send(
-                EthernetFrame(BROADCAST_MAC, pmac, ETHERTYPE_ARP, announcement))
+    #: Fabric-manager message class → handler, for _handle_fm_frame.
+    _FM_HANDLERS = {
+        PodReply: _on_pod_reply,
+        ArpResponse: _handle_arp_response,
+        ArpFlood: _handle_arp_flood,
+        FaultUpdate: _on_fault_update,
+        FaultClear: _on_fault_clear,
+        McastInstall: _on_mcast_install,
+        McastRemove: _on_mcast_remove,
+        Invalidate: _install_trap,
+        DisableLink: _on_disable_link,
+        EnableLink: _on_enable_link,
+        BroadcastRelay: _emit_relayed_broadcast,
+        PolicyInstall: _on_policy_install,
+        PolicyRevoke: _on_policy_revoke,
+    }

@@ -54,13 +54,6 @@ class PortlandConfig:
     #: carry 10k+ background fluid flows under frame-level foreground
     #: flows of interest.
     flow_mode: bool | str = False
-    #: RTT-aware fluid TCP model for *greedy* fluid flows (demand_bps
-    #: None): handshake setup latency, cwnd ramp bounded by the resolved
-    #: hop list's RTT, window cut to the share's BDP on bottleneck
-    #: saturation, and a FIN drain tail — so fluid FCTs converge to what
-    #: the frame path's TCP stack measures instead of jumping instantly
-    #: to max-min rates. Demand-limited (CBR) flows are never affected.
-    fluid_tcp: bool = True
     #: Hybrid-mode utilization epoch: how often the engine samples frame
     #: bytes per direction to refresh the frame-load EWMA (and how fast
     #: fluid capacity reacts to foreground bursts). Only read when
@@ -101,10 +94,5 @@ class PortlandConfig:
     #: what lets a restarted fabric manager rebuild all of its state.
     soft_state_refresh_s: float = 2.0
 
-    #: After VM migration, also push gratuitous ARPs to every edge switch
-    #: (proactive invalidation) in addition to the old-edge trap.
-    proactive_garp: bool = False
-    #: Whether the old edge forwards trapped packets on to the new PMAC.
-    forward_on_trap: bool = True
     #: Min interval between unicast gratuitous ARPs per stale sender.
     trap_garp_interval_s: float = 0.050

@@ -23,6 +23,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from repro.net.addresses import IPv4Address, MacAddress
+from repro.net.codec import decode_payload
 from repro.net.ethernet import ETHERTYPE_FABRIC, EthernetFrame
 from repro.net.link import Port
 from repro.net.node import Node
@@ -42,7 +43,6 @@ from repro.portland.messages import (
     FaultClear,
     FaultUpdate,
     FmMessage,
-    GratuitousArp,
     IgmpRelay,
     Invalidate,
     LinkFail,
@@ -131,6 +131,8 @@ class FabricManager(Node):
         self._pending_full = False
         self._computer = OverrideComputer()
 
+        self._handlers = self._handler_table()
+
         #: Times this instance has been restarted (soft-state rebuilds).
         self.restarts = 0
 
@@ -142,6 +144,8 @@ class FabricManager(Node):
         self.arp_queries = 0
         self.arp_misses = 0
         self.busy_time = 0.0
+        #: Messages dropped as undecodable or of a type with no handler.
+        self.malformed_dropped = 0
         #: Prescriptive override traffic (per-switch cache invalidation
         #: pressure: every update/clear flushes that switch's decisions).
         self.override_updates_sent = 0
@@ -249,14 +253,8 @@ class FabricManager(Node):
         item, in_port = self._queue.popleft()
         try:
             if isinstance(item, EthernetFrame):
-                payload = item.payload
-                if isinstance(payload, (bytes, bytearray)):
-                    message = decode_fabric(bytes(payload))
-                else:
-                    message = payload
-            else:
-                message = item
-            self._dispatch(message)
+                item = decode_payload(item.payload, decode_fabric)
+            self._dispatch(item)
         finally:
             if self._queue:
                 self._schedule_service()
@@ -272,32 +270,30 @@ class FabricManager(Node):
     # ------------------------------------------------------------------
     # Dispatch
 
-    def _dispatch(self, message: FmMessage) -> None:
-        if isinstance(message, ArpQuery):
-            self._on_arp_query(message)
-        elif isinstance(message, RegisterHost):
-            self._on_register_host(message)
-        elif isinstance(message, PodRequest):
-            self._on_pod_request(message)
-        elif isinstance(message, NeighborReport):
-            self._on_neighbor_report(message)
-        elif isinstance(message, LinkFail):
-            self._on_link_change(message.reporter_id, message.neighbor_id,
-                                 failed=True)
-        elif isinstance(message, LinkRecover):
-            self._on_link_change(message.reporter_id, message.neighbor_id,
-                                 failed=False)
-        elif isinstance(message, IgmpRelay):
-            self.multicast.on_membership(self.view(), message.edge_id,
-                                         message.port, message.group,
-                                         message.join, message.host_ip)
-        elif isinstance(message, McastMiss):
-            self.multicast.on_sender(self.view(), message.edge_id,
-                                     message.group)
-        elif isinstance(message, BroadcastRelay):
-            self._on_broadcast_relay(message)
-        elif isinstance(message, OverrideReport):
-            self._on_override_report(message)
+    def _dispatch(self, message) -> None:
+        handler = self._handlers.get(type(message))
+        if handler is None:
+            # Malformed bytes (decoded to None), or a type that no switch
+            # sends a fabric manager.
+            self.malformed_dropped += 1
+            return
+        handler(message)
+
+    def _handler_table(self) -> dict:
+        """Message class → bound handler (so a subclass's override is the
+        one called); :meth:`__init__` builds it once."""
+        return {
+            ArpQuery: self._on_arp_query,
+            RegisterHost: self._on_register_host,
+            PodRequest: self._on_pod_request,
+            NeighborReport: self._on_neighbor_report,
+            LinkFail: self._on_link_fail,
+            LinkRecover: self._on_link_recover,
+            IgmpRelay: self._on_igmp_relay,
+            McastMiss: self._on_mcast_miss,
+            BroadcastRelay: self._on_broadcast_relay,
+            OverrideReport: self._on_override_report,
+        }
 
     def send_to_switch(self, switch_id: int, message: FmMessage) -> None:
         """Ship one message to a switch over its control link."""
@@ -311,7 +307,7 @@ class FabricManager(Node):
         port.send(frame)
 
     def _edge_switch_ids(self) -> list[int]:
-        """Edge switches to fan floods/relays/announcements out to.
+        """Edge switches to fan floods and relays out to.
 
         Shards override this to read their replicated edge directory
         instead of ``self.switches`` (which only the coordinator fills)."""
@@ -439,11 +435,6 @@ class FabricManager(Node):
                             new=str(reg.pmac))
         self.send_to_switch(existing.edge_id,
                             Invalidate(reg.ip, existing.pmac, reg.pmac))
-        if self.config.proactive_garp:
-            announcement = GratuitousArp(reg.ip, reg.pmac)
-            for switch_id in self._edge_switch_ids():
-                if switch_id != reg.edge_id:
-                    self.send_to_switch(switch_id, announcement)
 
     # ------------------------------------------------------------------
     # LDP support
@@ -487,6 +478,14 @@ class FabricManager(Node):
 
     # ------------------------------------------------------------------
     # Fault handling
+
+    def _on_link_fail(self, report: LinkFail) -> None:
+        self._on_link_change(report.reporter_id, report.neighbor_id,
+                             failed=True)
+
+    def _on_link_recover(self, report: LinkRecover) -> None:
+        self._on_link_change(report.reporter_id, report.neighbor_id,
+                             failed=False)
 
     def _on_link_change(self, a: int, b: int, failed: bool) -> None:
         link = frozenset((a, b))
@@ -623,6 +622,13 @@ class FabricManager(Node):
 
     # ------------------------------------------------------------------
     # Multicast plumbing
+
+    def _on_igmp_relay(self, relay: IgmpRelay) -> None:
+        self.multicast.on_membership(self.view(), relay.edge_id, relay.port,
+                                     relay.group, relay.join, relay.host_ip)
+
+    def _on_mcast_miss(self, miss: McastMiss) -> None:
+        self.multicast.on_sender(self.view(), miss.edge_id, miss.group)
 
     def _mcast_install(self, switch_id: int, group: IPv4Address,
                        ports: tuple[int, ...]) -> None:

@@ -18,8 +18,8 @@ scaled out the *mechanism*. This module models that split:
   authoritative fault matrix, multicast trees, and the override
   push. It has no switch links — shards relay its messages — and it
   replicates the fault matrix plus the edge directory to the shards so
-  they can fan out ARP floods, broadcasts, and gratuitous ARPs without
-  a coordinator round-trip.
+  they can fan out ARP floods and broadcasts without a coordinator
+  round-trip.
 * **The cluster facade** (:class:`FmShardCluster`) presents the same
   surface a single :class:`FabricManager` does (``hosts_by_ip``,
   ``view()``, counters, ``restart()``), so the builder, the invariant
@@ -146,6 +146,13 @@ class _ResyncRequest:
 
 _INTERNAL_TYPES = (_Forwarded, _Deliver, _Replica, _ResyncRequest)
 
+#: Switch messages about global state: a shard relays them to the
+#: coordinator, which owns it.
+_COORDINATOR_TYPES = (PodRequest, NeighborReport, LinkFail, LinkRecover,
+                      IgmpRelay, McastMiss, OverrideReport)
+#: Those of them that change what the coordinator replicates to shards.
+_REPLICATED_TYPES = frozenset((NeighborReport, LinkFail, LinkRecover))
+
 
 # ----------------------------------------------------------------------
 
@@ -177,48 +184,46 @@ class FmShard(FabricManager):
 
     # -- dispatch -----------------------------------------------------
 
-    def _dispatch(self, message) -> None:
-        if isinstance(message, _Deliver):
-            # Last hop of a cluster-routed send: our switch, our link.
-            FabricManager.send_to_switch(self, message.switch_id,
-                                         message.message)
-            return
-        if isinstance(message, _Replica):
-            self._edge_ids = list(message.edge_ids)
-            self.fault_matrix.clear()
-            self.fault_matrix.update(message.failed)
-            return
-        if isinstance(message, _Forwarded):
-            inner = message.message
-            if isinstance(inner, ArpQuery):
-                self._serve_arp(inner, forwarded=True)
-            else:
-                # RegisterHost forwarded to us as registry owner.
-                FabricManager._dispatch(self, inner)
-            return
-        if isinstance(message, ArpQuery):
-            self._serve_arp(message, forwarded=False)
-            return
-        if isinstance(message, RegisterHost):
-            owner = self.cluster.owner_shard(message.ip)
-            if owner is not self:
-                self.cluster.forward(self, owner, message)
-                return
-            self._on_register_host(message)
-            return
-        if isinstance(message, (PodRequest, NeighborReport, LinkFail,
-                                LinkRecover, IgmpRelay, McastMiss,
-                                OverrideReport)):
-            # Global state lives at the policy coordinator.
-            self.cluster.forward(self, self.cluster.coordinator, message)
-            return
-        if isinstance(message, BroadcastRelay):
+    def _handler_table(self) -> dict:
+        return {
+            _Deliver: self._on_deliver,
+            _Replica: self._on_replica,
+            _Forwarded: self._on_forwarded,
+            ArpQuery: self._serve_arp,
+            RegisterHost: self._route_registration,
             # Served locally from the replicated edge directory.
-            self._on_broadcast_relay(message)
-            return
-        FabricManager._dispatch(self, message)
+            BroadcastRelay: self._on_broadcast_relay,
+            **dict.fromkeys(_COORDINATOR_TYPES, self._to_coordinator),
+        }
 
-    def _serve_arp(self, query: ArpQuery, forwarded: bool) -> None:
+    def _on_deliver(self, deliver: _Deliver) -> None:
+        # Last hop of a cluster-routed send: our switch, our link.
+        FabricManager.send_to_switch(self, deliver.switch_id, deliver.message)
+
+    def _on_replica(self, replica: _Replica) -> None:
+        self._edge_ids = list(replica.edge_ids)
+        self.fault_matrix.clear()
+        self.fault_matrix.update(replica.failed)
+
+    def _on_forwarded(self, forwarded: _Forwarded) -> None:
+        inner = forwarded.message
+        if type(inner) is ArpQuery:
+            self._serve_arp(inner, forwarded=True)
+        else:
+            # RegisterHost relayed to us as its registry owner.
+            self._dispatch(inner)
+
+    def _route_registration(self, reg: RegisterHost) -> None:
+        owner = self.cluster.owner_shard(reg.ip)
+        if owner is self:
+            self._on_register_host(reg)
+        else:
+            self.cluster.forward(self, owner, reg)
+
+    def _to_coordinator(self, message: FmMessage) -> None:
+        self.cluster.forward(self, self.cluster.coordinator, message)
+
+    def _serve_arp(self, query: ArpQuery, forwarded: bool = False) -> None:
         if not forwarded:
             # Count each client query once, at its home shard.
             self.arp_queries += 1
@@ -273,15 +278,17 @@ class FmCoordinator(FabricManager):
         # policy endpoints against the registry's owner shard.
         return self.cluster.owner_shard(ip).hosts_by_ip.get(ip)
 
+    def _handler_table(self) -> dict:
+        table = super()._handler_table()
+        table[_ResyncRequest] = lambda _request: self._replicate(force=True)
+        return table
+
     def _dispatch(self, message) -> None:
-        if isinstance(message, _ResyncRequest):
-            self._replicate(force=True)
-            return
-        if isinstance(message, _Forwarded):
+        if type(message) is _Forwarded:
             message = message.message
-        FabricManager._dispatch(self, message)
+        super()._dispatch(message)
         # View/fault changes must reach the shards' replicas.
-        if isinstance(message, (NeighborReport, LinkFail, LinkRecover)):
+        if type(message) in _REPLICATED_TYPES:
             self._replicate()
 
     def _replicate(self, force: bool = False) -> None:
@@ -298,6 +305,17 @@ class FmCoordinator(FabricManager):
     def restart(self) -> None:
         self._last_replica = None
         super().restart()
+
+
+def _summed(name: str) -> property:
+    """Facade counter: ``name`` summed over every server."""
+    return property(lambda cluster: sum(getattr(server, name)
+                                        for server in cluster.servers))
+
+
+def _of_coordinator(name: str) -> property:
+    """Facade attribute that the coordinator owns."""
+    return property(lambda cluster: getattr(cluster.coordinator, name))
 
 
 class FmShardCluster:
@@ -402,11 +420,28 @@ class FmShardCluster:
             merged.update(shard.hosts_by_ip)
         return merged
 
-    @property
-    def policy(self):
-        """Edge-ACL policy — centralized at the coordinator (operator
-        intent, like pod assignment), surviving cluster restarts."""
-        return self.coordinator.policy
+    #: Edge-ACL policy — centralized at the coordinator (operator
+    #: intent, like pod assignment), surviving cluster restarts.
+    policy = _of_coordinator("policy")
+    switches = _of_coordinator("switches")
+    fault_matrix = _of_coordinator("fault_matrix")
+    multicast = _of_coordinator("multicast")
+    _sent_overrides = _of_coordinator("_sent_overrides")
+    override_updates_sent = _of_coordinator("override_updates_sent")
+    override_clears_sent = _of_coordinator("override_clears_sent")
+    override_recomputes = _of_coordinator("override_recomputes")
+    override_batches = _of_coordinator("override_batches")
+    override_edges_examined = _of_coordinator("override_edges_examined")
+
+    messages_received = _summed("messages_received")
+    bytes_received = _summed("bytes_received")
+    messages_sent = _summed("messages_sent")
+    bytes_sent = _summed("bytes_sent")
+    arp_queries = _summed("arp_queries")
+    arp_misses = _summed("arp_misses")
+    busy_time = _summed("busy_time")
+    malformed_dropped = _summed("malformed_dropped")
+    restarts = _summed("restarts")
 
     def install_acl(self, src_ip, dst_ip):
         """Block a pair; the coordinator's push relays through the
@@ -425,22 +460,6 @@ class FmShardCluster:
         if self.coordinator.policy:
             self.coordinator._repush_policies(reg, existing)
 
-    @property
-    def switches(self):
-        return self.coordinator.switches
-
-    @property
-    def fault_matrix(self):
-        return self.coordinator.fault_matrix
-
-    @property
-    def multicast(self):
-        return self.coordinator.multicast
-
-    @property
-    def _sent_overrides(self):
-        return self.coordinator._sent_overrides
-
     def view(self):
         return self.coordinator.view()
 
@@ -454,62 +473,3 @@ class FmShardCluster:
         if elapsed <= 0:
             return 0.0
         return max(server.utilization(elapsed) for server in self.servers)
-
-    def utilizations(self, elapsed: float) -> dict[str, float]:
-        return {server.name: server.utilization(elapsed)
-                for server in self.servers}
-
-    def _summed(self, attr: str) -> int | float:
-        return sum(getattr(server, attr) for server in self.servers)
-
-    @property
-    def messages_received(self):
-        return self._summed("messages_received")
-
-    @property
-    def bytes_received(self):
-        return self._summed("bytes_received")
-
-    @property
-    def messages_sent(self):
-        return self._summed("messages_sent")
-
-    @property
-    def bytes_sent(self):
-        return self._summed("bytes_sent")
-
-    @property
-    def arp_queries(self):
-        return self._summed("arp_queries")
-
-    @property
-    def arp_misses(self):
-        return self._summed("arp_misses")
-
-    @property
-    def busy_time(self):
-        return self._summed("busy_time")
-
-    @property
-    def restarts(self):
-        return self._summed("restarts")
-
-    @property
-    def override_updates_sent(self):
-        return self.coordinator.override_updates_sent
-
-    @property
-    def override_clears_sent(self):
-        return self.coordinator.override_clears_sent
-
-    @property
-    def override_recomputes(self):
-        return self.coordinator.override_recomputes
-
-    @property
-    def override_batches(self):
-        return self.coordinator.override_batches
-
-    @property
-    def override_edges_examined(self):
-        return self.coordinator.override_edges_examined

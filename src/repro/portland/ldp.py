@@ -35,9 +35,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Protocol
 
 from repro.net.addresses import MacAddress
+from repro.net.codec import decode_payload
 from repro.net.ethernet import ETHERTYPE_LDP, EthernetFrame
 from repro.net.link import Port
-from repro.net.packet import Packet
 from repro.portland.config import PortlandConfig
 from repro.portland.messages import (
     NO_POD,
@@ -172,6 +172,8 @@ class LdpProcess:
                                      rng_name=f"ldpchk/{switch.name}")
         #: LDMs transmitted (control-overhead measurement).
         self.ldms_sent = 0
+        #: LDP frames dropped as undecodable or not an LDP message.
+        self.malformed_dropped = 0
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -239,17 +241,6 @@ class LdpProcess:
                           if n.level is SwitchLevel.CORE)
         return []
 
-    def down_ports(self) -> list[int]:
-        """Port indices facing the level below (or hosts, for edges)."""
-        if self.level is SwitchLevel.EDGE:
-            return sorted(self.host_ports)
-        if self.level is SwitchLevel.AGGREGATION:
-            return sorted(i for i, n in self.neighbors.items()
-                          if n.level is SwitchLevel.EDGE)
-        if self.level is SwitchLevel.CORE:
-            return sorted(self.neighbors)
-        return []
-
     # ------------------------------------------------------------------
     # Beaconing
 
@@ -293,17 +284,12 @@ class LdpProcess:
             # neighbour is already gone (on_carrier_down), and a frame
             # from a dead link must not bring it back.
             return
-        payload = frame.payload
-        if isinstance(payload, (bytes, bytearray)):
-            message: Packet = decode_ldp(bytes(payload))
-        else:
-            message = payload  # already an object
-        if isinstance(message, LocationDiscoveryMessage):
-            self._on_ldm(message, in_port)
-        elif isinstance(message, PositionProposal):
-            self._on_proposal(message, in_port)
-        elif isinstance(message, PositionAck):
-            self._on_ack(message, in_port)
+        message = decode_payload(frame.payload, decode_ldp)
+        handler = self._HANDLERS.get(type(message))
+        if handler is None:
+            self.malformed_dropped += 1  # undecodable, or not LDP at all
+            return
+        handler(self, message, in_port)
 
     def _refreshed_by(self, ldm: LocationDiscoveryMessage,
                       index: int) -> NeighborInfo | None:
@@ -567,3 +553,10 @@ class LdpProcess:
         self.sim.trace.emit(self.sim.now, "ldp.neighbor_lost", self.switch.name,
                             port=info.port_index, neighbor=info.switch_id)
         self.listener.on_neighbor_lost(info.port_index, info)
+
+    #: LDP message class → handler, for :meth:`on_frame`.
+    _HANDLERS = {
+        LocationDiscoveryMessage: _on_ldm,
+        PositionProposal: _on_proposal,
+        PositionAck: _on_ack,
+    }

@@ -14,17 +14,22 @@ Two families:
 
 Everything encodes to real bytes so control-plane load (Fig. 14) is
 measured in wire bytes, not object counts.
+
+Each class is its dataclass fields plus, in the decorator above it, its
+layout on the wire: the tag byte, then one field kind per field in order
+(:mod:`repro.net.codec` holds the one ``encode`` / ``decode`` /
+``wire_length`` that reads these tables). The same decorator fills the
+registry :func:`decode_ldp` / :func:`decode_fabric` look the tag up in.
 """
 
 from __future__ import annotations
 
 import enum
-import struct
-from dataclasses import dataclass
+from functools import partial
 
-from repro.errors import CodecError
 from repro.net.addresses import IPv4Address, MacAddress
-from repro.net.packet import Packet
+from repro.net.codec import (BOOL, BYTES, IPV4, MAC, U8, U16, U32, Counted,
+                             Record, Scalar, decode_any, layout)
 
 
 class SwitchLevel(enum.IntEnum):
@@ -40,13 +45,20 @@ class SwitchLevel(enum.IntEnum):
 NO_POD = 0xFFFF
 NO_POSITION = 0xFF
 
+#: A switch identifier: its 48-bit management MAC as an integer.
+SWITCH_ID = Scalar(6)
+LEVEL = Scalar(1, SwitchLevel)
+
 
 # ----------------------------------------------------------------------
 # LDP messages
 
+_LDP_CLASSES: dict[int, type[Record]] = {}
+ldp_message = partial(layout, _LDP_CLASSES)
 
-@dataclass(frozen=True)
-class LocationDiscoveryMessage(Packet):
+
+@ldp_message(1, SWITCH_ID, LEVEL, U16, U8, U32)
+class LocationDiscoveryMessage(Record):
     """The periodic LDM beacon (paper §3.2).
 
     Carries the sender's identity and its current belief about its own
@@ -60,90 +72,27 @@ class LocationDiscoveryMessage(Packet):
     position: int
     seq: int
 
-    _S = struct.Struct("!B6sBHBI")
-    KIND = 1
 
-    def encode(self) -> bytes:
-        return self._S.pack(self.KIND, self.switch_id.to_bytes(6, "big"),
-                            int(self.level), self.pod, self.position, self.seq)
-
-    def wire_length(self) -> int:
-        return self._S.size
-
-    @classmethod
-    def decode(cls, data: bytes) -> "LocationDiscoveryMessage":
-        if len(data) < cls._S.size:
-            raise CodecError("LDM too short")
-        kind, sid, level, pod, position, seq = cls._S.unpack_from(data, 0)
-        if kind != cls.KIND:
-            raise CodecError(f"not an LDM (kind={kind})")
-        return cls(int.from_bytes(sid, "big"), SwitchLevel(level), pod, position, seq)
-
-
-@dataclass(frozen=True)
-class PositionProposal(Packet):
+@ldp_message(2, SWITCH_ID, U8)
+class PositionProposal(Record):
     """Edge → aggregation: "may I take this position number?"."""
 
     switch_id: int
     position: int
 
-    _S = struct.Struct("!B6sB")
-    KIND = 2
 
-    def encode(self) -> bytes:
-        return self._S.pack(self.KIND, self.switch_id.to_bytes(6, "big"),
-                            self.position)
-
-    def wire_length(self) -> int:
-        return self._S.size
-
-    @classmethod
-    def decode(cls, data: bytes) -> "PositionProposal":
-        if len(data) < cls._S.size:
-            raise CodecError("position proposal too short")
-        kind, sid, position = cls._S.unpack_from(data, 0)
-        if kind != cls.KIND:
-            raise CodecError(f"not a position proposal (kind={kind})")
-        return cls(int.from_bytes(sid, "big"), position)
-
-
-@dataclass(frozen=True)
-class PositionAck(Packet):
+@ldp_message(3, SWITCH_ID, U8, BOOL)
+class PositionAck(Record):
     """Aggregation → edge: grant or refuse a proposed position."""
 
     switch_id: int
     position: int
     granted: bool
 
-    _S = struct.Struct("!B6sBB")
-    KIND = 3
 
-    def encode(self) -> bytes:
-        return self._S.pack(self.KIND, self.switch_id.to_bytes(6, "big"),
-                            self.position, int(self.granted))
-
-    def wire_length(self) -> int:
-        return self._S.size
-
-    @classmethod
-    def decode(cls, data: bytes) -> "PositionAck":
-        if len(data) < cls._S.size:
-            raise CodecError("position ack too short")
-        kind, sid, position, granted = cls._S.unpack_from(data, 0)
-        if kind != cls.KIND:
-            raise CodecError(f"not a position ack (kind={kind})")
-        return cls(int.from_bytes(sid, "big"), position, bool(granted))
-
-
-def decode_ldp(data: bytes) -> Packet:
+def decode_ldp(data: bytes) -> Record:
     """Decode any LDP-family message from wire bytes."""
-    if not data:
-        raise CodecError("empty LDP message")
-    kind = data[0]
-    for cls in (LocationDiscoveryMessage, PositionProposal, PositionAck):
-        if kind == cls.KIND:
-            return cls.decode(data)
-    raise CodecError(f"unknown LDP message kind {kind}")
+    return decode_any(_LDP_CLASSES, "LDP", data)
 
 
 # ----------------------------------------------------------------------
@@ -169,7 +118,7 @@ class FmType(enum.IntEnum):
     IGMP_RELAY = 14
     MCAST_MISS = 15
     INVALIDATE = 16
-    GRATUITOUS_ARP = 17
+    # 17 was GRATUITOUS_ARP (retired; not reused).
     DISABLE_LINK = 18
     ENABLE_LINK = 19
     BROADCAST_RELAY = 20
@@ -178,99 +127,47 @@ class FmType(enum.IntEnum):
     POLICY_REVOKE = 23
 
 
-class FmMessage(Packet):
+class FmMessage(Record):
     """Base class for fabric-manager protocol messages."""
 
-    TYPE: FmType
 
-    def encode(self) -> bytes:  # pragma: no cover - overridden
-        raise NotImplementedError
-
-    def wire_length(self) -> int:
-        return len(self.encode())
+_FM_CLASSES: dict[int, type[FmMessage]] = {}
+fm_message = partial(layout, _FM_CLASSES)
 
 
-def _mac_bytes(value: int) -> bytes:
-    return value.to_bytes(6, "big")
-
-
-def _mac_int(data: bytes) -> int:
-    return int.from_bytes(data, "big")
-
-
-@dataclass(frozen=True)
+@fm_message(FmType.REGISTER_HOST, SWITCH_ID, U8, MAC, IPV4, MAC)
 class RegisterHost(FmMessage):
     """Edge → FM: a (new or moved) host appeared on one of my ports."""
 
-    TYPE = FmType.REGISTER_HOST
     edge_id: int
     port: int
     amac: MacAddress
     ip: IPv4Address
     pmac: MacAddress
 
-    def encode(self) -> bytes:
-        return (struct.pack("!B", self.TYPE) + _mac_bytes(self.edge_id)
-                + struct.pack("!B", self.port) + self.amac.to_bytes()
-                + self.ip.to_bytes() + self.pmac.to_bytes())
 
-    @classmethod
-    def decode_body(cls, data: bytes) -> "RegisterHost":
-        edge_id = _mac_int(data[0:6])
-        port = data[6]
-        return cls(edge_id, port, MacAddress.from_bytes(data[7:13]),
-                   IPv4Address.from_bytes(data[13:17]),
-                   MacAddress.from_bytes(data[17:23]))
-
-
-@dataclass(frozen=True)
+@fm_message(FmType.ARP_QUERY, U32, SWITCH_ID, IPV4, MAC, IPV4)
 class ArpQuery(FmMessage):
     """Edge → FM: resolve ``target_ip`` for a host's ARP request."""
 
-    TYPE = FmType.ARP_QUERY
     request_id: int
     edge_id: int
     requester_ip: IPv4Address
     requester_pmac: MacAddress
     target_ip: IPv4Address
 
-    def encode(self) -> bytes:
-        return (struct.pack("!BI", self.TYPE, self.request_id)
-                + _mac_bytes(self.edge_id) + self.requester_ip.to_bytes()
-                + self.requester_pmac.to_bytes() + self.target_ip.to_bytes())
 
-    @classmethod
-    def decode_body(cls, data: bytes) -> "ArpQuery":
-        (request_id,) = struct.unpack_from("!I", data, 0)
-        return cls(request_id, _mac_int(data[4:10]),
-                   IPv4Address.from_bytes(data[10:14]),
-                   MacAddress.from_bytes(data[14:20]),
-                   IPv4Address.from_bytes(data[20:24]))
-
-
-@dataclass(frozen=True)
+@fm_message(FmType.ARP_RESPONSE, U32, IPV4, MAC, BOOL)
 class ArpResponse(FmMessage):
     """FM → edge: resolution result for an :class:`ArpQuery`."""
 
-    TYPE = FmType.ARP_RESPONSE
     request_id: int
     target_ip: IPv4Address
     pmac: MacAddress
     found: bool
 
-    def encode(self) -> bytes:
-        return (struct.pack("!BI", self.TYPE, self.request_id)
-                + self.target_ip.to_bytes() + self.pmac.to_bytes()
-                + struct.pack("!B", int(self.found)))
 
-    @classmethod
-    def decode_body(cls, data: bytes) -> "ArpResponse":
-        (request_id,) = struct.unpack_from("!I", data, 0)
-        return cls(request_id, IPv4Address.from_bytes(data[4:8]),
-                   MacAddress.from_bytes(data[8:14]), bool(data[14]))
-
-
-@dataclass(frozen=True)
+@fm_message(FmType.ARP_FLOOD, IPV4, IPV4, MAC)
 class ArpFlood(FmMessage):
     """FM → all edges: broadcast an ARP request for an unknown IP.
 
@@ -279,54 +176,27 @@ class ArpFlood(FmMessage):
     and vastly rarer than per-host broadcast.
     """
 
-    TYPE = FmType.ARP_FLOOD
     target_ip: IPv4Address
     requester_ip: IPv4Address
     requester_pmac: MacAddress
 
-    def encode(self) -> bytes:
-        return (struct.pack("!B", self.TYPE) + self.target_ip.to_bytes()
-                + self.requester_ip.to_bytes() + self.requester_pmac.to_bytes())
 
-    @classmethod
-    def decode_body(cls, data: bytes) -> "ArpFlood":
-        return cls(IPv4Address.from_bytes(data[0:4]),
-                   IPv4Address.from_bytes(data[4:8]),
-                   MacAddress.from_bytes(data[8:14]))
-
-
-@dataclass(frozen=True)
+@fm_message(FmType.POD_REQUEST, SWITCH_ID)
 class PodRequest(FmMessage):
     """Edge (position 0) → FM: assign my pod a number."""
 
-    TYPE = FmType.POD_REQUEST
     switch_id: int
 
-    def encode(self) -> bytes:
-        return struct.pack("!B", self.TYPE) + _mac_bytes(self.switch_id)
 
-    @classmethod
-    def decode_body(cls, data: bytes) -> "PodRequest":
-        return cls(_mac_int(data[0:6]))
-
-
-@dataclass(frozen=True)
+@fm_message(FmType.POD_REPLY, U16)
 class PodReply(FmMessage):
     """FM → edge: your pod number."""
 
-    TYPE = FmType.POD_REPLY
     pod: int
 
-    def encode(self) -> bytes:
-        return struct.pack("!BH", self.TYPE, self.pod)
 
-    @classmethod
-    def decode_body(cls, data: bytes) -> "PodReply":
-        (pod,) = struct.unpack_from("!H", data, 0)
-        return cls(pod)
-
-
-@dataclass(frozen=True)
+@fm_message(FmType.NEIGHBOR_REPORT, SWITCH_ID, LEVEL, U16, U8,
+            Counted(U16, U8, SWITCH_ID, LEVEL))
 class NeighborReport(FmMessage):
     """Switch → FM: my identity, location, and per-port neighbours.
 
@@ -334,7 +204,6 @@ class NeighborReport(FmMessage):
     compute prescriptive fault updates and multicast trees.
     """
 
-    TYPE = FmType.NEIGHBOR_REPORT
     switch_id: int
     level: SwitchLevel
     pod: int
@@ -342,68 +211,26 @@ class NeighborReport(FmMessage):
     #: tuple of (port, neighbor_switch_id, neighbor_level)
     neighbors: tuple[tuple[int, int, SwitchLevel], ...]
 
-    def encode(self) -> bytes:
-        head = (struct.pack("!B", self.TYPE) + _mac_bytes(self.switch_id)
-                + struct.pack("!BHBH", int(self.level), self.pod,
-                              self.position, len(self.neighbors)))
-        body = b"".join(
-            struct.pack("!B", port) + _mac_bytes(nbr) + struct.pack("!B", int(lvl))
-            for port, nbr, lvl in self.neighbors
-        )
-        return head + body
 
-    @classmethod
-    def decode_body(cls, data: bytes) -> "NeighborReport":
-        switch_id = _mac_int(data[0:6])
-        level, pod, position, count = struct.unpack_from("!BHBH", data, 6)
-        offset = 12
-        neighbors = []
-        for _ in range(count):
-            port = data[offset]
-            nbr = _mac_int(data[offset + 1 : offset + 7])
-            lvl = SwitchLevel(data[offset + 7])
-            neighbors.append((port, nbr, lvl))
-            offset += 8
-        return cls(switch_id, SwitchLevel(level), pod, position, tuple(neighbors))
-
-
-@dataclass(frozen=True)
+@fm_message(FmType.LINK_FAIL, SWITCH_ID, U8, SWITCH_ID)
 class LinkFail(FmMessage):
     """Switch → FM: I lost the link to ``neighbor_id`` on ``port``."""
 
-    TYPE = FmType.LINK_FAIL
     reporter_id: int
     port: int
     neighbor_id: int
 
-    def encode(self) -> bytes:
-        return (struct.pack("!B", self.TYPE) + _mac_bytes(self.reporter_id)
-                + struct.pack("!B", self.port) + _mac_bytes(self.neighbor_id))
 
-    @classmethod
-    def decode_body(cls, data: bytes) -> "LinkFail":
-        return cls(_mac_int(data[0:6]), data[6], _mac_int(data[7:13]))
-
-
-@dataclass(frozen=True)
+@fm_message(FmType.LINK_RECOVER, SWITCH_ID, U8, SWITCH_ID)
 class LinkRecover(FmMessage):
     """Switch → FM: the link to ``neighbor_id`` on ``port`` came back."""
 
-    TYPE = FmType.LINK_RECOVER
     reporter_id: int
     port: int
     neighbor_id: int
 
-    def encode(self) -> bytes:
-        return (struct.pack("!B", self.TYPE) + _mac_bytes(self.reporter_id)
-                + struct.pack("!B", self.port) + _mac_bytes(self.neighbor_id))
 
-    @classmethod
-    def decode_body(cls, data: bytes) -> "LinkRecover":
-        return cls(_mac_int(data[0:6]), data[6], _mac_int(data[7:13]))
-
-
-@dataclass(frozen=True)
+@fm_message(FmType.FAULT_UPDATE, MAC, U8, Counted(U16, SWITCH_ID))
 class FaultUpdate(FmMessage):
     """FM → switch: route ``prefix`` avoiding the listed neighbours.
 
@@ -412,117 +239,54 @@ class FaultUpdate(FmMessage):
     ``avoid_neighbor_ids``.
     """
 
-    TYPE = FmType.FAULT_UPDATE
     prefix: MacAddress
     prefix_len: int
     avoid_neighbor_ids: tuple[int, ...]
 
-    def encode(self) -> bytes:
-        head = (struct.pack("!B", self.TYPE) + self.prefix.to_bytes()
-                + struct.pack("!BH", self.prefix_len, len(self.avoid_neighbor_ids)))
-        return head + b"".join(_mac_bytes(n) for n in self.avoid_neighbor_ids)
 
-    @classmethod
-    def decode_body(cls, data: bytes) -> "FaultUpdate":
-        prefix = MacAddress.from_bytes(data[0:6])
-        prefix_len, count = struct.unpack_from("!BH", data, 6)
-        ids = tuple(_mac_int(data[9 + 6 * i : 15 + 6 * i]) for i in range(count))
-        return cls(prefix, prefix_len, ids)
-
-
-@dataclass(frozen=True)
+@fm_message(FmType.FAULT_CLEAR, MAC, U8)
 class FaultClear(FmMessage):
     """FM → switch: remove the fault override for ``prefix``."""
 
-    TYPE = FmType.FAULT_CLEAR
     prefix: MacAddress
     prefix_len: int
 
-    def encode(self) -> bytes:
-        return (struct.pack("!B", self.TYPE) + self.prefix.to_bytes()
-                + struct.pack("!B", self.prefix_len))
 
-    @classmethod
-    def decode_body(cls, data: bytes) -> "FaultClear":
-        return cls(MacAddress.from_bytes(data[0:6]), data[6])
-
-
-@dataclass(frozen=True)
+@fm_message(FmType.MCAST_INSTALL, MAC, Counted(U8, U8))
 class McastInstall(FmMessage):
     """FM → switch: forward ``group`` out exactly these ports."""
 
-    TYPE = FmType.MCAST_INSTALL
     group_mac: MacAddress
     ports: tuple[int, ...]
 
-    def encode(self) -> bytes:
-        return (struct.pack("!B", self.TYPE) + self.group_mac.to_bytes()
-                + struct.pack("!B", len(self.ports))
-                + bytes(self.ports))
 
-    @classmethod
-    def decode_body(cls, data: bytes) -> "McastInstall":
-        group = MacAddress.from_bytes(data[0:6])
-        count = data[6]
-        return cls(group, tuple(data[7 : 7 + count]))
-
-
-@dataclass(frozen=True)
+@fm_message(FmType.MCAST_REMOVE, MAC)
 class McastRemove(FmMessage):
     """FM → switch: drop your entry for ``group``."""
 
-    TYPE = FmType.MCAST_REMOVE
     group_mac: MacAddress
 
-    def encode(self) -> bytes:
-        return struct.pack("!B", self.TYPE) + self.group_mac.to_bytes()
 
-    @classmethod
-    def decode_body(cls, data: bytes) -> "McastRemove":
-        return cls(MacAddress.from_bytes(data[0:6]))
-
-
-@dataclass(frozen=True)
+@fm_message(FmType.IGMP_RELAY, SWITCH_ID, U8, IPV4, BOOL, IPV4)
 class IgmpRelay(FmMessage):
     """Edge → FM: a host joined/left a multicast group."""
 
-    TYPE = FmType.IGMP_RELAY
     edge_id: int
     port: int
     group: IPv4Address
     join: bool
     host_ip: IPv4Address
 
-    def encode(self) -> bytes:
-        return (struct.pack("!B", self.TYPE) + _mac_bytes(self.edge_id)
-                + struct.pack("!B", self.port) + self.group.to_bytes()
-                + struct.pack("!B", int(self.join)) + self.host_ip.to_bytes())
 
-    @classmethod
-    def decode_body(cls, data: bytes) -> "IgmpRelay":
-        return cls(_mac_int(data[0:6]), data[6],
-                   IPv4Address.from_bytes(data[7:11]), bool(data[11]),
-                   IPv4Address.from_bytes(data[12:16]))
-
-
-@dataclass(frozen=True)
+@fm_message(FmType.MCAST_MISS, SWITCH_ID, IPV4)
 class McastMiss(FmMessage):
     """Edge → FM: a host is sending to a group I have no entry for."""
 
-    TYPE = FmType.MCAST_MISS
     edge_id: int
     group: IPv4Address
 
-    def encode(self) -> bytes:
-        return (struct.pack("!B", self.TYPE) + _mac_bytes(self.edge_id)
-                + self.group.to_bytes())
 
-    @classmethod
-    def decode_body(cls, data: bytes) -> "McastMiss":
-        return cls(_mac_int(data[0:6]), IPv4Address.from_bytes(data[6:10]))
-
-
-@dataclass(frozen=True)
+@fm_message(FmType.INVALIDATE, IPV4, MAC, MAC)
 class Invalidate(FmMessage):
     """FM → old edge after migration: trap traffic for the stale PMAC.
 
@@ -531,41 +295,12 @@ class Invalidate(FmMessage):
     with a unicast gratuitous ARP so the sender repoints its cache.
     """
 
-    TYPE = FmType.INVALIDATE
     ip: IPv4Address
     old_pmac: MacAddress
     new_pmac: MacAddress
 
-    def encode(self) -> bytes:
-        return (struct.pack("!B", self.TYPE) + self.ip.to_bytes()
-                + self.old_pmac.to_bytes() + self.new_pmac.to_bytes())
 
-    @classmethod
-    def decode_body(cls, data: bytes) -> "Invalidate":
-        return cls(IPv4Address.from_bytes(data[0:4]),
-                   MacAddress.from_bytes(data[4:10]),
-                   MacAddress.from_bytes(data[10:16]))
-
-
-@dataclass(frozen=True)
-class GratuitousArp(FmMessage):
-    """FM → edge: announce ``ip`` is now at ``pmac`` on your host ports."""
-
-    TYPE = FmType.GRATUITOUS_ARP
-    ip: IPv4Address
-    pmac: MacAddress
-
-    def encode(self) -> bytes:
-        return (struct.pack("!B", self.TYPE) + self.ip.to_bytes()
-                + self.pmac.to_bytes())
-
-    @classmethod
-    def decode_body(cls, data: bytes) -> "GratuitousArp":
-        return cls(IPv4Address.from_bytes(data[0:4]),
-                   MacAddress.from_bytes(data[4:10]))
-
-
-@dataclass(frozen=True)
+@fm_message(FmType.DISABLE_LINK, SWITCH_ID)
 class DisableLink(FmMessage):
     """FM → switch: stop using your link toward ``neighbor_id``.
 
@@ -576,33 +311,17 @@ class DisableLink(FmMessage):
     the dead transmit direction.
     """
 
-    TYPE = FmType.DISABLE_LINK
     neighbor_id: int
 
-    def encode(self) -> bytes:
-        return struct.pack("!B", self.TYPE) + _mac_bytes(self.neighbor_id)
 
-    @classmethod
-    def decode_body(cls, data: bytes) -> "DisableLink":
-        return cls(_mac_int(data[0:6]))
-
-
-@dataclass(frozen=True)
+@fm_message(FmType.ENABLE_LINK, SWITCH_ID)
 class EnableLink(FmMessage):
     """FM → switch: the link toward ``neighbor_id`` is healthy again."""
 
-    TYPE = FmType.ENABLE_LINK
     neighbor_id: int
 
-    def encode(self) -> bytes:
-        return struct.pack("!B", self.TYPE) + _mac_bytes(self.neighbor_id)
 
-    @classmethod
-    def decode_body(cls, data: bytes) -> "EnableLink":
-        return cls(_mac_int(data[0:6]))
-
-
-@dataclass(frozen=True)
+@fm_message(FmType.BROADCAST_RELAY, SWITCH_ID, MAC, U16, BYTES)
 class BroadcastRelay(FmMessage):
     """Edge ⇄ FM: a non-ARP broadcast frame, tunnelled for fabric-wide
     delivery (paper §3.4: "broadcast ... through the fabric manager").
@@ -613,27 +332,13 @@ class BroadcastRelay(FmMessage):
     ``src_pmac`` lets receiving edges suppress the sender's own port.
     """
 
-    TYPE = FmType.BROADCAST_RELAY
     edge_id: int
     src_pmac: MacAddress
     ethertype: int
     payload: bytes
 
-    def encode(self) -> bytes:
-        return (struct.pack("!B", self.TYPE) + _mac_bytes(self.edge_id)
-                + self.src_pmac.to_bytes()
-                + struct.pack("!HH", self.ethertype, len(self.payload))
-                + self.payload)
 
-    @classmethod
-    def decode_body(cls, data: bytes) -> "BroadcastRelay":
-        edge_id = _mac_int(data[0:6])
-        src_pmac = MacAddress.from_bytes(data[6:12])
-        ethertype, length = struct.unpack_from("!HH", data, 12)
-        return cls(edge_id, src_pmac, ethertype, bytes(data[16:16 + length]))
-
-
-@dataclass(frozen=True)
+@fm_message(FmType.OVERRIDE_REPORT, SWITCH_ID, Counted(U16, SWITCH_ID, U8))
 class OverrideReport(FmMessage):
     """Switch → FM: the fault-override prefixes I currently hold.
 
@@ -647,28 +352,12 @@ class OverrideReport(FmMessage):
     least one override, so a healthy fabric pays nothing.
     """
 
-    TYPE = FmType.OVERRIDE_REPORT
     switch_id: int
+    #: tuple of (48-bit PMAC prefix value, prefix length in bits)
     prefixes: tuple[tuple[int, int], ...]
 
-    def encode(self) -> bytes:
-        head = (struct.pack("!B", self.TYPE) + _mac_bytes(self.switch_id)
-                + struct.pack("!H", len(self.prefixes)))
-        return head + b"".join(
-            _mac_bytes(value) + struct.pack("!B", bits)
-            for value, bits in self.prefixes)
 
-    @classmethod
-    def decode_body(cls, data: bytes) -> "OverrideReport":
-        switch_id = _mac_int(data[0:6])
-        (count,) = struct.unpack_from("!H", data, 6)
-        prefixes = tuple(
-            (_mac_int(data[8 + 7 * i : 14 + 7 * i]), data[14 + 7 * i])
-            for i in range(count))
-        return cls(switch_id, prefixes)
-
-
-@dataclass(frozen=True)
+@fm_message(FmType.POLICY_INSTALL, IPV4, IPV4, MAC, U8)
 class PolicyInstall(FmMessage):
     """FM → edge: materialise one ACL (drop ``src_ip`` → ``dst_ip``).
 
@@ -680,59 +369,20 @@ class PolicyInstall(FmMessage):
     soft-state refresh after an FM restart restores it.
     """
 
-    TYPE = FmType.POLICY_INSTALL
     src_ip: IPv4Address
     dst_ip: IPv4Address
     dst_pmac: MacAddress
     port: int
 
-    def encode(self) -> bytes:
-        return (struct.pack("!B", self.TYPE) + self.src_ip.to_bytes()
-                + self.dst_ip.to_bytes() + self.dst_pmac.to_bytes()
-                + struct.pack("!B", self.port))
 
-    @classmethod
-    def decode_body(cls, data: bytes) -> "PolicyInstall":
-        return cls(IPv4Address.from_bytes(data[0:4]),
-                   IPv4Address.from_bytes(data[4:8]),
-                   MacAddress.from_bytes(data[8:14]), data[14])
-
-
-@dataclass(frozen=True)
+@fm_message(FmType.POLICY_REVOKE, IPV4, IPV4)
 class PolicyRevoke(FmMessage):
     """FM → edge: remove the ACL entry for the (src, dst) pair."""
 
-    TYPE = FmType.POLICY_REVOKE
     src_ip: IPv4Address
     dst_ip: IPv4Address
-
-    def encode(self) -> bytes:
-        return (struct.pack("!B", self.TYPE) + self.src_ip.to_bytes()
-                + self.dst_ip.to_bytes())
-
-    @classmethod
-    def decode_body(cls, data: bytes) -> "PolicyRevoke":
-        return cls(IPv4Address.from_bytes(data[0:4]),
-                   IPv4Address.from_bytes(data[4:8]))
-
-
-_FM_CLASSES: dict[int, type[FmMessage]] = {
-    int(cls.TYPE): cls
-    for cls in (
-        RegisterHost, ArpQuery, ArpResponse, ArpFlood, PodRequest, PodReply,
-        NeighborReport, LinkFail, LinkRecover, FaultUpdate, FaultClear,
-        McastInstall, McastRemove, IgmpRelay, McastMiss, Invalidate,
-        GratuitousArp, DisableLink, EnableLink, BroadcastRelay,
-        OverrideReport, PolicyInstall, PolicyRevoke,
-    )
-}
 
 
 def decode_fabric(data: bytes) -> FmMessage:
     """Decode any fabric-manager message from wire bytes."""
-    if not data:
-        raise CodecError("empty fabric message")
-    cls = _FM_CLASSES.get(data[0])
-    if cls is None:
-        raise CodecError(f"unknown fabric message type {data[0]}")
-    return cls.decode_body(data[1:])
+    return decode_any(_FM_CLASSES, "fabric", data)

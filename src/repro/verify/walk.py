@@ -73,10 +73,8 @@ def _branches(entry: FlowEntry, frame: EthernetFrame, in_port: int):
 
 def _wire_alive(port) -> bool:
     link = port.link
-    if link is None or link.failed or not port.enabled:
-        return False
-    # A unidirectionally failed transmit direction also eats the frame.
-    return id(port) not in getattr(link, "_failed_tx", ())
+    # (A unidirectionally failed transmit direction also eats the frame.)
+    return link is not None and port.enabled and link.can_carry(port)
 
 
 def walk_unicast(fabric, src_host, dst_record, dst_host,

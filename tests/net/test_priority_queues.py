@@ -133,10 +133,50 @@ def test_classless_traffic_leaves_class_state_untouched():
         a.port(0).send(frame(tclass=0))
     sim.run()
     assert len(b.received) == 5
-    assert link.class_tx_bytes(a.port(0)) == {}
-    assert link.class_drops(a.port(0)) == {}
-    for direction in link._dirs.values():
-        assert direction.class_queues is None
+    for port in (a.port(0), b.port(0)):
+        assert link.class_tx_bytes(port) == {}
+        assert link.class_drops(port) == {}
+        assert port._tx.class_queues is None
+
+
+def test_direction_state_through_the_public_methods():
+    """A direction's failure, loads and per-class counters are its own:
+    failing a -> b leaves b -> a alone, recover() heals it, and counters
+    and registered loads survive both."""
+    sim = Simulator()
+    a, b = Sink(sim, "a"), Sink(sim, "b")
+    link = wire(sim, a, b, queue_bytes=1500)
+    pa, pb = a.port(0), b.port(0)
+    prio = frame(400, tclass=CLASS_PRIORITY)
+    assert pa.send(frame(1000)) and pa.send(prio)
+    assert not pa.send(frame(1200, tclass=CLASS_PRIORITY))  # queue full
+    sim.run()
+    link.set_fluid_load(pa, 250e3)
+    link.set_frame_load(pb, 400e3)
+    link.fluid_charge(pa, 2, 3000)
+
+    link.fail_direction(pa)
+    assert not link.can_carry(pa) and link.can_carry(pb)
+    assert link.capacity_bps(pa) == 0.0 and link.capacity_bps(pb) == 1e6
+    assert link.fluid_capacity_bps(pb) == 1e6 - 400e3
+    assert not pa.send(frame()) and pb.send(frame())
+    sim.run()
+    assert len(a.received) == 1 and len(b.received) == 2
+
+    link.recover()
+    assert link.can_carry(pa) and link.capacity_bps(pa) == 1e6
+    assert link.class_tx_bytes(pa) == {CLASS_PRIORITY: prio.wire_length()}
+    assert link.class_drops(pa) == {CLASS_PRIORITY: 1}
+    assert link.class_tx_bytes(pb) == {} and link.class_drops(pb) == {}
+    assert link.frame_tx_bytes(pa) == pa.counters.tx_bytes - 3000
+    assert link.frame_tx_bytes(pb) == pb.counters.tx_bytes
+    # The fluid load a -> b still stretches a's frames (4/3 at 25 %).
+    plain = frame(1000)
+    assert link.serialization_time(plain, pa) == pytest.approx(
+        link.serialization_time(plain) * 4 / 3)
+    assert link.serialization_time(plain, pb) == link.serialization_time(plain)
+    link.set_fluid_load(pa, 0.0)
+    assert link.serialization_time(plain, pa) == link.serialization_time(plain)
 
 
 def test_serialization_is_not_preempted():
