@@ -1,6 +1,6 @@
 # Convenience targets for the PortLand reproduction.
 
-.PHONY: install test bench ledger ledger-smoke ledger-test bench-kernel bench-smoke bench-flows bench-flows-smoke bench-hybrid bench-hybrid-smoke bench-topo bench-parallel bench-fm bench-policy examples loc verify verify-flows verify-hybrid verify-topo verify-parallel verify-fm verify-policy test-topo all
+.PHONY: install test bench ledger ledger-smoke ledger-test ledger-driver bench-kernel bench-smoke bench-flows bench-flows-smoke bench-hybrid bench-hybrid-smoke bench-topo bench-parallel bench-fm bench-policy examples loc verify verify-flows verify-hybrid verify-topo verify-parallel verify-fm verify-policy test-topo all
 
 install:
 	pip install -e .
@@ -26,6 +26,12 @@ ledger-smoke:
 # The ledger's own tests (outside tier-1's testpaths).
 ledger-test:
 	PYTHONPATH=src python -m pytest ledger -q
+
+# The benchmark contract's exact form, from a copy of the working tree
+# without .git, fresh seed, all four workloads, --trace 0 and 1 (~5 min).
+# Run before submitting a PR; paste its summary into the description.
+ledger-driver:
+	python3 benchmarks/ledger_driver.py
 
 # Simulator-substrate benchmarks (event kernel, flow table, decision
 # cache); writes BENCH_sim_kernel.json (common schema, see

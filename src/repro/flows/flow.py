@@ -52,7 +52,7 @@ class FluidTcp:
 
     __slots__ = ("rtt_s", "setup_s", "tail_s", "ready_at", "close_at",
                  "cwnd_bytes", "ssthresh_bytes", "max_window_bytes",
-                 "mss_bytes", "last_tick", "cwnd_limited", "cuts")
+                 "mss_bytes", "last_tick", "cwnd_limited")
 
     def __init__(self, cwnd_bytes: float, max_window_bytes: float,
                  mss_bytes: float) -> None:
@@ -73,31 +73,24 @@ class FluidTcp:
         #: Whether the last allocation was window-bound (ramping) rather
         #: than link-bound — only ramping flows need per-RTT wakeups.
         self.cwnd_limited = False
-        #: Times the window was cut to the allocated share's BDP.
-        self.cuts = 0
-
-    @property
-    def window_bytes(self) -> float:
-        """Effective window: cwnd clamped by the receive window."""
-        return min(self.cwnd_bytes, self.max_window_bytes)
 
     def rate_bound_bps(self) -> float:
-        """Window-clocked payload-rate ceiling, in bits/s."""
+        """Window-clocked payload-rate ceiling, in bits/s (cwnd clamped
+        by the receive window)."""
         if self.rtt_s <= 0.0:
             return math.inf
-        return self.window_bytes * 8.0 / self.rtt_s
+        return min(self.cwnd_bytes, self.max_window_bytes) * 8.0 / self.rtt_s
 
 
 class ResolvedPath:
     """A flow's pinned hop list, in charging-ready form.
 
     ``segments`` is the full directed-link sequence the fluid occupies —
-    the ingress host→edge link first, then one (link, tx port) per
-    compiled hop — so capacity constraints and counter charging cover
-    exactly the links a frame-mode packet would cross. ``entries`` are
-    the stage-2 flow entries to charge, ``hop_records`` the
-    (switch, entry name, in port) triples for ``verify.flow`` trace
-    records.
+    the ingress host→edge link first, then one (link, tx port) per hop —
+    so capacity constraints and counter charging cover exactly the links
+    a frame-mode packet would cross. ``entries`` are the stage-2 flow
+    entries to charge, ``hop_records`` the (switch, entry name, in port)
+    triples for ``verify.flow`` trace records.
 
     A path backed by a :class:`CompiledPath` stays valid until the path
     cache invalidates it; a *volatile* path (interpreted-walk fallback,
@@ -105,38 +98,37 @@ class ResolvedPath:
     is re-resolved on every engine recomputation instead.
 
     ``constrained`` marks, per segment, whether the water-filling treats
-    the directed link as a shared capacity constraint. The engine
-    constrains exactly the links where the frame executor it mirrors
-    actually *queues*: every segment of a volatile (interpreted) path,
-    but only the ingress host link of a compiled path — cut-through
-    composite events charge wire time on transit hops without mid-path
-    queueing, so fluid transit there is likewise contention-free (this
-    is what keeps fluid FCTs agreeing with the frame path's). All
-    segments, constrained or not, still count for liveness detection,
-    counter charging, and hybrid load push.
+    the directed link as a shared capacity constraint: exactly where the
+    mirrored frame executor actually *queues* — every segment of a
+    volatile (interpreted) path, but only the ingress host link of a
+    compiled one, whose cut-through composite events charge wire time on
+    transit hops without mid-path queueing (this keeps fluid FCTs
+    agreeing with the frame path's). All segments still count for
+    liveness detection, counter charging, and hybrid load push.
+    ``seg_ids`` / ``con_ids`` name them (all / constrained only) by
+    ``id(tx port)``, the engine's direction-index key.
     """
 
     __slots__ = ("segments", "entries", "hop_records", "compiled",
-                 "constrained")
+                 "constrained", "seg_ids", "con_ids")
 
     def __init__(self, segments, entries, hop_records,
-                 compiled: "CompiledPath | None",
-                 constrained: tuple[bool, ...] | None = None) -> None:
+                 compiled: "CompiledPath | None") -> None:
         self.segments: tuple[tuple["Link", "Port"], ...] = segments
         self.entries = entries
         self.hop_records = hop_records
         self.compiled = compiled
-        if constrained is None:
-            constrained = (True,) * len(segments)
-        self.constrained = constrained
+        self.constrained = ((True,) * len(segments) if compiled is None
+                            else (True,) + (False,) * (len(segments) - 1))
+        self.seg_ids = tuple(id(port) for _link, port in segments)
+        self.con_ids = tuple(pid for pid, shared
+                             in zip(self.seg_ids, self.constrained) if shared)
 
     @property
     def alive(self) -> bool:
-        """Whether the pinned hops are still current.
-
-        Volatile paths are never trusted across recomputations, so they
-        report dead and force a re-resolve (which usually re-derives the
-        identical hops)."""
+        """Whether the pinned hops are still current. Volatile paths are
+        never trusted across recomputations: they report dead and force
+        a re-resolve (which usually re-derives the identical hops)."""
         return self.compiled is not None and self.compiled.alive
 
 
@@ -208,6 +200,13 @@ class Flow:
         self.tcp: FluidTcp | None = None
         self._path: ResolvedPath | None = None
         self._path_sig: tuple | None = None
+        # Admission number (the canonical flow order), the instant
+        # ``transferred_bytes`` was advanced to, the next instant the
+        # flow needs a recompute, the allocated rate in gross wire bits/s.
+        self._seq = 0
+        self._settled_at = 0.0
+        self._deadline = math.inf
+        self._gross_bps = 0.0
         self._charged_frames = 0
         self._frame: EthernetFrame | None = None
         self._frame_macs: tuple[int, int] | None = None
