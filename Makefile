@@ -1,6 +1,6 @@
 # Convenience targets for the PortLand reproduction.
 
-.PHONY: install test bench ledger ledger-smoke ledger-test ledger-driver bench-kernel bench-smoke bench-flows bench-flows-smoke bench-hybrid bench-hybrid-smoke bench-topo bench-parallel bench-fm bench-policy examples loc verify verify-flows verify-hybrid verify-topo verify-parallel verify-fm verify-policy test-topo all
+.PHONY: install test bench ledger ledger-smoke ledger-test ledger-driver bench-hybrid bench-topo bench-parallel bench-fm bench-policy examples loc verify verify-all verify-topo test-topo all
 
 install:
 	pip install -e .
@@ -33,59 +33,49 @@ ledger-test:
 ledger-driver:
 	python3 benchmarks/ledger_driver.py
 
-# Simulator-substrate benchmarks (event kernel, flow table, decision
-# cache); writes BENCH_sim_kernel.json (common schema, see
-# repro.metrics.benchout).
-bench-kernel:
-	PYTHONPATH=src pytest benchmarks/bench_sim_kernel.py --benchmark-only
-
-# Reduced-iteration fast-path ratio gate (no JSON artifact). Also part
-# of the plain tier-1 test run, since it lives under tests/.
-bench-smoke:
-	PYTHONPATH=src pytest tests/test_bench_smoke.py -q
-
-# Flow-level (fluid) engine acceptance: k=8 shuffle in both execution
-# modes + k=4 agreement numbers; writes BENCH_flows.json (docs/FLOWS.md).
-bench-flows:
-	PYTHONPATH=src pytest benchmarks/bench_flows.py --benchmark-only -q
-
-# Reduced-scale flow-mode agreement/event gates (tier-1 cousin).
-bench-flows-smoke:
-	PYTHONPATH=src pytest tests/test_flows_smoke.py -q
-
 # Hybrid fluid+frame acceptance: k=16 fluid background sea under a
 # frame TCP foreground with mid-window faults; writes BENCH_hybrid.json
 # (docs/FLOWS.md, hybrid section).
 bench-hybrid:
 	PYTHONPATH=src pytest benchmarks/bench_hybrid.py --benchmark-only -q
 
-# Reduced-scale hybrid coupling gates (tier-1 cousin).
-bench-hybrid-smoke:
-	PYTHONPATH=src pytest tests/test_hybrid_smoke.py -q
+# The invariant fault campaign (docs/VERIFY.md): every lane is the same
+# fixed-seed command plus the flags in its row, run as `make verify-<lane>`
+# (e.g. `make verify-fm`); `make verify` is the plain 25-scenario one.
+VERIFY = PYTHONPATH=src python -m repro.cli --seed 7 verify --scenarios
+# Fluid engine: the oracle checks every resolved flow path (docs/FLOWS.md).
+verify-flows-flags        = 25 --flow-mode
+# Probe pairs alternate between fluid flows and frame UDP streams on
+# capacity-coupled links.
+verify-hybrid-flags       = 25 --hybrid
+# Sharded over 4 worker processes: results identical to `make verify`.
+verify-parallel-flags     = 25 --parallel 4
+# acl-install/acl-revoke steps; justified drops, no acl-leak, no bulk
+# bytes ahead of priority frames (docs/POLICY.md).
+verify-policy-flags       = 25 --policy
+# 4-way FM shard cluster, batched override pushes, fm-restart and
+# fm-partition steps (docs/PROTOCOLS.md, fabric-manager section) ...
+verify-fm-flags           = 25 --fm-shards 4 --fm-ops --fm-batch 0.02
+# ... and the same at k=8 under host churn: a background ARP storm plus a
+# migration-weighted op mix stress soft-state refresh and the registry.
+verify-fm-churn-flags     = 5 --k 8 --fm-shards 4 --fm-ops --fm-batch 0.02 --churn
+# The cross-fabric conformance gate, one lane per topology backend
+# (docs/TOPOLOGIES.md).
+verify-topo-fattree-flags   = 25 --backend fattree
+verify-topo-jellyfish-flags = 25 --backend jellyfish
+verify-topo-twolayer-flags  = 25 --backend twolayer
 
-# Fixed-seed invariant fault campaign (see docs/VERIFY.md).
 verify:
-	PYTHONPATH=src python -m repro.cli --seed 7 verify --scenarios 25
+	$(VERIFY) 25
 
-# The same campaign over the fluid engine: the oracle checks every
-# resolved flow path instead of per-frame hops (docs/FLOWS.md).
-verify-flows:
-	PYTHONPATH=src python -m repro.cli --seed 7 verify --scenarios 25 --flow-mode
+verify-%:
+	$(if $($@-flags),,$(error no verify lane '$*'))
+	$(VERIFY) $($@-flags)
 
-# The campaign in hybrid fluid+frame mode: probe pairs alternate
-# between fluid flows and frame UDP streams on capacity-coupled links,
-# so the oracle checks frame hops and fluid paths in the same scenario.
-verify-hybrid:
-	PYTHONPATH=src python -m repro.cli --seed 7 verify --scenarios 25 --hybrid
+verify-topo: verify-topo-fattree verify-topo-jellyfish verify-topo-twolayer
 
-# The same 25-scenario campaign on every topology backend — the
-# cross-fabric conformance gate (docs/TOPOLOGIES.md).
-verify-topo:
-	for b in fattree jellyfish twolayer; do \
-		echo "== backend $$b"; \
-		PYTHONPATH=src python -m repro.cli --seed 7 verify \
-			--scenarios 25 --backend $$b || exit 1; \
-	done
+verify-all: verify verify-flows verify-hybrid verify-parallel verify-policy \
+	verify-fm verify-fm-churn verify-topo
 
 # Full cross-fabric conformance matrix (tier-1 runs only its smoke rows).
 test-topo:
@@ -102,36 +92,8 @@ bench-topo:
 bench-parallel:
 	PYTHONPATH=src pytest benchmarks/bench_parallel.py --benchmark-only -q
 
-# The fixed-seed campaign sharded over 4 worker processes — results are
-# identical to `make verify`, only wall time changes.
-verify-parallel:
-	PYTHONPATH=src python -m repro.cli --seed 7 verify --scenarios 25 --parallel 4
-
-# Sharded fabric manager under fire: the 25-scenario campaign with a
-# 4-way FM shard cluster, batched + incremental override pushes, and
-# fm-restart / fm-partition steps mixed into the op schedule
-# (docs/PROTOCOLS.md, fabric-manager section). The second lane repeats
-# at k=8 under host churn: a background ARP storm plus a
-# migration-weighted op mix stress soft-state refresh and the shard
-# registry at scale.
-verify-fm:
-	PYTHONPATH=src python -m repro.cli --seed 7 verify --scenarios 25 \
-		--fm-shards 4 --fm-ops --fm-batch 0.02 --fm-incremental
-	PYTHONPATH=src python -m repro.cli --seed 7 verify --scenarios 5 \
-		--k 8 --fm-shards 4 --fm-ops --fm-batch 0.02 --fm-incremental \
-		--churn
-
-# The 25-scenario campaign with acl-install/acl-revoke steps mixed in:
-# the oracle additionally checks that every drop on an ACL'd pair is
-# justified, that no frame leaks across an installed ACL, and that
-# strict-priority ports never let bulk bytes ahead of priority frames
-# (docs/POLICY.md).
-verify-policy:
-	PYTHONPATH=src python -m repro.cli --seed 7 verify --scenarios 25 \
-		--policy
-
 # Fabric-manager control-plane benches (Figs. 14/15 extended to the
-# sharded FM): batching/incremental gates; writes BENCH_fm.json.
+# sharded FM): batching and shard-utilization gates; writes BENCH_fm.json.
 bench-fm:
 	PYTHONPATH=src pytest benchmarks/bench_fig14_fm_control_traffic.py \
 		benchmarks/bench_fig15_fm_cpu.py --benchmark-only -q

@@ -14,9 +14,8 @@ the measurement across three fabric sizes confirms).
 A second phase goes beyond the paper: a correlated fault-churn workload
 (bursts of near-simultaneous link failures and recoveries) compares the
 override push traffic of the classic immediate FM against the batched
-coordinator (``fm_batch_interval_s``) and the incremental override
-recomputation (``fm_incremental``), gating the control-message and
-recompute-work reductions. Writes the headline of ``BENCH_fm.json``.
+coordinator (``fm_batch_interval_s``), gating the control-message
+reduction. Writes the headline of ``BENCH_fm.json``.
 """
 
 import time
@@ -60,22 +59,20 @@ def measure_fabric(seed: int, k: int):
     return len(hosts), queries, total_bytes
 
 
-def measure_churn(seed: int, batch_s: float, incremental: bool) -> dict:
+def measure_churn(seed: int, batch_s: float) -> dict:
     """Run the correlated fault-churn workload against one FM config.
 
     Each round fails CHURN_BURST edge-agg links (one per pod) a few
     milliseconds apart — well inside the batching window — flaps one
     more link (fail then recover CHURN_FLAP_S later, also inside one
-    window), settles, then recovers the burst the same way. Edge-agg
-    faults keep the incremental relevance scope small; the flap is the
-    canonical event batching coalesces away entirely.
+    window), settles, then recovers the burst the same way. The flap is
+    the canonical event batching coalesces away entirely.
     """
-    config = PortlandConfig(fm_batch_interval_s=batch_s,
-                            fm_incremental=incremental)
+    config = PortlandConfig(fm_batch_interval_s=batch_s)
     fabric = converged_portland(seed, k=4, carrier=True, config=config)
     sim = fabric.sim
     fm = fabric.fabric_manager
-    candidates = sorted(fabric.routing_scheme().fault_candidate_links())
+    candidates = sorted(fabric.scheme.fault_candidate_links())
     picked, seen_pods = [], set()
     for a, b in candidates:
         if not a.startswith("edge"):
@@ -113,9 +110,8 @@ def test_fig14_fm_control_traffic(benchmark):
     def run():
         for k, seed in ((4, 601), (6, 602), (8, 603)):
             measured.append(measure_fabric(seed, k))
-        churn["immediate"] = measure_churn(611, 0.0, False)
-        churn["batched"] = measure_churn(611, BATCH_INTERVAL_S, False)
-        churn["incremental"] = measure_churn(611, BATCH_INTERVAL_S, True)
+        churn["immediate"] = measure_churn(611, 0.0)
+        churn["batched"] = measure_churn(611, BATCH_INTERVAL_S)
 
     start = time.perf_counter()
     run_once(benchmark, run)
@@ -153,8 +149,6 @@ def test_fig14_fm_control_traffic(benchmark):
 
     msg_ratio = churn["immediate"]["messages"] / max(
         churn["batched"]["messages"], 1)
-    edge_ratio = churn["batched"]["edges_examined"] / max(
-        churn["incremental"]["edges_examined"], 1)
     print()
     print(format_table(
         ["fm config", "override msgs", "recomputes", "edges examined"],
@@ -162,8 +156,7 @@ def test_fig14_fm_control_traffic(benchmark):
          for name, c in churn.items()],
         title=(f"fault churn ({CHURN_ROUNDS} rounds x {CHURN_BURST}-link "
                f"bursts): batching cuts override messages "
-               f"{msg_ratio:.1f}x, incremental recompute examines "
-               f"{edge_ratio:.1f}x fewer edges"),
+               f"{msg_ratio:.1f}x"),
     ))
 
     save_results("fig14_fm_control_traffic",
@@ -179,7 +172,6 @@ def test_fig14_fm_control_traffic(benchmark):
                        "burst": CHURN_BURST,
                        "burst_spacing_s": CHURN_SPACING_S,
                        "fm_batch_interval_s": BATCH_INTERVAL_S},
-            "edges_examined_ratio": edge_ratio,
         })
     # Shape assertions: per-request cost is constant (linear scaling) and
     # the full-scale projection stays below ~10 Gb/s.
@@ -188,10 +180,6 @@ def test_fig14_fm_control_traffic(benchmark):
     assert worst < 10e9
     # And at the paper's 25 ARPs/s operating point: under ~2 Gb/s.
     assert PAPER_HOSTS[-1] * 25 * cost * 8 < 2e9
-    # Fault-churn gates: a burst coalesces into fewer override pushes
-    # under batching, and incremental recomputation touches a strict
-    # subset of the edges a full recompute walks. Incremental must not
-    # change *what* is pushed — only how much work derives it.
+    # Fault-churn gate: a burst coalesces into fewer override pushes
+    # under batching.
     assert msg_ratio >= 1.3, f"batching reduction {msg_ratio:.2f}x < 1.3x"
-    assert edge_ratio >= 1.5, f"incremental work {edge_ratio:.2f}x < 1.5x"
-    assert churn["incremental"]["messages"] == churn["batched"]["messages"]

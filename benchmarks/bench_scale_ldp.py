@@ -6,7 +6,7 @@ O(1) work per event. This sweep grows the fat tree and measures all
 three on live fabrics.
 """
 
-from common import converge, print_header, run_once, save_results
+from common import print_header, run_once, save_results
 
 from repro import Simulator, build_portland_fabric
 from repro.metrics.tables import format_table
@@ -15,7 +15,7 @@ from repro.metrics.tables import format_table
 def measure(k: int, seed: int):
     sim = Simulator(seed=seed)
     fabric = build_portland_fabric(sim, k=k)
-    located, registered = converge(fabric, timeout_s=10.0)
+    located, registered = fabric.bring_up(timeout_s=10.0)
     max_state = max(len(s.table) + len(s.rewrite_table)
                     for s in fabric.switches.values())
     fm = fabric.fabric_manager

@@ -38,16 +38,13 @@ def converged_backend(backend: str, seed: int):
     fabric = build_portland_fabric(
         sim, k=K, config=config, scheme=scheme,
         link_params=LinkParams(carrier_detect=True))
-    fabric.start()
-    located = fabric.run_until_located()
-    fabric.announce_hosts()
-    fabric.run_until_registered()
+    located, _registered = fabric.bring_up()
     return fabric, located
 
 
 def diversity(fabric) -> tuple[float, float]:
     """Mean (ECMP paths, 8-shortest simple paths) over all edge pairs."""
-    scheme = fabric.routing_scheme()
+    scheme = fabric.scheme
     edges = fabric.tree.edge_names
     ecmp_counts, ksp_counts = [], []
     for src in edges:

@@ -18,20 +18,6 @@ from repro.metrics.benchout import (  # noqa: F401  (re-exported for benches)
 from repro.topology.builder import PortlandFabric
 
 
-def converge(fabric: PortlandFabric,
-             timeout_s: float = 5.0) -> tuple[float, float]:
-    """Start a built fabric and run it to full discovery + registration.
-
-    Returns (located_at, registered_at) in simulated seconds — the
-    bring-up timeline the scalability sweep reports.
-    """
-    fabric.start()
-    located = fabric.run_until_located(timeout_s=timeout_s)
-    fabric.announce_hosts()
-    registered = fabric.run_until_registered(timeout_s=timeout_s)
-    return located, registered
-
-
 def converged_portland(seed: int, k: int = 4, carrier: bool = False,
                        tree=None, config=None, link_params=None,
                        timeout_s: float = 5.0) -> PortlandFabric:
@@ -46,7 +32,7 @@ def converged_portland(seed: int, k: int = 4, carrier: bool = False,
         sim, k=k, config=config,
         link_params=link_params or LinkParams(carrier_detect=carrier),
         tree=tree)
-    converge(fabric, timeout_s=timeout_s)
+    fabric.bring_up(timeout_s=timeout_s)
     return fabric
 
 

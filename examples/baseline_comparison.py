@@ -34,10 +34,7 @@ def run_portland():
     sim = Simulator(seed=3)
     fabric = build_portland_fabric(
         sim, k=K, link_params=LinkParams(carrier_detect=False))
-    fabric.start()
-    bringup = fabric.run_until_located()
-    fabric.announce_hosts()
-    fabric.run_until_registered()
+    bringup, _registered = fabric.bring_up()
     hosts = fabric.host_list()
     rx = UdpStreamReceiver(hosts[FLOW[1]], 5001)
     UdpStreamSender(hosts[FLOW[0]], hosts[FLOW[1]].ip, 5001,

@@ -34,10 +34,7 @@ def main() -> None:
     sim = Simulator(seed=7)
     fabric = build_portland_fabric(
         sim, k=4, link_params=LinkParams(carrier_detect=False))
-    fabric.start()
-    fabric.run_until_located()
-    fabric.announce_hosts()
-    fabric.run_until_registered()
+    fabric.bring_up()
     config = fabric.config
     print(f"LDP keepalives every {config.ldm_period_s * 1000:.0f} ms, "
           f"declared dead after {config.miss_threshold} misses "

@@ -18,10 +18,7 @@ def main() -> None:
     sim = Simulator(seed=24)
     fabric = build_portland_fabric(
         sim, k=4, link_params=LinkParams(carrier_detect=False))
-    fabric.start()
-    fabric.run_until_located()
-    fabric.announce_hosts()
-    fabric.run_until_registered()
+    fabric.bring_up()
 
     group = ip("239.2.2.2")
     hosts = fabric.host_list()

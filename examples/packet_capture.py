@@ -19,10 +19,7 @@ OUTPUT = "portland.pcap"
 def main() -> None:
     sim = Simulator(seed=9)
     fabric = build_portland_fabric(sim, k=4)
-    fabric.start()
-    fabric.run_until_located()
-    fabric.announce_hosts()
-    fabric.run_until_registered()
+    fabric.bring_up()
 
     hosts = fabric.host_list()
     src, dst = hosts[0], hosts[13]

@@ -17,16 +17,13 @@ from repro.portland.pmac import Pmac
 def main() -> None:
     sim = Simulator(seed=42)
     fabric = build_portland_fabric(sim, k=4)
-    fabric.start()
+    located_at, _registered_at = fabric.bring_up()
 
-    located_at = fabric.run_until_located()
     print(f"LDP converged in {located_at * 1000:.0f} ms of simulated time:")
     for level in (SwitchLevel.EDGE, SwitchLevel.AGGREGATION, SwitchLevel.CORE):
         count = sum(1 for a in fabric.agents.values() if a.level is level)
         print(f"  {count:2d} {level.name.lower()} switches")
 
-    fabric.announce_hosts()
-    fabric.run_until_registered()
     fm = fabric.fabric_manager
     print(f"fabric manager knows {len(fm.hosts_by_ip)} hosts")
 

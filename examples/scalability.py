@@ -18,10 +18,7 @@ def main() -> None:
     for k in (4, 6, 8, 10):
         sim = Simulator(seed=k)
         fabric = build_portland_fabric(sim, k=k)
-        fabric.start()
-        located = fabric.run_until_located(timeout_s=10.0)
-        fabric.announce_hosts()
-        fabric.run_until_registered(timeout_s=10.0)
+        located, _registered = fabric.bring_up(timeout_s=10.0)
         flat_l2_equivalent = len(fabric.hosts)  # MAC entries a bridge needs
         max_state = max(len(s.table) + len(s.rewrite_table)
                         for s in fabric.switches.values())

@@ -21,10 +21,7 @@ BYTES_PER_FLOW = 50_000
 def run_shuffle(pin_single_path: bool) -> dict:
     sim = Simulator(seed=5)
     fabric = build_portland_fabric(sim, k=4)
-    fabric.start()
-    fabric.run_until_located()
-    fabric.announce_hosts()
-    fabric.run_until_registered()
+    fabric.bring_up()
     if pin_single_path:
         for agent in fabric.agents.values():
             up = agent.ldp.up_ports()

@@ -22,10 +22,7 @@ def main() -> None:
     # somewhere for the VM to land.
     tree = build_fat_tree(4, hosts_per_edge=1)
     fabric = build_portland_fabric(sim, tree=tree)
-    fabric.start()
-    fabric.run_until_located()
-    fabric.announce_hosts()
-    fabric.run_until_registered()
+    fabric.bring_up()
 
     hosts = fabric.host_list()
     vm, sender = hosts[7], hosts[0]

@@ -7,10 +7,7 @@ Quickstart::
 
     sim = Simulator(seed=1)
     fabric = build_portland_fabric(sim, k=4)
-    fabric.start()
-    fabric.run_until_located()      # zero-config location discovery
-    fabric.announce_hosts()
-    fabric.run_until_registered()   # fabric manager knows every host
+    fabric.bring_up()   # zero-config discovery, then host registration
     # ...attach apps from repro.host.apps and sim.run(until=...)
 """
 

@@ -18,6 +18,7 @@ import sys
 from repro import LinkParams, Simulator, build_portland_fabric
 from repro.metrics.convergence import convergence_time, measure_outages
 from repro.metrics.tables import format_table
+from repro.portland.config import PortlandConfig
 from repro.portland.messages import SwitchLevel
 from repro.topology.fattree import build_fat_tree
 from repro.topology.scheme import BACKEND_NAMES
@@ -31,10 +32,7 @@ def _converged_fabric(k: int, seed: int, carrier: bool, config=None):
     fabric = build_portland_fabric(
         sim, k=k, config=config,
         link_params=LinkParams(carrier_detect=carrier))
-    fabric.start()
-    located = fabric.run_until_located()
-    fabric.announce_hosts()
-    registered = fabric.run_until_registered()
+    located, registered = fabric.bring_up()
     return fabric, located, registered
 
 
@@ -136,7 +134,6 @@ def cmd_arp_load(args: argparse.Namespace) -> int:
 
 
 def cmd_flows(args: argparse.Namespace) -> int:
-    from repro.portland.config import PortlandConfig
     from repro.workloads.shuffle import FluidShuffleWorkload
     from repro.workloads.traffic import random_permutation_pairs
 
@@ -175,18 +172,16 @@ def cmd_flows(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     from repro.verify import CampaignConfig, run_campaign
 
-    flow_mode: bool | str = args.flow_mode
-    if getattr(args, "hybrid", False):
-        flow_mode = "hybrid"
     config = CampaignConfig(
         scenarios=args.scenarios, seed=args.seed,
         backend=args.backend,
-        ks=tuple(args.k), steps=args.steps,
-        path_cache_entries=4096 if args.path_cache else 0,
-        flow_mode=flow_mode, parallel=args.parallel,
-        fm_shards=args.fm_shards, fm_batch_interval_s=args.fm_batch,
-        fm_incremental=args.fm_incremental, fm_ops=args.fm_ops,
-        policy=args.policy, churn=args.churn)
+        ks=tuple(args.k), steps=args.steps, parallel=args.parallel,
+        fabric=PortlandConfig(
+            path_cache_entries=4096 if args.path_cache else 0,
+            flow_mode="hybrid" if args.hybrid else args.flow_mode,
+            fm_shards=args.fm_shards,
+            fm_batch_interval_s=args.fm_batch),
+        fm_ops=args.fm_ops, policy=args.policy, churn=args.churn)
     report = run_campaign(config, log=print if not args.quiet else None)
     print(format_table(
         ["seed", "k", "steps", "checked", "violations", "verdict"],
@@ -258,8 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="shard the fabric manager N ways (0 = single FM)")
     p.add_argument("--fm-batch", type=float, default=0.0, metavar="S",
                    help="coalesce override pushes into S-second rounds")
-    p.add_argument("--fm-incremental", action="store_true",
-                   help="incremental override recomputation on view changes")
     p.add_argument("--fm-ops", action="store_true",
                    help="add fm-restart/fm-partition steps to the op mix")
     p.add_argument("--policy", action="store_true",

@@ -79,13 +79,13 @@ class PortlandAgent(SwitchAgent):
     """Control software for one PortLand switch."""
 
     def __init__(self, switch: PortlandSwitch, config: PortlandConfig,
-                 scheme=None) -> None:
+                 scheme) -> None:
         super().__init__(switch)
         self.switch: PortlandSwitch = switch
         self.config = config
-        #: Topology scheme (None = built-in fat-tree behavior). When the
-        #: scheme resolves routes itself, ``_refresh_entries`` installs
-        #: its ``route:`` entry set instead of the up*-down* entries.
+        #: Topology scheme. When it resolves routes itself,
+        #: ``_refresh_entries`` installs its ``route:`` entry set instead
+        #: of the built-in up*-down* entries.
         self.scheme = scheme
         self.ldp = LdpProcess(switch, config, self)
         self.fm_mac: MacAddress | None = None
@@ -341,11 +341,10 @@ class PortlandAgent(SwitchAgent):
         """Recompute topology-dependent entries (idempotent)."""
         if not self._base_installed:
             return
-        if self.scheme is not None:
-            specs = self.scheme.route_entries(self)
-            if specs is not None:
-                self._refresh_route_entries(specs)
-                return
+        specs = self.scheme.route_entries(self)
+        if specs is not None:
+            self._refresh_route_entries(specs)
+            return
         level = self.level
         if level in (SwitchLevel.EDGE, SwitchLevel.AGGREGATION):
             up = tuple(self._usable_up_ports())
@@ -407,9 +406,7 @@ class PortlandAgent(SwitchAgent):
 
     def _install_fault_entry(self, key: tuple[int, int]) -> None:
         avoid = set(self._fault_overrides.get(key, ()))
-        candidates = None
-        if self.scheme is not None:
-            candidates = self.scheme.override_candidate_ports(self)
+        candidates = self.scheme.override_candidate_ports(self)
         if candidates is None:
             candidates = self._usable_up_ports()
         ports = tuple(

@@ -82,13 +82,6 @@ class PortlandConfig:
     #: recompute + one diff per convergence round, so a switch sees at
     #: most one update per prefix per round instead of one per event.
     fm_batch_interval_s: float = 0.0
-    #: Incremental override recomputation: on a fault-matrix or wiring
-    #: change, re-derive only the destination prefixes whose reachability
-    #: inputs the change touches (plus the changed switch's own rows)
-    #: instead of recomputing every edge prefix. Off by default on the
-    #: classic FM (bit-identical full recompute); the sharded
-    #: coordinator enables whatever this says.
-    fm_incremental: bool = False
     #: Period of the agents' soft-state refresh (neighbor report, host
     #: re-registration, multicast membership, outstanding failures) —
     #: what lets a restarted fabric manager rebuild all of its state.

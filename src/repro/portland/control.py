@@ -20,19 +20,10 @@ class ControlNetwork:
     """Wires agents to one fabric manager."""
 
     def __init__(self, sim: Simulator, config: PortlandConfig | None = None,
-                 fabric_manager: FabricManager | None = None,
-                 scheme=None) -> None:
+                 fabric_manager: FabricManager | None = None) -> None:
         self.sim = sim
         self.config = config or PortlandConfig()
-        if fabric_manager is None:
-            if self.config.fm_shards > 1:
-                from repro.portland.fm_shard import FmShardCluster
-                fabric_manager = FmShardCluster(sim, self.config,
-                                                scheme=scheme)
-            else:
-                fabric_manager = FabricManager(sim, self.config,
-                                               scheme=scheme)
-        self.fabric_manager = fabric_manager
+        self.fabric_manager = fabric_manager or FabricManager(sim, self.config)
         self.links: list[Link] = []
         #: switch id -> its control link (campaigns partition per switch).
         self.links_by_switch: dict[int, Link] = {}

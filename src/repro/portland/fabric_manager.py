@@ -28,11 +28,7 @@ from repro.net.ethernet import ETHERTYPE_FABRIC, EthernetFrame
 from repro.net.link import Port
 from repro.net.node import Node
 from repro.portland.config import PortlandConfig
-from repro.portland.faults import (
-    OverrideComputer,
-    compute_overrides,
-    diff_overrides,
-)
+from repro.portland.faults import OverrideComputer, diff_overrides
 from repro.portland.messages import (
     ArpFlood,
     ArpQuery,
@@ -83,12 +79,9 @@ class FabricManager(Node):
     """The PortLand fabric manager node."""
 
     def __init__(self, sim: Simulator, config: PortlandConfig,
-                 name: str = "fabric-manager", scheme=None) -> None:
+                 name: str = "fabric-manager", computer=None) -> None:
         super().__init__(sim, name, num_ports=0)
         self.config = config
-        #: Topology scheme supplying the override policy (None = the
-        #: built-in fat-tree computation in :mod:`repro.portland.faults`).
-        self.scheme = scheme
         self.mac = bridge_mac_for(name)
 
         # Connectivity: switch id <-> FM port.
@@ -123,13 +116,15 @@ class FabricManager(Node):
         self._service_epoch = 0
 
         # Override push machinery: an optional per-round batching timer
-        # (``fm_batch_interval_s``) and an optional incremental
-        # recomputation state (``fm_incremental``).
+        # (``fm_batch_interval_s``) in front of the override computer —
+        # the fault policy, handed in by whoever knows the topology:
+        # anything with ``update(view, changed_links, changed_switches)``,
+        # ``reset()`` and an ``edges_examined`` counter.
         self._batch_timer = Timer(sim, self._flush_override_batch)
         self._pending_links: set[frozenset[int]] = set()
         self._pending_switches: set[int] = set()
         self._pending_full = False
-        self._computer = OverrideComputer()
+        self._computer = computer or OverrideComputer()
 
         self._handlers = self._handler_table()
 
@@ -150,13 +145,15 @@ class FabricManager(Node):
         #: pressure: every update/clear flushes that switch's decisions).
         self.override_updates_sent = 0
         self.override_clears_sent = 0
-        #: Recompute-work accounting: rounds of recompute+diff, batching
-        #: rounds coalesced by the timer, and destination-edge prefixes
-        #: examined (full recompute scans every edge; the incremental
-        #: path re-derives only affected ones — the fig. 15 metric).
+        #: Recompute-work accounting: rounds of recompute+diff and
+        #: batching rounds coalesced by the timer.
         self.override_recomputes = 0
         self.override_batches = 0
-        self.override_edges_examined = 0
+
+    @property
+    def override_edges_examined(self) -> int:
+        """Destination prefixes the override computer has re-derived."""
+        return self._computer.edges_examined
 
     # ------------------------------------------------------------------
     # Control-network attachment
@@ -510,7 +507,7 @@ class FabricManager(Node):
         self._note_view_change(changed_links={link})
 
     # ------------------------------------------------------------------
-    # Override push: optional batching round + incremental recompute
+    # Override push: optional batching round, then the override computer
 
     def _note_view_change(self,
                           changed_links: set[frozenset[int]] | None = None,
@@ -519,7 +516,7 @@ class FabricManager(Node):
         into the current batching round.
 
         ``changed_links``/``changed_switches`` attribute the change for
-        the incremental recompute; ``None`` means "recompute everything".
+        the override computer; ``None`` means "everything changed".
         Multicast trees always follow the view immediately — only the
         FaultUpdate/FaultClear stream is batched.
         """
@@ -558,23 +555,12 @@ class FabricManager(Node):
             changed_links: set[frozenset[int]] | None = None,
             changed_switches: set[int] | None = None) -> None:
         self.override_recomputes += 1
-        if self.scheme is not None:
-            new = self.scheme.compute_overrides(view)
-            self.override_edges_examined += len(view.edges())
-        elif self.config.fm_incremental:
-            before = self._computer.edges_examined
-            current = self._computer.update(view, changed_links,
-                                            changed_switches)
-            self.override_edges_examined += (self._computer.edges_examined
-                                             - before)
-            # Deep-copy: the computer mutates its map in place on the
-            # next update, but _sent_overrides must stay a snapshot.
-            new = {sid: {prefix: set(avoid)
-                         for prefix, avoid in prefix_map.items()}
-                   for sid, prefix_map in current.items()}
-        else:
-            new = compute_overrides(view)
-            self.override_edges_examined += len(view.edges())
+        current = self._computer.update(view, changed_links, changed_switches)
+        # Deep-copy: the computer may mutate its map in place on the
+        # next update, but _sent_overrides must stay a snapshot.
+        new = {sid: {prefix: set(avoid)
+                     for prefix, avoid in prefix_map.items()}
+               for sid, prefix_map in current.items()}
         updates, clears = diff_overrides(self._sent_overrides, new)
         for switch_id, (value, bits), avoid in updates:
             self.send_to_switch(switch_id,

@@ -45,11 +45,11 @@ Overrides = dict[int, dict[tuple[int, int], set[int]]]
 def compute_overrides(view: FabricView) -> Overrides:
     """Full override map implied by the current fault matrix.
 
-    Recomputed from scratch on every fault-matrix change and diffed
-    against what has been sent — simple, idempotent, and naturally
-    correct for overlapping failures and recoveries. The incremental
-    variant (:class:`OverrideComputer`) maintains the same map while
-    re-deriving only the prefixes a given change can touch.
+    Derived from scratch — simple, idempotent, and naturally correct
+    for overlapping failures and recoveries. The fabric manager runs
+    :class:`OverrideComputer`, which maintains the same map while
+    re-deriving only the prefixes a given change can touch; this
+    function is the independent reference its tests compare against.
     """
     overrides: Overrides = {}
     if not view.failed:
@@ -164,25 +164,24 @@ class OverrideComputer:
       cached ``(D_aggs, D_cores)`` of each unaffected destination.
 
     Level/pod/position changes (and anything else the caller cannot
-    attribute) fall back to a full recompute. ``edges_examined`` counts
-    destination prefixes re-derived over the computer's lifetime — the
-    per-event recompute-work metric the fig. 15 bench gates on.
+    attribute) are handled by the same derivation loop with *every*
+    switch marked changed. ``edges_examined`` counts destination
+    prefixes re-derived over the computer's lifetime — the per-event
+    recompute-work metric the fig. 15 bench reports.
     """
 
     def __init__(self) -> None:
+        self.edges_examined = 0
+        self.full_recomputes = 0
+        self.incremental_updates = 0
+        self.reset()
+
+    def reset(self) -> None:
+        """Forget everything (fabric-manager restart)."""
         self.overrides: Overrides = {}
         #: edge_id -> (prefix, pod, d_aggs, d_cores) for touched edges.
         self._dest: dict[int, tuple[tuple[int, int], int,
                                     set[int], set[int]]] = {}
-        self._primed = False
-        self.edges_examined = 0
-        self.full_recomputes = 0
-        self.incremental_updates = 0
-
-    def reset(self) -> None:
-        """Forget everything (fabric-manager restart)."""
-        self.overrides = {}
-        self._dest = {}
         self._primed = False
 
     def update(self, view: FabricView,
@@ -193,10 +192,14 @@ class OverrideComputer:
         ``changed_links`` are links whose fault or wiring state flipped
         since the last update; ``changed_switches`` are switches whose
         reported neighbour set changed. ``None`` (or an unprimed
-        computer) means "unknown" and forces a full recompute.
+        computer) means "unknown": start over with every switch changed.
         """
         if changed_links is None or not self._primed:
-            self._full(view)
+            self.full_recomputes += 1
+            self.reset()
+            self._primed = True
+            if view.failed:  # a clean fabric has nothing to derive
+                self._recompute_affected(view, set(view.switches))
             return self.overrides
         self.incremental_updates += 1
         changed_ids: set[int] = set(changed_switches or ())
@@ -207,36 +210,10 @@ class OverrideComputer:
             self._recompute_rows(view, set(changed_switches))
         return self.overrides
 
-    # -- full path ----------------------------------------------------
-
-    def _full(self, view: FabricView) -> None:
-        self.full_recomputes += 1
-        self.overrides = {}
-        self._dest = {}
-        self._primed = True
-        if not view.failed:
-            return
-        for edge in view.edges():
-            pod = view.pod(edge)
-            position = view.position(edge)
-            if pod is None or position is None:
-                continue
-            if not _touched_by_failure(view, edge, pod):
-                continue
-            self.edges_examined += 1
-            prefix, d_aggs, d_cores = _dest_state(view, edge, pod, position)
-            self._dest[edge] = (prefix, pod, d_aggs, d_cores)
-            _edge_overrides(view, self.overrides, edge, pod, prefix,
-                            d_aggs, d_cores)
-            _agg_overrides(view, self.overrides, pod, prefix, d_cores)
-
-    # -- incremental path ---------------------------------------------
-
     def _recompute_affected(self, view: FabricView,
-                            changed_ids: set[int]) -> set[int]:
+                            changed_ids: set[int]) -> None:
         """Re-derive every destination prefix whose relevance set meets
-        ``changed_ids``; returns the edge ids that were re-derived."""
-        recomputed: set[int] = set()
+        ``changed_ids`` — the computer's one way to derive a prefix."""
         live_edges = set(view.edges())
         for edge in sorted(live_edges | set(self._dest)):
             pod = view.pod(edge)
@@ -246,11 +223,9 @@ class OverrideComputer:
                 if cached is not None:  # edge left the view: retract
                     self._strip_prefix(cached[0])
                     del self._dest[edge]
-                    recomputed.add(edge)
                 continue
             if not (_relevance(view, edge, pod) & changed_ids):
                 continue
-            recomputed.add(edge)
             self.edges_examined += 1
             if cached is not None:
                 self._strip_prefix(cached[0])
@@ -263,7 +238,6 @@ class OverrideComputer:
             _edge_overrides(view, self.overrides, edge, pod, prefix,
                             d_aggs, d_cores)
             _agg_overrides(view, self.overrides, pod, prefix, d_cores)
-        return recomputed
 
     def _recompute_rows(self, view: FabricView, senders: set[int]) -> None:
         """Rewrite the avoid rows of wiring-changed sender switches for

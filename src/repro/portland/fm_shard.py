@@ -72,7 +72,7 @@ def owner_index_for_ip(ip: IPv4Address, n_shards: int,
     With ``pod_plan`` (the fat-tree ``10.pod.edge.host`` layout): the
     pod octet modulo the shard count — a true by-pod partition, so
     same-pod ARP lookups stay on the querier's home shard. Backends
-    whose IP plan has no pod structure (``scheme.pod_ip_plan`` False —
+    whose IP plan has no pod structure (``pod_ip_plan`` False —
     the two-layer design packs every host into pod 0, which would pin
     the whole registry onto shard 0) use a stable FNV-1a hash over all
     four octets instead: balanced, and independent of Python's
@@ -261,12 +261,13 @@ class FmShard(FabricManager):
 
 class FmCoordinator(FabricManager):
     """The policy brain: topology view, fault matrix, pod assignment,
-    multicast, and the (batched, incremental) override push. No switch
+    multicast, and the (optionally batched) override push. No switch
     links — every switch-bound message is relayed through home shards."""
 
     def __init__(self, sim: Simulator, config: PortlandConfig,
-                 cluster: "FmShardCluster", scheme=None) -> None:
-        super().__init__(sim, config, name="fm-coordinator", scheme=scheme)
+                 cluster: "FmShardCluster", computer=None) -> None:
+        super().__init__(sim, config, name="fm-coordinator",
+                         computer=computer)
         self.cluster = cluster
         self._last_replica: tuple | None = None
 
@@ -323,16 +324,15 @@ class FmShardCluster:
     surface the rest of the system expects."""
 
     def __init__(self, sim: Simulator, config: PortlandConfig,
-                 scheme=None) -> None:
+                 computer=None, pod_ip_plan: bool = True) -> None:
         self.sim = sim
         self.config = config
         self.name = "fm-cluster"
         #: Whether the backend's IP plan carries pod structure in the
         #: second octet (fat trees do; see :func:`owner_index_for_ip`).
-        self.pod_ip_plan = scheme is None or getattr(
-            scheme, "pod_ip_plan", True)
+        self.pod_ip_plan = pod_ip_plan
         n = max(1, config.fm_shards)
-        self.coordinator = FmCoordinator(sim, config, self, scheme=scheme)
+        self.coordinator = FmCoordinator(sim, config, self, computer)
         self.shards = [FmShard(sim, config, self, i) for i in range(n)]
         self._home_by_switch: dict[int, FmShard] = {}
         self._next_rr = 0

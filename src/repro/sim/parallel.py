@@ -50,10 +50,11 @@ import threading
 import time as _time
 import traceback
 from collections import Counter, deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from queue import SimpleQueue
 
 from repro.errors import SimulationError
+from repro.portland.config import PortlandConfig
 from repro.portland.ops import FaultOp, apply_fault_op
 from repro.sim.events import PRIORITY_HIGH
 from repro.sim.stats import aggregate_counters
@@ -86,9 +87,10 @@ class ParallelRunSpec:
     workload: "PodWorkloadSpec | None" = None
     #: Control schedule; ``FaultOp.time`` is relative to window start.
     faults: tuple[FaultOp, ...] = ()
-    path_cache_entries: int = 4096
-    decision_cache_entries: int = 4096
-    flow_mode: bool = False
+    #: Shape of every replica's fabric (compiled paths on by default:
+    #: the determinism argument above rests on cut-through launches).
+    fabric: PortlandConfig = field(
+        default_factory=lambda: PortlandConfig(path_cache_entries=4096))
     carrier_detect: bool = True
     lookahead_s: float = DEFAULT_LOOKAHEAD_S
     window_s: float = DEFAULT_WINDOW_S
@@ -218,7 +220,6 @@ class _ShardHarness:
         self._trace_records: list[dict] = []
 
     def setup(self) -> None:
-        from repro.portland.config import PortlandConfig
         from repro.topology.builder import LinkParams, build_portland_fabric
         from repro.topology.fattree import build_fat_tree
         from repro.verify.oracle import InvariantOracle
@@ -227,17 +228,10 @@ class _ShardHarness:
         spec = self.spec
         self.sim = sim = _new_simulator(spec.seed)
         tree = build_fat_tree(spec.k, hosts_per_edge=spec.hosts_per_edge)
-        config = PortlandConfig(
-            path_cache_entries=spec.path_cache_entries,
-            decision_cache_entries=spec.decision_cache_entries,
-            flow_mode=spec.flow_mode)
         self.fabric = fabric = build_portland_fabric(
-            sim, tree=tree, config=config,
+            sim, tree=tree, config=spec.fabric,
             link_params=LinkParams(carrier_detect=spec.carrier_detect))
-        fabric.start()
-        fabric.run_until_located()
-        fabric.announce_hosts()
-        fabric.run_until_registered()
+        fabric.bring_up()
         self.start_time = sim.now
         self.oracle = (InvariantOracle(fabric)
                        if spec.check_invariants else None)

@@ -13,10 +13,12 @@ from repro.portland.agent import PortlandAgent
 from repro.portland.config import PortlandConfig
 from repro.portland.control import ControlNetwork
 from repro.portland.fabric_manager import FabricManager
+from repro.portland.fm_shard import FmShardCluster
 from repro.portland.switch import PortlandSwitch
 from repro.sim.simulator import Simulator
 from repro.switching.path_cache import DEFAULT_PATH_CAPACITY, PathCache
-from repro.topology.fattree import FatTree, build_fat_tree
+from repro.topology.fattree import FatTree, WireSpec, build_fat_tree
+from repro.topology.scheme import FatTreeScheme, TopologyScheme
 
 
 @dataclass
@@ -45,6 +47,9 @@ class PortlandFabric:
     sim: Simulator
     tree: FatTree
     config: PortlandConfig
+    #: Topology scheme governing routing, fault policy and the path
+    #: oracle (:class:`FatTreeScheme` unless the builder was given one).
+    scheme: TopologyScheme
     switches: dict[str, PortlandSwitch] = field(default_factory=dict)
     agents: dict[str, PortlandAgent] = field(default_factory=dict)
     hosts: dict[str, Host] = field(default_factory=dict)
@@ -55,10 +60,6 @@ class PortlandFabric:
     path_cache: PathCache | None = None
     #: Flow-level (fluid) engine (None unless ``config.flow_mode``).
     flow_engine: FlowEngine | None = None
-    #: Topology scheme the fabric was built with (None = built-in fat
-    #: tree; :meth:`routing_scheme` lazily materializes the equivalent
-    #: FatTreeScheme for consumers that need the oracle interface).
-    scheme: object | None = None
 
     def host_list(self) -> list[Host]:
         """Hosts in deterministic (spec) order."""
@@ -69,6 +70,36 @@ class PortlandFabric:
         link = self.links.get((a, b)) or self.links.get((b, a))
         if link is None:
             raise TopologyError(f"no link between {a!r} and {b!r}")
+        return link
+
+    def rack_switch(self, name: str, num_ports: int) -> PortlandAgent:
+        """Create one switch and its agent (not started) under this
+        fabric's config, scheme and shared path cache."""
+        switch = PortlandSwitch(
+            self.sim, name, num_ports,
+            agent_delay_s=self.config.agent_delay_s,
+            decision_cache_entries=self.config.decision_cache_entries)
+        switch.path_cache = self.path_cache
+        agent = PortlandAgent(switch, self.config, self.scheme)
+        switch.attach_agent(agent)
+        self.switches[name] = switch
+        self.agents[name] = agent
+        return agent
+
+    def plug(self, wire: WireSpec, params: LinkParams) -> Link:
+        """Create the data link ``wire`` describes (end *a* is a host for
+        host wires, which then follow ``host_carrier_detect``)."""
+        from_host = wire.node_a in self.hosts
+        end_a = (self.hosts if from_host else self.switches)[wire.node_a]
+        link = Link(
+            self.sim, end_a.port(wire.port_a),
+            self.switches[wire.node_b].port(wire.port_b),
+            rate_bps=params.rate_bps, delay_s=params.delay_s,
+            queue_bytes=params.queue_bytes,
+            carrier_detect=(params.host_carrier_detect if from_host
+                            else params.carrier_detect),
+            priority_queues=params.priority_queues)
+        self.links[(wire.node_a, wire.node_b)] = link
         return link
 
     def start(self) -> None:
@@ -84,15 +115,7 @@ class PortlandFabric:
         if not all(agent.ldp.location_complete
                    for agent in self.agents.values()):
             return False
-        return self.scheme is None or self.scheme.converged(self)
-
-    def routing_scheme(self):
-        """The scheme governing this fabric's routing + path oracle."""
-        if self.scheme is None:
-            from repro.topology.scheme import FatTreeScheme
-
-            self.scheme = FatTreeScheme(self.tree)
-        return self.scheme
+        return self.scheme.converged(self)
 
     def run_until_located(self, timeout_s: float = 5.0,
                           step_s: float = 0.02) -> float:
@@ -141,6 +164,15 @@ class PortlandFabric:
             return self.sim.now
         raise TopologyError("hosts did not register with the fabric manager")
 
+    def bring_up(self, timeout_s: float = 5.0) -> tuple[float, float]:
+        """The whole cold start: start the agents, run to full location
+        discovery, announce the hosts, run until the fabric manager knows
+        them all. Returns ``(located_at, registered_at)``."""
+        self.start()
+        located = self.run_until_located(timeout_s=timeout_s)
+        self.announce_hosts()
+        return located, self.run_until_registered(timeout_s=timeout_s)
+
     def decision_cache_stats(self) -> dict[str, int]:
         """Fabric-wide decision-cache counters (hits, misses, flushes...)."""
         from repro.sim.stats import aggregate_counters
@@ -179,15 +211,18 @@ def build_portland_fabric(
     """Build (but do not start) a PortLand fabric.
 
     With no ``scheme`` this is the classic dynamically-discovered k-ary
-    fat tree. Passing a :class:`~repro.topology.scheme.TopologyScheme`
-    switches the locator assignment, route resolution, and fault policy
-    to that backend (its ``tree`` supplies the structure unless ``tree``
-    is given explicitly).
+    fat tree (:class:`~repro.topology.scheme.FatTreeScheme` over ``tree``
+    or ``build_fat_tree(k)``). Passing another
+    :class:`~repro.topology.scheme.TopologyScheme` switches the locator
+    assignment, route resolution, and fault policy to that backend (its
+    ``tree`` supplies the structure unless ``tree`` is given explicitly).
     """
     config = config or PortlandConfig()
     params = link_params or LinkParams()
+    if scheme is None:
+        scheme = FatTreeScheme(tree if tree is not None else build_fat_tree(k))
     if tree is None:
-        tree = scheme.tree if scheme is not None else build_fat_tree(k)
+        tree = scheme.tree
     fabric = PortlandFabric(sim=sim, tree=tree, config=config, scheme=scheme)
 
     # Port counts come from the wiring (irregular multi-rooted trees have
@@ -206,57 +241,30 @@ def build_portland_fabric(
     if path_entries > 0:
         fabric.path_cache = PathCache(sim, capacity=path_entries)
     for name in tree.edge_names + tree.agg_names + tree.core_names:
-        switch = PortlandSwitch(sim, name, max(tree.k, ports_needed.get(name, 0)),
-                                agent_delay_s=config.agent_delay_s,
-                                decision_cache_entries=config.decision_cache_entries)
-        switch.path_cache = fabric.path_cache
-        agent = PortlandAgent(switch, config, scheme=scheme)
-        switch.attach_agent(agent)
-        fabric.switches[name] = switch
-        fabric.agents[name] = agent
+        fabric.rack_switch(name, max(tree.k, ports_needed.get(name, 0)))
 
-    if scheme is not None:
-        locations = scheme.static_locations()
-        if locations:
-            for name, location in locations.items():
-                fabric.agents[name].ldp.preseed(
-                    location.level, pod=location.pod,
-                    position=location.position,
-                    host_ports=tuple(location.host_ports))
+    for name, location in (scheme.static_locations() or {}).items():
+        fabric.agents[name].ldp.preseed(
+            location.level, pod=location.pod, position=location.position,
+            host_ports=tuple(location.host_ports))
 
-    control = ControlNetwork(sim, config, scheme=scheme)
-    fabric.control = control
-    fabric.fabric_manager = control.fabric_manager
+    # The scheme owns the fault policy; the manager just runs it.
+    computer = scheme.override_computer()
+    if config.fm_shards > 1:
+        manager = FmShardCluster(sim, config, computer,
+                                 pod_ip_plan=scheme.pod_ip_plan)
+    else:
+        manager = FabricManager(sim, config, computer=computer)
+    fabric.fabric_manager = manager
+    fabric.control = control = ControlNetwork(sim, config, manager)
     for agent in fabric.agents.values():
         control.connect(agent)
 
     for spec in tree.hosts:
         fabric.hosts[spec.name] = Host(sim, spec.name, spec.mac, spec.ip)
 
-    for wire in tree.switch_wires:
-        link = Link(
-            sim,
-            fabric.switches[wire.node_a].port(wire.port_a),
-            fabric.switches[wire.node_b].port(wire.port_b),
-            rate_bps=params.rate_bps,
-            delay_s=params.delay_s,
-            queue_bytes=params.queue_bytes,
-            carrier_detect=params.carrier_detect,
-            priority_queues=params.priority_queues,
-        )
-        fabric.links[(wire.node_a, wire.node_b)] = link
-    for wire in tree.host_wires:
-        link = Link(
-            sim,
-            fabric.hosts[wire.node_a].port(wire.port_a),
-            fabric.switches[wire.node_b].port(wire.port_b),
-            rate_bps=params.rate_bps,
-            delay_s=params.delay_s,
-            queue_bytes=params.queue_bytes,
-            carrier_detect=params.host_carrier_detect,
-            priority_queues=params.priority_queues,
-        )
-        fabric.links[(wire.node_a, wire.node_b)] = link
+    for wire in tree.switch_wires + tree.host_wires:
+        fabric.plug(wire, params)
     if config.flow_mode:
         fabric.flow_engine = FlowEngine(fabric)
     return fabric

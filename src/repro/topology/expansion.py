@@ -32,9 +32,6 @@ from dataclasses import dataclass, field
 
 from repro.errors import TopologyError
 from repro.host.host import Host
-from repro.net.link import Link
-from repro.portland.agent import PortlandAgent
-from repro.portland.switch import PortlandSwitch
 from repro.topology.builder import LinkParams, PortlandFabric
 from repro.topology.fattree import (
     FatTree,
@@ -74,7 +71,7 @@ def expand_jellyfish_live(fabric: PortlandFabric, seed: int = 0,
     a Jellyfish or its degree is odd (single-node splices cannot keep an
     odd-degree graph regular)."""
     scheme = fabric.scheme
-    if scheme is None or getattr(scheme, "name", None) != "jellyfish":
+    if scheme.name != "jellyfish":
         raise TopologyError("live expansion requires a Jellyfish fabric")
     tree = fabric.tree
     num_switches = len(tree.edge_names)
@@ -104,15 +101,7 @@ def expand_jellyfish_live(fabric: PortlandFabric, seed: int = 0,
 
     # Rack the new switch (agent not started yet; ports must exist
     # before links are plugged in).
-    switch = PortlandSwitch(
-        sim, new_name, max(tree.k, base + degree),
-        agent_delay_s=config.agent_delay_s,
-        decision_cache_entries=config.decision_cache_entries)
-    switch.path_cache = fabric.path_cache
-    agent = PortlandAgent(switch, config, scheme=scheme)
-    switch.attach_agent(agent)
-    fabric.switches[new_name] = switch
-    fabric.agents[new_name] = agent
+    agent = fabric.rack_switch(new_name, max(tree.k, base + degree))
 
     # Unplug the spliced links. detach() drops carrier, so neighbors
     # prune the link, compiled paths through it die, and the FM hears.
@@ -133,15 +122,7 @@ def expand_jellyfish_live(fabric: PortlandFabric, seed: int = 0,
     for i, (node, port) in enumerate(freed):
         wire = WireSpec(new_name, base + i, node, port)
         new_wires.append(wire)
-        fabric.links[(new_name, node)] = Link(
-            sim,
-            switch.port(base + i),
-            fabric.switches[node].port(port),
-            rate_bps=params.rate_bps,
-            delay_s=params.delay_s,
-            queue_bytes=params.queue_bytes,
-            carrier_detect=params.carrier_detect,
-        )
+        fabric.plug(wire, params)
 
     # Rack the new hosts.
     new_specs: list[HostSpec] = []
@@ -152,16 +133,10 @@ def expand_jellyfish_live(fabric: PortlandFabric, seed: int = 0,
             mac=host_mac(new_index, 0, h), ip=host_ip(new_index, 0, h),
             edge_switch=new_name, edge_port=h)
         new_specs.append(spec)
-        new_host_wires.append(WireSpec(spec.name, 0, new_name, h))
-        host = Host(sim, spec.name, spec.mac, spec.ip)
-        fabric.hosts[spec.name] = host
-        fabric.links[(spec.name, new_name)] = Link(
-            sim, host.port(0), switch.port(h),
-            rate_bps=params.rate_bps,
-            delay_s=params.delay_s,
-            queue_bytes=params.queue_bytes,
-            carrier_detect=params.host_carrier_detect,
-        )
+        wire = WireSpec(spec.name, 0, new_name, h)
+        new_host_wires.append(wire)
+        fabric.hosts[spec.name] = Host(sim, spec.name, spec.mac, spec.ip)
+        fabric.plug(wire, params)
         result.hosts.append(spec.name)
 
     # The expanded structure, with surviving links keeping their ports.

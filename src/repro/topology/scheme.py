@@ -18,20 +18,20 @@ backends can be swapped under the unchanged mechanism:
 * **route resolution** — either the built-in up*-down* entry refresh
   (return ``None`` from :meth:`route_entries`) or an explicit per-
   destination-prefix entry set (Jellyfish's shortest-path DAG ECMP);
-* **fault policy** — :meth:`compute_overrides` is what the fabric
-  manager pushes as prescriptive FaultUpdates; the agent asks
-  :meth:`override_candidate_ports` which ports an override may select
-  among;
+* **fault policy** — :meth:`override_computer` hands the fabric manager
+  the object that maintains its prescriptive FaultUpdates; the agent
+  asks :meth:`override_candidate_ports` which ports an override may
+  select among;
 * **path oracle** — :meth:`edge_reachable` (is a drop a blackhole?),
   :meth:`avoid_viable` (is an installed override minimal?), and
   :meth:`enumerate_paths` (the structural multipath set, for
   conformance tests and diversity benchmarks).
 
-The built-in fat-tree behavior is the *absence* of a scheme (``scheme
-is None`` everywhere), so the default pipeline is bit-identical to the
-pre-abstraction code — the golden-trace test pins this. Passing
-:class:`FatTreeScheme` explicitly exercises the same delegating logic
-through the scheme interface.
+Every fabric has a scheme: :func:`~repro.topology.builder.
+build_portland_fabric` resolves an omitted one to :class:`FatTreeScheme`,
+whose answers at the agent-side extension points are "use the built-in
+behavior" — so the default pipeline stays bit-identical to the
+pre-abstraction code, which the golden-trace test pins.
 """
 
 from __future__ import annotations
@@ -40,12 +40,15 @@ from dataclasses import dataclass, field
 
 import networkx as nx
 
+from repro.errors import TopologyError
 from repro.portland import faults
 from repro.portland.messages import SwitchLevel
 from repro.portland.pmac import position_prefix
 from repro.portland.topology_view import FabricView
 from repro.switching.stp import bridge_mac_for
-from repro.topology.fattree import FatTree
+from repro.topology.fattree import FatTree, build_fat_tree
+from repro.topology.jellyfish import build_jellyfish
+from repro.topology.twolayer import build_twolayer
 from repro.workloads.failures import switch_link_names
 
 
@@ -128,9 +131,11 @@ class TopologyScheme:
 
     # -- fault policy (fabric-manager side) ----------------------------
 
-    def compute_overrides(self, view: FabricView) -> faults.Overrides:
-        """Prescriptive overrides implied by the current fault matrix."""
-        return faults.compute_overrides(view)
+    def override_computer(self):
+        """The fabric manager's fault policy: maintains the prescriptive
+        overrides implied by its view (``update`` / ``reset``, see
+        :class:`repro.portland.faults.OverrideComputer`)."""
+        return faults.OverrideComputer()
 
     # -- path oracle ---------------------------------------------------
 
@@ -210,11 +215,10 @@ class TopologyScheme:
 
 
 class FatTreeScheme(TopologyScheme):
-    """The classic 3-tier fat tree as an explicit scheme.
+    """The classic 3-tier fat tree — the default scheme.
 
     Pure delegation: dynamic LDP discovery, built-in entry refresh, the
-    module-level override computation, and the up*-down* reachability
-    oracle. Behaviorally identical to running with no scheme at all.
+    tree-level override computer, and the up*-down* reachability oracle.
     """
 
     name = "fattree"
@@ -294,7 +298,8 @@ def scheme_for_backend(backend: str, k: int = 4, hosts_per_edge: int = 1,
     Maps the fat-tree degree ``k`` onto a comparably sized instance of
     each backend, so one campaign knob drives all three:
 
-    * ``fattree``  — returns ``None`` (the built-in dynamic fat tree);
+    * ``fattree``  — the k-ary fat tree, ``hosts_per_edge`` hosts wired
+      per edge switch;
     * ``jellyfish`` — ``k²`` switches in a ``(k-1)``-regular seeded RRG,
       ``hosts_per_edge`` hosts each, one spare host port for migration;
     * ``twolayer`` — ``k`` leaves × ``k/2`` spines, ``hosts_per_edge``
@@ -304,24 +309,34 @@ def scheme_for_backend(backend: str, k: int = 4, hosts_per_edge: int = 1,
     scenario seed makes every campaign scenario's graph replayable.
     """
     if backend == "fattree":
-        return None
+        return FatTreeScheme(build_fat_tree(k, hosts_per_edge=hosts_per_edge))
     if backend == "jellyfish":
-        from repro.topology.jellyfish import build_jellyfish
-
         tree = build_jellyfish(k * k, k - 1, hosts_per_switch=hosts_per_edge,
                                seed=topo_seed, spare_host_ports=1)
         return JellyfishScheme(tree)
     if backend == "twolayer":
-        from repro.topology.twolayer import build_twolayer
-
         tree = build_twolayer(leaves=k, spines=max(2, k // 2),
                               hosts_per_leaf=hosts_per_edge,
                               spare_host_ports=1)
         return TwoLayerFatTreeScheme(tree)
-    from repro.errors import TopologyError
-
     raise TopologyError(
         f"unknown topology backend {backend!r}; expected one of {BACKEND_NAMES}")
+
+
+class _FullRecompute:
+    """The smallest override computer: every update recomputes in full."""
+
+    def __init__(self, compute) -> None:
+        self._compute = compute
+        self.edges_examined = 0
+
+    def reset(self) -> None:
+        """Nothing is kept between updates."""
+
+    def update(self, view: FabricView, changed_links=None,
+               changed_switches=None) -> faults.Overrides:
+        self.edges_examined += len(view.edges())
+        return self._compute(view)
 
 
 class JellyfishScheme(TopologyScheme):
@@ -426,7 +441,12 @@ class JellyfishScheme(TopologyScheme):
 
     # -- fault policy --------------------------------------------------
 
+    def override_computer(self):
+        return _FullRecompute(self.compute_overrides)
+
     def compute_overrides(self, view: FabricView) -> faults.Overrides:
+        """Alive-graph BFS per destination: there are no tree levels for
+        the incremental computer's relevance sets to key on."""
         overrides: faults.Overrides = {}
         if not view.failed:
             return overrides

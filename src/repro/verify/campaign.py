@@ -20,13 +20,13 @@ link list — is the reproducer printed in the report (see
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.host.apps import UdpStreamReceiver, UdpStreamSender
+from repro.portland.config import PortlandConfig
 from repro.portland.migration import VmMigration
 from repro.sim.simulator import Simulator
 from repro.topology.builder import build_portland_fabric
-from repro.topology.fattree import build_fat_tree
 from repro.topology.scheme import scheme_for_backend
 from repro.verify.invariants import Violation
 from repro.verify.oracle import InvariantOracle
@@ -71,22 +71,17 @@ class CampaignConfig:
     stop_on_violation: bool = True
     #: How many failing scenarios to shrink (shrinking rebuilds fabrics).
     max_shrinks: int = 3
-    #: Compiled-path cache capacity for scenario fabrics (0 = interpreted
-    #: forwarding only). Campaigns run with it enabled to prove compiled
-    #: paths never survive a fault the oracle would flag.
-    path_cache_entries: int = 0
-    #: Run scenario fabrics in flow-level (fluid) simulation mode: probe
-    #: traffic becomes open-ended fluid flows driven by the
-    #: :class:`repro.flows.FlowEngine`, and the oracle additionally
+    #: Shape of every scenario fabric, carried whole. With ``flow_mode``
+    #: on, probes become open-ended fluid flows and the oracle also
     #: checks every ``verify.flow`` hop list (loop freedom, up*-down*
-    #: validity, host delivery) — including the re-resolved paths flows
-    #: pin after each fault/recovery/migration step. ``"hybrid"`` runs
-    #: both executors coupled through shared link capacity
-    #: (``PortlandConfig(flow_mode="hybrid")``): probe pairs alternate
-    #: between fluid flows and frame-level UDP streams, so every
-    #: scenario exercises fluid re-resolution *and* per-frame hop checks
-    #: on the same faulted fabric.
-    flow_mode: bool | str = False
+    #: validity, host delivery), including the paths flows re-pin after
+    #: each step; ``"hybrid"`` alternates probe pairs between fluid flows
+    #: and frame-level UDP streams, so both executors are under the
+    #: oracle on the same faulted fabric. ``path_cache_entries`` > 0
+    #: proves compiled paths never survive a fault the oracle would
+    #: flag; ``fm_shards`` / ``fm_batch_interval_s`` pick the
+    #: fabric-manager deployment.
+    fabric: PortlandConfig = field(default_factory=PortlandConfig)
     #: Payload rate per fluid probe flow (flow-mode scenarios only).
     fluid_probe_bps: float = 50e6
     #: Worker processes scenarios are sharded over (1 = in-process
@@ -95,13 +90,6 @@ class CampaignConfig:
     #: identical at any worker count; only wall time changes. Shrinking
     #: stays sequential in the parent.
     parallel: int = 1
-    #: Fabric-manager shard count for scenario fabrics (0/1 = classic
-    #: single FM; see :mod:`repro.portland.fm_shard`).
-    fm_shards: int = 0
-    #: Override-push batching window for scenario fabrics (0 = immediate).
-    fm_batch_interval_s: float = 0.0
-    #: Incremental override recomputation for scenario fabrics.
-    fm_incremental: bool = False
     #: Add fabric-manager failure steps to the op mix: ``fm-restart``
     #: (crash the FM — or one random cluster server — mid-campaign) and,
     #: on sharded fabrics, ``fm-partition`` (sever one shard's control
@@ -222,32 +210,12 @@ def scenario_seed_for(config: CampaignConfig, index: int) -> int:
 
 
 def _converged_fabric(sim: Simulator, k: int, hosts_per_edge: int,
-                      path_cache_entries: int = 0,
-                      flow_mode: bool | str = False,
-                      backend: str = "fattree", topo_seed: int = 0,
-                      fm_shards: int = 0, fm_batch_interval_s: float = 0.0,
-                      fm_incremental: bool = False,
-                      soft_state_refresh_s: float | None = None):
-    from repro.portland.config import PortlandConfig
-
-    config = PortlandConfig(path_cache_entries=path_cache_entries,
-                            flow_mode=flow_mode,
-                            fm_shards=fm_shards,
-                            fm_batch_interval_s=fm_batch_interval_s,
-                            fm_incremental=fm_incremental)
-    if soft_state_refresh_s is not None:
-        config.soft_state_refresh_s = soft_state_refresh_s
+                      config: PortlandConfig | None = None,
+                      backend: str = "fattree", topo_seed: int = 0):
     scheme = scheme_for_backend(backend, k=k, hosts_per_edge=hosts_per_edge,
                                 topo_seed=topo_seed)
-    if scheme is None:
-        tree = build_fat_tree(k, hosts_per_edge=hosts_per_edge)
-        fabric = build_portland_fabric(sim, tree=tree, config=config)
-    else:
-        fabric = build_portland_fabric(sim, config=config, scheme=scheme)
-    fabric.start()
-    fabric.run_until_located()
-    fabric.announce_hosts()
-    fabric.run_until_registered()
+    fabric = build_portland_fabric(sim, config=config, scheme=scheme)
+    fabric.bring_up()
     return fabric
 
 
@@ -257,10 +225,11 @@ def _start_probes(fabric, rng: random.Random, config: CampaignConfig):
     count = min(config.probe_pairs, len(hosts) // 2)
     shuffled = hosts[:]
     rng.shuffle(shuffled)
-    hybrid = config.flow_mode == "hybrid"
+    flow_mode = config.fabric.flow_mode
+    hybrid = flow_mode == "hybrid"
     for i in range(count):
         src, dst = shuffled[2 * i], shuffled[2 * i + 1]
-        if config.flow_mode and not (hybrid and i % 2):
+        if flow_mode and not (hybrid and i % 2):
             # Open-ended fluid flows: they survive the whole scenario,
             # re-resolving (and re-emitting ``verify.flow``) after every
             # fault step — exactly the trajectories the oracle must vet.
@@ -281,7 +250,7 @@ class _MigrationPlanner:
 
     def __init__(self, fabric) -> None:
         self.fabric = fabric
-        scheme = fabric.routing_scheme()
+        scheme = fabric.scheme
         self.attachment = {spec.name: (spec.edge_switch, spec.edge_port)
                            for spec in fabric.tree.hosts}
         occupied: dict[str, set[int]] = {}
@@ -315,7 +284,7 @@ class _MigrationPlanner:
     def adopt_switch(self, fabric, expansion) -> None:
         """Register a freshly spliced-in switch and its hosts (live
         Jellyfish expansion) without disturbing tracked migrations."""
-        scheme = fabric.routing_scheme()
+        scheme = fabric.scheme
         new_hosts = {spec.name: (spec.edge_switch, spec.edge_port)
                      for spec in fabric.tree.hosts
                      if spec.name in set(expansion.hosts)}
@@ -373,14 +342,11 @@ def run_scenario(scenario_seed: int, config: CampaignConfig) -> ScenarioResult:
     result = ScenarioResult(seed=scenario_seed, k=k)
 
     sim = Simulator(seed=scenario_seed)
-    fabric = _converged_fabric(
-        sim, k, config.hosts_per_edge,
-        config.path_cache_entries, config.flow_mode,
-        backend=config.backend, topo_seed=scenario_seed,
-        fm_shards=config.fm_shards,
-        fm_batch_interval_s=config.fm_batch_interval_s,
-        fm_incremental=config.fm_incremental,
-        soft_state_refresh_s=config.fm_refresh_s if config.fm_ops else None)
+    shape = config.fabric
+    if config.fm_ops:
+        shape = replace(shape, soft_state_refresh_s=config.fm_refresh_s)
+    fabric = _converged_fabric(sim, k, config.hosts_per_edge, shape,
+                               backend=config.backend, topo_seed=scenario_seed)
     oracle = InvariantOracle(fabric)
     _start_probes(fabric, rng, config)
     if config.churn:
@@ -396,7 +362,7 @@ def run_scenario(scenario_seed: int, config: CampaignConfig) -> ScenarioResult:
     #: (src, dst) host pairs currently ACL-blocked (policy ops only).
     acls: list[tuple] = []
 
-    candidates = fabric.routing_scheme().fault_candidate_links()
+    candidates = fabric.scheme.fault_candidate_links()
     failed: dict[tuple[str, str], object] = {}
     planner = _MigrationPlanner(fabric)
     by_switch: dict[str, list[tuple[str, str]]] = {}
@@ -475,7 +441,7 @@ def run_scenario(scenario_seed: int, config: CampaignConfig) -> ScenarioResult:
             # includes the new switch's links).
             for pair in expansion.spliced:
                 failed.pop(pair, None)
-            candidates = fabric.routing_scheme().fault_candidate_links()
+            candidates = fabric.scheme.fault_candidate_links()
             by_switch = {}
             for a, b in candidates:
                 by_switch.setdefault(a, []).append((a, b))

@@ -150,7 +150,7 @@ def check_override_soundness(fabric) -> list[Violation]:
         return []
     now = fabric.sim.now
     view = fm.view()
-    scheme = fabric.routing_scheme()
+    scheme = fabric.scheme
     edges_by_location = {
         (view.pod(edge), view.position(edge)): edge for edge in view.edges()
     }

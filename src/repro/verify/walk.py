@@ -176,7 +176,7 @@ def walk_unicast(fabric, src_host, dst_record, dst_host,
         dst_agent = agents.get(dst_record.edge_id)
         reachable = (
             src_edge_id is not None and dst_agent is not None
-            and fabric.routing_scheme().edge_reachable(
+            and fabric.scheme.edge_reachable(
                 view, src_edge_id, dst_agent.switch_id)
         )
         if reachable:

@@ -47,7 +47,7 @@ class FabricBackend:
 
 
 def _fattree():
-    return None  # scheme=None is the built-in dynamic fat tree
+    return None  # the builder resolves an omitted scheme to FatTreeScheme
 
 
 def _jellyfish(num_switches: int, degree: int, hosts: int, seed: int):

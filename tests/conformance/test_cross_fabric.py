@@ -36,7 +36,7 @@ def test_fault_then_recovery_keeps_invariants(fabric_backend):
     unreachable), and recovery must retract every override."""
     fabric = fabric_backend.converged(seed=5)
     sim = fabric.sim
-    candidates = fabric.routing_scheme().fault_candidate_links()
+    candidates = fabric.scheme.fault_candidate_links()
     assert candidates, "scheme offered no faultable links"
     link = fabric.link_between(*candidates[len(candidates) // 2])
     with InvariantOracle(fabric, track_hops=False) as oracle:
@@ -55,7 +55,7 @@ def test_fault_then_recovery_keeps_invariants(fabric_backend):
 def test_enumerated_paths_follow_the_wiring(fabric_backend):
     """The scheme's path oracle only emits real, loop-free switch paths."""
     fabric = fabric_backend.build(seed=3)
-    scheme = fabric.routing_scheme()
+    scheme = fabric.scheme
     edges = fabric.tree.edge_names
     adjacent = {(w.node_a, w.node_b) for w in fabric.tree.switch_wires}
     adjacent |= {(b, a) for a, b in adjacent}

@@ -215,8 +215,7 @@ def test_flap_inside_batch_window_pushes_nothing():
 
 
 def test_incremental_push_matches_full_recompute():
-    config = PortlandConfig(fm_incremental=True)
-    sim, fm, sent = make_fm(config)
+    sim, fm, sent = make_fm()
     load_fat_tree(fm)
     for link, failed in ((LINK_A, True), (LINK_B, True), ((101, 201), True),
                          (LINK_A, False), ((101, 201), False)):

@@ -62,12 +62,15 @@ def test_cluster_placement_mode_follows_scheme():
 
     sim = Simulator(seed=84)
     config = PortlandConfig(fm_shards=4)
-    # Fat tree (no scheme): by-pod placement.
+    # A bare cluster, and the builder's default fat tree: by-pod placement.
     assert FmShardCluster(sim, config).pod_ip_plan
-    # Flat IP plans: stable-hash placement.
+    assert build_portland_fabric(
+        sim, k=4, config=config).fabric_manager.pod_ip_plan
+    # Flat IP plans: the builder tells the cluster to hash instead.
     for backend in ("twolayer", "jellyfish"):
-        scheme = scheme_for_backend(backend, k=4)
-        cluster = FmShardCluster(sim, config, scheme=scheme)
+        cluster = build_portland_fabric(
+            sim, config=config,
+            scheme=scheme_for_backend(backend, k=4)).fabric_manager
         assert not cluster.pod_ip_plan
         ip = IPv4Address.parse("10.0.1.2")
         assert cluster.owner_shard(ip) is cluster.shards[
@@ -169,7 +172,7 @@ def test_single_shard_restart_resyncs_replica():
 def test_shard_partition_heals_clean():
     sim = Simulator(seed=86)
     fabric = converged(sim, carrier=True,
-                       fm_batch_interval_s=0.02, fm_incremental=True)
+                       fm_batch_interval_s=0.02)
     cluster = fabric.fabric_manager
     oracle = InvariantOracle(fabric)
     victim = cluster.shards[1]

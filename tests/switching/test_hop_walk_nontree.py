@@ -49,7 +49,7 @@ def _walk_from(fabric, src_host, frame, require_live=False):
 
 
 def _pair_at_distance(fabric, hops_wanted):
-    scheme = fabric.routing_scheme()
+    scheme = fabric.scheme
     by_edge = {spec.edge_switch: spec.name for spec in fabric.tree.hosts}
     for (src, dst), distance in sorted(
             (pair, scheme._dist[pair[0]][pair[1]])

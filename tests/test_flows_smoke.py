@@ -1,10 +1,11 @@
 """Tier-1 flow-mode smoke: fluid simulation must agree with the frame
 path and must be dramatically cheaper in simulator events.
 
-A reduced-scale cousin of ``benchmarks/bench_flows.py``'s acceptance
-run (k=4 instead of k=8, shorter windows, no JSON artifact) so plain
-``pytest`` — and therefore CI — catches a fluid engine that drifted
-away from frame-path semantics. Two properties are gated:
+Reduced scale (k=4, short windows) so plain ``pytest`` — and therefore
+CI — catches a fluid engine that drifted away from frame-path
+semantics; the performance ledger runs both k=8 shuffles end to end
+(``frame_shuffle_k8``, ``fluid_shuffle_k8``). Three properties are
+gated:
 
 * **agreement** — the same permutation of CBR flows run in frame mode
   (real UDP senders) and in flow mode (fluid rates) must place the same
@@ -16,15 +17,12 @@ away from frame-path semantics. Two properties are gated:
 * **event reduction** — a finite permutation shuffle must cost at
   least 10x fewer simulator events to complete in flow mode than the
   frame path needs — raw counts over each mode's own completion window,
-  LDP's beacon and liveness ticks included (the k=8 benchmark gates the
-  paper number, 20x);
+  LDP's beacon and liveness ticks included;
 * **FCT agreement** — the same shuffle's mean flow completion time must
   agree between modes within 10%: the RTT-aware fluid TCP model
   (handshake setup, cwnd ramp, FIN drain — see docs/FLOWS.md) has to
   reproduce what the frame path's real TCP stack measures, not just
   move the same bytes.
-
-Also runnable alone via ``make bench-flows-smoke``.
 """
 
 from repro.host.apps.udp_stream import UdpStreamReceiver, UdpStreamSender
@@ -162,7 +160,7 @@ def test_fluid_shuffle_needs_far_fewer_events():
     assert reduction >= EVENT_REDUCTION_FLOOR, (
         f"flow mode used {fluid_events} events vs {frame_events} frame-mode "
         f"events — only {reduction:.1f}x fewer (floor "
-        f"{EVENT_REDUCTION_FLOOR}x); run 'make bench-flows' for full numbers")
+        f"{EVENT_REDUCTION_FLOOR}x); 'make ledger' has the k=8 numbers")
     # FCT agreement: the fluid TCP model must reproduce the frame
     # path's completion times, not just its byte totals.
     frame_mean = frame_shuffle.fct_stats().mean

@@ -19,8 +19,6 @@ JSON artifact). Three properties are gated:
 * **soundness** — the invariant oracle watches every foreground frame
   hop and every fluid path resolution, then runs the full static walk
   (cheap at k=4); zero violations.
-
-Also runnable alone via ``make bench-hybrid-smoke``.
 """
 
 from repro.portland.config import PortlandConfig

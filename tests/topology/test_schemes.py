@@ -112,7 +112,9 @@ def test_jellyfish_validates_inputs():
 
 
 def test_scheme_for_backend_mapping():
-    assert scheme_for_backend("fattree") is None
+    fat = scheme_for_backend("fattree", k=4, hosts_per_edge=1)
+    assert isinstance(fat, FatTreeScheme)
+    assert len(fat.tree.hosts) == len(fat.tree.edge_names)
 
     jelly = scheme_for_backend("jellyfish", k=4, topo_seed=3)
     assert isinstance(jelly, JellyfishScheme)

@@ -12,6 +12,7 @@ ever occupy valid paths (or stall honestly)?
 
 import pytest
 
+from repro.portland.config import PortlandConfig
 from repro.verify.campaign import (
     CampaignConfig,
     run_campaign,
@@ -22,7 +23,7 @@ from repro.verify.campaign import (
 
 def quick_config(**overrides) -> CampaignConfig:
     defaults = dict(scenarios=3, seed=11, steps=3, probe_pairs=2,
-                    flow_mode=True)
+                    fabric=PortlandConfig(flow_mode=True))
     defaults.update(overrides)
     return CampaignConfig(**defaults)
 
@@ -64,8 +65,8 @@ def test_faults_force_reresolution():
 def test_full_flow_mode_campaign_25_scenarios():
     # The 'make verify-flows' workload as a test: excluded from tier-1
     # runs by the default '-m "not campaign"' addopts.
-    report = run_campaign(CampaignConfig(scenarios=25, seed=7,
-                                         flow_mode=True))
+    report = run_campaign(CampaignConfig(
+        scenarios=25, seed=7, fabric=PortlandConfig(flow_mode=True)))
     assert report.ok, "\n".join(
         str(v) for result in report.results for v in result.violations)
     assert sum(result.flow_paths for result in report.results) > 25

@@ -14,6 +14,7 @@ drop counts exact.
 
 import pytest
 
+from repro.portland.config import PortlandConfig
 from repro.portland.ops import FaultOp
 from repro.sim.parallel import (
     ParallelRunSpec,
@@ -96,7 +97,8 @@ def test_fluid_mode_equivalence():
     within float-settlement tolerance, and the engine certifies no
     cross-flow coupling ever occurred (bottleneck_events == 0)."""
     spec = ParallelRunSpec(
-        k=4, hosts_per_edge=1, seed=53, duration_s=0.3, flow_mode=True,
+        k=4, hosts_per_edge=1, seed=53, duration_s=0.3,
+        fabric=PortlandConfig(flow_mode=True, path_cache_entries=4096),
         workload=PodWorkloadSpec(kind="fluid_stride", demand_bps=20e6,
                                  size_bytes=100_000))
     reference = run_sharded(spec, workers=2, backend="thread")

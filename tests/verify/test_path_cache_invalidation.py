@@ -107,8 +107,8 @@ def test_recovery_invalidates_again_and_stays_clean():
 def test_full_campaign_25_scenarios_with_path_cache():
     # The oracle-checked fault repertoire (multi-link failures, switch
     # failures, recoveries, migrations) with cut-through transit on.
-    report = run_campaign(CampaignConfig(scenarios=25, seed=7,
-                                         path_cache_entries=4096))
+    report = run_campaign(CampaignConfig(
+        scenarios=25, seed=7, fabric=PortlandConfig(path_cache_entries=4096)))
     assert report.ok, "\n".join(
         str(v) for result in report.results for v in result.violations)
     launches = sum(result.path_launches for result in report.results)

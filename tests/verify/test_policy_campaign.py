@@ -51,9 +51,9 @@ def test_policy_campaign_is_clean():
 
 
 def test_policy_campaign_with_churn_and_shards_is_clean():
-    report = run_campaign(quick_config(churn=True, fm_shards=4,
-                                       fm_batch_interval_s=0.02,
-                                       fm_incremental=True))
+    report = run_campaign(quick_config(
+        churn=True,
+        fabric=PortlandConfig(fm_shards=4, fm_batch_interval_s=0.02)))
     assert report.ok
     assert report.violation_count == 0
 
