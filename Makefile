@@ -1,6 +1,6 @@
 # Convenience targets for the PortLand reproduction.
 
-.PHONY: install test bench ledger ledger-smoke ledger-test ledger-driver bench-hybrid bench-topo bench-parallel bench-fm bench-policy examples loc verify verify-all verify-topo test-topo all
+.PHONY: install test bench ledger ledger-smoke ledger-test ledger-driver ledger-pairs bench-hybrid bench-topo bench-parallel bench-fm bench-policy examples loc verify verify-all verify-topo test-topo all
 
 install:
 	pip install -e .
@@ -32,6 +32,15 @@ ledger-test:
 # Run before submitting a PR; paste its summary into the description.
 ledger-driver:
 	python3 benchmarks/ledger_driver.py
+
+# A claimed gain, measured as the judge does: ten alternating
+# parent/change pairs of one workload on seed 31 and again on seed 97,
+# e.g. `make ledger-pairs PARENT=HEAD~1 WORKLOAD=frame_shuffle_k8
+# METRIC=run_s` (~2 min per second of run). Fails if anything simulated
+# differs between the two sides.
+ledger-pairs:
+	python3 benchmarks/ledger_pairs.py --parent $(PARENT) \
+		--workload $(WORKLOAD) --metric $(METRIC)
 
 # Hybrid fluid+frame acceptance: k=16 fluid background sea under a
 # frame TCP foreground with mid-window faults; writes BENCH_hybrid.json

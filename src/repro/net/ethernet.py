@@ -35,6 +35,8 @@ ETHERNET_MIN_FRAME = 64
 #: Conventional MTU for the payload.
 ETHERNET_MTU = 1500
 
+_new_frame = object.__new__
+
 
 class EthernetFrame(Packet):
     """An Ethernet II frame, optionally 802.1Q-tagged."""
@@ -80,6 +82,25 @@ class EthernetFrame(Packet):
         # construction). copy() carries the memo, which stays valid
         # because copies share the payload.
         self._wire_len: int | None = None
+
+    def copy(self) -> "EthernetFrame":
+        """:meth:`Packet.copy` for the one PDU that is copied per hop
+        (every AMAC↔PMAC rewrite at an edge): the eight slots assigned,
+        which is all the generic protocol ends up doing, at a tenth of
+        its cost. A subclass may carry more state, so it gets the
+        generic copy."""
+        if self.__class__ is not EthernetFrame:
+            return super().copy()
+        new = _new_frame(EthernetFrame)
+        new.dst = self.dst
+        new.src = self.src
+        new.ethertype = self.ethertype
+        new.payload = self.payload
+        new.vlan = self.vlan
+        new.tclass = self.tclass
+        new._fwd_memo = self._fwd_memo
+        new._wire_len = self._wire_len
+        return new
 
     def header_length(self) -> int:
         """Bytes of framing overhead (header + FCS + any VLAN tag)."""

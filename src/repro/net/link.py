@@ -8,7 +8,8 @@ configured delay and is delivered to the far node.
 Failure semantics:
 
 * ``fail()`` stops both directions immediately; frames being serialized
-  or in flight are lost (as on a cut fiber), and queued frames drop.
+  or in flight are lost (as on a cut fiber) whatever the link's state by
+  the time they would have arrived, and queued frames drop.
 * If ``carrier_detect`` is true (default), both endpoints' nodes get
   ``on_port_down``/``on_port_up`` callbacks, like a PHY loss-of-signal
   interrupt. Experiments that study *timeout-based* detection (LDP
@@ -45,6 +46,9 @@ DEFAULT_RATE_BPS = 1_000_000_000
 DEFAULT_DELAY_S = 1e-6
 #: Default drop-tail queue capacity per direction.
 DEFAULT_QUEUE_BYTES = 512 * 1024
+
+#: ``_Direction.busy_until`` of a wire nothing is being serialized onto.
+_NEVER = float("-inf")
 
 
 class PortCounters:
@@ -130,17 +134,27 @@ class _Direction:
     """
 
     __slots__ = ("queue", "queued_bytes", "transmitting", "busy_until",
+                 "done_seq", "cuts",
                  "class_queues", "failed_tx", "fluid_bps", "frame_bps",
                  "fluid_tx_bytes", "class_tx_bytes", "class_drops")
 
     def __init__(self) -> None:
         self.queue: deque[EthernetFrame] = deque()
         self.queued_bytes = 0
+        # The latest frame put on the wire stops serializing at
+        # ``busy_until``, and ``done_seq`` holds the place in the
+        # kernel's order at which that happens (Simulator.reserve). It
+        # is a fact until a frame has to wait for it; only then is it
+        # also a pending ``_transmission_done`` event — ``transmitting``
+        # — pushed into the place it always had (docs/PERF.md, "One
+        # event per uncontended hop").
+        self.busy_until = _NEVER
+        self.done_seq = 0
         self.transmitting = False
-        # When the wire is free again after an *accounted* frame (see
-        # Link.account): no _transmission_done is pending for it unless
-        # a data frame turned up meanwhile and transmit() scheduled one.
-        self.busy_until = 0.0
+        #: How often the direction was cut. Events of frames that were on
+        #: the wire carry the count they started under; a cut in between
+        #: makes them void.
+        self.cuts = 0
         # Strict-priority queues for tclass > 0 frames, created lazily by
         # the first classed frame that has to wait behind a busy
         # transmitter. None on every direction that only ever carries
@@ -167,7 +181,8 @@ class _Direction:
         self.queue.clear()
         self.queued_bytes = 0
         self.transmitting = False
-        self.busy_until = 0.0
+        self.busy_until = _NEVER
+        self.cuts += 1
         self.class_queues = None
 
 
@@ -250,13 +265,14 @@ class Link:
         classic single-mode expression runs unchanged.
         """
         base = (frame.wire_length() + PER_FRAME_OVERHEAD_BYTES) * self._sec_per_byte
-        if src_port is not None:
-            fluid = src_port._tx.fluid_bps
-            if fluid > 0.0:
-                residual = max(self.rate_bps - fluid,
-                               self.rate_bps * HYBRID_CAPACITY_FLOOR)
-                return base * (self.rate_bps / residual)
+        if src_port is not None and src_port._tx.fluid_bps > 0.0:
+            return self._stretched(base, src_port._tx.fluid_bps)
         return base
+
+    def _stretched(self, base: float, fluid_bps: float) -> float:
+        residual = max(self.rate_bps - fluid_bps,
+                       self.rate_bps * HYBRID_CAPACITY_FLOOR)
+        return base * (self.rate_bps / residual)
 
     def add_state_listener(self, listener) -> None:
         """Call ``listener()`` after every carrier-state change of this
@@ -346,16 +362,9 @@ class Link:
         if self.failed or direction.failed_tx:
             src_port.counters.drops += 1
             return False
-        if not direction.transmitting:
-            if self.sim.now >= direction.busy_until:
-                self._start_transmission(src_port, direction, frame)
-                return True
-            # An accounted frame is still being clocked out. Now that
-            # something waits behind it, its end of serialization has to
-            # happen for real, at the instant it always would have.
-            direction.transmitting = True
-            self.sim.schedule_at(direction.busy_until,
-                                 self._transmission_done, src_port, direction)
+        if self._wire_free(direction):
+            self._start_transmission(src_port, direction, frame)
+            return True
         size = frame.wire_length()
         if direction.queued_bytes + size > self.queue_bytes:
             src_port.counters.drops += 1
@@ -377,48 +386,108 @@ class Link:
         else:
             direction.queue.append(frame)
         direction.queued_bytes += size
+        if not direction.transmitting:
+            self._await_wire(src_port, direction)
         return True
 
-    def _start_transmission(self, src_port: Port, direction: _Direction,
-                            frame: EthernetFrame) -> None:
-        direction.transmitting = True
-        duration = self.serialization_time(frame, src_port)
-        self._charge_tx(src_port, direction, frame)
-        self.sim.schedule(duration, self._transmission_done, src_port, direction)
-        self.sim.schedule(duration + self.delay_s, self._deliver, src_port, frame)
+    def _wire_free(self, direction: _Direction) -> bool:
+        """Whether a frame can start serializing right now: nothing
+        waits, and the end of the previous serialization is in the past
+        — of the executing event, not just of the clock. Equal-size
+        frames on equal-rate links arrive at the very instant the wire
+        frees, and which of the two comes first has to be what the
+        kernel's order always said."""
+        if direction.transmitting:
+            return False
+        now = self.sim.now
+        busy_until = direction.busy_until
+        return now > busy_until or (
+            now == busy_until
+            and self.sim.has_fired(busy_until, direction.done_seq))
 
-    def _charge_tx(self, src_port: Port, direction: _Direction,
-                   frame: EthernetFrame) -> None:
+    def _await_wire(self, src_port: Port, direction: _Direction) -> None:
+        """A frame now waits for the wire, so the end of the
+        serialization in progress turns into the event that will start
+        it — in the place that end always held."""
+        direction.transmitting = True
+        self.sim.schedule_reserved(
+            direction.busy_until, direction.done_seq,
+            self._transmission_done, src_port, direction, direction.cuts)
+
+    def _start_transmission(self, src_port: Port, direction: _Direction,
+                            frame: EthernetFrame, admit=None) -> bool:
+        """Put ``frame`` on the wire, which is free, now: charge the
+        transmit side, keep the wire for the serialization time, and
+        schedule the delivery. With frames queued behind this one the
+        end of serialization is an event; with none it is only noted,
+        under the sequence number the event would have taken.
+
+        With ``admit`` (see :meth:`account`) the receiving side is first
+        asked to take the arrival as read. If it will, nothing is
+        scheduled for the delivery either; if it will not, nothing
+        happens at all and the result is False.
+        """
+        sim = self.sim
+        now = sim.now
+        size = frame.wire_length()
+        duration = (size + PER_FRAME_OVERHEAD_BYTES) * self._sec_per_byte
+        if direction.fluid_bps > 0.0:
+            duration = self._stretched(duration, direction.fluid_bps)
+        if admit is not None:
+            dst_port = self.b if src_port is self.a else self.a
+            deliver_at = now + (duration + self.delay_s)
+            on_void = admit(frame, dst_port, deliver_at)
+            if on_void is None:
+                return False
+            previous = dst_port._arriving
+            if previous is not None:
+                # One slot is enough while senders space accounted
+                # frames more than a flight apart (LDP: 10 ms against
+                # ~2 us).
+                assert previous[0] <= now, "two accounted frames in flight"
+                counters = dst_port._counters
+                counters.rx_frames += 1
+                counters.rx_bytes += previous[1].wire_length()
+            dst_port._arriving = (deliver_at, frame, on_void)
         counters = src_port._counters  # tx side: nothing to settle
         counters.tx_frames += 1
-        counters.tx_bytes += frame.wire_length()
+        counters.tx_bytes += size
         if frame.tclass:
             per = direction.class_tx_bytes
             if per is None:
                 per = direction.class_tx_bytes = {}
-            per[frame.tclass] = per.get(frame.tclass, 0) + frame.wire_length()
+            per[frame.tclass] = per.get(frame.tclass, 0) + size
+        if direction.queued_bytes:
+            sim.schedule(duration, self._transmission_done,
+                         src_port, direction, direction.cuts)
+        else:
+            direction.transmitting = False
+            direction.busy_until = now + duration
+            direction.done_seq = sim.reserve()
+        if admit is None:
+            sim.schedule(duration + self.delay_s, self._deliver,
+                         src_port, direction, frame, direction.cuts)
+        return True
 
     # ------------------------------------------------------------------
-    # Accounted frames: the wire occupancy and counters of a frame
-    # nothing will look at, without the events (docs/PERF.md, "Keepalive
-    # floor"). The caller vouches that the receiver has nothing to do
-    # with the frame; the link vouches for the wire.
+    # Accounted frames: an uncontended start whose delivery the receiver
+    # agreed to take as read (docs/PERF.md, "Keepalive floor"). The
+    # caller vouches that the receiver has nothing to do with the frame;
+    # the link vouches for the wire.
 
     def account(self, src_port: Port, frame: EthernetFrame, admit) -> bool:
-        """Book ``frame`` as transmitted from ``src_port`` now, without
-        scheduling anything — if it would go straight onto the wire and
-        be certain to arrive (direction healthy, both ports enabled, no
-        random loss, nothing being serialized) and the receiving side
-        agrees: ``admit(frame, dst_port, deliver_at)`` returns a
-        callback, or ``None`` to insist on a real frame. False means
-        nothing was booked and the caller should transmit.
+        """Put ``frame`` on the wire from ``src_port`` now, without a
+        delivery event — if it would start at once and be certain to
+        arrive (direction healthy, both ports enabled, no random loss,
+        wire free) and the receiving side agrees: ``admit(frame,
+        dst_port, deliver_at)`` returns a callback, or ``None`` to
+        insist on a real frame. False means nothing was booked and the
+        caller should transmit.
 
-        Tx counters move now and the wire is busy for the serialization
-        time, as in :meth:`_start_transmission`; the far port counts the
-        frame from ``deliver_at`` on. If the link is cut before then,
-        the frame becomes a real ``_deliver`` event (to be dropped, or
-        not, by the rules in-flight frames always had) after the
-        callback has told the receiving side that the arrival is off.
+        The transmit side is that of any uncontended start; the far port
+        counts the frame from ``deliver_at`` on. If the link is cut
+        before then the frame is lost, like any other on the wire, and
+        the callback tells the receiving side that the arrival is off.
         """
         dst_port = self.b if src_port is self.a else self.a
         direction = src_port._tx
@@ -427,41 +496,23 @@ class Link:
                 or not src_port.enabled or not dst_port.enabled):
             # (Either direction failed: not worth telling them apart.)
             return False
-        now = self.sim.now
-        if direction.transmitting or now < direction.busy_until:
-            return False
-        duration = self.serialization_time(frame, src_port)
-        deliver_at = now + (duration + self.delay_s)
-        on_void = admit(frame, dst_port, deliver_at)
-        if on_void is None:
-            return False
-        direction.busy_until = now + duration
-        self._charge_tx(src_port, direction, frame)
-        previous = dst_port._arriving
-        if previous is not None:
-            # One slot is enough while senders space accounted frames
-            # more than a flight apart (LDP: 10 ms against ~2 us).
-            assert previous[0] <= now, "two accounted frames in flight"
-            counters = dst_port._counters
-            counters.rx_frames += 1
-            counters.rx_bytes += previous[1].wire_length()
-        dst_port._arriving = (deliver_at, frame, on_void)
-        return True
+        return (self._wire_free(direction)
+                and self._start_transmission(src_port, direction, frame, admit))
 
-    def _materialise_arrival(self, dst_port: Port) -> None:
+    def _void_arrival(self, dst_port: Port) -> None:
         """The link is being cut: an accounted frame still on the wire
-        toward ``dst_port`` goes back to being an event."""
+        toward ``dst_port`` is lost with everything else on it."""
         arriving = dst_port._arriving
         if arriving is not None and arriving[0] > self.sim.now:
-            deliver_at, frame, on_void = arriving
             dst_port._arriving = None
-            on_void()
-            self.sim.schedule_at(deliver_at, self._deliver,
-                                 self.other_end(dst_port), frame)
+            arriving[2]()  # on_void
 
-    def _transmission_done(self, src_port: Port, direction: _Direction) -> None:
-        if self.failed:
-            # fail() already flushed the queue and cleared the flag.
+    def _transmission_done(self, src_port: Port, direction: _Direction,
+                           cuts: int) -> None:
+        if cuts != direction.cuts:
+            # The frame whose end this was died in a cut, which also
+            # flushed the queue; the wire belongs to whatever was sent
+            # since.
             return
         frame = None
         queues = direction.class_queues
@@ -491,16 +542,18 @@ class Link:
         else:
             direction.transmitting = False
 
-    def _deliver(self, src_port: Port, frame: EthernetFrame) -> None:
-        if self.failed or src_port._tx.failed_tx:
-            # The cut happened while the frame was in flight: it is lost.
+    def _deliver(self, src_port: Port, direction: _Direction,
+                 frame: EthernetFrame, cuts: int) -> None:
+        if cuts != direction.cuts:
+            # The cut happened while the frame was on the wire: it is
+            # lost, even if the link has recovered since.
             return
         if self._loss_rng is not None and self._loss_rng.random() < self.loss_rate:
             src_port.counters.drops += 1
             self.sim.trace.emit(self.sim.now, "link.loss", self.name,
                                 port=src_port.name)
             return
-        dst_port = self.other_end(src_port)
+        dst_port = self.b if src_port is self.a else self.a
         if not dst_port.enabled:
             dst_port.counters.drops += 1
             return
@@ -517,8 +570,8 @@ class Link:
         self.failed = True
         for direction in self._directions:
             direction.clear()
-        self._materialise_arrival(self.a)
-        self._materialise_arrival(self.b)
+        self._void_arrival(self.a)
+        self._void_arrival(self.b)
         self.sim.trace.emit(self.sim.now, "link.fail", self.name)
         self._notify_state()
         if self.carrier_detect:
@@ -537,7 +590,7 @@ class Link:
             raise LinkError(f"{src_port} is not an endpoint of {self.name}")
         src_port._tx.failed_tx = True
         src_port._tx.clear()
-        self._materialise_arrival(self.other_end(src_port))
+        self._void_arrival(self.other_end(src_port))
         self.sim.trace.emit(self.sim.now, "link.fail_direction", self.name,
                             from_port=src_port.name)
         self._notify_state()

@@ -20,6 +20,10 @@ class Packet(abc.ABC):
     forwarding path needs sizes without paying for serialization.
     """
 
+    # A subclass that declares its slots has exactly those (no instance
+    # dict beside them for a slot-wise copy() to miss).
+    __slots__ = ()
+
     @abc.abstractmethod
     def encode(self) -> bytes:
         """Render the PDU (including any payload) to wire bytes."""

@@ -54,6 +54,7 @@ def compute_overrides(view: FabricView) -> Overrides:
     overrides: Overrides = {}
     if not view.failed:
         return overrides
+    view = view.fresh()  # the caller's may predate a change to the records
     for edge in view.edges():
         pod = view.pod(edge)
         position = view.position(edge)
@@ -194,6 +195,7 @@ class OverrideComputer:
         reported neighbour set changed. ``None`` (or an unprimed
         computer) means "unknown": start over with every switch changed.
         """
+        view = view.fresh()  # the caller's may predate the change
         if changed_links is None or not self._primed:
             self.full_recomputes += 1
             self.reset()

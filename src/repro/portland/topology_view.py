@@ -41,12 +41,29 @@ class FabricView:
 
     The *physical* structure (who is wired to whom, core groups) ignores
     the fault matrix; :meth:`alive` applies it.
+
+    A view is made for one computation (``FabricManager.view()`` builds
+    one per push, the checkers one per check) and remembers its
+    structural answers — the per-level id lists, ``aggs_in_pod``,
+    ``neighbors_of``, ``core_neighbors`` — the first time each is asked:
+    an override push asks the same few hundred thousand times. So make a
+    new view once the switch records have changed; the fault matrix is
+    always read live. The containers handed out are the remembered ones:
+    read them, do not change them.
     """
 
     def __init__(self, switches: dict[int, SwitchRecord],
                  failed: set[frozenset[int]]) -> None:
         self.switches = switches
         self.failed = failed
+        self._at_level: dict[SwitchLevel, tuple[int, ...]] = {}
+        self._aggs_in_pod: dict[int, tuple[int, ...]] = {}
+        self._neighbors_of: dict[int, dict[int, int]] = {}
+        self._core_neighbors: dict[int, tuple[int, ...]] = {}
+
+    def fresh(self) -> "FabricView":
+        """A view of the same records with nothing remembered yet."""
+        return FabricView(self.switches, self.failed)
 
     # ------------------------------------------------------------------
     # Structure
@@ -63,33 +80,43 @@ class FabricView:
         record = self.switches.get(switch_id)
         return record.position if record is not None else None
 
-    def edges(self) -> list[int]:
+    def _ids_at(self, level: SwitchLevel) -> tuple[int, ...]:
+        ids = self._at_level.get(level)
+        if ids is None:
+            ids = self._at_level[level] = tuple(
+                sid for sid, r in self.switches.items() if r.level is level)
+        return ids
+
+    def edges(self) -> tuple[int, ...]:
         """All edge-switch ids."""
-        return [sid for sid, r in self.switches.items()
-                if r.level is SwitchLevel.EDGE]
+        return self._ids_at(SwitchLevel.EDGE)
 
-    def aggregations(self) -> list[int]:
+    def aggregations(self) -> tuple[int, ...]:
         """All aggregation-switch ids."""
-        return [sid for sid, r in self.switches.items()
-                if r.level is SwitchLevel.AGGREGATION]
+        return self._ids_at(SwitchLevel.AGGREGATION)
 
-    def cores(self) -> list[int]:
+    def cores(self) -> tuple[int, ...]:
         """All core-switch ids."""
-        return [sid for sid, r in self.switches.items()
-                if r.level is SwitchLevel.CORE]
+        return self._ids_at(SwitchLevel.CORE)
 
     def edges_in_pod(self, pod: int) -> list[int]:
         return [sid for sid in self.edges() if self.pod(sid) == pod]
 
-    def aggs_in_pod(self, pod: int) -> list[int]:
-        return [sid for sid in self.aggregations() if self.pod(sid) == pod]
+    def aggs_in_pod(self, pod: int) -> tuple[int, ...]:
+        aggs = self._aggs_in_pod.get(pod)
+        if aggs is None:
+            aggs = self._aggs_in_pod[pod] = tuple(
+                sid for sid in self.aggregations() if self.pod(sid) == pod)
+        return aggs
 
     def neighbors_of(self, switch_id: int) -> dict[int, int]:
         """port -> neighbor id for one switch (physical)."""
-        record = self.switches.get(switch_id)
-        if record is None:
-            return {}
-        return {port: nbr for port, (nbr, _lvl) in record.neighbors.items()}
+        neighbors = self._neighbors_of.get(switch_id)
+        if neighbors is None:
+            record = self.switches.get(switch_id)
+            neighbors = self._neighbors_of[switch_id] = {} if record is None else {
+                port: nbr for port, (nbr, _lvl) in record.neighbors.items()}
+        return neighbors
 
     def port_toward(self, switch_id: int, neighbor_id: int) -> int | None:
         """The (lowest) port on ``switch_id`` wired to ``neighbor_id``."""
@@ -110,10 +137,14 @@ class FabricView:
     # ------------------------------------------------------------------
     # Core groups
 
-    def core_neighbors(self, agg_id: int) -> list[int]:
+    def core_neighbors(self, agg_id: int) -> tuple[int, ...]:
         """Cores physically wired to an aggregation switch."""
-        return [nbr for nbr in self.neighbors_of(agg_id).values()
-                if self.level(nbr) is SwitchLevel.CORE]
+        cores = self._core_neighbors.get(agg_id)
+        if cores is None:
+            cores = self._core_neighbors[agg_id] = tuple(
+                nbr for nbr in self.neighbors_of(agg_id).values()
+                if self.level(nbr) is SwitchLevel.CORE)
+        return cores
 
     def agg_group(self, agg_id: int) -> set[int]:
         """All aggregation switches sharing a core with ``agg_id``.

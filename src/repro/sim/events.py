@@ -7,6 +7,11 @@ fire in the order they were scheduled — this is what makes simulations
 reproducible. It is also unique, so tuple comparison (done in C by
 ``heapq``) never reaches the :class:`Event` itself.
 
+A sequence number can also be taken without an event
+(``EventQueue.reserve``): the place in the order is held, and an
+event may be pushed into it later — or never, when it turns out nothing
+needed to happen there (docs/PERF.md, "One event per uncontended hop").
+
 Cancellation is *lazy*: cancelled events stay in the heap but are skipped
 when popped. This keeps cancellation O(1), which matters because protocol
 timers (LDP keepalives, TCP retransmission timers) are cancelled and
@@ -93,6 +98,13 @@ class EventQueue:
         #: callbacks push, cancel and compact.
         self._heap: list[tuple[float, int, int, Event]] = []
         self._counter = itertools.count()
+        #: ``reserve()`` takes the sequence number a push would take now
+        #: and queues nothing: the holder's place among same-instant
+        #: events. (The counter's own method: this is called per frame.)
+        self.reserve: Callable[[], int] = self._counter.__next__
+        #: A number from ``reserve()`` that the next push takes instead
+        #: of a fresh one (see :meth:`Simulator.schedule_reserved`).
+        self._next_seq: int | None = None
         self._live = 0
         self._compact_min_heap = compact_min_heap
 
@@ -123,7 +135,11 @@ class EventQueue:
         """Queue ``callback(*args)`` to run at simulated ``time``."""
         if time != time:  # NaN guard: NaN would corrupt heap ordering.
             raise SimulationError("event time is NaN")
-        seq = next(self._counter)
+        seq = self._next_seq
+        if seq is None:
+            seq = next(self._counter)
+        else:
+            self._next_seq = None
         event = Event(time, priority, seq, callback, args)
         heapq.heappush(self._heap, (time, priority, seq, event))
         self._live += 1

@@ -22,6 +22,11 @@ from repro.sim.events import PRIORITY_NORMAL, Event, EventQueue
 from repro.sim.rng import RandomStreams
 from repro.sim.trace import TraceBus
 
+# Priorities no event has: they close ``Simulator._position`` off below
+# or above every event at its instant.
+_BEFORE_ALL = float("-inf")
+_AFTER_ALL = float("inf")
+
 
 class Simulator:
     """Discrete-event simulation kernel with a virtual clock in seconds."""
@@ -31,6 +36,18 @@ class Simulator:
         self._queue = EventQueue()
         self._running = False
         self._stopped = False
+        #: How far execution has got in the ``(time, priority, seq)``
+        #: order: the heap entry of the event being executed (or, after
+        #: ``stop()`` / ``step()``, the last one); after a completed
+        #: ``run`` / ``run_before``, a key between what fired and what
+        #: did not. Only ever compared with ``<`` (see :meth:`has_fired`).
+        self._position: tuple = (0.0, _BEFORE_ALL)
+        #: ``reserve()`` holds the place in the event order that an event
+        #: scheduled now would get among others at its instant, without
+        #: scheduling one, and returns its number. Ask :meth:`has_fired`
+        #: whether the place has been passed, or fill it after all with
+        #: :meth:`schedule_reserved`.
+        self.reserve: Callable[[], int] = self._queue.reserve
         self.trace = TraceBus()
         self.random = RandomStreams(seed)
         #: Count of events executed so far (for progress reporting/limits).
@@ -67,6 +84,32 @@ class Simulator:
             raise SimulationError(f"cannot schedule at {time} < now {self._now}")
         return self._queue.push(time, callback, args, priority)
 
+    def has_fired(self, time: float, seq: int) -> bool:
+        """Whether a ``PRIORITY_NORMAL`` event at ``time`` holding
+        reserved place ``seq`` would have run by now — "now" being the
+        event that is executing, not merely the clock: at ``time ==
+        now`` the answer depends on which of the two the kernel orders
+        first. Outside any event, everything at ``now`` has fired after
+        ``run(until)`` and nothing at ``bound`` has after
+        ``run_before(bound)``."""
+        return (time, PRIORITY_NORMAL, seq) < self._position
+
+    def schedule_reserved(self, time: float, seq: int,
+                          callback: Callable[..., None], *args: Any) -> Event:
+        """Run ``callback(*args)`` at ``time``, in reserved place ``seq``
+        (which must not have fired): exactly where it would have run had
+        it been scheduled when the place was taken."""
+        if self.has_fired(time, seq):
+            raise SimulationError(
+                f"reserved place ({time}, {seq}) is already in the past")
+        self._queue._next_seq = seq
+        try:
+            # Through the public method, so a subclass that wraps
+            # scheduling sees this event like any other.
+            return self.schedule_at(time, callback, *args)
+        finally:
+            self._queue._next_seq = None
+
     def cancel(self, event: Event | None) -> None:
         """Cancel a pending event. ``None`` and already-cancelled are no-ops."""
         if event is None or event.cancelled:
@@ -84,6 +127,8 @@ class Simulator:
         self._drain(until, inclusive=True)
         if until is not None and self._now < until:
             self._now = until
+        if not self._stopped:
+            self._position = (self._now, _AFTER_ALL)
         return self._now
 
     def run_before(self, bound: float) -> float:
@@ -104,6 +149,8 @@ class Simulator:
         self._drain(bound, inclusive=False)
         if self._now < bound:
             self._now = bound
+        if not self._stopped:
+            self._position = (bound, _BEFORE_ALL)
         return self._now
 
     def _drain(self, bound: float | None, inclusive: bool) -> None:
@@ -126,7 +173,8 @@ class Simulator:
             bound = float("inf")
         try:
             while heap and not self._stopped:
-                time, _, _, event = heap[0]
+                entry = heap[0]
+                time, _, _, event = entry
                 if event._cancelled:
                     heappop(heap)
                     continue
@@ -136,6 +184,7 @@ class Simulator:
                 queue._live -= 1
                 queue.pops += 1
                 self._now = time
+                self._position = entry
                 self.events_executed += 1
                 if self.max_events is not None and self.events_executed > self.max_events:
                     raise SimulationError(f"exceeded max_events={self.max_events}")
@@ -157,6 +206,7 @@ class Simulator:
         if event is None:
             return False
         self._now = event.time
+        self._position = (event.time, event.priority, event.seq)
         self.events_executed += 1
         event.callback(*event.args)
         return True

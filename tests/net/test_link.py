@@ -28,9 +28,9 @@ class Sink(Node):
         self.ups += 1
 
 
-def frame(length=100):
+def frame(length=100, tclass=0):
     return EthernetFrame(mac("ff:ff:ff:ff:ff:ff"), mac("00:00:00:00:00:01"),
-                         ETHERTYPE_IPV4, AppData(length))
+                         ETHERTYPE_IPV4, AppData(length), tclass=tclass)
 
 
 def wire(sim, a, b, **kwargs):
@@ -192,3 +192,106 @@ def test_counters_track_bytes():
     sim.run()
     assert a.port(0).counters.tx_bytes == f.wire_length()
     assert b.port(0).counters.rx_bytes == f.wire_length()
+
+
+# ----------------------------------------------------------------------
+# One event per uncontended hop (docs/PERF.md): the end of serialization
+# is an event only when a frame waits for it, in the place it always had
+
+
+def test_uncontended_send_is_one_event():
+    sim = Simulator()
+    a, b = Sink(sim, "a"), Sink(sim, "b")
+    wire(sim, a, b, carrier_detect=False)
+    a.port(0).send(frame())
+    assert sim.pending_events() == 1      # the delivery, nothing else
+    sim.run()
+    assert len(b.received) == 1
+    assert sim.events_executed == 1
+
+
+def test_second_send_during_serialization_makes_the_end_an_event():
+    sim = Simulator()
+    a, b = Sink(sim, "a"), Sink(sim, "b")
+    link = wire(sim, a, b, rate_bps=1e9, delay_s=1e-6, carrier_detect=False)
+    first, second = frame(1000), frame(1000)
+    serialization = link.serialization_time(first)
+    a.port(0).send(first)
+    sim.run(until=serialization / 2)
+    a.port(0).send(second)
+    assert sim.pending_events() == 2      # first's delivery, and now its end
+    sim.run()
+    # Three events for two frames (the waiting one starts uncontended),
+    # and the arrival instants of four: bit for bit what scheduling
+    # every end of serialization gives.
+    assert sim.events_executed == 3
+    assert b.received == [
+        (0.0 + (serialization + 1e-6), first),
+        ((0.0 + serialization) + (serialization + 1e-6), second)]
+
+
+@pytest.mark.parametrize("sender_scheduled_first, expected", [
+    # The sender runs before the wire frees at that instant: both frames
+    # wait, and the strict-priority dequeue puts the urgent one first.
+    (True, ["urgent", "bulk"]),
+    # It runs after: the wire is free, bulk goes straight out and the
+    # urgent frame has to wait behind it.
+    (False, ["bulk", "urgent"]),
+])
+def test_send_at_the_freeing_instant_follows_the_kernels_order(
+        sender_scheduled_first, expected):
+    """At ``now == busy_until`` the clock cannot say whether the wire is
+    free; the order of the sending event and the (never scheduled) end of
+    serialization can, and is what decided it when both were events."""
+    sim = Simulator()
+    a, b = Sink(sim, "a"), Sink(sim, "b")
+    link = wire(sim, a, b, rate_bps=1e9, delay_s=1e-6, carrier_detect=False)
+    first = frame(1000)
+    frames = {"bulk": frame(1000), "urgent": frame(1000, tclass=1)}
+    free_at = 0.0 + link.serialization_time(first)
+
+    def send_both():
+        assert sim.now == free_at
+        a.port(0).send(frames["bulk"])
+        a.port(0).send(frames["urgent"])
+
+    if sender_scheduled_first:
+        sim.schedule_at(free_at, send_both)
+    a.port(0).send(first)
+    if not sender_scheduled_first:
+        sim.schedule_at(free_at, send_both)
+    sim.run()
+    assert [f for _t, f in b.received] == [first] + [frames[n] for n in expected]
+
+
+# ----------------------------------------------------------------------
+# A cut kills what was on the wire, whatever happens afterwards
+
+
+@pytest.mark.parametrize("one_way", [False, True])
+def test_cut_and_recovery_under_a_frame_on_the_wire(one_way):
+    sim = Simulator()
+    a, b = Sink(sim, "a"), Sink(sim, "b")
+    link = wire(sim, a, b, rate_bps=1e9, delay_s=1e-6, carrier_detect=False)
+    doomed, x, y, reverse = (frame(1400) for _ in range(4))
+    serialization = link.serialization_time(doomed)
+    assert serialization == pytest.approx(11.504e-6)
+    cut = ((lambda: link.fail_direction(a.port(0))) if one_way
+           else link.fail)
+    a.port(0).send(doomed)                        # on the wire until 11.504 us
+    sim.schedule_at(0.5e-6, b.port(0).send, reverse)
+    sim.schedule_at(1e-6, cut)
+    sim.schedule_at(2e-6, link.recover)
+    sim.schedule_at(3e-6, a.port(0).send, x)      # on the wire until 14.504 us
+    sim.schedule_at(12.004e-6, a.port(0).send, y)
+    sim.run()
+    # The frame being serialized when the cut came is lost, although the
+    # link is whole again by the time it would have arrived ...
+    assert [f for _t, f in b.received] == [x, y]
+    # ... and its end of serialization died with it: y, sent while x
+    # held the wire, waited for x instead of being clocked out over it.
+    x_done = 3e-6 + serialization
+    assert b.received[0][0] == pytest.approx(x_done + 1e-6)
+    assert b.received[1][0] == pytest.approx(x_done + serialization + 1e-6)
+    # A one-way cut leaves the other direction's frame alone.
+    assert [f for _t, f in a.received] == ([reverse] if one_way else [])

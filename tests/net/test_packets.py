@@ -160,3 +160,49 @@ def test_arp_roundtrip_property(op, sha, tha, spa, tpa):
     assert decoded.op == op
     assert decoded.sender_mac == sha and decoded.target_mac == tha
     assert decoded.sender_ip == spa and decoded.target_ip == tpa
+
+
+# ----------------------------------------------------------------------
+# EthernetFrame.copy(): the per-hop copy, spelled out slot by slot
+
+
+def _slots(frame) -> dict:
+    return {name: getattr(frame, name)
+            for cls in type(frame).__mro__
+            for name in getattr(cls, "__slots__", ())}
+
+
+def test_frame_copy_is_the_generic_copy_slot_for_slot():
+    import copy
+
+    from repro.switching.flow_table import decision_key
+
+    payload = IPv4Packet(IPv4Address(1), IPv4Address(2), IPPROTO_UDP,
+                         UdpDatagram(5, 6, AppData(200)))
+    frame = EthernetFrame(MacAddress(2), MacAddress(1), ETHERTYPE_IPV4,
+                          payload, vlan=7, tclass=1)
+    frame.wire_length()
+    decision_key(frame)                   # both memos are filled in
+    assert frame._wire_len is not None and frame._fwd_memo is not None
+    assert not hasattr(frame, "__dict__")  # the slots are all there is
+    mine, generic = frame.copy(), copy.copy(frame)
+    assert type(mine) is EthernetFrame and mine is not frame
+    assert _slots(mine) == _slots(generic) == _slots(frame)
+    assert len(_slots(frame)) == 8
+    assert mine.payload is payload        # shared, as Packet.copy promises
+    assert mine._fwd_memo is frame._fwd_memo
+    # Independent headers: a rewrite of the copy leaves the original alone.
+    mine.dst = MacAddress(9)
+    assert frame.dst == MacAddress(2)
+
+
+def test_frame_subclass_state_survives_copy():
+    class Tagged(EthernetFrame):
+        __slots__ = ("tag",)
+
+    frame = Tagged(MacAddress(2), MacAddress(1), ETHERTYPE_IPV4, b"x" * 50)
+    frame.tag = "kept"
+    clone = frame.copy()
+    assert type(clone) is Tagged
+    assert clone.tag == "kept"
+    assert _slots(clone) == _slots(frame)

@@ -346,3 +346,22 @@ def test_computer_full_fallback_on_unattributed_change():
     # None = "cannot attribute": full recompute again.
     assert computer.update(view) == {}
     assert computer.full_recomputes == 2
+
+
+def test_view_kept_across_a_wiring_change_is_not_trusted():
+    """A view remembers its structural answers. The override entry
+    points start from a fresh one, so a caller that keeps its view
+    across a change to the records (the property test above does, on
+    every "wire" op) is not answered from what the view saw before."""
+    view = make_fat_tree_view(failed=[(200, 101)])
+    computer = OverrideComputer()
+    before = computer.update(view, changed_links={frozenset((200, 101))})
+    assert compute_overrides(view) == before
+    assert 102 in before                  # pod-1 edge steers around agg 202
+    # Edge 102's next report no longer lists its uplink to agg 202.
+    assert view.switches[102].neighbors.pop(2) == (202, SwitchLevel.AGGREGATION)
+    expected = compute_overrides(view.fresh())
+    assert 102 not in expected            # nothing left for it to avoid
+    assert compute_overrides(view) == expected
+    assert computer.update(view, changed_links={frozenset((102, 202))},
+                           changed_switches={102}) == expected

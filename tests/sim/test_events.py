@@ -185,3 +185,56 @@ def test_compaction_correct_under_bounded_drain():
     assert len(q) == len(far)                 # parked events all intact
     remaining = [q.pop().time for _ in range(len(far))]
     assert remaining == sorted(e.time for e in far)
+
+
+# ----------------------------------------------------------------------
+# Reserved places (docs/PERF.md, "One event per uncontended hop")
+
+
+def test_reserved_number_is_a_place_in_the_order():
+    q = EventQueue()
+    order = []
+    q.push(1.0, order.append, ("first",))
+    held = q.reserve()                        # where "second" would be
+    q.push(1.0, order.append, ("third",))
+    q._next_seq = held                        # the next push fills it ...
+    late = q.push(1.0, order.append, ("second",))
+    fresh = q.push(1.0, order.append, ("fourth",))   # ... and only that one
+    assert late.seq == held
+    assert fresh.seq == held + 2
+    while (event := q.pop()) is not None:
+        event.callback(*event.args)
+    assert order == ["first", "second", "third", "fourth"]
+
+
+def test_reserving_consumes_the_number_an_event_would_have():
+    eager, lazy = EventQueue(), EventQueue()
+    eager.push(1.0, lambda: None)
+    lazy.reserve()
+    assert eager.push(2.0, lambda: None).seq == lazy.push(2.0, lambda: None).seq
+    assert lazy.stats()["pushes"] == 1        # nothing was queued for it
+
+
+def test_compaction_keeps_late_filled_places_in_order():
+    q = EventQueue()
+    fired = []
+    held = []
+    for t in range(100):
+        q.push(float(t), fired.append, ((t, "a"),))
+        held.append(q.reserve())
+        q.push(float(t), fired.append, ((t, "c"),))
+    cancelled = [q.push(t + 0.5, fired.append, (None,)) for t in range(400)]
+    # Fill the places out of order, half before the sweep and half after.
+    for t in range(99, -1, -2):
+        q._next_seq = held[t]
+        q.push(float(t), fired.append, ((t, "b"),))
+    for event in cancelled:
+        event.cancel()
+        q.note_cancelled()
+    assert q.compactions > 0
+    for t in range(0, 100, 2):
+        q._next_seq = held[t]
+        q.push(float(t), fired.append, ((t, "b"),))
+    while (event := q.pop()) is not None:
+        event.callback(*event.args)
+    assert fired == [(t, tag) for t in range(100) for tag in "abc"]

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim import Simulator
+from repro.sim.events import PRIORITY_HIGH, PRIORITY_NORMAL
 
 
 def test_schedule_and_run_advances_clock():
@@ -120,3 +121,102 @@ def test_reentrant_run_rejected():
 
     sim.schedule(0.0, inner)
     sim.run()
+
+
+# ----------------------------------------------------------------------
+# Reserved places: an end of serialization that is an event only if a
+# frame waits for it (docs/PERF.md, "One event per uncontended hop")
+
+
+def test_event_filled_in_late_fires_where_it_would_have():
+    def run(late: bool):
+        sim = Simulator()
+        order = []
+        sim.schedule(1.0, order.append, "before")
+        if late:
+            held = sim.reserve()
+        else:
+            sim.schedule(1.0, order.append, "held")
+        sim.schedule(1.0, order.append, "after")
+        if late:
+            # Decided at 0.5, long after the neighbours were scheduled.
+            sim.schedule(0.5, sim.schedule_reserved, 1.0, held,
+                         order.append, "held")
+        sim.schedule(1.0, order.append, "last")
+        sim.run()
+        return order
+
+    assert run(late=True) == run(late=False) == [
+        "before", "held", "after", "last"]
+
+
+def test_filling_a_place_that_has_passed_is_refused():
+    sim = Simulator()
+    held = sim.reserve()
+    sim.schedule(1.0, lambda: None)
+    sim.run()
+    with pytest.raises(SimulationError):
+        sim.schedule_reserved(1.0, held, lambda: None)
+    # The refusal left nothing behind for the next push to trip over.
+    assert sim.schedule(1.0, lambda: None).seq == held + 2
+
+
+@pytest.mark.parametrize("priority", [PRIORITY_NORMAL, PRIORITY_HIGH])
+def test_has_fired_on_both_sides_of_a_tie(priority):
+    sim = Simulator()
+    answers = {}
+
+    def ask(label):
+        answers[label] = sim.has_fired(1.0, held)
+
+    sim.schedule(1.0, ask, "earlier", priority=priority)
+    held = sim.reserve()
+    sim.schedule(1.0, ask, "later", priority=priority)
+    sim.schedule(0.5, ask, "well before")
+    sim.schedule(1.5, ask, "well after")
+    sim.run()
+    assert answers == {
+        "well before": False,
+        "earlier": False,
+        # Scheduled after the place was taken: behind it at equal
+        # priority (the sequence number decides), still ahead of it at
+        # a higher one.
+        "later": priority == PRIORITY_NORMAL,
+        "well after": True,
+    }
+
+
+def test_has_fired_outside_events_follows_the_kind_of_run():
+    sim = Simulator()
+    sim.schedule(0.25, lambda: None)
+    held = sim.reserve()
+    assert not sim.has_fired(1.0, held)       # nothing has run at all
+    sim.run_before(1.0)
+    assert sim.now == 1.0
+    assert not sim.has_fired(1.0, held)       # nothing *at* the bound has
+    sim.run(until=1.0)
+    assert sim.has_fired(1.0, held)           # everything at `until` has
+    sim.run_before(2.0)
+    assert sim.has_fired(1.0, held)
+
+
+def test_has_fired_under_step():
+    sim = Simulator()
+    sim.schedule(1.0, lambda: None)
+    held = sim.reserve()
+    sim.schedule(1.0, lambda: None)
+    assert sim.step()
+    assert not sim.has_fired(1.0, held)       # between its neighbours
+    assert sim.step()
+    assert sim.has_fired(1.0, held)
+
+
+def test_has_fired_after_stop_is_relative_to_the_last_event_run():
+    sim = Simulator()
+    sim.schedule(1.0, sim.stop)
+    held = sim.reserve()
+    sim.schedule(1.0, lambda: None)
+    sim.run()
+    assert not sim.has_fired(1.0, held)
+    sim.run()
+    assert sim.has_fired(1.0, held)

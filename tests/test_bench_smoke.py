@@ -77,6 +77,44 @@ def test_compiled_replay_beats_decision_replay(monkeypatch):
 
 
 # ----------------------------------------------------------------------
+# Events per transmitted frame (docs/PERF.md, "One event per uncontended
+# hop"): a count that repeats exactly, never a wall-clock gate
+
+
+def test_frame_hop_costs_about_one_event():
+    """A hop whose wire nobody else wants is one event (the delivery);
+    only a frame that has to wait adds a second (the end of the
+    serialization it waits for). Scheduling every end of serialization
+    costs 2 per frame before timers and control traffic are counted;
+    on a TCP shuffle the whole run has to stay under 1.5."""
+    import random
+
+    from repro.workloads.shuffle import ShuffleWorkload
+    from repro.workloads.traffic import random_permutation_pairs
+
+    sim = Simulator(seed=31)
+    fabric = build_portland_fabric(sim, k=4)
+    fabric.bring_up()
+    hosts = fabric.host_list()
+    ports = [port for node in [*fabric.switches.values(), *hosts]
+             for port in node.ports]
+
+    def frames_transmitted() -> int:
+        return sum(port.counters.tx_frames for port in ports)
+
+    events, frames = sim.events_executed, frames_transmitted()
+    shuffle = ShuffleWorkload(
+        sim, hosts, pairs=random_permutation_pairs(hosts, random.Random(31)),
+        bytes_per_flow=40_000, stagger_s=100e-6)
+    shuffle.start()
+    shuffle.run_until_done(timeout_s=30.0, step_s=0.005)
+    events = sim.events_executed - events
+    frames = frames_transmitted() - frames
+    assert frames > 3_000                 # the shuffle did run per hop
+    assert events / frames < 1.5, (events, frames)
+
+
+# ----------------------------------------------------------------------
 # BENCH_*.json artifact schema (see repro.metrics.benchout)
 
 #: Every `make bench-*` lane and the artifact it must commit.

@@ -1,14 +1,26 @@
-"""Accounted keepalives must be unobservable.
+"""Events the link leaves out must be unobservable.
 
-Every LDM that crosses a healthy, data-idle link to a located neighbour
-is accounted instead of sent (docs/PERF.md, "Keepalive floor"). The
-reference is the same seed with a no-op handler subscribed to
-``keepalive.ldm``, which turns every LDM back into a frame. Under any
-schedule of ``fail`` / ``recover`` / ``fail_direction`` the two runs
-must agree *exactly*: LDP trace records and their times, fabric-manager
-traffic and fault matrix, installed tables, every port counter, LDM
-counts, neighbour liveness stamps, and the delivery times of a UDP and
-a TCP probe workload.
+Two kinds are left out, and each has a reference run that puts them
+back (docs/PERF.md, "Keepalive floor" and "One event per uncontended
+hop"):
+
+* every LDM that crosses a healthy, data-idle link to a located
+  neighbour is accounted instead of sent. Reference ``"frames"``: the
+  same seed with a no-op handler subscribed to ``keepalive.ldm``, which
+  turns every LDM back into a frame;
+* the end of a frame's serialization is an event only if another frame
+  has to wait for it. Reference ``"eager"``: a patch, living here and
+  nowhere under ``src/``, that turns every one into its event the moment
+  the frame starts, through the method ``Link.transmit`` itself uses —
+  the event sequence of the code before the rule existed.
+
+Under any schedule of ``fail`` / ``recover`` / ``fail_direction`` the
+run and its reference must agree *exactly*: LDP trace records and their
+times, every ``verify.hop`` record and its time, fabric-manager traffic
+and fault matrix, installed tables, every port counter and per-class
+link counter, LDM counts, neighbour liveness stamps, and the delivery
+times of UDP, strict-priority UDP and TCP probe workloads — with
+strictly fewer events executed.
 
 Fault instants are drawn both freely and relative to a beacon of the
 link they hit — before it by less than one LDM serialization time,
@@ -17,8 +29,13 @@ switch's software path (50 us), and just after — because those are the
 windows in which an accounted LDM is neither here nor there. Beacon
 instants do not depend on faults (each switch jitters from its own
 random stream), so one unfaulted reference run per seed supplies them.
+The same run supplies the instants at which data frames start on
+switch-to-switch links; faults are also drawn around such a frame's
+start, its end of serialization (where the left-out event would be) and
+its delivery.
 """
 
+import contextlib
 import functools
 
 import pytest
@@ -27,6 +44,11 @@ from hypothesis import strategies as st
 
 from repro.host.apps import UdpStreamReceiver, UdpStreamSender
 from repro.host.apps.tcp_bulk import TcpBulkSender, TcpSink
+from repro.net.ethernet import ETHERTYPE_LDP
+from repro.net.link import Link
+from repro.net.packet import AppData
+from repro.policy.classes import DSCP_EF
+from repro.portland.config import PortlandConfig
 from repro.sim import Simulator, TraceCollector
 from repro.topology import build_portland_fabric
 from repro.topology.builder import LinkParams
@@ -36,6 +58,12 @@ WINDOW_S = 0.09
 #: Offsets from a beacon instant that land in each in-flight window.
 NEAR_BEACON_S = (-0.5e-6, -0.05e-6, 0.0, 0.3e-6, 1.0e-6, 1.68e-6, 5e-6,
                  30e-6, 51.6e-6, 51.7e-6, 53e-6)
+#: TCP probe flows: (sending host, receiving host counted from the far
+#: end of the host list), each of ``TCP_BYTES``.
+TCP_PAIRS = ((3, 3), (4, 3), (5, 4), (6, 4), (7, 3))
+TCP_BYTES = 150_000
+#: Offsets around an instant in a data frame's life on a link.
+NEAR_FRAME_S = (-0.05e-6, 0.0, 0.05e-6)
 
 
 def _noop(record) -> None:
@@ -47,18 +75,89 @@ def _switch_links(fabric):
             if a in fabric.switches and b in fabric.switches]
 
 
-def _run(seed: int, k: int, carrier: bool, faults, reference: bool,
-         beacons: list | None = None) -> tuple:
+@contextlib.contextmanager
+def _after_every_start(hook):
+    """Call ``hook(link, src_port, direction, frame)`` each time a link
+    has put a frame on the wire."""
+    start = Link._start_transmission
+
+    def hooked(self, src_port, direction, frame, admit=None):
+        started = start(self, src_port, direction, frame, admit)
+        if started:
+            hook(self, src_port, direction, frame)
+        return started
+
+    Link._start_transmission = hooked
+    try:
+        yield
+    finally:
+        Link._start_transmission = start
+
+
+def _end_of_serialization_now(link, src_port, direction, frame) -> None:
+    """The ``"eager"`` reference: what ``transmit`` does for the first
+    frame that has to wait, done for every frame as it starts."""
+    if not direction.transmitting:
+        link._await_wire(src_port, direction)
+
+
+def _record_tcp(arrivals: list, sink: int, record, nbytes: int,
+                now: float) -> None:
+    arrivals.append((now, sink, nbytes))
+    record(nbytes, now)
+
+
+def _priority_stream(host, dst_ip, port: int, count: int,
+                     interval_s: float) -> None:
+    """Expedited-forwarding datagrams: they take the strict-priority
+    queues wherever they meet bulk traffic at an egress."""
+    socket = host.udp_socket()
+
+    def send(n: int) -> None:
+        socket.sendto(dst_ip, port, AppData(200, seq=n, sent_at=host.sim.now),
+                      dscp=DSCP_EF)
+        if n + 1 < count:
+            host.sim.schedule(interval_s, send, n + 1)
+
+    host.sim.schedule(0.0002, send, 0)
+
+
+def _run(seed: int, k: int, carrier: bool, faults, reference: str | None,
+         landmarks: dict | None = None,
+         config: PortlandConfig | None = None) -> tuple:
     """One run; ``faults`` is a list of (seconds after registration,
-    operation, link index, end). Returns the fabric and everything
-    observable about the run."""
+    operation, link index, end). ``reference`` is ``None`` for the code
+    as it is, or the kind of left-out event to put back: ``"frames"``
+    or ``"eager"``. Returns the fabric and everything observable about
+    the run; ``landmarks``, if given, collects the run's beacons and
+    data-frame starts."""
     sim = Simulator(seed=seed)
-    if reference:
+    beacons = landmarks["beacons"] if landmarks is not None else None
+    if reference == "frames":
         sim.trace.subscribe("keepalive.ldm",
                             beacons.append if beacons is not None else _noop)
     ldp_records = TraceCollector(sim.trace, "ldp")
+    hop_records = TraceCollector(sim.trace, "verify.hop")
     fabric = build_portland_fabric(
-        sim, k=k, link_params=LinkParams(carrier_detect=carrier))
+        sim, k=k, config=config,
+        link_params=LinkParams(carrier_detect=carrier))
+    with contextlib.ExitStack() as patches:
+        if reference == "eager":
+            patches.enter_context(
+                _after_every_start(_end_of_serialization_now))
+        if landmarks is not None:
+            def note_data_start(link, port, direction, frame) -> None:
+                if frame.ethertype != ETHERTYPE_LDP:
+                    landmarks["starts"].append(
+                        (sim.now, port, direction.busy_until - sim.now,
+                         link.delay_s))
+
+            patches.enter_context(_after_every_start(note_data_start))
+        return fabric, _observe(sim, fabric, faults, ldp_records,
+                                hop_records)
+
+
+def _observe(sim, fabric, faults, ldp_records, hop_records) -> dict:
     fabric.start()
     fabric.run_until_located()
     fabric.announce_hosts()
@@ -72,12 +171,29 @@ def _run(seed: int, k: int, carrier: bool, faults, reference: bool,
         receivers.append(UdpStreamReceiver(hosts[dst], 7300 + i))
         UdpStreamSender(hosts[src], hosts[dst].ip, 7300 + i,
                         rate_pps=2000.0).start(first_delay=0.0003 * i)
-    sink = TcpSink(hosts[far - 3], 7400)
+    # Bulk TCP flows that converge, pairwise and all together: equal
+    # segments on equal-rate links are what makes frames arrive at an
+    # egress at the very instant it frees.
     arrivals: list = []
-    record = sink._on_receive
-    sink._on_receive = lambda n, now: (arrivals.append((now, n)),
-                                       record(n, now))
-    TcpBulkSender(hosts[3], hosts[far - 3].ip, 7400, total_bytes=300_000)
+    for dst in sorted({dst for _src, dst in TCP_PAIRS}):
+        sink = TcpSink(hosts[far - dst], 7400)
+        sink._on_receive = functools.partial(_record_tcp, arrivals, dst,
+                                             sink._on_receive)
+    for src, dst in TCP_PAIRS:
+        TcpBulkSender(hosts[src], hosts[far - dst].ip, 7400,
+                      total_bytes=TCP_BYTES)
+    # Priority datagrams from the bulk sender's rack to the bulk sink:
+    # the two classes meet at the sink's edge-switch egress at the least.
+    receivers.append(UdpStreamReceiver(hosts[far - 3], 7500))
+    _priority_stream(hosts[2], hosts[far - 3].ip, 7500, count=400,
+                     interval_s=0.0002)
+    engine = fabric.flow_engine
+    if engine is not None:
+        # Hybrid: fluid load under the probes stretches their frames'
+        # serialization, and changes while frames are on the wire.
+        for src, dst, demand in ((2, far - 3, 500e6), (0, far, 300e6),
+                                 (far - 1, 2, 700e6)):
+            engine.start_flow(hosts[src], hosts[dst].ip, demand_bps=demand)
 
     links = _switch_links(fabric)
     for offset, operation, index, end in faults:
@@ -90,14 +206,21 @@ def _run(seed: int, k: int, carrier: bool, faults, reference: bool,
         sim.schedule_at(start + offset, action)
     sim.run(until=start + WINDOW_S)
     ldp_records.close()
+    hop_records.close()
+    if engine is not None:
+        engine.settle_now()
 
     fm = fabric.fabric_manager
     nodes = list(fabric.switches.values()) + hosts + [fm]
     now = sim.now
-    return fabric, {
+    return {
         "start": start,
         "ldp": [(r.time, r.category, r.source, sorted(r.detail.items()))
                 for r in ldp_records.records],
+        "hops": [(r.time, r.source, r.detail["entry"], r.detail["in_port"],
+                  r.detail["dst"], r.detail["ethertype"],
+                  r.detail["payload"].wire_length())
+                 for r in hop_records.records],
         "fm": (fm.messages_sent, fm.messages_received, fm.bytes_sent,
                sorted(sorted(pair) for pair in fm.fault_matrix)),
         "tables": {
@@ -111,6 +234,11 @@ def _run(seed: int, k: int, carrier: bool, faults, reference: bool,
                         port.counters.rx_frames, port.counters.rx_bytes,
                         port.counters.drops)
             for node in nodes for port in node.ports},
+        "class counters": {
+            port.name: (port.link.class_tx_bytes(port),
+                        port.link.class_drops(port))
+            for node in nodes for port in node.ports
+            if port.link is not None},
         "ldms_sent": {name: agent.ldp.ldms_sent
                       for name, agent in fabric.agents.items()},
         # An accounted LDM still in flight has its stamp set ahead of
@@ -124,38 +252,64 @@ def _run(seed: int, k: int, carrier: bool, faults, reference: bool,
             for name, agent in fabric.agents.items()},
         "udp": [receiver.arrival_times() for receiver in receivers],
         "tcp": arrivals,
+        "flows": ([(flow.name, flow.transferred_bytes, flow.rate_log)
+                   for flow in engine.flows] if engine is not None else []),
         "events": sim.events_executed,
     }
 
 
 @functools.lru_cache(maxsize=None)
-def _beacons(seed: int, k: int) -> tuple:
-    """(seconds after registration, link index, end) of every LDM a
-    switch sent to a switch inside the window, fault-free."""
-    seen: list = []
-    fabric, result = _run(seed, k, True, (), reference=True, beacons=seen)
+def _landmarks(seed: int, k: int) -> tuple:
+    """From one fault-free run: (seconds after registration, link
+    index, end) of every LDM a switch sent to a switch inside the
+    window, and (seconds after registration, link index, end,
+    serialization time, propagation delay) of every data frame a switch
+    started toward a switch."""
+    seen: dict = {"beacons": [], "starts": []}
+    fabric, result = _run(seed, k, True, (), reference="frames",
+                          landmarks=seen)
     index_of = {}
     for i, link in enumerate(_switch_links(fabric)):
         index_of[link.a.node.name, link.a.index] = (i, 0)
         index_of[link.b.node.name, link.b.index] = (i, 1)
     start = result["start"]
-    return tuple(
+
+    def in_window(at: float) -> bool:
+        return 0.0 < at - start < WINDOW_S - 0.03
+
+    beacons = tuple(
         (r.time - start, *index_of[r.source, r.detail["port"]])
-        for r in seen
-        if 0.0 < r.time - start < WINDOW_S - 0.03
-        and (r.source, r.detail["port"]) in index_of)
+        for r in seen["beacons"]
+        if in_window(r.time) and (r.source, r.detail["port"]) in index_of)
+    starts = tuple(
+        (at - start, *index_of[port.node.name, port.index], duration, delay)
+        for at, port, duration, delay in seen["starts"]
+        if in_window(at) and (port.node.name, port.index) in index_of)
+    return beacons, starts
+
+
+def _beacons(seed: int, k: int) -> tuple:
+    return _landmarks(seed, k)[0]
 
 
 def _faults(draw, seed: int, k: int) -> list:
-    beacons = _beacons(seed, k)
+    beacons, starts = _landmarks(seed, k)
     faults = []
     for _ in range(draw(st.integers(1, 4))):
         operation = draw(st.sampled_from(("fail", "fail_direction")))
-        if draw(st.booleans()):
+        near = draw(st.sampled_from(("beacon", "frame", "nothing")))
+        if near == "beacon":
             at, index, end = draw(st.sampled_from(beacons))
             at += draw(st.sampled_from(NEAR_BEACON_S))
             if draw(st.booleans()):
                 end = 1 - end  # hit the LDM's receiving side instead
+        elif near == "frame":
+            at, index, end, duration, delay = draw(st.sampled_from(starts))
+            # Its start, its end of serialization, its delivery.
+            at += draw(st.sampled_from((0.0, duration, duration + delay)))
+            at += draw(st.sampled_from(NEAR_FRAME_S))
+            if draw(st.booleans()):
+                end = 1 - end  # cut only the reverse direction
         else:
             at = draw(st.floats(0.001, WINDOW_S - 0.03))
             index = draw(st.integers(0, 255))
@@ -171,15 +325,16 @@ def _faults(draw, seed: int, k: int) -> list:
     return sorted(faults)
 
 
-def _assert_equivalent(seed, k, carrier, faults):
-    _, reference = _run(seed, k, carrier, faults, reference=True)
-    _, accounted = _run(seed, k, carrier, faults, reference=False)
-    # The point of the exercise, and proof that accounting was active.
-    assert accounted.pop("events") < reference.pop("events")
-    for section in reference:
-        assert accounted[section] == reference[section], (
-            f"{section} differs with keepalives accounted; seed={seed} "
-            f"k={k} carrier_detect={carrier} faults={faults}")
+def _assert_equivalent(seed, k, carrier, faults, reference="frames",
+                       config=None):
+    _, expected = _run(seed, k, carrier, faults, reference, config=config)
+    _, got = _run(seed, k, carrier, faults, None, config=config)
+    # The point of the exercise, and proof that events were left out.
+    assert got.pop("events") < expected.pop("events")
+    for section in expected:
+        assert got[section] == expected[section], (
+            f"{section} differs from the {reference!r} reference; "
+            f"seed={seed} k={k} carrier_detect={carrier} faults={faults}")
 
 
 @pytest.mark.parametrize("carrier", [True, False])
@@ -199,8 +354,9 @@ def test_accounted_keepalives_are_unobservable_k4(carrier, data):
 ])
 def test_link_flap_inside_one_ldm_flight(carrier, fail_after, recover_after):
     """The rarest schedule, spelled out because random draws seldom hit
-    it: the frame in flight survives such a flap, so the accounted one
-    has to turn back into events and survive it too."""
+    it: a frame in flight is lost to such a flap although the link is
+    whole again when it would have arrived, so the accounted one has to
+    be taken back as well."""
     for at, index, end in _beacons(3, 4)[40:120:40]:
         faults = [(at + fail_after, "fail", index, end),
                   (at + fail_after + recover_after, "recover", index, end)]
@@ -215,6 +371,60 @@ def test_link_flap_inside_one_ldm_flight(carrier, fail_after, recover_after):
 def test_accounted_keepalives_are_unobservable_k8(carrier, data):
     faults = _faults(data.draw, 17, 8)
     _assert_equivalent(17, 8, carrier, faults)
+
+
+# ----------------------------------------------------------------------
+# The "eager" reference: every end of serialization an event
+
+
+@pytest.mark.parametrize("carrier", [True, False])
+@settings(max_examples=12, deadline=None,
+          suppress_health_check=list(HealthCheck))
+@given(data=st.data())
+def test_lazy_end_of_serialization_is_unobservable_k4(carrier, data):
+    seed = data.draw(st.sampled_from((3, 11, 29)))
+    faults = _faults(data.draw, seed, 4)
+    _assert_equivalent(seed, 4, carrier, faults, reference="eager")
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("carrier", [True, False])
+@settings(max_examples=3, deadline=None,
+          suppress_health_check=list(HealthCheck))
+@given(data=st.data())
+def test_lazy_end_of_serialization_is_unobservable_k8(carrier, data):
+    faults = _faults(data.draw, 17, 8)
+    _assert_equivalent(17, 8, carrier, faults, reference="eager")
+
+
+def test_lazy_end_of_serialization_under_fluid_load():
+    """Hybrid mode stretches a frame's serialization by the fluid load
+    on its direction at the instant it starts, and the load moves while
+    the frame is on the wire: the noted end must be the one the event
+    would have carried."""
+    config = PortlandConfig(flow_mode="hybrid")
+    _, starts = _landmarks(3, 4)
+    at, index, end, duration, _delay = starts[len(starts) // 2]
+    faults = [(at + duration, "fail", index, end),
+              (at + duration + 3e-3, "recover", index, end)]
+    _assert_equivalent(3, 4, True, faults, reference="eager", config=config)
+    _assert_equivalent(3, 4, False, (), reference="eager", config=config)
+
+
+def test_reference_catches_a_tie_rule_that_ignores_event_order(monkeypatch):
+    """The harness has teeth. Equal segments on equal-rate links reach an
+    egress at the very instant the previous frame stops serializing
+    there, so whether the wire is free is regularly decided by the order
+    of two events at one instant. Asking the clock alone
+    (``now >= busy_until``) starts some frames one event early, and even
+    a fault-free run then differs from the reference."""
+    _, expected = _run(3, 4, True, (), "eager")
+    monkeypatch.setattr(
+        Link, "_wire_free",
+        lambda self, direction: (not direction.transmitting
+                                 and self.sim.now >= direction.busy_until))
+    _, got = _run(3, 4, True, (), None)
+    assert got["hops"] != expected["hops"]
 
 
 def test_unfaulted_run_accounts_nearly_every_keepalive():
