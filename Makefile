@@ -1,6 +1,6 @@
 # Convenience targets for the PortLand reproduction.
 
-.PHONY: install test bench ledger ledger-smoke ledger-test ledger-driver ledger-pairs bench-hybrid bench-topo bench-parallel bench-fm bench-policy examples loc verify verify-all verify-topo test-topo all
+.PHONY: install test bench ledger ledger-smoke ledger-test ledger-driver ledger-pairs hop-profile bench-hybrid bench-topo bench-parallel bench-fm bench-policy examples loc verify verify-all verify-topo test-topo all
 
 install:
 	pip install -e .
@@ -41,6 +41,15 @@ ledger-driver:
 ledger-pairs:
 	python3 benchmarks/ledger_pairs.py --parent $(PARENT) \
 		--workload $(WORKLOAD) --metric $(METRIC)
+
+# Where a ledger workload's run phase spends its function calls: self
+# time and calls per module, the top functions, calls per event and per
+# frame (cProfile; the counts repeat exactly, the seconds only rank).
+# `make hop-profile WORKLOAD=fault_storm_k8 SEED=97`; SMOKE=1 for k=4.
+hop-profile:
+	python3 benchmarks/hop_profile.py \
+		--workload $(or $(WORKLOAD),frame_shuffle_k8) \
+		--seed $(or $(SEED),31) $(if $(SMOKE),--smoke)
 
 # Hybrid fluid+frame acceptance: k=16 fluid background sea under a
 # frame TCP foreground with mid-window faults; writes BENCH_hybrid.json

@@ -144,8 +144,10 @@ class Host(Node):
             self.unresolved_drops += len(dropped)
             self._arp_timers.pop(ip, None)
             self._arp_attempts.pop(ip, None)
-            self.sim.trace.emit(self.sim.now, "host.arp_failed", self.name,
-                                target=str(ip), dropped=len(dropped))
+            if self.sim.trace.wants("host.arp_failed"):
+                self.sim.trace.emit(self.sim.now, "host.arp_failed",
+                                    self.name, target=str(ip),
+                                    dropped=len(dropped))
             return
         self._arp_attempts[ip] = attempts + 1
         self._emit_arp_request(ip)

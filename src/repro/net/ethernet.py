@@ -69,7 +69,7 @@ class EthernetFrame(Packet):
         # headers; not on the wire (it models an 802.1p PCP field the
         # byte-accurate codec rounds to zero cost).
         self.tclass = tclass
-        # Memoised (src value, decision key) managed by
+        # Memoised (src, dst, decision key) managed by
         # repro.switching.flow_table; a pure function of the headers and
         # the (immutable-once-sent) payload, revalidated against
         # src/dst/ethertype on every read so header rewrites can never

@@ -373,10 +373,11 @@ class Link:
                 if per is None:
                     per = direction.class_drops = {}
                 per[frame.tclass] = per.get(frame.tclass, 0) + 1
-            self.sim.trace.emit(
-                self.sim.now, "link.drop", self.name,
-                port=src_port.name, reason="queue_full", frame=repr(frame),
-            )
+            trace = self.sim.trace
+            if trace.wants("link.drop"):
+                trace.emit(self.sim.now, "link.drop", self.name,
+                           port=src_port.name, reason="queue_full",
+                           frame=repr(frame))
             return False
         if frame.tclass and self.priority_queues:
             queues = direction.class_queues
@@ -466,7 +467,7 @@ class Link:
             direction.done_seq = sim.reserve()
         if admit is None:
             sim.schedule(duration + self.delay_s, self._deliver,
-                         src_port, direction, frame, direction.cuts)
+                         src_port, direction, frame, direction.cuts, size)
         return True
 
     # ------------------------------------------------------------------
@@ -528,7 +529,7 @@ class Link:
                     break
         if frame is None and direction.queue:
             frame = direction.queue.popleft()
-            if queues:
+            if queues and self.sim.trace.wants("verify.class_inversion"):
                 # Unreachable by construction (classed queues drained
                 # above); a live tripwire the invariant oracle watches so
                 # any future dequeue reordering surfaces as a violation.
@@ -543,23 +544,26 @@ class Link:
             direction.transmitting = False
 
     def _deliver(self, src_port: Port, direction: _Direction,
-                 frame: EthernetFrame, cuts: int) -> None:
+                 frame: EthernetFrame, cuts: int, size: int) -> None:
         if cuts != direction.cuts:
             # The cut happened while the frame was on the wire: it is
             # lost, even if the link has recovered since.
             return
         if self._loss_rng is not None and self._loss_rng.random() < self.loss_rate:
             src_port.counters.drops += 1
-            self.sim.trace.emit(self.sim.now, "link.loss", self.name,
-                                port=src_port.name)
+            if self.sim.trace.wants("link.loss"):
+                self.sim.trace.emit(self.sim.now, "link.loss", self.name,
+                                    port=src_port.name)
             return
         dst_port = self.b if src_port is self.a else self.a
         if not dst_port.enabled:
             dst_port.counters.drops += 1
             return
-        counters = dst_port.counters
+        # The settling property only when an accounted frame is pending.
+        counters = (dst_port._counters if dst_port._arriving is None
+                    else dst_port.counters)
         counters.rx_frames += 1
-        counters.rx_bytes += frame.wire_length()
+        counters.rx_bytes += size
         dst_port.node.receive(frame, dst_port)
 
     def fail(self) -> None:
@@ -591,8 +595,9 @@ class Link:
         src_port._tx.failed_tx = True
         src_port._tx.clear()
         self._void_arrival(self.other_end(src_port))
-        self.sim.trace.emit(self.sim.now, "link.fail_direction", self.name,
-                            from_port=src_port.name)
+        if self.sim.trace.wants("link.fail_direction"):
+            self.sim.trace.emit(self.sim.now, "link.fail_direction",
+                                self.name, from_port=src_port.name)
         self._notify_state()
 
     def recover(self) -> None:

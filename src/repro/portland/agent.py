@@ -484,9 +484,10 @@ class PortlandAgent(SwitchAgent):
             self.hosts_by_amac[amac] = record
             self.hosts_by_pmac[pmac.to_mac()] = record
             self._install_host_entries(record)
-            self.sim.trace.emit(self.sim.now, "portland.host_discovered",
-                                self.switch.name, amac=str(amac),
-                                pmac=str(pmac), port=in_port.index)
+            if self.sim.trace.wants("portland.host_discovered"):
+                self.sim.trace.emit(self.sim.now, "portland.host_discovered",
+                                    self.switch.name, amac=str(amac),
+                                    pmac=str(pmac), port=in_port.index)
         self._learn_host_ip(record, frame)
         # Reprocess the triggering frame now that entries exist.
         if frame.ethertype == ETHERTYPE_ARP:

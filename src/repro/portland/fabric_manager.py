@@ -427,9 +427,10 @@ class FabricManager(Node):
         if not moved:
             return
         # VM migration: invalidate the old location.
-        self.sim.trace.emit(self.sim.now, "fm.migration", self.name,
-                            ip=str(reg.ip), old=str(existing.pmac),
-                            new=str(reg.pmac))
+        if self.sim.trace.wants("fm.migration"):
+            self.sim.trace.emit(self.sim.now, "fm.migration", self.name,
+                                ip=str(reg.ip), old=str(existing.pmac),
+                                new=str(reg.pmac))
         self.send_to_switch(existing.edge_id,
                             Invalidate(reg.ip, existing.pmac, reg.pmac))
 
@@ -494,9 +495,10 @@ class FabricManager(Node):
             if link not in self.fault_matrix:
                 return
             self.fault_matrix.discard(link)
-        self.sim.trace.emit(self.sim.now, "fm.fault_matrix", self.name,
-                            link=sorted(link), failed=failed,
-                            total=len(self.fault_matrix))
+        if self.sim.trace.wants("fm.fault_matrix"):
+            self.sim.trace.emit(self.sim.now, "fm.fault_matrix", self.name,
+                                link=sorted(link), failed=failed,
+                                total=len(self.fault_matrix))
         # Tell both endpoints to stop/resume using the link. The reporter
         # already knows; the *other* endpoint may not — under a
         # unidirectional failure its receive direction still works, so

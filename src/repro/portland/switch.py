@@ -8,13 +8,18 @@ longest-prefix-match entries, multicast entries, ARP interception, and
 the ECMP default-up route.
 
 Stage 2 runs behind a per-switch :class:`DecisionCache`: the verdict of
-the longest-prefix walk (matched entry + hash-resolved actions) is
-memoised by (dst PMAC, ethertype, IP protocol, flow hash), so
-steady-state forwarding costs one dict probe per hop instead of a
-priority-ordered match scan. Every table mutation — entry installs and
-removals, fault-override diffs, ECMP membership refreshes — flushes the
-cache through the table's change listener, and the agent additionally
-flushes explicitly when the fabric manager changes link/override state.
+the longest-prefix walk is compiled once into a
+:class:`~repro.switching.decision_cache.Plan` — matched entry,
+hash-resolved actions and, for a unicast verdict, the egress port and
+destination rewrite — memoised by (dst PMAC, ethertype, IP protocol,
+flow hash), so steady-state forwarding costs one dict probe and one
+``port.send`` per hop instead of a priority-ordered match scan and an
+action interpreter. Every table mutation — entry installs and removals,
+fault-override diffs, ECMP membership refreshes — flushes the cache
+through the table's change listener, and the agent additionally flushes
+explicitly when the fabric manager changes link/override state. With
+the cache off or bypassed the same plan is compiled per frame, so the
+path cache and the hop walker read one kind of verdict in every mode.
 
 LDP frames and control-network frames bypass the tables entirely — they
 terminate in switch software, like protocol packets reaching a switch
@@ -23,27 +28,20 @@ CPU port.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 from repro.net.ethernet import ETHERTYPE_LDP, EthernetFrame
 from repro.net.link import Port
 from repro.sim.simulator import Simulator
-from repro.switching.decision_cache import DEFAULT_CAPACITY, DecisionCache
-from repro.switching.path_cache import PathCache
-from repro.switching.flow_table import (
-    FlowEntry,
-    FlowTable,
-    Output,
-    OutputMany,
-    SelectByHash,
-    SetEthDst,
-    SetEthSrc,
-    ToAgent,
-    decision_key,
+from repro.switching.decision_cache import (
+    DEFAULT_CAPACITY,
+    DecisionCache,
+    Plan,
+    compile_plan,
 )
+from repro.switching.path_cache import PathCache
+from repro.switching.flow_table import FlowTable, decision_key
 from repro.switching.switch import FlowSwitch
-
-_TERMINAL_ACTIONS = (Output, OutputMany, SelectByHash, ToAgent)
-
-_NO_DECISION: tuple[FlowEntry | None, tuple] = (None, ())
 
 
 class PortlandSwitch(FlowSwitch):
@@ -63,8 +61,8 @@ class PortlandSwitch(FlowSwitch):
         self.control_port: Port | None = None
         self.decision_cache: DecisionCache | None = None
         if decision_cache_entries > 0:
-            self.decision_cache = DecisionCache(self.table,
-                                                decision_cache_entries)
+            self.decision_cache = DecisionCache(
+                self.table, decision_cache_entries, self.ports)
             self.decision_cache.on_flush = self._trace_cache_flush
         #: Shared fabric-level compiled-path cache (wired by the topology
         #: builder when ``PortlandConfig.path_cache_entries > 0``).
@@ -82,7 +80,7 @@ class PortlandSwitch(FlowSwitch):
     # Pipeline
 
     def receive(self, frame: EthernetFrame, in_port: Port) -> None:
-        if self.control_port is not None and in_port is self.control_port:
+        if in_port is self.control_port:
             # Control-network delivery goes straight to the agent.
             self.punt_to_agent(frame, in_port, "control")
             return
@@ -92,14 +90,14 @@ class PortlandSwitch(FlowSwitch):
         if self.rx_tap is not None:
             self.rx_tap(frame, in_port)
 
+        in_index = in_port.index
         current = frame
-        rewrite = self.rewrite_table.lookup(current, in_port.index)
+        rewrite = self.rewrite_table.lookup(current, in_index)
         if rewrite is not None:
             rewrite.touch(current)
-            if any(isinstance(a, _TERMINAL_ACTIONS) for a in rewrite.actions):
-                self.apply_actions(current, in_port, rewrite.actions)
+            current = self.apply_actions(current, in_port, rewrite.actions)
+            if current is None:  # the entry did more than rewrite headers
                 return
-            current = self._apply_rewrites(current, rewrite.actions)
 
         path_cache = self.path_cache
         if path_cache is not None and current.tclass == 0:
@@ -112,58 +110,66 @@ class PortlandSwitch(FlowSwitch):
             # effect the priority classes exist to control.
             peer = in_port.peer
             if peer is not None and not isinstance(peer.node, FlowSwitch):
-                path = path_cache.resolve(self, current, in_port.index)
+                path = path_cache.resolve(self, current, in_index)
                 if path is not None:
                     path_cache.launch(path, current)
                     return
 
-        entry, actions = self._forwarding_decision(current, in_port.index)
-        if entry is None:
-            self.miss_drops += 1
-            if self.sim.trace.wants("verify.miss"):
-                self.sim.trace.emit(self.sim.now, "verify.miss", self.name,
-                                    payload=current.payload,
-                                    dst=current.dst.value,
-                                    ethertype=current.ethertype,
-                                    in_port=in_port.index)
-            return
-        entry.touch(current)
-        if self.sim.trace.wants("verify.hop"):
-            self.sim.trace.emit(self.sim.now, "verify.hop", self.name,
-                                payload=current.payload,
-                                dst=current.dst.value,
-                                ethertype=current.ethertype,
-                                entry=entry.name, in_port=in_port.index)
-        self.apply_actions(current, in_port, actions)
+        # A hit is this one probe (what ``_forwarding_decision`` would do
+        # through two more calls); anything else is its business.
+        cache = self.decision_cache
+        plan = (cache.plans.get(decision_key(current))
+                if cache is not None and self.table.cache_safe else None)
+        trace = self.sim.trace
+        if plan is not None:
+            cache.hits += 1
+        else:
+            plan = self._forwarding_decision(current, in_index)
+            if plan is None:
+                self._miss(current, in_index)
+                return
+        entry, actions, port, set_dst = plan
+        entry.packets += 1
+        entry.bytes += current.wire_length()
+        if trace.wants("verify.hop"):
+            trace.emit(self.sim.now, "verify.hop", self.name,
+                       payload=current.payload, dst=current.dst.value,
+                       ethertype=current.ethertype, entry=entry.name,
+                       in_port=in_index)
+        if port is None:
+            self.apply_actions(current, in_port, actions)
+        elif port.index != in_index:  # never reflect out of the ingress
+            if set_dst is not None:
+                current = current.copy()
+                current.dst = set_dst
+            port.send(current)
 
     # ------------------------------------------------------------------
     # Forwarding fast path
 
-    def _forwarding_decision(
-        self, frame: EthernetFrame, in_index: int,
-    ) -> tuple[FlowEntry | None, tuple]:
-        """The stage-2 verdict for ``frame``: (matched entry, actions).
+    def _forwarding_decision(self, frame: EthernetFrame,
+                             in_index: int) -> Plan | None:
+        """The stage-2 verdict for ``frame``, or ``None`` on a miss.
 
         Served from the decision cache when possible; falls back to the
-        full LPM walk (and memoises its verdict) otherwise. The cache is
-        bypassed entirely while the table holds any match the decision
-        key cannot distinguish (``cache_safe`` false) — correctness
-        before speed.
+        full LPM walk (and memoises the plan compiled from its verdict)
+        otherwise. The cache is bypassed entirely while the table holds
+        any match the decision key cannot distinguish (``cache_safe``
+        false) — correctness before speed — and the plan is then
+        compiled for this frame alone, like with no cache at all.
         """
-        cache = self.decision_cache
-        if cache is None or not self.table.cache_safe:
-            entry = self.table.lookup(frame, in_index)
-            return (entry, entry.actions) if entry is not None else _NO_DECISION
         key = decision_key(frame)
-        decision = cache.lookup(key)
-        if decision is not None:
-            return decision
-        entry = self.table.lookup(frame, in_index)
-        if entry is None:
-            # Misses are not memoised: they occur in convergence windows
-            # where the table is about to change under us anyway.
-            return _NO_DECISION
-        return cache.install(key, entry)
+        cache = self.decision_cache if self.table.cache_safe else None
+        plan = cache.lookup(key) if cache is not None else None
+        if plan is None:
+            entry = self.table.lookup(frame, in_index)
+            if entry is None:
+                # Misses are not memoised: they occur in convergence
+                # windows where the table is about to change anyway.
+                return None
+            plan = (cache.install(key, entry) if cache is not None
+                    else compile_plan(entry, key[3], self.ports))
+        return plan
 
     def flush_decisions(self, reason: str = "explicit") -> None:
         """Drop all cached forwarding decisions (control-plane hook).
@@ -177,21 +183,19 @@ class PortlandSwitch(FlowSwitch):
         if self.path_cache is not None:
             self.path_cache.invalidate_switch(self, reason)
 
+    def _miss(self, frame: EthernetFrame, in_index: int, **detail) -> None:
+        """No entry matched: the frame is dropped, and counted."""
+        self.miss_drops += 1
+        if self.sim.trace.wants("verify.miss"):
+            self.sim.trace.emit(self.sim.now, "verify.miss", self.name,
+                                payload=frame.payload, dst=frame.dst.value,
+                                ethertype=frame.ethertype, in_port=in_index,
+                                **detail)
+
     def _trace_cache_flush(self, reason: str) -> None:
         if self.sim.trace.wants("switch.cache_flush"):
             self.sim.trace.emit(self.sim.now, "switch.cache_flush", self.name,
                                 reason=reason)
-
-    def _apply_rewrites(self, frame: EthernetFrame, actions) -> EthernetFrame:
-        current = frame
-        for action in actions:
-            if isinstance(action, SetEthSrc):
-                current = current.copy()
-                current.src = action.mac
-            elif isinstance(action, SetEthDst):
-                current = current.copy()
-                current.dst = action.mac
-        return current
 
     def inject(self, frame: EthernetFrame, from_port_index: int = -1) -> None:
         """Run a software-generated frame through the forwarding table
@@ -202,13 +206,7 @@ class PortlandSwitch(FlowSwitch):
         """
         entry = self.table.lookup(frame, from_port_index, skip_punts=True)
         if entry is None:
-            self.miss_drops += 1
-            if self.sim.trace.wants("verify.miss"):
-                self.sim.trace.emit(self.sim.now, "verify.miss", self.name,
-                                    payload=frame.payload,
-                                    dst=frame.dst.value,
-                                    ethertype=frame.ethertype,
-                                    in_port=from_port_index, injected=True)
+            self._miss(frame, from_port_index, injected=True)
             return
         entry.touch(frame)
         if self.sim.trace.wants("verify.hop"):
@@ -218,19 +216,11 @@ class PortlandSwitch(FlowSwitch):
                                 in_port=from_port_index, injected=True)
         # A fake ingress that can never equal a real port index, so
         # OutputMany/flood exclusion works naturally.
-        self.apply_actions(frame, _VirtualIngress(from_port_index), entry.actions)
+        self.apply_actions(frame, SimpleNamespace(index=from_port_index),
+                           entry.actions)
 
     def send_control(self, frame: EthernetFrame) -> bool:
         """Transmit on the control port."""
         if self.control_port is None:
             return False
         return self.control_port.send(frame)
-
-
-class _VirtualIngress:
-    """Stands in for an ingress port on injected frames."""
-
-    __slots__ = ("index",)
-
-    def __init__(self, index: int) -> None:
-        self.index = index

@@ -141,11 +141,12 @@ class EventQueue:
         else:
             self._next_seq = None
         event = Event(time, priority, seq, callback, args)
-        heapq.heappush(self._heap, (time, priority, seq, event))
+        heap = self._heap
+        heapq.heappush(heap, (time, priority, seq, event))
         self._live += 1
         self.pushes += 1
-        if len(self._heap) > self.peak_heap:
-            self.peak_heap = len(self._heap)
+        if len(heap) > self.peak_heap:
+            self.peak_heap = len(heap)
         return event
 
     def pop(self) -> Event | None:

@@ -32,7 +32,9 @@ class Simulator:
     """Discrete-event simulation kernel with a virtual clock in seconds."""
 
     def __init__(self, seed: int = 0) -> None:
-        self._now = 0.0
+        #: Current simulated time in seconds. A plain attribute because it
+        #: is read several times per event; only the kernel writes it.
+        self.now = 0.0
         self._queue = EventQueue()
         self._running = False
         self._stopped = False
@@ -55,11 +57,6 @@ class Simulator:
         #: Optional hard cap on executed events; ``run`` raises when hit.
         self.max_events: int | None = None
 
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
-
     def schedule(
         self,
         delay: float,
@@ -70,7 +67,7 @@ class Simulator:
         """Run ``callback(*args)`` after ``delay`` simulated seconds."""
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay}s in the past")
-        return self._queue.push(self._now + delay, callback, args, priority)
+        return self._queue.push(self.now + delay, callback, args, priority)
 
     def schedule_at(
         self,
@@ -80,8 +77,8 @@ class Simulator:
         priority: int = PRIORITY_NORMAL,
     ) -> Event:
         """Run ``callback(*args)`` at absolute simulated ``time``."""
-        if time < self._now:
-            raise SimulationError(f"cannot schedule at {time} < now {self._now}")
+        if time < self.now:
+            raise SimulationError(f"cannot schedule at {time} < now {self.now}")
         return self._queue.push(time, callback, args, priority)
 
     def has_fired(self, time: float, seq: int) -> bool:
@@ -125,11 +122,11 @@ class Simulator:
         so back-to-back ``run`` calls compose predictably.
         """
         self._drain(until, inclusive=True)
-        if until is not None and self._now < until:
-            self._now = until
+        if until is not None and self.now < until:
+            self.now = until
         if not self._stopped:
-            self._position = (self._now, _AFTER_ALL)
-        return self._now
+            self._position = (self.now, _AFTER_ALL)
+        return self.now
 
     def run_before(self, bound: float) -> float:
         """Execute every event *strictly before* ``bound``, then advance
@@ -143,15 +140,15 @@ class Simulator:
         executes exactly the same event set a single ``run(until)``
         would have.
         """
-        if bound < self._now:
+        if bound < self.now:
             raise SimulationError(
-                f"cannot run_before({bound}) with clock at {self._now}")
+                f"cannot run_before({bound}) with clock at {self.now}")
         self._drain(bound, inclusive=False)
-        if self._now < bound:
-            self._now = bound
+        if self.now < bound:
+            self.now = bound
         if not self._stopped:
             self._position = (bound, _BEFORE_ALL)
-        return self._now
+        return self.now
 
     def _drain(self, bound: float | None, inclusive: bool) -> None:
         """Execute events in order up to ``bound`` (all of them when it
@@ -183,7 +180,7 @@ class Simulator:
                 heappop(heap)
                 queue._live -= 1
                 queue.pops += 1
-                self._now = time
+                self.now = time
                 self._position = entry
                 self.events_executed += 1
                 if self.max_events is not None and self.events_executed > self.max_events:
@@ -205,7 +202,7 @@ class Simulator:
         event = self._queue.pop()
         if event is None:
             return False
-        self._now = event.time
+        self.now = event.time
         self._position = (event.time, event.priority, event.seq)
         self.events_executed += 1
         event.callback(*event.args)

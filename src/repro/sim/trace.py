@@ -43,48 +43,44 @@ class TraceBus:
     def __init__(self) -> None:
         self._handlers: dict[str, list[TraceHandler]] = {}
         self._any_handlers: list[TraceHandler] = []
-        # Top-level prefix -> number of live handlers under it. Reference
-        # counted so that unsubscribing the last handler really turns the
-        # prefix off again (and emit goes back to its one-lookup fast path).
-        self._prefix_counts: dict[str, int] = {}
+        # category -> whether any handler would receive it, as answered
+        # since the subscriptions last changed (asked per frame per hop).
+        self._wanted: dict[str, bool] = {}
 
     def subscribe(self, category: str, handler: TraceHandler) -> None:
         """Register ``handler`` for ``category`` (or ``"*"`` for all)."""
+        self._wanted.clear()
         if category == "*":
             self._any_handlers.append(handler)
-            return
-        self._handlers.setdefault(category, []).append(handler)
-        prefix = category.split(".", 1)[0]
-        self._prefix_counts[prefix] = self._prefix_counts.get(prefix, 0) + 1
+        else:
+            self._handlers.setdefault(category, []).append(handler)
 
     def unsubscribe(self, category: str, handler: TraceHandler) -> None:
         """Remove a previously registered handler. Missing ones are ignored."""
-        if category == "*":
-            if handler in self._any_handlers:
-                self._any_handlers.remove(handler)
-            return
-        handlers = self._handlers.get(category, [])
-        if handler not in handlers:
-            return
-        handlers.remove(handler)
+        self._wanted.clear()
+        handlers = (self._any_handlers if category == "*"
+                    else self._handlers.get(category, []))
+        if handler in handlers:
+            handlers.remove(handler)
         if not handlers:
-            del self._handlers[category]
-        prefix = category.split(".", 1)[0]
-        remaining = self._prefix_counts.get(prefix, 0) - 1
-        if remaining > 0:
-            self._prefix_counts[prefix] = remaining
-        else:
-            self._prefix_counts.pop(prefix, None)
+            # So that the last handler leaving really turns the category
+            # off again (and emit goes back to its one-lookup fast path).
+            self._handlers.pop(category, None)
 
     def wants(self, category: str) -> bool:
-        """Whether emitting ``category`` would reach any handler.
+        """Whether emitting ``category`` would reach any handler (to a
+        first approximation: whether anything under its top-level prefix
+        is subscribed).
 
         Lets callers skip building expensive detail dicts when tracing is
         off: ``if bus.wants("link.drop"): bus.emit(...)``.
         """
-        if self._any_handlers:
-            return True
-        return category.split(".", 1)[0] in self._prefix_counts
+        wanted = self._wanted.get(category)
+        if wanted is None:
+            prefix = category.split(".", 1)[0]
+            wanted = self._wanted[category] = bool(self._any_handlers) or any(
+                key.split(".", 1)[0] == prefix for key in self._handlers)
+        return wanted
 
     def emit(
         self,
@@ -94,7 +90,7 @@ class TraceBus:
         **detail: Any,
     ) -> None:
         """Publish a record to all handlers matching ``category``."""
-        if not self._any_handlers and category.split(".", 1)[0] not in self._prefix_counts:
+        if not self.wants(category):
             return
         record = TraceRecord(time=time, category=category, source=source, detail=detail)
         for handler in self._any_handlers:

@@ -10,8 +10,7 @@ local agent"; ECMP is a select-by-hash action over the uplink set.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
 
 from repro.errors import SwitchError
 from repro.net.addresses import MacAddress
@@ -20,9 +19,6 @@ from repro.net.ipv4 import IPPROTO_TCP, IPPROTO_UDP, IPv4Packet
 from repro.net.packet import coerce
 from repro.net.tcp_wire import TcpSegment
 from repro.net.udp import UdpDatagram
-
-if TYPE_CHECKING:  # pragma: no cover
-    pass
 
 MAC_MASK_ALL = (1 << 48) - 1
 
@@ -192,18 +188,19 @@ class FlowTable:
         # (in_port / eth_src); any such entry makes cached decisions
         # unsound for this table.
         self._non_key_entries = 0
+        #: Whether every installed match is decision-key-only (so a
+        #: decision cache keyed by :func:`decision_key` is sound).
+        self.cache_safe = True
+        # Ingress port -> the entries a frame arriving there can match
+        # (``match.in_port`` unset or equal), in table order. Filled by
+        # the first lookup from that port, dropped by every mutation.
+        self._candidates: dict[int, tuple[FlowEntry, ...]] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def __iter__(self):
         return iter(self._entries)
-
-    @property
-    def cache_safe(self) -> bool:
-        """Whether every installed match is decision-key-only (so a
-        decision cache keyed by :func:`decision_key` is sound)."""
-        return self._non_key_entries == 0
 
     def add_change_listener(self, listener) -> None:
         """Call ``listener()`` after every mutation of this table."""
@@ -216,6 +213,8 @@ class FlowTable:
 
     def _changed(self) -> None:
         self.version += 1
+        self.cache_safe = self._non_key_entries == 0
+        self._candidates.clear()
         for listener in self._listeners:
             listener()
 
@@ -281,8 +280,19 @@ class FlowTable:
         With ``skip_punts`` true, entries that would punt to the agent are
         passed over — used for agent-*sourced* frames, which must be
         forwarded rather than bounced back into software.
+
+        Only the entries that can match on ``in_port`` are evaluated: an
+        edge switch's rewrite table names a host port in every entry, so
+        a frame from an uplink evaluates none and a frame from a host
+        only that host's, however many hosts the switch has.
         """
-        for entry in self._entries:
+        candidates = self._candidates.get(in_port)
+        if candidates is None:
+            candidates = self._candidates[in_port] = tuple(
+                entry for entry in self._entries
+                if entry.match.in_port is None
+                or entry.match.in_port == in_port)
+        for entry in candidates:
             if skip_punts and any(isinstance(a, ToAgent) for a in entry.actions):
                 continue
             if entry.match.matches(frame, in_port):
@@ -338,21 +348,21 @@ def decision_key(frame: EthernetFrame) -> DecisionKey:
 
     The key is memoised on the frame: a frame crosses ~5 switches and
     the hash material is identical at each, so recomputing the CRC per
-    hop would dominate the fast path. The memo records the (src, dst,
-    ethertype) it was derived from and is recomputed whenever any of
-    them changed (PMAC/AMAC rewrites, in-place router rewrites); the
-    payload needs no check because the library treats payloads as
-    immutable once sent.
+    hop would dominate the fast path. The memo records the (src, dst)
+    address objects and the ethertype it was derived from and is
+    recomputed whenever any of them was replaced (PMAC/AMAC rewrites,
+    in-place router rewrites) — addresses are immutable, so the same
+    object is the same value, and the check costs no call. The payload
+    needs no check because the library treats payloads as immutable
+    once sent.
     """
     memo = frame._fwd_memo
-    dst_value = frame.dst.value
-    if (memo is not None and memo[0] == frame.src.value
-            and (key := memo[1])[0] == dst_value
-            and key[1] == frame.ethertype):
+    if (memo is not None and memo[0] is frame.src and memo[1] is frame.dst
+            and (key := memo[2])[1] == frame.ethertype):
         return key
     fhash, protocol = _hash_and_proto(frame)
-    key = (dst_value, frame.ethertype, protocol, fhash)
-    frame._fwd_memo = (frame.src.value, key)
+    key = (frame.dst.value, frame.ethertype, protocol, fhash)
+    frame._fwd_memo = (frame.src, frame.dst, key)
     return key
 
 
@@ -364,13 +374,17 @@ def resolve_actions(actions: tuple[Action, ...],
     hash is part of the decision key, so the choice is fixed per key);
     everything else — rewrites, punts, ``OutputMany`` with its at-apply
     ingress exclusion — is applied per-frame and passes through as-is.
+    So does a ``SelectByHash`` that follows a rewrite: it selects by the
+    hash of the *rewritten* frame, which is not the key's.
     """
     resolved: list[Action] = []
+    rewritten = False
     for action in actions:
-        if isinstance(action, SelectByHash):
+        if isinstance(action, SelectByHash) and not rewritten:
             if action.ports:
                 resolved.append(Output(action.ports[fhash % len(action.ports)]))
         else:
+            rewritten = rewritten or isinstance(action, (SetEthDst, SetEthSrc))
             resolved.append(action)
     return tuple(resolved)
 

@@ -5,22 +5,21 @@ path would the live decision layer send this frame down?" — without
 scheduling simulator events: the replay benchmarks
 (:mod:`repro.workloads.replay`), the trace-equivalence tests, and the
 flow-level simulation engine's fallback path resolver
-(:mod:`repro.flows`). They all used to re-implement the
-``Output``/``SelectByHash`` walk; this module is the single copy.
+(:mod:`repro.flows`). This module is the single copy of that walk.
 
 The walk calls ``_forwarding_decision`` — exactly what ``receive`` runs
-after the rewrite stage — and follows the chosen output port across the
-real wiring until the frame would leave on a host-facing port. It does
-*not* apply header rewrites (``SetEthDst``/``SetEthSrc`` only matter on
-the final egress hop, after the path is already determined) and it does
-not charge any counters: it is a pure query against current state.
+after the rewrite stage — and follows the egress port of the plan it
+returns across the real wiring until the frame would leave on a
+host-facing port. It does *not* apply the plan's destination rewrite
+(it only matters on the final egress hop, after the path is already
+determined) and it does not charge any counters: it is a pure query
+against current state.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.switching.flow_table import Output, SelectByHash, flow_hash
 from repro.switching.switch import FlowSwitch
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -67,18 +66,10 @@ def walk_decision_path(node, in_index: int, frame: "EthernetFrame",
         if id(node) in visited:
             return hops, None
         visited.add(id(node))
-        entry, actions = node._forwarding_decision(frame, in_index)
-        out = None
-        for action in actions:
-            kind = type(action)
-            if kind is Output:
-                out = action.port
-            elif kind is SelectByHash:
-                if action.ports:
-                    out = action.ports[flow_hash(frame) % len(action.ports)]
-        if out is None:
+        plan = node._forwarding_decision(frame, in_index)
+        if plan is None or plan.port is None:
             return hops, None
-        out_port = node.ports[out]
+        out_port = plan.port
         link = out_port.link
         if link is None:
             return hops, None
@@ -86,8 +77,8 @@ def walk_decision_path(node, in_index: int, frame: "EthernetFrame",
         if require_live and not (out_port.enabled and rx_port.enabled
                                  and link.can_carry(out_port)):
             return hops, None
-        hops.append(DecisionHop(node, in_index, entry, out, out_port,
-                                rx_port))
+        hops.append(DecisionHop(node, in_index, plan.entry, out_port.index,
+                                out_port, rx_port))
         if isinstance(rx_port.node, FlowSwitch):
             node, in_index = rx_port.node, rx_port.index
             continue

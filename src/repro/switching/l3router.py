@@ -279,8 +279,9 @@ class L3Router(Node):
         route = self._lookup_route(packet.dst)
         if route is None:
             self.dropped_no_route += 1
-            self.sim.trace.emit(self.sim.now, "l3.no_route", self.name,
-                                dst=str(packet.dst))
+            if self.sim.trace.wants("l3.no_route"):
+                self.sim.trace.emit(self.sim.now, "l3.no_route", self.name,
+                                    dst=str(packet.dst))
             return
         forwarded = packet.copy()
         forwarded.ttl = packet.ttl - 1

@@ -58,13 +58,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.switching.flow_table import (
-    Output,
-    SetEthDst,
-    SetEthSrc,
-    decision_key,
-    resolve_actions,
-)
+from repro.switching.flow_table import decision_key
 from repro.switching.switch import FlowSwitch
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -109,11 +103,10 @@ class CompiledPath:
 
     __slots__ = ("key", "ingress", "hops", "links", "entries",
                  "tx_counters", "rx_counters", "switches",
-                 "final_port", "final_dst", "final_src", "alive")
+                 "final_port", "final_dst", "alive")
 
     def __init__(self, key, ingress, hops, links, entries, tx_counters,
-                 rx_counters, switches, final_port, final_dst,
-                 final_src) -> None:
+                 rx_counters, switches, final_port, final_dst) -> None:
         self.key = key
         self.ingress = ingress
         self.hops = hops
@@ -124,7 +117,6 @@ class CompiledPath:
         self.switches = switches
         self.final_port = final_port
         self.final_dst = final_dst
-        self.final_src = final_src
         self.alive = True
 
     @property
@@ -222,25 +214,21 @@ class PathCache:
         sim = self.sim
         trace = sim.trace
         time = sim.now
-        if trace.wants("verify.hop"):
-            payload = frame.payload
-            dst = frame.dst.value
-            ethertype = frame.ethertype
-            for hop in path.hops:
+        wanted = trace.wants("verify.hop")
+        dst = frame.dst.value if wanted else None
+        for hop in path.hops:
+            if wanted:
                 trace.emit(time, "verify.hop", hop.switch_name,
-                           payload=payload, dst=dst, ethertype=ethertype,
-                           entry=hop.entry_name, in_port=hop.in_index)
-                time = time + (hop.link.serialization_time(frame, hop.out_port)
-                               + hop.link.delay_s)
-        else:
-            for hop in path.hops:
-                time = time + (hop.link.serialization_time(frame, hop.out_port)
-                               + hop.link.delay_s)
+                           payload=frame.payload, dst=dst,
+                           ethertype=frame.ethertype, entry=hop.entry_name,
+                           in_port=hop.in_index)
+            time = time + (hop.link.serialization_time(frame, hop.out_port)
+                           + hop.link.delay_s)
         self.launches += 1
         sim.schedule_at(time, self._complete, path, frame)
 
     def _complete(self, path: CompiledPath, frame: "EthernetFrame") -> None:
-        """Composite delivery: apply the egress rewrites and hand the
+        """Composite delivery: apply the egress rewrite and hand the
         frame to the destination host.
 
         If the path was invalidated while this frame was in flight, the
@@ -262,8 +250,6 @@ class PathCache:
         delivered = frame.copy()
         if path.final_dst is not None:
             delivered.dst = path.final_dst
-        if path.final_src is not None:
-            delivered.src = path.final_src
         self.delivered += 1
         path.final_port.node.receive(delivered, path.final_port)
 
@@ -276,8 +262,6 @@ class PathCache:
         port, or return a negative verdict at the first impure hop."""
         self.compiles += 1
         probe = frame.copy()
-        start_dst = probe.dst
-        start_src = probe.src
         hops: list[CompiledHop] = []
         entries: list = []
         switches = [ingress]
@@ -290,38 +274,14 @@ class PathCache:
                     or (node is not ingress
                         and node.rewrite_table.lookup(probe, index) is not None)):
                 break
-            entry, actions = node._forwarding_decision(probe, index)
-            if entry is None:
+            plan = node._forwarding_decision(probe, index)
+            # No plan is a miss; no port is software, replication, a
+            # drop, or a rewrite only the interpreter applies in order.
+            if plan is None or plan.port is None or plan.port.index == index:
                 break
-            actions = resolve_actions(actions, decision_key(probe)[3])
-            out = None
-            rewrites = []
-            pure = True
-            last = len(actions) - 1
-            for position, action in enumerate(actions):
-                kind = type(action)
-                if kind is Output:
-                    # Must terminate the list: interpreted forwarding
-                    # applies actions in order, so a rewrite after the
-                    # Output would not be on the transmitted frame.
-                    if position != last:
-                        pure = False
-                    out = action.port
-                elif kind is SetEthDst or kind is SetEthSrc:
-                    rewrites.append(action)
-                else:
-                    # ToAgent / OutputMany / unresolved SelectByHash:
-                    # software or replication — never compiled.
-                    pure = False
-                    break
-            if not pure or out is None or out == index:
-                break
-            for action in rewrites:
-                if type(action) is SetEthDst:
-                    probe.dst = action.mac
-                else:
-                    probe.src = action.mac
-            port = node.ports[out]
+            entry, _actions, port, set_dst = plan
+            if set_dst is not None:
+                probe.dst = set_dst
             link = port.link
             if (link is None or not port.enabled or not link.can_carry(port)
                     or link.loss_rate > 0):
@@ -329,7 +289,7 @@ class PathCache:
             rx_port = link.other_end(port)
             if not rx_port.enabled:
                 break
-            hops.append(CompiledHop(node.name, index, out, entry.name,
+            hops.append(CompiledHop(node.name, index, port.index, entry.name,
                                     link, port, rx_port))
             entries.append(entry)
             links.append(link)
@@ -349,14 +309,13 @@ class PathCache:
         if final_port is None:
             self.compile_failures += 1
             return CompiledPath(key, ingress, (), tuple(links), (), (), (),
-                                tuple(switches), None, None, None)
+                                tuple(switches), None, None)
         return CompiledPath(
             key, ingress, tuple(hops), tuple(links), tuple(entries),
             tuple(hop.out_port.counters for hop in hops),
             tuple(hop.rx_port.counters for hop in hops),
             tuple(switches), final_port,
-            probe.dst if probe.dst.value != start_dst.value else None,
-            probe.src if probe.src.value != start_src.value else None,
+            probe.dst if probe.dst.value != frame.dst.value else None,
         )
 
     # ------------------------------------------------------------------

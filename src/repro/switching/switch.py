@@ -97,17 +97,27 @@ class FlowSwitch(Node):
         entry.touch(frame)
         self.apply_actions(frame, in_port, entry.actions)
 
-    def apply_actions(self, frame: EthernetFrame, in_port: Port, actions) -> None:
-        """Execute an action list on a frame."""
+    def apply_actions(self, frame: EthernetFrame, in_port: Port,
+                      actions) -> EthernetFrame | None:
+        """Execute an action list on a frame.
+
+        Returns the frame as rewritten if the list only rewrote headers
+        (what a multi-stage pipeline carries on to its next table), and
+        ``None`` once an action has sent, punted or dropped it.
+        """
         current = frame
+        consumed = False
         for action in actions:
             if isinstance(action, SetEthDst):
                 current = current.copy()
                 current.dst = action.mac
-            elif isinstance(action, SetEthSrc):
+                continue
+            if isinstance(action, SetEthSrc):
                 current = current.copy()
                 current.src = action.mac
-            elif isinstance(action, Output):
+                continue
+            consumed = True
+            if isinstance(action, Output):
                 self.send_out(action.port, current, in_port)
             elif isinstance(action, OutputMany):
                 for port_index in action.ports:
@@ -122,13 +132,15 @@ class FlowSwitch(Node):
             elif isinstance(action, Drop):
                 # Deliberate (policy) discard — recorded so campaigns can
                 # prove every ACL drop is justified and nothing else is.
-                self.sim.trace.emit(
-                    self.sim.now, "verify.policy_drop", self.name,
-                    in_port=in_port.index, reason=action.reason,
-                    src=current.src.value, dst=current.dst.value,
-                    ethertype=current.ethertype, payload=current.payload,
-                )
-                return
+                if self.sim.trace.wants("verify.policy_drop"):
+                    self.sim.trace.emit(
+                        self.sim.now, "verify.policy_drop", self.name,
+                        in_port=in_port.index, reason=action.reason,
+                        src=current.src.value, dst=current.dst.value,
+                        ethertype=current.ethertype, payload=current.payload,
+                    )
+                break
+        return None if consumed else current
 
     def select_ecmp(self, frame: EthernetFrame, ports: tuple[int, ...]) -> int | None:
         """Hash-select a port from an ECMP group.

@@ -6,7 +6,8 @@ from repro.errors import LinkError
 from repro.net import AppData, EthernetFrame, Link, mac
 from repro.net.ethernet import ETHERTYPE_IPV4
 from repro.net.node import Node
-from repro.sim import Simulator
+from repro.net.link import Port
+from repro.sim import Simulator, TraceCollector
 
 
 class Sink(Node):
@@ -86,6 +87,37 @@ def test_queue_overflow_drops_tail():
     assert results[2] is False  # dropped
     assert a.port(0).counters.drops == 2
     assert len(b.received) == 2
+
+
+def test_unobserved_queue_drop_formats_nothing(monkeypatch):
+    """A record nobody subscribed to costs nothing: with no listener a
+    queue-full drop builds neither the frame's repr nor the port's
+    name; with one, the record is what it always was."""
+    formatted = []
+    port_name = Port.name.fget
+    monkeypatch.setattr(
+        EthernetFrame, "__repr__",
+        lambda self: formatted.append("repr") or "<frame>")
+    monkeypatch.setattr(
+        Port, "name",
+        property(lambda self: formatted.append("name") or port_name(self)))
+
+    sim = Simulator()
+    a, b = Sink(sim, "a"), Sink(sim, "b")
+    link = wire(sim, a, b, rate_bps=1e6, queue_bytes=1100)
+    formatted.clear()  # the link's own name is built from its ports'
+    assert [a.port(0).send(frame(1000)) for _ in range(3)] == [
+        True, True, False]
+    assert formatted == []
+
+    drops = TraceCollector(sim.trace, "link.drop")
+    assert a.port(0).send(frame(1000)) is False
+    assert sorted(formatted) == ["name", "repr"]
+    (record,) = drops.records
+    assert (record.time, record.source) == (sim.now, link.name)
+    assert record.detail == {"port": "a[0]", "reason": "queue_full",
+                             "frame": "<frame>"}
+    assert a.port(0).counters.drops == 2
 
 
 def test_fail_drops_in_flight_and_queued():

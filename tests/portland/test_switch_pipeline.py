@@ -1,11 +1,23 @@
 """Unit tests for the PortlandSwitch two-stage pipeline."""
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from repro.net import AppData, EthernetFrame, Link, mac
 from repro.net.ethernet import ETHERTYPE_FABRIC, ETHERTYPE_IPV4, ETHERTYPE_LDP
 from repro.net.node import Node
 from repro.portland.switch import PortlandSwitch
-from repro.sim import Simulator
-from repro.switching.flow_table import Match, Output, SetEthDst, SetEthSrc, ToAgent
+from repro.sim import Simulator, TraceCollector
+from repro.switching.flow_table import (
+    Drop,
+    Match,
+    Output,
+    OutputMany,
+    SelectByHash,
+    SetEthDst,
+    SetEthSrc,
+    ToAgent,
+)
 from repro.switching.switch import SwitchAgent
 
 
@@ -130,3 +142,81 @@ def test_rewrite_dst_applies_before_forwarding_lookup():
     sim.run()
     assert len(sinks[1].received) == 1
     assert sinks[2].received == []
+
+
+# ----------------------------------------------------------------------
+# Plan == interpreter (docs/PERF.md, "The hop as a plan"): whatever the
+# action list, executing the plan compiled from it — from the cache, or
+# per frame with the cache off — does to the frame what
+# ``apply_actions`` does, from every ingress the same plan serves.
+
+_MACS = st.sampled_from([mac("00:00:00:00:00:b1"), mac("00:00:00:00:00:b2")])
+#: Ports 0-2 exist; 5 does not.
+_PORTS = st.sampled_from([0, 1, 2, 5])
+_ACTIONS = st.lists(
+    st.one_of(
+        st.builds(Output, _PORTS),
+        st.builds(OutputMany, st.lists(_PORTS, max_size=3).map(tuple)),
+        st.builds(SelectByHash, st.lists(_PORTS, max_size=3).map(tuple)),
+        st.builds(SetEthDst, _MACS),
+        st.builds(SetEthSrc, _MACS),
+        st.builds(ToAgent, st.just("why")),
+        st.builds(Drop, st.just("acl")),
+    ),
+    max_size=3,
+).map(tuple)
+
+
+def _observed(sim, switch, agent, sinks, drops):
+    sim.run()
+    entry = next(iter(switch.table))
+    return {
+        "sent": [(i, f.dst, f.src, id(f.payload))
+                 for i, sink in enumerate(sinks) for f in sink.received],
+        "punts": [(f.dst, f.src, id(f.payload), reason)
+                  for f, reason in agent.punts],
+        "policy_drops": [(r.time, r.source, r.detail) for r in drops.records],
+        "entry": (entry.packets, entry.bytes),
+        "ports": [(p.counters.tx_frames, p.counters.drops)
+                  for p in switch.ports],
+    }
+
+
+@settings(max_examples=300, deadline=None)
+# A plan that baked the ingress check in when it was compiled.
+@example(actions=(Output(0),), ingresses=[0, 1], cache_entries=4096)
+# ECMP after a rewrite selects by the rewritten frame's hash, not the
+# key's: found by this test in the cache as it was before plans.
+@example(actions=(SetEthDst(mac("00:00:00:00:00:b1")), SelectByHash((0, 1))),
+         ingresses=[0], cache_entries=4096)
+@given(actions=_ACTIONS,
+       ingresses=st.lists(st.sampled_from([0, 1, 2]), min_size=1, max_size=4),
+       cache_entries=st.sampled_from([4096, 0]))
+def test_plan_execution_equals_the_interpreter(actions, ingresses,
+                                               cache_entries):
+    probe = frame()
+    runs = []
+    for interpreted in (False, True):
+        sim = Simulator()
+        switch = PortlandSwitch(sim, "psw", 3, agent_delay_s=1e-6,
+                                decision_cache_entries=cache_entries)
+        agent = Recorder(switch)
+        switch.attach_agent(agent)
+        sinks = [Sink(sim, f"s{i}") for i in range(3)]
+        for i, sink in enumerate(sinks):
+            Link(sim, switch.port(i), sink.port(0), carrier_detect=False)
+        drops = TraceCollector(sim.trace, "verify.policy_drop")
+        entry = switch.table.install(Match(), actions, 100, "under-test")
+        for in_index in ingresses:
+            if interpreted:
+                entry.touch(probe)
+                switch.apply_actions(probe, switch.port(in_index),
+                                     entry.actions)
+            else:
+                switch.receive(probe, switch.port(in_index))
+        if not interpreted and cache_entries:
+            # One compile, then the same plan whatever the ingress.
+            assert switch.decision_cache.stats()["installs"] == 1
+            assert switch.decision_cache.hits == len(ingresses) - 1
+        runs.append(_observed(sim, switch, agent, sinks, drops))
+    assert runs[0] == runs[1]

@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 from repro.net import AppData, EthernetFrame
 from repro.net.addresses import MacAddress
 from repro.net.ethernet import ETHERTYPE_ARP, ETHERTYPE_IPV4
-from repro.switching.flow_table import FlowTable, Match, Output, mac_prefix_mask
+from repro.switching.flow_table import (
+    FlowTable,
+    Match,
+    Output,
+    ToAgent,
+    mac_prefix_mask,
+)
 
 MACS = st.integers(min_value=0, max_value=15).map(
     lambda v: MacAddress(0x0200_0000_0000 + v))
@@ -92,3 +98,63 @@ def test_flow_table_matches_reference(operations, probes):
             assert found is not None
             assert (found.priority, found.name) == expected[:2]
             assert found.match == expected[2]
+
+
+# ----------------------------------------------------------------------
+# The per-ingress index (docs/PERF.md, "The hop as a plan"): ``lookup``
+# walks a cached tuple of the entries that can match on that port. It
+# must equal a linear first-match over the table as it is *now*, so the
+# probes run between the mutations, not after them.
+
+
+def _scan(table, frame, in_port, skip_punts):
+    """First match by a from-scratch walk of the table's own order."""
+    for entry in table:
+        if skip_punts and any(isinstance(a, ToAgent) for a in entry.actions):
+            continue
+        if entry.match.matches(frame, in_port):
+            return entry
+    return None
+
+
+NAMES = st.sampled_from(["a", "b", "c"])
+ACTIONS = st.sampled_from([(Output(0),), (ToAgent("x"),), ()])
+MUTATIONS = st.lists(
+    st.one_of(
+        st.tuples(st.just("install"), MATCHES, st.integers(0, 3), NAMES,
+                  ACTIONS),
+        st.tuples(st.just("remove"), st.integers(0, 30)),
+        st.tuples(st.just("remove_by_name"), NAMES),
+        st.tuples(st.just("remove_where"), st.integers(0, 3)),
+        st.tuples(st.just("clear")),
+    ),
+    min_size=1, max_size=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutations=MUTATIONS, probes=st.lists(FRAMES, min_size=1, max_size=4))
+def test_indexed_lookup_equals_scan_after_every_mutation(mutations, probes):
+    table = FlowTable()
+    for op in mutations:
+        if op[0] == "install":
+            _kind, match, priority, name, actions = op
+            table.install(match, actions, priority, name)
+        elif op[0] == "remove":
+            entries = list(table)
+            if entries:
+                assert table.remove(entries[op[1] % len(entries)])
+        elif op[0] == "remove_by_name":
+            table.remove_by_name(op[1])
+        elif op[0] == "remove_where":
+            table.remove_where(lambda e, p=op[1]: e.priority == p)
+        else:
+            table.clear()
+        for frame, _in_port in probes:
+            # Every ingress the pipeline uses, the agent's virtual -1
+            # included; twice, so the second answer comes from the index.
+            for in_port in (-1, 0, 1, 2, 3):
+                for skip_punts in (False, True):
+                    expected = _scan(table, frame, in_port, skip_punts)
+                    assert table.lookup(frame, in_port, skip_punts) is expected
+                    assert table.lookup(frame, in_port, skip_punts) is expected

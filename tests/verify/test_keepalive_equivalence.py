@@ -1,8 +1,9 @@
-"""Events the link leaves out must be unobservable.
+"""Events the link leaves out, and decisions the switch does not
+re-derive, must be unobservable.
 
-Two kinds are left out, and each has a reference run that puts them
-back (docs/PERF.md, "Keepalive floor" and "One event per uncontended
-hop"):
+Two kinds of event are left out, and each has a reference run that puts
+them back (docs/PERF.md, "Keepalive floor" and "One event per
+uncontended hop"):
 
 * every LDM that crosses a healthy, data-idle link to a located
   neighbour is accounted instead of sent. Reference ``"frames"``: the
@@ -13,6 +14,12 @@ hop"):
   nowhere under ``src/``, that turns every one into its event the moment
   the frame starts, through the method ``Link.transmit`` itself uses —
   the event sequence of the code before the rule existed.
+
+A third reference, ``"interpreted"``, leaves no event out: it builds the
+fabric with ``decision_cache_entries=0``, so every switch walks its
+table and compiles its plan for every frame instead of executing a
+cached one (docs/PERF.md, "The hop as a plan") — the same events, and
+everything below must still agree.
 
 Under any schedule of ``fail`` / ``recover`` / ``fail_direction`` the
 run and its reference must agree *exactly*: LDP trace records and their
@@ -36,6 +43,7 @@ its delivery.
 """
 
 import contextlib
+import dataclasses
 import functools
 
 import pytest
@@ -127,10 +135,10 @@ def _run(seed: int, k: int, carrier: bool, faults, reference: str | None,
          config: PortlandConfig | None = None) -> tuple:
     """One run; ``faults`` is a list of (seconds after registration,
     operation, link index, end). ``reference`` is ``None`` for the code
-    as it is, or the kind of left-out event to put back: ``"frames"``
-    or ``"eager"``. Returns the fabric and everything observable about
-    the run; ``landmarks``, if given, collects the run's beacons and
-    data-frame starts."""
+    as it is, or the kind of left-out work to put back: ``"frames"``,
+    ``"eager"`` or ``"interpreted"``. Returns the fabric and everything
+    observable about the run; ``landmarks``, if given, collects the
+    run's beacons and data-frame starts."""
     sim = Simulator(seed=seed)
     beacons = landmarks["beacons"] if landmarks is not None else None
     if reference == "frames":
@@ -138,6 +146,9 @@ def _run(seed: int, k: int, carrier: bool, faults, reference: str | None,
                             beacons.append if beacons is not None else _noop)
     ldp_records = TraceCollector(sim.trace, "ldp")
     hop_records = TraceCollector(sim.trace, "verify.hop")
+    if reference == "interpreted":
+        config = dataclasses.replace(config or PortlandConfig(),
+                                     decision_cache_entries=0)
     fabric = build_portland_fabric(
         sim, k=k, config=config,
         link_params=LinkParams(carrier_detect=carrier))
@@ -329,8 +340,11 @@ def _assert_equivalent(seed, k, carrier, faults, reference="frames",
                        config=None):
     _, expected = _run(seed, k, carrier, faults, reference, config=config)
     _, got = _run(seed, k, carrier, faults, None, config=config)
-    # The point of the exercise, and proof that events were left out.
-    assert got.pop("events") < expected.pop("events")
+    if reference == "interpreted":
+        assert got.pop("events") == expected.pop("events")
+    else:
+        # The point of the exercise, and proof that events were left out.
+        assert got.pop("events") < expected.pop("events")
     for section in expected:
         assert got[section] == expected[section], (
             f"{section} differs from the {reference!r} reference; "
@@ -395,6 +409,30 @@ def test_lazy_end_of_serialization_is_unobservable_k4(carrier, data):
 def test_lazy_end_of_serialization_is_unobservable_k8(carrier, data):
     faults = _faults(data.draw, 17, 8)
     _assert_equivalent(17, 8, carrier, faults, reference="eager")
+
+
+# ----------------------------------------------------------------------
+# The "interpreted" reference: no decision cache, a plan per frame
+
+
+@pytest.mark.parametrize("carrier", [True, False])
+@settings(max_examples=4, deadline=None,
+          suppress_health_check=list(HealthCheck))
+@given(data=st.data())
+def test_cached_plans_are_unobservable_k4(carrier, data):
+    seed = data.draw(st.sampled_from((3, 11, 29)))
+    faults = _faults(data.draw, seed, 4)
+    _assert_equivalent(seed, 4, carrier, faults, reference="interpreted")
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("carrier", [True, False])
+@settings(max_examples=2, deadline=None,
+          suppress_health_check=list(HealthCheck))
+@given(data=st.data())
+def test_cached_plans_are_unobservable_k8(carrier, data):
+    faults = _faults(data.draw, 17, 8)
+    _assert_equivalent(17, 8, carrier, faults, reference="interpreted")
 
 
 def test_lazy_end_of_serialization_under_fluid_load():
