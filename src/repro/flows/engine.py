@@ -468,23 +468,19 @@ class FlowEngine:
         if self.path_cache is not None and hasattr(edge, "_path_table"):
             compiled = self.path_cache.resolve(edge, frame, edge_port.index)
         if compiled is not None:
-            segments = ((ingress_link, nic),) + tuple(
-                (hop.link, hop.out_port) for hop in compiled.hops)
-            hop_records = tuple(
-                (hop.switch_name, hop.entry_name, hop.in_index)
-                for hop in compiled.hops)
-            return ResolvedPath(segments, compiled.entries, hop_records,
-                                compiled)
-        hops, final_port = walk_decision_path(edge, edge_port.index, frame,
-                                              require_live=True)
-        if final_port is None:
-            return None
-        segments = ((ingress_link, nic),) + tuple(
-            (hop.out_port.link, hop.out_port) for hop in hops)
-        entries = tuple(hop.entry for hop in hops)
-        hop_records = tuple((hop.node.name, hop.entry.name, hop.in_index)
-                            for hop in hops)
-        return ResolvedPath(segments, entries, hop_records, None)
+            hops = compiled.hops
+        else:
+            hops, final_port = walk_decision_path(edge, edge_port.index,
+                                                  frame, require_live=True)
+            if final_port is None:
+                return None
+        return ResolvedPath(
+            ((ingress_link, nic),) + tuple(
+                (hop.link, hop.out_port) for hop in hops),
+            tuple(hop.entry for hop in hops),
+            tuple((hop.node.name, hop.entry.name, hop.in_index)
+                  for hop in hops),
+            compiled)
 
     # ------------------------------------------------------------------
     # RTT-aware fluid TCP model (greedy flows only)

@@ -28,7 +28,7 @@ from repro.net.link import Port
 from repro.net.packet import Packet, coerce
 from repro.portland import forwarding as fwd
 from repro.portland.config import PortlandConfig
-from repro.portland.ldp import LdpProcess, NeighborInfo
+from repro.portland.ldp import LdpProcess, NeighborInfo, edge_detect_s
 from repro.portland.messages import (
     ArpFlood,
     BroadcastRelay,
@@ -60,6 +60,11 @@ from repro.portland.pmac import Pmac, PmacAllocator
 from repro.portland.switch import PortlandSwitch
 from repro.sim.process import PeriodicTask, Timer
 from repro.switching.switch import SwitchAgent
+
+#: Debounce for neighbor reports to the fabric manager.
+REPORT_DEBOUNCE_S = 0.005
+#: Min interval between unicast gratuitous ARPs per stale sender.
+TRAP_GARP_INTERVAL_S = 0.050
 
 
 class HostRecord:
@@ -181,8 +186,8 @@ class PortlandAgent(SwitchAgent):
         if (self.level is SwitchLevel.EDGE
                 and port.index not in self.ldp.host_ports
                 and port.index not in self.ldp.neighbors):
-            grace = self.config.edge_detect_periods * self.config.ldm_period_s
-            self.sim.schedule(grace, self._adopt_host_port, port.index)
+            self.sim.schedule(edge_detect_s(self.config),
+                              self._adopt_host_port, port.index)
 
     def _adopt_host_port(self, port_index: int) -> None:
         if (self.level is not SwitchLevel.EDGE
@@ -194,13 +199,11 @@ class PortlandAgent(SwitchAgent):
             return
         self.ldp.host_ports.add(port_index)
         if self._base_installed:
-            self.switch.rewrite_table.remove_by_name(f"new-host:{port_index}")
-            self.switch.rewrite_table.install(
-                fwd.Match(in_port=port_index),
-                (fwd.ToAgent("new-host"),),
-                fwd.REWRITE_PRIO_NEW_HOST,
-                f"new-host:{port_index}",
-            )
+            self._trap_new_hosts(port_index)
+
+    def _trap_new_hosts(self, port_index: int) -> None:
+        """Punt whatever a host port's unknown sources send."""
+        self.switch.rewrite_table.sync((), (fwd.new_host_trap(port_index),))
 
     # ------------------------------------------------------------------
     # Control-channel plumbing
@@ -230,10 +233,10 @@ class PortlandAgent(SwitchAgent):
     def _on_fault_update(self, message: FaultUpdate) -> None:
         key = (message.prefix.value, message.prefix_len)
         self._fault_overrides[key] = message.avoid_neighbor_ids
-        self._install_fault_entry(key)
-        # The table-change listener already flushed; this explicit
-        # flush also covers a FaultUpdate that re-prescribes the
-        # entry the switch already has installed.
+        self._install(self._fault_spec(key))
+        # A changed table flushed through its listener; a FaultUpdate
+        # that re-prescribes the installed entry changes nothing there,
+        # and this flush is the only one.
         self.switch.flush_decisions("fault-update")
 
     def _on_fault_clear(self, message: FaultClear) -> None:
@@ -254,7 +257,7 @@ class PortlandAgent(SwitchAgent):
         self._refresh_entries()
         # ECMP memberships just changed shape: retire any decision
         # that could still steer a flow into the disabled link even
-        # if _refresh_entries produced a byte-identical table.
+        # if _refresh_entries found the table already right.
         self.switch.flush_decisions("link-disable")
 
     def _on_enable_link(self, message: EnableLink) -> None:
@@ -265,9 +268,9 @@ class PortlandAgent(SwitchAgent):
     def _on_policy_install(self, message: PolicyInstall) -> None:
         self._install(fwd.acl_drop(message.port, message.dst_pmac,
                                    str(message.src_ip), str(message.dst_ip)))
-        # The table listener flushed, but a re-push that reproduces
-        # the installed entry byte-identically must still retire any
-        # cached verdict predating the ACL.
+        # A re-push that reproduces the installed entry leaves the
+        # table alone, and must still retire any cached verdict
+        # predating the ACL.
         self.switch.flush_decisions("acl-install")
 
     def _on_policy_revoke(self, message: PolicyRevoke) -> None:
@@ -297,9 +300,9 @@ class PortlandAgent(SwitchAgent):
         self.send_to_fm(LinkFail(self.switch_id, port_index, info.switch_id))
         self._refresh_entries()
         # Same rationale as Disable/EnableLink: a lost neighbour can
-        # leave the refreshed table byte-identical (e.g. a core whose
-        # per-pod entry survives on another link), yet decisions and
-        # compiled paths made while it was alive must not outlive it.
+        # leave the table as it was (e.g. a core whose per-pod entry
+        # survives on another link), yet decisions and compiled paths
+        # made while it was alive must not outlive it.
         self.switch.flush_decisions("neighbor-lost")
 
     def request_pod(self) -> None:
@@ -308,10 +311,14 @@ class PortlandAgent(SwitchAgent):
     # ------------------------------------------------------------------
     # Entry installation
 
+    #: Names of the entries that are a function of what LDP discovered
+    #: and what the fabric manager prescribed: :meth:`_refresh_entries`
+    #: owns every entry named under these prefixes.
+    _TOPOLOGY_ENTRIES = ("default-up", "fault:", "down:", "pod:", "route:")
+
     def _install(self, spec: tuple) -> None:
-        match, actions, priority, name = spec
-        self.switch.table.remove_by_name(name)
-        self.switch.table.install(match, actions, priority, name)
+        """Make the entry named by ``spec`` exactly ``spec``."""
+        self.switch.table.sync((), (spec,))
 
     def _install_base_entries(self) -> None:
         if self._base_installed:
@@ -326,49 +333,48 @@ class PortlandAgent(SwitchAgent):
             self._install(fwd.mcast_miss())
             self._install(fwd.own_prefix_drop(self.ldp.pod, self.ldp.position))
             for port_index in self.ldp.host_ports:
-                self.switch.rewrite_table.install(
-                    fwd.Match(in_port=port_index),
-                    (fwd.ToAgent("new-host"),),
-                    fwd.REWRITE_PRIO_NEW_HOST,
-                    f"new-host:{port_index}",
-                )
+                self._trap_new_hosts(port_index)
         elif level is SwitchLevel.AGGREGATION:
             assert self.ldp.pod is not None
             self._install(fwd.own_pod_drop(self.ldp.pod))
         self._refresh_entries()
 
     def _refresh_entries(self) -> None:
-        """Recompute topology-dependent entries (idempotent)."""
-        if not self._base_installed:
-            return
-        specs = self.scheme.route_entries(self)
-        if specs is not None:
-            self._refresh_route_entries(specs)
-            return
-        level = self.level
-        if level in (SwitchLevel.EDGE, SwitchLevel.AGGREGATION):
-            up = tuple(self._usable_up_ports())
-            if up:
-                self._install(fwd.default_up(up))
-            else:
-                self.switch.table.remove_by_name("default-up")
-            for key in self._fault_overrides:
-                self._install_fault_entry(key)
-        if level is SwitchLevel.AGGREGATION:
-            self._refresh_agg_down_entries()
-        elif level is SwitchLevel.CORE:
-            self._refresh_core_pod_entries()
+        """State the topology-dependent entries; the table reconciles
+        (what is already installed stays, counters and all)."""
+        if self._base_installed:
+            self.switch.table.sync(self._TOPOLOGY_ENTRIES,
+                                   self._topology_specs())
 
-    def _refresh_route_entries(self, specs: list[tuple]) -> None:
-        """Install a scheme-resolved ``route:`` entry set (idempotent),
-        keeping any prescriptive fault overrides layered above it."""
-        wanted = {spec[3]: spec for spec in specs}
-        self.switch.table.remove_where(
-            lambda e: e.name.startswith("route:") and e.name not in wanted)
-        for spec in wanted.values():
-            self._install(spec)
-        for key in self._fault_overrides:
-            self._install_fault_entry(key)
+    def _topology_specs(self) -> list[tuple]:
+        """Every entry that follows from the live neighbours, the links
+        the fabric manager blocked and its fault overrides: the scheme's
+        ``route:`` set or the fat tree's up/down/pod derivation, then
+        the overrides layered above either."""
+        specs = self.scheme.route_entries(self)
+        if specs is None:
+            specs = []
+            level = self.level
+            up = tuple(self._usable_up_ports())  # a core has none
+            if up:
+                specs.append(fwd.default_up(up))
+            pods: dict[int, list[int]] = {}
+            for index, info in self.ldp.neighbors.items():
+                if info.switch_id in self.fm_blocked_neighbors:
+                    continue
+                if (level is SwitchLevel.AGGREGATION
+                        and info.level is SwitchLevel.EDGE
+                        and info.position is not None):
+                    specs.append(fwd.down_to_position(
+                        self.ldp.pod, info.position, index))
+                elif (level is SwitchLevel.CORE
+                        and info.level is SwitchLevel.AGGREGATION
+                        and info.pod is not None):
+                    pods.setdefault(info.pod, []).append(index)
+            specs.extend(fwd.down_to_pod(pod, tuple(sorted(ports)))
+                         for pod, ports in pods.items())
+        specs.extend(self._fault_spec(key) for key in self._fault_overrides)
+        return specs
 
     def _usable_up_ports(self) -> list[int]:
         """Uplink ports minus any the fabric manager has blocked."""
@@ -376,36 +382,9 @@ class PortlandAgent(SwitchAgent):
                 if self.ldp.neighbors[index].switch_id
                 not in self.fm_blocked_neighbors]
 
-    def _refresh_agg_down_entries(self) -> None:
-        assert self.ldp.pod is not None
-        wanted: dict[str, tuple] = {}
-        for index, info in self.ldp.neighbors.items():
-            if info.switch_id in self.fm_blocked_neighbors:
-                continue
-            if info.level is SwitchLevel.EDGE and info.position is not None:
-                spec = fwd.down_to_position(self.ldp.pod, info.position, index)
-                wanted[spec[3]] = spec
-        self.switch.table.remove_where(
-            lambda e: e.name.startswith("down:") and e.name not in wanted)
-        for spec in wanted.values():
-            self._install(spec)
-
-    def _refresh_core_pod_entries(self) -> None:
-        pods: dict[int, list[int]] = {}
-        for index, info in self.ldp.neighbors.items():
-            if info.switch_id in self.fm_blocked_neighbors:
-                continue
-            if info.level is SwitchLevel.AGGREGATION and info.pod is not None:
-                pods.setdefault(info.pod, []).append(index)
-        wanted = {f"pod:{pod}": fwd.down_to_pod(pod, tuple(sorted(ports)))
-                  for pod, ports in pods.items()}
-        self.switch.table.remove_where(
-            lambda e: e.name.startswith("pod:") and e.name not in wanted)
-        for spec in wanted.values():
-            self._install(spec)
-
-    def _install_fault_entry(self, key: tuple[int, int]) -> None:
-        avoid = set(self._fault_overrides.get(key, ()))
+    def _fault_spec(self, key: tuple[int, int]) -> tuple:
+        """The ``fault:`` entry for one prescribed override."""
+        avoid = self._fault_overrides[key]
         candidates = self.scheme.override_candidate_ports(self)
         if candidates is None:
             candidates = self._usable_up_ports()
@@ -413,15 +392,14 @@ class PortlandAgent(SwitchAgent):
             index for index in candidates
             if self.ldp.neighbors[index].switch_id not in avoid
         )
-        prefix = MacAddress(key[0])
-        self._install(fwd.fault_override(prefix, key[1], ports))
+        return fwd.fault_override(MacAddress(key[0]), key[1], ports)
 
     # ------------------------------------------------------------------
     # Neighbor reporting
 
     def _schedule_report(self) -> None:
         if not self._report_timer.armed:
-            self._report_timer.start(self.config.report_debounce_s)
+            self._report_timer.start(REPORT_DEBOUNCE_S)
 
     def _send_neighbor_report(self) -> None:
         if self.level is SwitchLevel.UNKNOWN:
@@ -530,15 +508,20 @@ class PortlandAgent(SwitchAgent):
                                          record.pmac.to_mac()))
 
     def _host_port_down(self, port_index: int) -> None:
-        gone = [r for r in self.hosts_by_amac.values() if r.port == port_index]
-        for record in gone:
-            pmac_mac = record.pmac.to_mac()
-            del self.hosts_by_amac[record.amac]
-            self.hosts_by_pmac.pop(pmac_mac, None)
-            self.switch.rewrite_table.remove_by_name(f"ingress:{record.amac}")
-            self.switch.table.remove_by_name(f"host:{pmac_mac}")
-            if self.allocator is not None:
-                self.allocator.release(record.pmac)
+        for record in [r for r in self.hosts_by_amac.values()
+                       if r.port == port_index]:
+            self._forget_host(record)
+
+    def _forget_host(self, record: HostRecord) -> None:
+        """The host left this port: drop its record, its two entries
+        and its PMAC."""
+        pmac_mac = record.pmac.to_mac()
+        self.hosts_by_amac.pop(record.amac, None)
+        self.hosts_by_pmac.pop(pmac_mac, None)
+        self.switch.rewrite_table.remove_by_name(f"ingress:{record.amac}")
+        self.switch.table.remove_by_name(f"host:{pmac_mac}")
+        if self.allocator is not None:
+            self.allocator.release(record.pmac)
 
     # ------------------------------------------------------------------
     # Edge: ARP proxying
@@ -711,13 +694,9 @@ class PortlandAgent(SwitchAgent):
 
     def _install_trap(self, message: Invalidate) -> None:
         old = message.old_pmac
-        record = self.hosts_by_pmac.pop(old, None)
+        record = self.hosts_by_pmac.get(old)
         if record is not None:
-            self.hosts_by_amac.pop(record.amac, None)
-            self.switch.rewrite_table.remove_by_name(f"ingress:{record.amac}")
-            self.switch.table.remove_by_name(f"host:{old}")
-            if self.allocator is not None:
-                self.allocator.release(record.pmac)
+            self._forget_host(record)
         self._traps[old] = (message.ip, message.new_pmac)
         self._install(fwd.migration_trap(old))
 
@@ -733,7 +712,7 @@ class PortlandAgent(SwitchAgent):
         # Unicast gratuitous ARP back to the (stale) sender, rate-limited.
         key = (frame.dst, frame.src)
         last = self._trap_last_garp.get(key, -1.0)
-        if self.sim.now - last >= self.config.trap_garp_interval_s:
+        if self.sim.now - last >= TRAP_GARP_INTERVAL_S:
             self._trap_last_garp[key] = self.sim.now
             update = ArpPacket.reply(new_pmac, ip, frame.src, IPv4Address(0))
             self.switch.inject(EthernetFrame(frame.src, new_pmac,

@@ -19,14 +19,6 @@ class PortlandConfig:
     ldm_period_s: float = 0.010
     #: Consecutive missed LDMs before a neighbour is declared dead.
     miss_threshold: int = 5
-    #: How long a wired-but-silent port must stay silent before an edge
-    #: switch concludes it faces a host (multiples of the LDM period).
-    edge_detect_periods: float = 3.0
-    #: How long an edge waits for position acks before retrying.
-    proposal_timeout_s: float = 0.030
-    #: Lifetime of a tentative (unconfirmed) position grant at an
-    #: aggregation switch.
-    grant_ttl_s: float = 0.200
 
     #: Switch software (packet-in) path latency.
     agent_delay_s: float = 50e-6
@@ -59,8 +51,6 @@ class PortlandConfig:
     #: fluid capacity reacts to foreground bursts). Only read when
     #: ``flow_mode == "hybrid"``.
     hybrid_epoch_s: float = 0.005
-    #: Debounce for neighbor reports to the fabric manager.
-    report_debounce_s: float = 0.005
 
     #: Control-network link parameters (switch <-> fabric manager).
     control_rate_bps: float = 1_000_000_000.0
@@ -86,6 +76,3 @@ class PortlandConfig:
     #: re-registration, multicast membership, outstanding failures) —
     #: what lets a restarted fabric manager rebuild all of its state.
     soft_state_refresh_s: float = 2.0
-
-    #: Min interval between unicast gratuitous ARPs per stale sender.
-    trap_garp_interval_s: float = 0.050

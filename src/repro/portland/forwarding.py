@@ -101,6 +101,12 @@ def host_egress(pmac_mac: MacAddress, amac: MacAddress,
             PRIO_HOST, f"host:{pmac_mac}")
 
 
+def new_host_trap(port: int) -> tuple[Match, tuple, int, str]:
+    """Edge rewrite table: punt a host port's not-yet-known sources."""
+    return (Match(in_port=port), (ToAgent("new-host"),),
+            REWRITE_PRIO_NEW_HOST, f"new-host:{port}")
+
+
 def own_prefix_drop(pod: int, position: int) -> tuple[Match, tuple, int, str]:
     """Edge: drop traffic for our own prefix with no matching host.
 

@@ -68,6 +68,21 @@ _POD_SOURCE = {SwitchLevel.EDGE: SwitchLevel.AGGREGATION,
 
 _PINNED = float("inf")
 
+#: How long a wired-but-silent port must stay silent before an edge
+#: switch concludes it faces a host, in LDM periods.
+EDGE_DETECT_PERIODS = 3.0
+#: How long an edge waits for position acks before retrying.
+PROPOSAL_TIMEOUT_S = 0.030
+#: Lifetime of a tentative (unconfirmed) position grant at an
+#: aggregation switch.
+GRANT_TTL_S = 0.200
+
+
+def edge_detect_s(config: PortlandConfig) -> float:
+    """The silence after which an edge adopts a wired port as a host
+    port — also what a newly plugged host waits out before announcing."""
+    return EDGE_DETECT_PERIODS * config.ldm_period_s
+
 
 class LdpListener(Protocol):
     """Callbacks the owning agent implements."""
@@ -399,7 +414,7 @@ class LdpProcess:
         silent = wired - heard
         waited = self.sim.now - self._started_at
         if (silent and heard
-                and waited >= self.config.edge_detect_periods * self.config.ldm_period_s):
+                and waited >= edge_detect_s(self.config)):
             self.level = SwitchLevel.EDGE
             self.host_ports = silent
             self._start_position_agreement()
@@ -445,7 +460,7 @@ class LdpProcess:
             candidates = list(range(self._position_range))
         position = self._rng.choice(candidates)
         self._proposal = _Proposal(position,
-                                   self.sim.now + self.config.proposal_timeout_s)
+                                   self.sim.now + PROPOSAL_TIMEOUT_S)
         proposal = PositionProposal(self.switch_id, position)
         for index, info in self.neighbors.items():
             if info.level in (SwitchLevel.AGGREGATION, SwitchLevel.UNKNOWN):
@@ -510,7 +525,7 @@ class LdpProcess:
             holder, expires = current
             if holder != edge_id and now < expires:
                 return False
-        self._grants[position] = (edge_id, now + self.config.grant_ttl_s)
+        self._grants[position] = (edge_id, now + GRANT_TTL_S)
         return True
 
     # ------------------------------------------------------------------

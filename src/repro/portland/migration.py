@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from repro.errors import TopologyError
 from repro.host.host import Host
 from repro.net.link import Link
+from repro.portland.ldp import edge_detect_s
 from repro.sim.simulator import Simulator
 from repro.topology.builder import LinkParams, PortlandFabric
 
@@ -98,10 +99,9 @@ class VmMigration:
                             edge=self.new_edge, port=self.new_port)
         # The new edge adopts the silent port after its grace period;
         # announce just after so the gratuitous ARP is seen as a new host.
-        agent = self.fabric.agents[self.new_edge]
-        grace = (agent.config.edge_detect_periods
-                 * agent.config.ldm_period_s) + 2 * agent.config.ldm_period_s
-        self.sim.schedule(grace, self._announce)
+        config = self.fabric.config
+        self.sim.schedule(edge_detect_s(config) + 2 * config.ldm_period_s,
+                          self._announce)
 
     def _announce(self) -> None:
         self.events.announced_at = self.sim.now

@@ -99,9 +99,6 @@ class FabricView:
         """All core-switch ids."""
         return self._ids_at(SwitchLevel.CORE)
 
-    def edges_in_pod(self, pod: int) -> list[int]:
-        return [sid for sid in self.edges() if self.pod(sid) == pod]
-
     def aggs_in_pod(self, pod: int) -> tuple[int, ...]:
         aggs = self._aggs_in_pod.get(pod)
         if aggs is None:

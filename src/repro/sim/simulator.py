@@ -128,6 +128,21 @@ class Simulator:
             self._position = (self.now, _AFTER_ALL)
         return self.now
 
+    def run_until(self, done, deadline: float, step_s: float) -> bool:
+        """Run in ``step_s`` slices until ``done()`` holds or the clock
+        reaches ``deadline``; returns whether ``done()`` held.
+
+        The drive loop of every "run until converged / finished" method:
+        ``done`` is asked between slices, so the clock stops on the
+        slice boundary after the one it became true in. Each slice is a
+        plain :meth:`run` call.
+        """
+        while self.now < deadline:
+            if done():
+                return True
+            self.run(until=min(self.now + step_s, deadline))
+        return done()
+
     def run_before(self, bound: float) -> float:
         """Execute every event *strictly before* ``bound``, then advance
         the clock to exactly ``bound``.

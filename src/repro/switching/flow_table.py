@@ -176,7 +176,9 @@ class FlowTable:
     listeners — the invalidation hooks decision caches hang off so a
     table install/remove (base entries, fault overrides, ECMP membership
     refreshes) immediately retires any cached verdicts derived from the
-    old contents.
+    old contents. :meth:`sync` is how an owner states the entries it
+    wants: what is already there stays (counters included) and the
+    listeners hear about it once, and only if something changed.
     """
 
     def __init__(self) -> None:
@@ -206,11 +208,6 @@ class FlowTable:
         """Call ``listener()`` after every mutation of this table."""
         self._listeners.append(listener)
 
-    def remove_change_listener(self, listener) -> None:
-        """Detach a previously registered listener (missing ones ignored)."""
-        if listener in self._listeners:
-            self._listeners.remove(listener)
-
     def _changed(self) -> None:
         self.version += 1
         self.cache_safe = self._non_key_entries == 0
@@ -226,9 +223,15 @@ class FlowTable:
         name: str = "",
     ) -> FlowEntry:
         """Add an entry. Entries with equal priority keep insertion order."""
-        entry = FlowEntry(match=match, priority=priority,
-                          actions=tuple(actions), name=name)
-        # Insert before the first entry with lower priority.
+        entry = self._place(match, tuple(actions), priority, name)
+        self._changed()
+        return entry
+
+    def _place(self, match: Match, actions: tuple[Action, ...],
+               priority: int, name: str) -> FlowEntry:
+        """Insert a new entry before the first one of lower priority."""
+        entry = FlowEntry(match=match, priority=priority, actions=actions,
+                          name=name)
         index = len(self._entries)
         for i, existing in enumerate(self._entries):
             if existing.priority < priority:
@@ -237,8 +240,43 @@ class FlowTable:
         self._entries.insert(index, entry)
         if not match.key_only:
             self._non_key_entries += 1
-        self._changed()
         return entry
+
+    def sync(self, owned: tuple[str, ...], specs) -> bool:
+        """Make the owned entries exactly ``specs``; True if any changed.
+
+        ``specs`` are ``(match, actions, priority, name)`` tuples with
+        distinct names. An entry is *owned* when its name is one of
+        theirs or starts with one of the ``owned`` prefixes. An owned
+        entry that already is its spec — same match, actions and
+        priority — stays where it is and keeps its counters; every other
+        owned entry goes, and the specs still missing are placed as
+        :meth:`install` would place them, in ``specs`` order. Listeners
+        are told once, and only if the entry list changed.
+        """
+        wanted = {name: (match, tuple(actions), priority)
+                  for match, actions, priority, name in specs}
+        kept = []
+        for entry in self._entries:
+            name = entry.name
+            if name in wanted:
+                if wanted[name] != (entry.match, entry.actions,
+                                    entry.priority):
+                    continue
+                wanted[name] = None  # satisfied; a later duplicate goes
+            elif name.startswith(owned):
+                continue
+            kept.append(entry)
+        if len(kept) == len(self._entries) and not any(wanted.values()):
+            return False
+        self._entries = kept
+        self._non_key_entries = sum(
+            1 for e in kept if not e.match.key_only)
+        for name, spec in wanted.items():
+            if spec is not None:
+                self._place(*spec, name)
+        self._changed()
+        return True
 
     def remove(self, entry: FlowEntry) -> bool:
         """Remove one entry. Returns False if it was not present."""

@@ -59,37 +59,14 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.switching.flow_table import decision_key
-from repro.switching.switch import FlowSwitch
+from repro.switching.hop_walk import walk_decision_path
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.ethernet import EthernetFrame
-    from repro.net.link import Port
     from repro.sim.simulator import Simulator
 
 #: Default per-ingress-switch capacity (same sizing as the decision cache).
 DEFAULT_PATH_CAPACITY = 4096
-
-#: Dry-walk depth bound. A fat-tree path is at most 5 links end to end;
-#: anything longer indicates a loop or a topology this cache should not
-#: second-guess.
-MAX_PATH_HOPS = 16
-
-
-class CompiledHop:
-    """One traversed switch on a compiled path."""
-
-    __slots__ = ("switch_name", "in_index", "out_index", "entry_name",
-                 "link", "out_port", "rx_port")
-
-    def __init__(self, switch_name, in_index, out_index, entry_name,
-                 link, out_port, rx_port) -> None:
-        self.switch_name = switch_name
-        self.in_index = in_index
-        self.out_index = out_index
-        self.entry_name = entry_name
-        self.link = link
-        self.out_port = out_port
-        self.rx_port = rx_port
 
 
 class CompiledPath:
@@ -218,9 +195,9 @@ class PathCache:
         dst = frame.dst.value if wanted else None
         for hop in path.hops:
             if wanted:
-                trace.emit(time, "verify.hop", hop.switch_name,
+                trace.emit(time, "verify.hop", hop.node.name,
                            payload=frame.payload, dst=dst,
-                           ethertype=frame.ethertype, entry=hop.entry_name,
+                           ethertype=frame.ethertype, entry=hop.entry.name,
                            in_port=hop.in_index)
             time = time + (hop.link.serialization_time(frame, hop.out_port)
                            + hop.link.delay_s)
@@ -261,61 +238,23 @@ class PathCache:
         """Dry-walk the per-switch verdicts from ``ingress`` to a host
         port, or return a negative verdict at the first impure hop."""
         self.compiles += 1
-        probe = frame.copy()
-        hops: list[CompiledHop] = []
-        entries: list = []
-        switches = [ingress]
-        links: list = []
-        node = ingress
-        index = in_index
-        final_port: "Port | None" = None
-        for _depth in range(MAX_PATH_HOPS):
-            if (not node.table.cache_safe or node.rx_tap is not None
-                    or (node is not ingress
-                        and node.rewrite_table.lookup(probe, index) is not None)):
-                break
-            plan = node._forwarding_decision(probe, index)
-            # No plan is a miss; no port is software, replication, a
-            # drop, or a rewrite only the interpreter applies in order.
-            if plan is None or plan.port is None or plan.port.index == index:
-                break
-            entry, _actions, port, set_dst = plan
-            if set_dst is not None:
-                probe.dst = set_dst
-            link = port.link
-            if (link is None or not port.enabled or not link.can_carry(port)
-                    or link.loss_rate > 0):
-                break
-            rx_port = link.other_end(port)
-            if not rx_port.enabled:
-                break
-            hops.append(CompiledHop(node.name, index, port.index, entry.name,
-                                    link, port, rx_port))
-            entries.append(entry)
-            links.append(link)
-            nxt = rx_port.node
-            if isinstance(nxt, FlowSwitch):
-                if nxt in switches:  # forwarding loop: never compile
-                    break
-                if (getattr(nxt, "_forwarding_decision", None) is None
-                        or getattr(nxt, "rewrite_table", None) is None):
-                    break  # not a two-stage PortLand pipeline
-                switches.append(nxt)
-                node, index = nxt, rx_port.index
-                continue
-            final_port = rx_port
-            break
-
+        switches: list = []
+        hops, final_port = walk_decision_path(ingress, in_index, frame,
+                                              pure=True, visited=switches)
+        links = tuple(hop.link for hop in hops)
         if final_port is None:
             self.compile_failures += 1
-            return CompiledPath(key, ingress, (), tuple(links), (), (), (),
+            return CompiledPath(key, ingress, (), links, (), (), (),
                                 tuple(switches), None, None)
+        final_dst = next((hop.set_dst for hop in reversed(hops)
+                          if hop.set_dst is not None), frame.dst)
         return CompiledPath(
-            key, ingress, tuple(hops), tuple(links), tuple(entries),
+            key, ingress, tuple(hops), links,
+            tuple(hop.entry for hop in hops),
             tuple(hop.out_port.counters for hop in hops),
             tuple(hop.rx_port.counters for hop in hops),
             tuple(switches), final_port,
-            probe.dst if probe.dst.value != frame.dst.value else None,
+            final_dst if final_dst.value != frame.dst.value else None,
         )
 
     # ------------------------------------------------------------------
@@ -404,8 +343,8 @@ class PathCache:
         lines = []
         for path in {id(p): p for bucket in self._by_switch.values()
                      for p in bucket}.values():
-            hops = tuple((hop.switch_name, hop.in_index, hop.out_index,
-                          hop.entry_name) for hop in path.hops)
+            hops = tuple((hop.node.name, hop.in_index, hop.out_port.index,
+                          hop.entry.name) for hop in path.hops)
             lines.append(repr((path.ingress.name, path.key, hops,
                                path.compiled)))
         lines.sort()

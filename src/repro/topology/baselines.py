@@ -59,17 +59,9 @@ class L2Fabric:
         deadline = self.sim.now + timeout_s
         # Let the first hellos fire before testing convergence.
         self.sim.run(until=self.sim.now + step_s)
-        while self.sim.now < deadline:
-            if self.stp_converged():
-                return self.sim.now
-            self.sim.run(until=min(self.sim.now + step_s, deadline))
-        if self.stp_converged():
+        if self.sim.run_until(self.stp_converged, deadline, step_s):
             return self.sim.now
         raise TopologyError("spanning tree did not converge")
-
-    def total_mac_entries(self) -> int:
-        """Sum of live MAC-table entries fabric-wide (Table 1 metric)."""
-        return sum(s.mac_table_size() for s in self.switches.values())
 
 
 def build_l2_fabric(
@@ -130,22 +122,14 @@ class L3Fabric:
     def run_until_converged(self, timeout_s: float = 30.0,
                             step_s: float = 0.25) -> float:
         """Run until routing converges. Returns the time."""
-        deadline = self.sim.now + timeout_s
-        while self.sim.now < deadline:
-            if self.converged():
-                return self.sim.now
-            self.sim.run(until=min(self.sim.now + step_s, deadline))
-        if self.converged():
+        if self.sim.run_until(self.converged, self.sim.now + timeout_s,
+                              step_s):
             return self.sim.now
         raise TopologyError("link-state routing did not converge")
 
     def total_config_lines(self) -> int:
         """Operator configuration burden (Table 1 metric)."""
         return sum(r.config_lines for r in self.routers.values())
-
-    def total_routes(self) -> int:
-        """Installed route entries fabric-wide (Table 1 metric)."""
-        return sum(r.route_table_size() for r in self.routers.values())
 
 
 def build_l3_fabric(

@@ -124,12 +124,7 @@ class PortlandFabric:
         Returns the convergence time. Raises on timeout — discovery that
         does not converge is an error worth failing loudly on.
         """
-        deadline = self.sim.now + timeout_s
-        while self.sim.now < deadline:
-            if self.located():
-                return self.sim.now
-            self.sim.run(until=min(self.sim.now + step_s, deadline))
-        if self.located():
+        if self.sim.run_until(self.located, self.sim.now + timeout_s, step_s):
             return self.sim.now
         missing = [name for name, agent in self.agents.items()
                    if not agent.ldp.location_complete]
@@ -155,12 +150,8 @@ class PortlandFabric:
     def run_until_registered(self, timeout_s: float = 5.0,
                              step_s: float = 0.02) -> float:
         """Run until the FM knows every host (after announce_hosts)."""
-        deadline = self.sim.now + timeout_s
-        while self.sim.now < deadline:
-            if self.all_hosts_registered():
-                return self.sim.now
-            self.sim.run(until=min(self.sim.now + step_s, deadline))
-        if self.all_hosts_registered():
+        if self.sim.run_until(self.all_hosts_registered,
+                              self.sim.now + timeout_s, step_s):
             return self.sim.now
         raise TopologyError("hosts did not register with the fabric manager")
 
@@ -189,10 +180,6 @@ class PortlandFabric:
     def flow_engine_stats(self) -> dict[str, int]:
         """Fluid-engine counters (empty dict when flow mode is off)."""
         return self.flow_engine.stats() if self.flow_engine is not None else {}
-
-    def agent_for(self, switch_name: str) -> PortlandAgent:
-        """Agent of a named switch."""
-        return self.agents[switch_name]
 
     def edge_agent_of(self, host_name: str) -> PortlandAgent:
         """The edge agent serving a named host."""

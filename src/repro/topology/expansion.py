@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import TopologyError
 from repro.host.host import Host
+from repro.portland.ldp import edge_detect_s
 from repro.topology.builder import LinkParams, PortlandFabric
 from repro.topology.fattree import (
     FatTree,
@@ -170,8 +171,7 @@ def expand_jellyfish_live(fabric: PortlandFabric, seed: int = 0,
     # New hosts announce after the edge-adoption grace, as a migrated
     # VM would (their ports are preseeded, but the agent must have its
     # base entries and the FM link up before registration can land).
-    grace = (config.edge_detect_periods * config.ldm_period_s
-             + 2 * config.ldm_period_s)
+    grace = edge_detect_s(config) + 2 * config.ldm_period_s
     result.announce_at = sim.now + grace
     for host_name in result.hosts:
         sim.schedule(grace, fabric.hosts[host_name].gratuitous_arp)

@@ -60,10 +60,6 @@ class FatTree:
         return self.k
 
     @property
-    def switches_per_pod(self) -> int:
-        return self.k // 2
-
-    @property
     def num_hosts(self) -> int:
         return len(self.hosts)
 

@@ -171,12 +171,8 @@ class ElephantMiceWorkload:
     def run_until_done(self, timeout_s: float = 60.0,
                        step_s: float = 0.005) -> float:
         """Drive the simulator until every flow completes."""
-        deadline = self.sim.now + timeout_s
-        while self.sim.now < deadline:
-            if self.all_done():
-                return self.sim.now
-            self.sim.run(until=min(self.sim.now + step_s, deadline))
-        if not self.all_done():
+        if not self.sim.run_until(self.all_done, self.sim.now + timeout_s,
+                                  step_s):
             raise TimeoutError(
                 f"elephant/mice incomplete: {self.completed()}"
                 f"/{self.num_flows}")

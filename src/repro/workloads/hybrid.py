@@ -119,15 +119,10 @@ class HybridWorkload:
                                   step_s: float = 0.01) -> float:
         """Drive the simulator until every foreground transfer finishes;
         returns the last completion time (background keeps flowing)."""
-        deadline = self.sim.now + timeout_s
-        while self.sim.now < deadline:
-            if (self.foreground_started_at is not None
-                    and self.foreground.all_done()):
-                return max(r.completed_at for r in self.foreground.results)
-
-            self.sim.run(until=min(self.sim.now + step_s, deadline))
-        if (self.foreground_started_at is None
-                or not self.foreground.all_done()):
+        if not self.sim.run_until(
+                lambda: (self.foreground_started_at is not None
+                         and self.foreground.all_done()),
+                self.sim.now + timeout_s, step_s):
             raise TimeoutError(
                 f"foreground incomplete: {self.foreground.completed()}"
                 f"/{self.foreground.num_flows}")

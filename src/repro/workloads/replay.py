@@ -62,7 +62,7 @@ def decision_signature(node, in_index: int, frame) -> tuple:
     """The ((switch name, out port), ...) hop sequence the per-switch
     decision path would take for one frame."""
     walked, _final_port = walk_decision_path(node, in_index, frame)
-    return tuple((hop.node.name, hop.out_index) for hop in walked)
+    return tuple((hop.node.name, hop.out_port.index) for hop in walked)
 
 
 def compile_paths(fabric, workload) -> int:
@@ -82,7 +82,7 @@ def compiled_signature(node, in_index: int, frame) -> tuple | None:
     path = node._path_table.get((in_index, decision_key(frame)))
     if path is None or not path.compiled:
         return None
-    return tuple((hop.switch_name, hop.out_index) for hop in path.hops)
+    return tuple((hop.node.name, hop.out_port.index) for hop in path.hops)
 
 
 def replay_compiled(workload) -> tuple[int, int]:

@@ -124,12 +124,8 @@ class ShuffleWorkload:
     def run_until_done(self, timeout_s: float = 60.0,
                        step_s: float = 0.25) -> float:
         """Drive the simulator until the shuffle finishes."""
-        deadline = self.sim.now + timeout_s
-        while self.sim.now < deadline:
-            if self.all_done():
-                return self.sim.now
-            self.sim.run(until=min(self.sim.now + step_s, deadline))
-        if not self.all_done():
+        if not self.sim.run_until(self.all_done, self.sim.now + timeout_s,
+                                  step_s):
             raise TimeoutError(
                 f"shuffle incomplete: {self.completed()}/{self.num_flows}")
         return self.sim.now
@@ -246,12 +242,8 @@ class FluidShuffleWorkload:
         numbers are exact; the step only bounds how much background
         (LDP beacon) simulation runs past that instant.
         """
-        deadline = self.sim.now + timeout_s
-        while self.sim.now < deadline:
-            if self.all_done():
-                return max(r.completed_at for r in self.results)
-            self.sim.run(until=min(self.sim.now + step_s, deadline))
-        if not self.all_done():
+        if not self.sim.run_until(self.all_done, self.sim.now + timeout_s,
+                                  step_s):
             raise TimeoutError(
                 f"shuffle incomplete: {self.completed()}/{self.num_flows}")
         return max(r.completed_at for r in self.results)

@@ -73,6 +73,3 @@ class UdpFlowSet:
 
     def receivers(self) -> list[UdpStreamReceiver]:
         return [receiver for _sender, receiver in self.flows]
-
-    def total_received(self) -> int:
-        return sum(r.received for r in self.receivers())

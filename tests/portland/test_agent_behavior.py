@@ -147,3 +147,72 @@ def test_agg_and_core_have_no_host_state(fabric):
             assert agent.hosts_by_amac == {}
             assert agent.allocator is None
             assert len(agent.switch.rewrite_table) == 0
+
+
+# ----------------------------------------------------------------------
+# The agent states the entries it wants and the table reconciles
+# (DESIGN.md, "Table programming"): what is already installed is not
+# removed to be put back, so it keeps its counters and nobody is told.
+
+
+def _down_counters(agent):
+    return {e.name: (id(e), e.packets, e.bytes) for e in agent.switch.table
+            if e.name.startswith("down:")}
+
+
+def test_unchanged_down_set_is_left_alone(fabric):
+    sim = fabric.sim
+    hosts = fabric.host_list()
+    UdpEchoServer(hosts[0], 7)
+    pinger = UdpPinger(hosts[9], hosts[0].ip)
+    for _ in range(4):
+        pinger.ping()
+    sim.run(until=sim.now + 0.1)
+    aggs = [fabric.agents[name] for name in ("agg-p0-s0", "agg-p0-s1")]
+    agent = next(a for a in aggs if any(
+        packets for _id, packets, _bytes in _down_counters(a).values()))
+    before = _down_counters(agent)
+    assert len(before) == 2
+
+    notified = []
+    agent.switch.table.add_change_listener(lambda: notified.append(sim.now))
+    # A neighbour whose LDM says again what the agent already knows.
+    edge_port = next(i for i, info in agent.ldp.neighbors.items()
+                     if info.level is SwitchLevel.EDGE)
+    agent.on_neighbor_changed(edge_port)
+    assert notified == []
+    assert _down_counters(agent) == before
+
+    # Losing an uplink rewrites default-up and nothing else: the down:
+    # entries are the same objects, packets and bytes still on them.
+    core_id = next(info.switch_id for info in agent.ldp.neighbors.values()
+                   if info.level is SwitchLevel.CORE)
+    core = next(name for name, a in fabric.agents.items()
+                if a.switch_id == core_id)
+    fabric.link_between(agent.switch.name, core).fail()
+    sim.run(until=sim.now + 0.1)
+    assert len(notified) == 1
+    assert _down_counters(agent) == before
+
+
+def test_repeated_fault_update_mutates_once_and_flushes_twice(fabric):
+    from repro.net.ethernet import ETHERTYPE_FABRIC, EthernetFrame
+
+    agent = fabric.agents["edge-p0-s0"]
+    value, bits = position_prefix(agent.ldp.pod ^ 1, 0)
+    update = FaultUpdate(value, bits,
+                         (fabric.agents["agg-p0-s0"].switch_id,))
+    frame = EthernetFrame(MacAddress(agent.switch_id), MacAddress(1),
+                          ETHERTYPE_FABRIC, update)
+    mutations = []
+    agent.switch.table.add_change_listener(lambda: mutations.append(1))
+    flushes = []
+    flush = agent.switch.flush_decisions
+    agent.switch.flush_decisions = lambda reason: (flushes.append(reason),
+                                                   flush(reason))
+    agent._handle_fm_frame(frame)
+    version = agent.switch.table.version
+    agent._handle_fm_frame(frame)
+    assert len(mutations) == 1 and agent.switch.table.version == version
+    # The second flush is the one the unchanged table did not cause.
+    assert flushes == ["fault-update", "fault-update"]

@@ -104,7 +104,9 @@ def test_flow_table_matches_reference(operations, probes):
 # The per-ingress index (docs/PERF.md, "The hop as a plan"): ``lookup``
 # walks a cached tuple of the entries that can match on that port. It
 # must equal a linear first-match over the table as it is *now*, so the
-# probes run between the mutations, not after them.
+# probes run between the mutations, not after them. The same run checks
+# the table against a sort-based model after every mutation, ``sync``
+# (the agents' reconcile-to-these-specs operation) included.
 
 
 def _scan(table, frame, in_port, skip_punts):
@@ -117,8 +119,18 @@ def _scan(table, frame, in_port, skip_punts):
     return None
 
 
-NAMES = st.sampled_from(["a", "b", "c"])
+NAMES = st.sampled_from(["a", "b", "c", "ab", "b:1"])
 ACTIONS = st.sampled_from([(Output(0),), (ToAgent("x"),), ()])
+#: One wanted entry of a ``sync``: drawn fresh, or a copy of the entry
+#: installed at some index with none or one of its fields changed.
+SPECS = st.one_of(
+    st.tuples(st.just("fresh"), MATCHES, ACTIONS, st.integers(0, 3), NAMES),
+    st.tuples(st.just("like"), st.integers(0, 30),
+              st.sampled_from(["same", "match", "actions", "priority"])),
+)
+#: Prefixes that cover several names ("a": a, ab), one ("b:"), none ("z").
+OWNED = st.lists(st.sampled_from(["a", "b:", "z"]), unique=True,
+                 max_size=3).map(tuple)
 MUTATIONS = st.lists(
     st.one_of(
         st.tuples(st.just("install"), MATCHES, st.integers(0, 3), NAMES,
@@ -127,29 +139,114 @@ MUTATIONS = st.lists(
         st.tuples(st.just("remove_by_name"), NAMES),
         st.tuples(st.just("remove_where"), st.integers(0, 3)),
         st.tuples(st.just("clear")),
+        st.tuples(st.just("sync"), OWNED, st.lists(SPECS, max_size=4)),
     ),
     min_size=1, max_size=20,
 )
+
+
+def _specs_for(table, drawn):
+    """Concrete, distinctly named ``sync`` specs from the drawn recipes."""
+    entries = list(table)
+    specs = {}
+    for recipe in drawn:
+        if recipe[0] == "fresh":
+            _kind, match, actions, priority, name = recipe
+        elif not entries:
+            continue
+        else:
+            entry = entries[recipe[1] % len(entries)]
+            match, actions, priority, name = (entry.match, entry.actions,
+                                              entry.priority, entry.name)
+            if recipe[2] == "match":
+                match = Match(in_port=3, eth_dst=match.eth_dst)
+            elif recipe[2] == "actions":
+                actions = actions + (Output(1),)
+            elif recipe[2] == "priority":
+                priority += 1
+        specs.setdefault(name, (match, actions, priority, name))
+    return list(specs.values())
+
+
+class TableModel:
+    """The table as rows ``[seq, match, actions, priority, name, packets]``:
+    its order is a stable sort, never an insertion point."""
+
+    def __init__(self):
+        self.rows = []
+        self._seq = 0
+
+    def add(self, match, actions, priority, name):
+        self.rows.append([self._seq, match, actions, priority, name, 0])
+        self._seq += 1
+
+    def drop(self, predicate):
+        self.rows = [row for row in self.rows if not predicate(row)]
+
+    def sync(self, owned, specs):
+        wanted = {spec[3]: spec[:3] for spec in specs}
+        kept = []
+        for row in self.ordered():
+            name = row[4]
+            if name in wanted:
+                if wanted[name] != tuple(row[1:4]):
+                    continue
+                del wanted[name]
+            elif (any(name.startswith(prefix) for prefix in owned)
+                    or any(name == spec[3] for spec in specs)):
+                continue
+            kept.append(row)
+        self.rows = kept
+        for name, (match, actions, priority) in wanted.items():
+            self.add(match, actions, priority, name)
+
+    def ordered(self):
+        return sorted(self.rows, key=lambda row: (-row[3], row[0]))
 
 
 @settings(max_examples=200, deadline=None)
 @given(mutations=MUTATIONS, probes=st.lists(FRAMES, min_size=1, max_size=4))
 def test_indexed_lookup_equals_scan_after_every_mutation(mutations, probes):
     table = FlowTable()
+    model = TableModel()
     for op in mutations:
+        before = (table.version, [id(entry) for entry in table])
         if op[0] == "install":
             _kind, match, priority, name, actions = op
             table.install(match, actions, priority, name)
+            model.add(match, actions, priority, name)
         elif op[0] == "remove":
             entries = list(table)
             if entries:
-                assert table.remove(entries[op[1] % len(entries)])
+                index = op[1] % len(entries)
+                assert table.remove(entries[index])
+                gone = model.ordered()[index]
+                model.drop(lambda row: row is gone)
         elif op[0] == "remove_by_name":
             table.remove_by_name(op[1])
+            model.drop(lambda row: row[4] == op[1])
         elif op[0] == "remove_where":
             table.remove_where(lambda e, p=op[1]: e.priority == p)
+            model.drop(lambda row: row[3] == op[1])
+        elif op[0] == "sync":
+            specs = _specs_for(table, op[2])
+            changed = table.sync(op[1], specs)
+            model.sync(op[1], specs)
+            assert changed == (table.version != before[0])
         else:
             table.clear()
+            model.drop(lambda row: True)
+        # The table is the model's — order, fields and the counters an
+        # entry that stayed must have kept — and listeners hear of it
+        # (the version moves) iff the entry list did.
+        assert ([[e.match, e.actions, e.priority, e.name, e.packets]
+                 for e in table] == [row[1:] for row in model.ordered()])
+        assert table.cache_safe == all(row[1].key_only for row in model.rows)
+        assert ((table.version != before[0])
+                == ([id(entry) for entry in table] != before[1]))
+        for entry, row in zip(table, model.ordered()):
+            entry.packets += 1
+            row[5] += 1
         for frame, _in_port in probes:
             # Every ingress the pipeline uses, the agent's virtual -1
             # included; twice, so the second answer comes from the index.

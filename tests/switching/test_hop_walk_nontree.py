@@ -73,8 +73,8 @@ def test_walk_delivers_and_breaks_ties_by_flow_hash(jellyfish_fabric):
             assert final.node is dst
             # Re-walk: byte-identical traversal, pure query.
             again, _final = _walk_from(fabric, src, frame)
-            assert ([(h.node.name, h.out_index) for h in hops]
-                    == [(h.node.name, h.out_index) for h in again])
+            assert ([(h.node.name, h.out_port.index) for h in hops]
+                    == [(h.node.name, h.out_port.index) for h in again])
             # Every hash-selected hop picked the member the modulo rule
             # demands — no positional or iteration-order tie-breaking.
             for hop in hops:
@@ -82,7 +82,7 @@ def test_walk_delivers_and_breaks_ties_by_flow_hash(jellyfish_fabric):
                     if isinstance(action, SelectByHash) and action.ports:
                         expected = action.ports[
                             flow_hash(frame) % len(action.ports)]
-                        assert hop.out_index == expected
+                        assert hop.out_port.index == expected
                         if len(action.ports) > 1:
                             ecmp_checked += 1
     assert ecmp_checked > 0, "no multi-member ECMP group was ever walked"
@@ -103,8 +103,8 @@ def test_dead_link_mid_walk_drops_at_tx_port(jellyfish_fabric):
         truncated, outcome = _walk_from(fabric, src, frame,
                                         require_live=True)
         assert outcome is None
-        assert [(h.node.name, h.out_index) for h in truncated] \
-            == [(h.node.name, h.out_index) for h in hops[:1]]
+        assert [(h.node.name, h.out_port.index) for h in truncated] \
+            == [(h.node.name, h.out_port.index) for h in hops[:1]]
         # Without the liveness requirement the pure table query is
         # unchanged — liveness is the caller's opt-in, not a side effect.
         full, final_again = _walk_from(fabric, src, frame)

@@ -15,7 +15,8 @@ from repro.net import AppData, EthernetFrame, mac
 from repro.net.ethernet import ETHERTYPE_ARP
 from repro.portland.config import PortlandConfig
 from repro.sim import Simulator
-from repro.switching.flow_table import Match
+from repro.switching.flow_table import Match, SetEthSrc, decision_key
+from repro.switching.hop_walk import walk_decision_path
 from repro.topology import build_portland_fabric
 from repro.workloads.replay import all_to_all_frames, decision_signature
 
@@ -49,7 +50,7 @@ def test_compile_records_full_path_and_rewrites(pc_fabric):
     node, in_index, frame = _cross_pod_item(pc_fabric)
     path = cache.resolve(node, frame, in_index)
     assert path is not None and path.compiled
-    assert [(h.switch_name, h.out_index) for h in path.hops] == list(
+    assert [(h.node.name, h.out_port.index) for h in path.hops] == list(
         decision_signature(node, in_index, frame))
     # edge -> agg -> core -> agg -> edge: 5 switches, 5 links, host egress.
     assert len(path.hops) == len(path.links) == len(path.entries) == 5
@@ -96,6 +97,64 @@ def test_uncompilable_frame_gets_negative_verdict(pc_fabric):
     after = cache.stats()
     assert after["no_path_hits"] == before["no_path_hits"] + 1
     assert after["compiles"] == before["compiles"]
+
+
+def _taint_rx_tap(fabric, core, hop):
+    core.rx_tap = lambda frame, port: None
+
+
+def _taint_unsafe_table(fabric, core, hop):
+    core.table.install(Match(in_port=63, ethertype=0x86DD), (), priority=1,
+                       name="not-key-only")
+
+
+def _taint_stage_one_match(fabric, core, hop):
+    core.rewrite_table.install(Match(), (SetEthSrc(mac("02:00:00:00:00:99")),),
+                               priority=1, name="mid-path-rewrite")
+
+
+def _taint_lossy_link(fabric, core, hop):
+    hop.out_port.link.loss_rate = 0.01
+
+
+def _taint_dead_link(fabric, core, hop):
+    hop.out_port.link.fail()
+
+
+@pytest.mark.parametrize("taint, core_is_asked", [
+    (_taint_rx_tap, False),
+    (_taint_unsafe_table, False),
+    (_taint_stage_one_match, False),
+    (_taint_lossy_link, True),
+    (_taint_dead_link, True),
+])
+def test_refused_compile_warms_only_the_switches_it_asked(taint,
+                                                          core_is_asked):
+    """What makes a hop impure is checked before the switch is asked for
+    its verdict, what makes its *link* unusable after: a refusal at the
+    core leaves the decision caches of the two switches before it warm,
+    the core's only when the verdict was needed, and nothing beyond."""
+    fabric = _converged()
+    cache = fabric.path_cache
+    node, in_index, frame = _cross_pod_item(fabric)
+    walked, _final = walk_decision_path(node, in_index, frame)
+    assert len(walked) == 5
+    for switch in fabric.switches.values():
+        switch.decision_cache.invalidate_all("test")
+    core = walked[2].node
+    taint(fabric, core, walked[2])
+    assert cache.resolve(node, frame, in_index) is None
+    assert cache.compile_failures == 1
+    key = decision_key(frame)
+    warm = {name for name, switch in fabric.switches.items()
+            if key in switch.decision_cache.plans}
+    asked = walked[:3] if core_is_asked else walked[:2]
+    assert warm == {hop.node.name for hop in asked}
+    # The verdict is registered against the switches entered, the core
+    # included: lifting the taint there must retire it.
+    negative = node._path_table[(in_index, key)]
+    assert [s.name for s in negative.switches] == [
+        hop.node.name for hop in walked[:3]]
 
 
 def test_fifo_eviction_bounds_the_table():
