@@ -57,43 +57,25 @@ hop-profile:
 bench-hybrid:
 	PYTHONPATH=src pytest benchmarks/bench_hybrid.py --benchmark-only -q
 
-# The invariant fault campaign (docs/VERIFY.md): every lane is the same
-# fixed-seed command plus the flags in its row, run as `make verify-<lane>`
-# (e.g. `make verify-fm`); `make verify` is the plain 25-scenario one.
-VERIFY = PYTHONPATH=src python -m repro.cli --seed 7 verify --scenarios
-# Fluid engine: the oracle checks every resolved flow path (docs/FLOWS.md).
-verify-flows-flags        = 25 --flow-mode
-# Probe pairs alternate between fluid flows and frame UDP streams on
-# capacity-coupled links.
-verify-hybrid-flags       = 25 --hybrid
-# Sharded over 4 worker processes: results identical to `make verify`.
-verify-parallel-flags     = 25 --parallel 4
-# acl-install/acl-revoke steps; justified drops, no acl-leak, no bulk
-# bytes ahead of priority frames (docs/POLICY.md).
-verify-policy-flags       = 25 --policy
-# 4-way FM shard cluster, batched override pushes, fm-restart and
-# fm-partition steps (docs/PROTOCOLS.md, fabric-manager section) ...
-verify-fm-flags           = 25 --fm-shards 4 --fm-ops --fm-batch 0.02
-# ... and the same at k=8 under host churn: a background ARP storm plus a
-# migration-weighted op mix stress soft-state refresh and the registry.
-verify-fm-churn-flags     = 5 --k 8 --fm-shards 4 --fm-ops --fm-batch 0.02 --churn
-# The cross-fabric conformance gate, one lane per topology backend
-# (docs/TOPOLOGIES.md).
-verify-topo-fattree-flags   = 25 --backend fattree
-verify-topo-jellyfish-flags = 25 --backend jellyfish
-verify-topo-twolayer-flags  = 25 --backend twolayer
+# The invariant fault campaign (docs/VERIFY.md) at its fixed seed. The
+# lanes are the rows of LANES in src/repro/verify/campaign.py:
+# `make verify-<lane>` runs one (e.g. `make verify-fm`), `make verify`
+# the default row, `make verify-all` every row (~4 min).
+VERIFY = PYTHONPATH=src python -m repro.cli --seed 7 verify
 
 verify:
-	$(VERIFY) 25
+	$(VERIFY)
+
+verify-all:
+	$(VERIFY) all
+
+# The cross-fabric conformance gate, one lane per topology backend
+# (docs/TOPOLOGIES.md).
+verify-topo:
+	$(VERIFY) default topo-jellyfish topo-twolayer
 
 verify-%:
-	$(if $($@-flags),,$(error no verify lane '$*'))
-	$(VERIFY) $($@-flags)
-
-verify-topo: verify-topo-fattree verify-topo-jellyfish verify-topo-twolayer
-
-verify-all: verify verify-flows verify-hybrid verify-parallel verify-policy \
-	verify-fm verify-fm-churn verify-topo
+	$(VERIFY) $*
 
 # Full cross-fabric conformance matrix (tier-1 runs only its smoke rows).
 test-topo:

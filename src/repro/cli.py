@@ -6,7 +6,7 @@ Installed as the ``portland-sim`` console script::
     portland-sim bringup --k 4           # LDP discovery timeline
     portland-sim convergence --failures 4
     portland-sim arp-load --rate 50
-    portland-sim verify --scenarios 25   # invariant fault campaign
+    portland-sim verify [LANE ... | all] # invariant fault campaign
     portland-sim flows --k 4             # fluid (flow-level) shuffle
 """
 
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from repro import LinkParams, Simulator, build_portland_fabric
 from repro.metrics.convergence import convergence_time, measure_outages
@@ -21,7 +22,7 @@ from repro.metrics.tables import format_table
 from repro.portland.config import PortlandConfig
 from repro.portland.messages import SwitchLevel
 from repro.topology.fattree import build_fat_tree
-from repro.topology.scheme import BACKEND_NAMES
+from repro.verify.campaign import LANES, run_campaign
 from repro.workloads.arp_workload import ArpStorm
 from repro.workloads.failures import FailureInjector, pick_failures
 from repro.workloads.traffic import UdpFlowSet, random_permutation_pairs
@@ -169,33 +170,37 @@ def cmd_flows(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    from repro.verify import CampaignConfig, run_campaign
+def _lane(name: str) -> str:
+    # A type check rather than ``choices``: argparse checks an empty
+    # ``nargs="*"`` list against ``choices`` as one value.
+    if name != "all" and name not in LANES:
+        raise argparse.ArgumentTypeError(
+            f"unknown lane {name!r} (choose from {', '.join(LANES)}, all)")
+    return name
 
-    config = CampaignConfig(
-        scenarios=args.scenarios, seed=args.seed,
-        backend=args.backend,
-        ks=tuple(args.k), steps=args.steps, parallel=args.parallel,
-        fabric=PortlandConfig(
-            path_cache_entries=4096 if args.path_cache else 0,
-            flow_mode="hybrid" if args.hybrid else args.flow_mode,
-            fm_shards=args.fm_shards,
-            fm_batch_interval_s=args.fm_batch),
-        fm_ops=args.fm_ops, policy=args.policy, churn=args.churn)
-    report = run_campaign(config, log=print if not args.quiet else None)
-    print(format_table(
-        ["seed", "k", "steps", "checked", "violations", "verdict"],
-        report.summary_rows(),
-        title=f"invariant campaign ({config.scenarios} scenarios, "
-              f"{config.backend})",
-    ))
-    if report.ok:
-        print("all invariants held")
-        return 0
-    print(f"{report.violation_count} violation(s); minimal reproducers:")
-    for reproducer in report.reproducers:
-        print(f"  {reproducer}")
-    return 1
+
+def cmd_verify(args: argparse.Namespace) -> int:
+    names = list(LANES) if "all" in args.lanes else args.lanes or ["default"]
+    status = 0
+    for name in names:
+        if len(names) > 1:
+            print(f"== lane {name}")
+        config = replace(LANES[name], seed=args.seed)
+        report = run_campaign(config, log=print if not args.quiet else None)
+        print(format_table(
+            ["seed", "k", "steps", "checked", "violations", "verdict"],
+            report.summary_rows(),
+            title=f"invariant campaign ({config.scenarios} scenarios, "
+                  f"{config.backend})",
+        ))
+        if report.ok:
+            print("all invariants held")
+            continue
+        status = 1
+        print(f"{report.violation_count} violation(s); minimal reproducers:")
+        for reproducer in report.reproducers:
+            print(f"  {reproducer}")
+    return status
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -229,41 +234,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "verify", help="property-based fault campaign over fabric invariants")
-    p.add_argument("--scenarios", type=int, default=25)
-    p.add_argument("--k", type=int, nargs="+", default=[4],
-                   help="fat-tree degrees to draw scenarios from")
-    p.add_argument("--backend", choices=BACKEND_NAMES, default="fattree",
-                   help="topology backend scenarios run on (k scales the "
-                        "non-fat-tree backends; see docs/TOPOLOGIES.md)")
-    p.add_argument("--path-cache", action="store_true",
-                   help="enable the compiled-path (cut-through) fast path "
-                        "in every scenario fabric")
-    p.add_argument("--flow-mode", action="store_true",
-                   help="run scenarios in flow-level (fluid) simulation "
-                        "mode: probes become fluid flows and the oracle "
-                        "checks every resolved flow path")
-    p.add_argument("--hybrid", action="store_true",
-                   help="run scenarios in hybrid fluid+frame mode: probe "
-                        "pairs alternate between fluid flows and frame "
-                        "UDP streams, coupled through shared link "
-                        "capacity (implies --flow-mode semantics)")
-    p.add_argument("--steps", type=int, default=4,
-                   help="random fault/migration steps per scenario")
-    p.add_argument("--fm-shards", type=int, default=0, metavar="N",
-                   help="shard the fabric manager N ways (0 = single FM)")
-    p.add_argument("--fm-batch", type=float, default=0.0, metavar="S",
-                   help="coalesce override pushes into S-second rounds")
-    p.add_argument("--fm-ops", action="store_true",
-                   help="add fm-restart/fm-partition steps to the op mix")
-    p.add_argument("--policy", action="store_true",
-                   help="add acl-install/acl-revoke steps and check the "
-                        "policy invariants (justified drops, no acl-leak)")
-    p.add_argument("--churn", action="store_true",
-                   help="run a background ARP storm and weight the op mix "
-                        "toward VM migrations (host-churn stress)")
-    p.add_argument("--parallel", type=int, default=1, metavar="N",
-                   help="shard scenarios over N worker processes "
-                        "(results identical to sequential)")
+    p.add_argument("lanes", nargs="*", metavar="LANE", type=_lane,
+                   help="campaign configurations to run, in order (default: "
+                        "default; 'all' runs every lane; docs/VERIFY.md): "
+                        + ", ".join(LANES))
     p.add_argument("--quiet", action="store_true",
                    help="suppress per-scenario progress lines")
     p.set_defaults(fn=cmd_verify)

@@ -43,10 +43,11 @@ from repro.flows.flow import Flow, FluidTcp, ResolvedPath
 from repro.host.tcp.congestion import DEFAULT_MSS, INITIAL_WINDOW_SEGMENTS
 from repro.host.tcp.connection import RECEIVE_WINDOW
 from repro.net.link import PER_FRAME_OVERHEAD_BYTES
+from repro.portland.control import CONTROL_DELAY_S
+from repro.portland.switch import PortlandSwitch
 from repro.sim.events import PRIORITY_LOW
 from repro.sim.process import Timer
 from repro.switching.hop_walk import walk_decision_path
-from repro.switching.switch import FlowSwitch
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.link import Link, Port
@@ -58,6 +59,11 @@ _EPS_BPS = 1e-3
 
 #: Default re-resolve period while flows are stalled or volatile.
 DEFAULT_RETRY_INTERVAL_S = 0.020
+
+#: Hybrid-mode utilization epoch: how often the engine samples frame
+#: bytes per direction to refresh the frame-load EWMA (and how fast
+#: fluid capacity reacts to foreground bursts).
+HYBRID_EPOCH_S = 0.005
 
 #: Gross wire occupancy of a zero-payload TCP control segment (SYN /
 #: pure ACK / FIN): the 64-byte minimum Ethernet frame plus preamble and
@@ -145,7 +151,6 @@ class FlowEngine:
         #: Hybrid fluid+frame execution: fluid allocations slow frame
         #: serialization, epoch-sampled frame load shrinks fluid capacity.
         self.hybrid = fabric.config.flow_mode == "hybrid"
-        self.epoch_s = fabric.config.hybrid_epoch_s
         if self.path_cache is not None:
             self.path_cache.add_invalidation_listener(self._on_invalidation)
         #: Admitted, not-yet-completed flows (stalled ones included).
@@ -462,10 +467,10 @@ class FlowEngine:
             return None
         edge_port = ingress_link.other_end(nic)
         edge = edge_port.node
-        if not isinstance(edge, FlowSwitch):
+        if not isinstance(edge, PortlandSwitch):
             return None
         compiled = None
-        if self.path_cache is not None and hasattr(edge, "_path_table"):
+        if self.path_cache is not None:
             compiled = self.path_cache.resolve(edge, frame, edge_port.index)
         if compiled is not None:
             hops = compiled.hops
@@ -505,7 +510,7 @@ class FlowEngine:
         # One ARP resolution through the edge's proxy + fabric manager:
         # two switch software traversals, the control round trip, one FM
         # service slot, the request/reply crossing the access link.
-        arp_s = (2.0 * config.agent_delay_s + 2.0 * config.control_delay_s
+        arp_s = (2.0 * config.agent_delay_s + 2.0 * CONTROL_DELAY_S
                  + config.fm_service_time_s
                  + 2.0 * (_ACK_GROSS_BYTES * 8.0 / first.rate_bps
                           + first.delay_s))
@@ -717,7 +722,7 @@ class FlowEngine:
         if self._dirty:
             self._kick()
         if self.flows:
-            self._epoch_timer.start(self.epoch_s)
+            self._epoch_timer.start(HYBRID_EPOCH_S)
 
     # ------------------------------------------------------------------
     # Timers
@@ -759,7 +764,7 @@ class FlowEngine:
         if not self.flows:
             self._epoch_timer.stop()
         elif self.hybrid and not self._epoch_timer.armed:
-            self._epoch_timer.start(self.epoch_s)
+            self._epoch_timer.start(HYBRID_EPOCH_S)
 
     # ------------------------------------------------------------------
     # Observability

@@ -59,7 +59,6 @@ from repro.portland.messages import (
 from repro.portland.pmac import Pmac, PmacAllocator
 from repro.portland.switch import PortlandSwitch
 from repro.sim.process import PeriodicTask, Timer
-from repro.switching.switch import SwitchAgent
 
 #: Debounce for neighbor reports to the fabric manager.
 REPORT_DEBOUNCE_S = 0.005
@@ -80,13 +79,14 @@ class HostRecord:
         self.registered = False
 
 
-class PortlandAgent(SwitchAgent):
-    """Control software for one PortLand switch."""
+class PortlandAgent:
+    """Control software for one PortLand switch: what its switch punts
+    (:meth:`on_packet_in`) and its carrier events reach."""
 
     def __init__(self, switch: PortlandSwitch, config: PortlandConfig,
                  scheme) -> None:
-        super().__init__(switch)
-        self.switch: PortlandSwitch = switch
+        self.switch = switch
+        self.sim = switch.sim
         self.config = config
         #: Topology scheme. When it resolves routes itself,
         #: ``_refresh_entries`` installs its ``route:`` entry set instead

@@ -46,15 +46,6 @@ class PortlandConfig:
     #: carry 10k+ background fluid flows under frame-level foreground
     #: flows of interest.
     flow_mode: bool | str = False
-    #: Hybrid-mode utilization epoch: how often the engine samples frame
-    #: bytes per direction to refresh the frame-load EWMA (and how fast
-    #: fluid capacity reacts to foreground bursts). Only read when
-    #: ``flow_mode == "hybrid"``.
-    hybrid_epoch_s: float = 0.005
-
-    #: Control-network link parameters (switch <-> fabric manager).
-    control_rate_bps: float = 1_000_000_000.0
-    control_delay_s: float = 20e-6
 
     #: Fabric-manager per-message service time (one CPU core).
     fm_service_time_s: float = 25e-6

@@ -11,19 +11,21 @@ from __future__ import annotations
 
 from repro.net.link import Link
 from repro.portland.agent import PortlandAgent
-from repro.portland.config import PortlandConfig
 from repro.portland.fabric_manager import FabricManager
 from repro.sim.simulator import Simulator
+
+#: Control-network link rate and propagation delay (switch <-> fabric
+#: manager).
+CONTROL_RATE_BPS = 1_000_000_000.0
+CONTROL_DELAY_S = 20e-6
 
 
 class ControlNetwork:
     """Wires agents to one fabric manager."""
 
-    def __init__(self, sim: Simulator, config: PortlandConfig | None = None,
-                 fabric_manager: FabricManager | None = None) -> None:
+    def __init__(self, sim: Simulator, fabric_manager: FabricManager) -> None:
         self.sim = sim
-        self.config = config or PortlandConfig()
-        self.fabric_manager = fabric_manager or FabricManager(sim, self.config)
+        self.fabric_manager = fabric_manager
         self.links: list[Link] = []
         #: switch id -> its control link (campaigns partition per switch).
         self.links_by_switch: dict[int, Link] = {}
@@ -37,8 +39,8 @@ class ControlNetwork:
             self.sim,
             switch_port,
             fm_port,
-            rate_bps=self.config.control_rate_bps,
-            delay_s=self.config.control_delay_s,
+            rate_bps=CONTROL_RATE_BPS,
+            delay_s=CONTROL_DELAY_S,
             name=f"ctl:{agent.switch.name}",
         )
         agent.fm_mac = self.fabric_manager.mac_for(agent.switch_id)

@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from repro.net.addresses import IPv4Address, MacAddress
 from repro.net.link import Port
 from repro.portland.config import PortlandConfig
+from repro.portland.control import CONTROL_DELAY_S
 from repro.portland.fabric_manager import FabricManager, FmHostRecord
 from repro.portland.messages import (
     ArpQuery,
@@ -386,8 +387,7 @@ class FmShardCluster:
             message = _Forwarded(message)
         self.intershard_messages += 1
         self.intershard_bytes += message.wire_length()
-        self.sim.schedule(self.config.control_delay_s,
-                          target.enqueue_internal, message)
+        self.sim.schedule(CONTROL_DELAY_S, target.enqueue_internal, message)
 
     def relay(self, sender: FabricManager, switch_id: int,
               message: FmMessage) -> None:

@@ -28,7 +28,7 @@ from repro.host.host import Host
 from repro.net.link import Link
 from repro.portland.ldp import edge_detect_s
 from repro.sim.simulator import Simulator
-from repro.topology.builder import LinkParams, PortlandFabric
+from repro.topology.builder import PortlandFabric
 
 
 @dataclass
@@ -50,7 +50,6 @@ class VmMigration:
         new_edge: str,
         new_port: int,
         downtime_s: float = 0.2,
-        link_params: LinkParams | None = None,
     ) -> None:
         self.fabric = fabric
         self.sim: Simulator = fabric.sim
@@ -58,7 +57,6 @@ class VmMigration:
         self.new_edge = new_edge
         self.new_port = new_port
         self.downtime_s = downtime_s
-        self.params = link_params or LinkParams()
         self.events = MigrationEvents()
         self._validate()
 
@@ -84,15 +82,8 @@ class VmMigration:
 
     def _attach(self) -> None:
         switch = self.fabric.switches[self.new_edge]
-        Link(
-            self.sim,
-            self.host.nic,
-            switch.port(self.new_port),
-            rate_bps=self.params.rate_bps,
-            delay_s=self.params.delay_s,
-            queue_bytes=self.params.queue_bytes,
-            carrier_detect=True,
-        )
+        Link(self.sim, self.host.nic, switch.port(self.new_port),
+             carrier_detect=True)
         self.events.attached_at = self.sim.now
         self.fabric.links[(self.host.name, self.new_edge)] = self.host.nic.link
         self.sim.trace.emit(self.sim.now, "migration.attached", self.host.name,

@@ -23,15 +23,19 @@ path cache and the hop walker read one kind of verdict in every mode.
 
 LDP frames and control-network frames bypass the tables entirely — they
 terminate in switch software, like protocol packets reaching a switch
-CPU port.
+CPU port. Anything punted there (via :class:`ToAgent`, LDP, the control
+port) reaches the switch's agent after a software-path delay, like an
+OpenFlow packet-in.
 """
 
 from __future__ import annotations
 
 from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable
 
 from repro.net.ethernet import ETHERTYPE_LDP, EthernetFrame
 from repro.net.link import Port
+from repro.net.node import Node
 from repro.sim.simulator import Simulator
 from repro.switching.decision_cache import (
     DEFAULT_CAPACITY,
@@ -39,12 +43,25 @@ from repro.switching.decision_cache import (
     Plan,
     compile_plan,
 )
-from repro.switching.path_cache import PathCache
-from repro.switching.flow_table import FlowTable, decision_key
-from repro.switching.switch import FlowSwitch
+from repro.switching.flow_table import (
+    Drop,
+    FlowTable,
+    Output,
+    OutputMany,
+    SelectByHash,
+    SetEthDst,
+    SetEthSrc,
+    ToAgent,
+    decision_key,
+    flow_hash,
+)
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.portland.agent import PortlandAgent
+    from repro.switching.path_cache import PathCache
 
 
-class PortlandSwitch(FlowSwitch):
+class PortlandSwitch(Node):
     """Data plane of a PortLand switch (any level)."""
 
     def __init__(
@@ -55,9 +72,18 @@ class PortlandSwitch(FlowSwitch):
         agent_delay_s: float = 50e-6,
         decision_cache_entries: int = DEFAULT_CAPACITY,
     ) -> None:
-        super().__init__(sim, name, num_ports, agent_delay_s=agent_delay_s,
-                         miss_to_agent=False)
+        super().__init__(sim, name, num_ports)
+        #: Stage 1 (edge MAC rewriting) and stage 2 (forwarding).
         self.rewrite_table = FlowTable()
+        self.table = FlowTable()
+        self.agent: PortlandAgent | None = None
+        #: Software (packet-in) path latency.
+        self.agent_delay_s = agent_delay_s
+        #: Frames dropped on a table miss (or punted with no agent).
+        self.miss_drops = 0
+        #: Optional tap invoked for every frame entering the tables
+        #: (testing hook).
+        self.rx_tap: Callable[[EthernetFrame, Port], None] | None = None
         self.control_port: Port | None = None
         self.decision_cache: DecisionCache | None = None
         if decision_cache_entries > 0:
@@ -109,7 +135,7 @@ class PortlandSwitch(FlowSwitch):
             # never queues, which would erase exactly the head-of-line
             # effect the priority classes exist to control.
             peer = in_port.peer
-            if peer is not None and not isinstance(peer.node, FlowSwitch):
+            if peer is not None and not isinstance(peer.node, PortlandSwitch):
                 path = path_cache.resolve(self, current, in_index)
                 if path is not None:
                     path_cache.launch(path, current)
@@ -143,6 +169,66 @@ class PortlandSwitch(FlowSwitch):
                 current = current.copy()
                 current.dst = set_dst
             port.send(current)
+
+    def apply_actions(self, frame: EthernetFrame, in_port: Port,
+                      actions) -> EthernetFrame | None:
+        """Execute an action list on a frame (the interpreter every
+        verdict without a pre-bound port runs).
+
+        Returns the frame as rewritten if the list only rewrote headers
+        (what the rewrite stage carries on to the forwarding table), and
+        ``None`` once an action has sent, punted or dropped it.
+        """
+        current = frame
+        consumed = False
+        for action in actions:
+            if isinstance(action, SetEthDst):
+                current = current.copy()
+                current.dst = action.mac
+                continue
+            if isinstance(action, SetEthSrc):
+                current = current.copy()
+                current.src = action.mac
+                continue
+            consumed = True
+            if isinstance(action, Output):
+                self.send_out(action.port, current, in_port)
+            elif isinstance(action, OutputMany):
+                for port_index in action.ports:
+                    if port_index != in_port.index:
+                        self.send_out(port_index, current.copy(), in_port)
+            elif isinstance(action, SelectByHash):
+                # Deliberately blind to link health: the installed group
+                # is the control plane's current belief, so packets keep
+                # flowing into a silently failed link until LDP (or
+                # carrier detection) updates the entry — exactly the
+                # window the convergence experiments measure.
+                if action.ports:
+                    self.send_out(
+                        action.ports[flow_hash(current) % len(action.ports)],
+                        current, in_port)
+            elif isinstance(action, ToAgent):
+                self.punt_to_agent(current, in_port, action.reason)
+            elif isinstance(action, Drop):
+                # Deliberate (policy) discard — recorded so campaigns can
+                # prove every ACL drop is justified and nothing else is.
+                if self.sim.trace.wants("verify.policy_drop"):
+                    self.sim.trace.emit(
+                        self.sim.now, "verify.policy_drop", self.name,
+                        in_port=in_port.index, reason=action.reason,
+                        src=current.src.value, dst=current.dst.value,
+                        ethertype=current.ethertype, payload=current.payload,
+                    )
+                break
+        return None if consumed else current
+
+    def send_out(self, port_index: int, frame: EthernetFrame,
+                 in_port: Port) -> None:
+        """Transmit on one port (never reflects back out the ingress)."""
+        if port_index == in_port.index:
+            return
+        if 0 <= port_index < len(self.ports):
+            self.ports[port_index].send(frame)
 
     # ------------------------------------------------------------------
     # Forwarding fast path
@@ -224,3 +310,27 @@ class PortlandSwitch(FlowSwitch):
         if self.control_port is None:
             return False
         return self.control_port.send(frame)
+
+    # ------------------------------------------------------------------
+    # Software path
+
+    def punt_to_agent(self, frame: EthernetFrame, in_port: Port,
+                      reason: str) -> None:
+        """Deliver a frame to the agent after the software-path delay."""
+        if self.agent is None:
+            self.miss_drops += 1
+            return
+        self.sim.schedule(self.agent_delay_s, self.agent.on_packet_in,
+                          frame, in_port, reason)
+
+    def on_port_down(self, port: Port) -> None:
+        if self.agent is not None:
+            self.agent.on_port_down(port)
+
+    def on_port_up(self, port: Port) -> None:
+        if self.agent is not None:
+            self.agent.on_port_up(port)
+
+    def attach_agent(self, agent: PortlandAgent) -> None:
+        """Install the software agent (does not start it)."""
+        self.agent = agent

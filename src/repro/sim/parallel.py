@@ -60,7 +60,7 @@ from repro.sim.events import PRIORITY_HIGH
 from repro.sim.stats import aggregate_counters
 
 #: Core-link propagation delay — the physically guaranteed lookahead
-#: (default ``LinkParams.delay_s``).
+#: (``repro.net.link.DEFAULT_DELAY_S``, every data link's delay).
 DEFAULT_LOOKAHEAD_S = 1e-6
 
 #: Default grant width. Replicas only exchange *control* messages, so

@@ -1,4 +1,5 @@
-"""Switch substrate: flow tables, chassis, and the baseline designs."""
+"""Switch substrate: flow tables, decision and path caches, the hop
+walk, and the baseline designs."""
 
 from repro.switching.flow_table import (
     Action,
@@ -19,7 +20,6 @@ from repro.switching.path_cache import CompiledPath, PathCache
 from repro.switching.learning import LearningSwitch
 from repro.switching.linkstate import LinkStateDatabase, Lsa, shortest_paths
 from repro.switching.stp import Bpdu, BridgeId, PortState, StpProcess
-from repro.switching.switch import FlowSwitch, SwitchAgent
 
 __all__ = [
     "Action",
@@ -27,7 +27,6 @@ __all__ = [
     "BridgeId",
     "CompiledPath",
     "FlowEntry",
-    "FlowSwitch",
     "FlowTable",
     "L3Router",
     "LearningSwitch",
@@ -43,7 +42,6 @@ __all__ = [
     "SetEthSrc",
     "StpProcess",
     "Subnet",
-    "SwitchAgent",
     "ToAgent",
     "flow_hash",
     "mac_prefix_mask",

@@ -61,7 +61,7 @@ class Plan(NamedTuple):
     then ``port.send``, unless ``port`` is where the frame came in. Every
     other verdict (punt, replication, drop, no action, a rewrite of the
     source or after the output) has ``port`` ``None`` and is executed by
-    ``FlowSwitch.apply_actions`` from ``actions``.
+    ``PortlandSwitch.apply_actions`` from ``actions``.
     """
 
     entry: FlowEntry

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.switching.switch import FlowSwitch
+from repro.portland.switch import PortlandSwitch
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.ethernet import EthernetFrame
@@ -82,8 +82,7 @@ def walk_decision_path(node, in_index: int, frame: "EthernetFrame",
     for _depth in range(MAX_WALK_HOPS):
         if node in visited:
             return hops, None
-        if pure and (getattr(node, "_forwarding_decision", None) is None
-                     or getattr(node, "rewrite_table", None) is None):
+        if pure and not isinstance(node, PortlandSwitch):
             return hops, None  # nothing to ask, nothing to register on
         visited.append(node)
         if pure and (not node.table.cache_safe or node.rx_tap is not None
@@ -110,7 +109,7 @@ def walk_decision_path(node, in_index: int, frame: "EthernetFrame",
         hops.append(Hop(node, in_index, entry, set_dst, link, out_port,
                         rx_port))
         node = rx_port.node
-        if not isinstance(node, FlowSwitch):
+        if not isinstance(node, PortlandSwitch):
             return hops, rx_port
         in_index = rx_port.index
         if set_dst is not None:

@@ -175,9 +175,6 @@ def _wire(sim, links, switches, hosts, tree: FatTree,
             sim,
             switches[wire.node_a].port(wire.port_a),
             switches[wire.node_b].port(wire.port_b),
-            rate_bps=params.rate_bps,
-            delay_s=params.delay_s,
-            queue_bytes=params.queue_bytes,
             carrier_detect=params.carrier_detect,
         )
     for wire in tree.host_wires:
@@ -185,8 +182,4 @@ def _wire(sim, links, switches, hosts, tree: FatTree,
             sim,
             hosts[wire.node_a].port(wire.port_a),
             switches[wire.node_b].port(wire.port_b),
-            rate_bps=params.rate_bps,
-            delay_s=params.delay_s,
-            queue_bytes=params.queue_bytes,
-            carrier_detect=params.host_carrier_detect,
         )

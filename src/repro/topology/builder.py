@@ -23,16 +23,13 @@ from repro.topology.scheme import FatTreeScheme, TopologyScheme
 
 @dataclass
 class LinkParams:
-    """Physical parameters applied to data-plane links."""
+    """Physical parameters applied to data-plane links (rate, delay
+    and queue are :class:`~repro.net.link.Link`'s defaults)."""
 
-    rate_bps: float = 1_000_000_000.0
-    delay_s: float = 1e-6
-    queue_bytes: int = 512 * 1024
     #: Whether switch-switch link failures raise carrier events. Turn
     #: off to force LDP-timeout-based detection (Fig. 10's regime).
+    #: Host links always detect carrier (NIC unplug is visible).
     carrier_detect: bool = True
-    #: Host links usually keep carrier detection (NIC unplug is visible).
-    host_carrier_detect: bool = True
     #: Strict-priority per-class egress queues on every link (see
     #: docs/POLICY.md). No-op while all traffic is class 0; False
     #: degrades classed traffic to FIFO service (the bench-policy
@@ -88,16 +85,13 @@ class PortlandFabric:
 
     def plug(self, wire: WireSpec, params: LinkParams) -> Link:
         """Create the data link ``wire`` describes (end *a* is a host for
-        host wires, which then follow ``host_carrier_detect``)."""
+        host wires, which always detect carrier)."""
         from_host = wire.node_a in self.hosts
         end_a = (self.hosts if from_host else self.switches)[wire.node_a]
         link = Link(
             self.sim, end_a.port(wire.port_a),
             self.switches[wire.node_b].port(wire.port_b),
-            rate_bps=params.rate_bps, delay_s=params.delay_s,
-            queue_bytes=params.queue_bytes,
-            carrier_detect=(params.host_carrier_detect if from_host
-                            else params.carrier_detect),
+            carrier_detect=from_host or params.carrier_detect,
             priority_queues=params.priority_queues)
         self.links[(wire.node_a, wire.node_b)] = link
         return link
@@ -243,7 +237,7 @@ def build_portland_fabric(
     else:
         manager = FabricManager(sim, config, computer=computer)
     fabric.fabric_manager = manager
-    fabric.control = control = ControlNetwork(sim, config, manager)
+    fabric.control = control = ControlNetwork(sim, manager)
     for agent in fabric.agents.values():
         control.connect(agent)
 

@@ -20,12 +20,14 @@ Three layers:
   violations, plus a ``check_now()`` entry point for the static checks;
 * :mod:`repro.verify.campaign` — seeded property-based fault campaigns
   (random failures, recoveries, VM migrations) with automatic shrinking
-  of failing scenarios to a minimal link set.
+  of failing scenarios to a minimal link set, run in the named
+  configurations of :data:`~repro.verify.campaign.LANES`.
 
 See ``docs/VERIFY.md`` for the invariants and the independence argument.
 """
 
 from repro.verify.campaign import (
+    LANES,
     CampaignConfig,
     CampaignReport,
     Reproducer,
@@ -53,6 +55,7 @@ __all__ = [
     "CampaignConfig",
     "CampaignReport",
     "InvariantOracle",
+    "LANES",
     "Reproducer",
     "ScenarioResult",
     "Violation",

@@ -11,10 +11,13 @@ failure is replayed bit-for-bit by rerunning with that seed.
 
 When a scenario fails on a set of concurrently failed links, the
 campaign *shrinks* it: links are removed one at a time and the static
-checks re-run on a fresh fabric, until no single link can be dropped
-without the violation disappearing. The result — seed, k, and a minimal
-link list — is the reproducer printed in the report (see
-``docs/VERIFY.md`` for how to replay one).
+checks re-run on a fresh fabric of the scenario's shape, until no single
+link can be dropped without the violation disappearing. The result —
+seed, k, and a minimal link list — is the reproducer printed in the
+report (see ``docs/VERIFY.md`` for how to replay one).
+
+The configurations the campaign is run in are the rows of :data:`LANES`,
+the one place a lane is spelled (``portland-sim verify LANE``).
 """
 
 from __future__ import annotations
@@ -32,9 +35,9 @@ from repro.verify.invariants import Violation
 from repro.verify.oracle import InvariantOracle
 
 
-@dataclass
+@dataclass(frozen=True)
 class CampaignConfig:
-    """Knobs for one campaign run."""
+    """Knobs for one campaign run (the named ones are :data:`LANES`)."""
 
     scenarios: int = 25
     seed: int = 7
@@ -44,19 +47,12 @@ class CampaignConfig:
     backend: str = "fattree"
     #: Fat-tree degrees to draw from, one per scenario.
     ks: tuple[int, ...] = (4,)
-    #: Random steps per scenario.
+    #: Random steps per scenario; a scenario stops at its first
+    #: violating step.
     steps: int = 4
-    #: Hosts wired per edge switch (fewer than k/2 leaves migration targets).
-    hosts_per_edge: int = 1
-    #: Settling time after fail/recover steps before invariants are checked.
-    settle_s: float = 0.4
-    #: Settling time after a migration step (downtime + adoption grace).
-    migrate_settle_s: float = 1.2
     #: Probe flows kept running so the runtime oracle sees real traffic.
     probe_pairs: int = 4
     probe_rate_pps: float = 200.0
-    #: Max links taken down by a single multi-link failure step.
-    max_links_per_failure: int = 3
     #: Allow VM-migration steps.
     migrate: bool = True
     #: Add live Jellyfish-expansion steps to the op mix (jellyfish
@@ -67,10 +63,6 @@ class CampaignConfig:
     #: the splice needs an even switch degree, so it engages on odd
     #: ``ks`` (degree ``k-1``) and records a skip otherwise.
     expand: bool = False
-    #: Stop a scenario at its first violating step.
-    stop_on_violation: bool = True
-    #: How many failing scenarios to shrink (shrinking rebuilds fabrics).
-    max_shrinks: int = 3
     #: Shape of every scenario fabric, carried whole. With ``flow_mode``
     #: on, probes become open-ended fluid flows and the oracle also
     #: checks every ``verify.flow`` hop list (loop freedom, up*-down*
@@ -82,8 +74,6 @@ class CampaignConfig:
     #: flag; ``fm_shards`` / ``fm_batch_interval_s`` pick the
     #: fabric-manager deployment.
     fabric: PortlandConfig = field(default_factory=PortlandConfig)
-    #: Payload rate per fluid probe flow (flow-mode scenarios only).
-    fluid_probe_bps: float = 50e6
     #: Worker processes scenarios are sharded over (1 = in-process
     #: sequential). Scenarios are independent by construction — each
     #: builds a fresh fabric from its own derived seed — so results are
@@ -94,15 +84,9 @@ class CampaignConfig:
     #: (crash the FM — or one random cluster server — mid-campaign) and,
     #: on sharded fabrics, ``fm-partition`` (sever one shard's control
     #: links and its cluster-internal delivery for a window, then heal).
-    #: Implies a fast soft-state refresh so scenarios heal within
-    #: ``fm_settle_s``.
+    #: Implies a fast soft-state refresh (:data:`FM_REFRESH_S`) so
+    #: scenarios heal within :data:`FM_SETTLE_S`.
     fm_ops: bool = False
-    #: Settle after an FM op (must cover heal + ≥2 refresh cycles).
-    fm_settle_s: float = 1.6
-    #: Soft-state refresh period used when ``fm_ops`` is on.
-    fm_refresh_s: float = 0.5
-    #: How long a partitioned shard stays severed before healing.
-    fm_partition_s: float = 0.3
     #: Add edge-ACL steps to the op mix: ``acl-install`` blocks a random
     #: host pair through the fabric manager (cluster-routed on sharded
     #: fabrics) and ``acl-revoke`` lifts a previously installed rule.
@@ -115,8 +99,39 @@ class CampaignConfig:
     #: registry (and, with ``policy``, the ACL re-push machinery) is
     #: exercised under continuous re-registration traffic.
     churn: bool = False
-    #: Aggregate ARP-storm rate while ``churn`` is on (queries/s).
-    churn_rate_pps: float = 200.0
+
+
+#: The verify lanes: every configuration the campaign is run in, by name
+#: (``portland-sim verify LANE``, ``make verify-LANE``). A configuration
+#: that is not a lane is ``dataclasses.replace`` on a row.
+LANES: dict[str, CampaignConfig] = {
+    "default": CampaignConfig(),
+    # Fluid probes; the oracle checks every resolved flow path.
+    "flows": CampaignConfig(fabric=PortlandConfig(flow_mode=True)),
+    # Probe pairs alternate between fluid flows and frame UDP streams on
+    # capacity-coupled links.
+    "hybrid": CampaignConfig(fabric=PortlandConfig(flow_mode="hybrid")),
+    # Sharded over 4 worker processes: results identical to "default".
+    "parallel": CampaignConfig(parallel=4),
+    # acl-install/acl-revoke steps: justified drops, no acl-leak.
+    "policy": CampaignConfig(policy=True),
+    # 4-way FM shard cluster, batched override pushes, fm-restart and
+    # fm-partition steps ...
+    "fm": CampaignConfig(
+        fabric=PortlandConfig(fm_shards=4, fm_batch_interval_s=0.02),
+        fm_ops=True),
+    # ... and the same at k=8 under host churn.
+    "fm-churn": CampaignConfig(
+        scenarios=5, ks=(8,),
+        fabric=PortlandConfig(fm_shards=4, fm_batch_interval_s=0.02),
+        fm_ops=True, churn=True),
+    # The cross-fabric conformance gate (the fat tree is "default").
+    "topo-jellyfish": CampaignConfig(backend="jellyfish"),
+    "topo-twolayer": CampaignConfig(backend="twolayer"),
+    # Compiled-path (cut-through) transit under every fault.
+    "path-cache": CampaignConfig(
+        fabric=PortlandConfig(path_cache_entries=4096)),
+}
 
 
 @dataclass
@@ -209,14 +224,30 @@ def scenario_seed_for(config: CampaignConfig, index: int) -> int:
 # One scenario
 
 
-def _converged_fabric(sim: Simulator, k: int, hosts_per_edge: int,
-                      config: PortlandConfig | None = None,
-                      backend: str = "fattree", topo_seed: int = 0):
-    scheme = scheme_for_backend(backend, k=k, hosts_per_edge=hosts_per_edge,
+#: Hosts wired per edge switch (fewer than k/2 leaves migration targets).
+HOSTS_PER_EDGE = 1
+#: Soft-state refresh period of the fabric when ``fm_ops`` is on.
+FM_REFRESH_S = 0.5
+
+
+def _converged_fabric(sim: Simulator, k: int, config: CampaignConfig,
+                      topo_seed: int):
+    """A converged fabric of the shape ``config``'s scenarios run on —
+    the one fabric a scenario, its static re-check and its shrinking
+    all build."""
+    shape = config.fabric
+    if config.fm_ops:
+        shape = replace(shape, soft_state_refresh_s=FM_REFRESH_S)
+    scheme = scheme_for_backend(config.backend, k=k,
+                                hosts_per_edge=HOSTS_PER_EDGE,
                                 topo_seed=topo_seed)
-    fabric = build_portland_fabric(sim, config=config, scheme=scheme)
+    fabric = build_portland_fabric(sim, config=shape, scheme=scheme)
     fabric.bring_up()
     return fabric
+
+
+#: Payload rate per fluid probe flow (flow-mode scenarios only).
+FLUID_PROBE_BPS = 50e6
 
 
 def _start_probes(fabric, rng: random.Random, config: CampaignConfig):
@@ -234,7 +265,7 @@ def _start_probes(fabric, rng: random.Random, config: CampaignConfig):
             # re-resolving (and re-emitting ``verify.flow``) after every
             # fault step — exactly the trajectories the oracle must vet.
             fabric.flow_engine.start_flow(
-                src, dst.ip, demand_bps=config.fluid_probe_bps,
+                src, dst.ip, demand_bps=FLUID_PROBE_BPS,
                 dport=6000 + i, name=f"probe-{i}")
         else:
             # Frame-level probes — all of them in frame mode, every
@@ -294,9 +325,13 @@ class _MigrationPlanner:
             scheme.host_port_capacity(expansion.new_switch) - occupied)
 
 
-def _fm_partition(fabric, rng: random.Random, config: CampaignConfig) -> str:
+#: How long a partitioned shard stays severed before healing.
+FM_PARTITION_S = 0.3
+
+
+def _fm_partition(fabric, rng: random.Random) -> str:
     """Partition the fabric manager (or one shard of it) from the control
-    network for ``config.fm_partition_s`` seconds, then heal.
+    network for :data:`FM_PARTITION_S` seconds, then heal.
 
     Sharded cluster: pick one shard, cut the control links of every switch
     homed on it and mark the shard partitioned (inter-shard traffic to/from
@@ -330,8 +365,20 @@ def _fm_partition(fabric, rng: random.Random, config: CampaignConfig) -> str:
 
     for link in links:
         link.fail()
-    sim.schedule(config.fm_partition_s, heal)
+    sim.schedule(FM_PARTITION_S, heal)
     return label
+
+
+#: Settling time after fail/recover steps before invariants are checked.
+SETTLE_S = 0.4
+#: Settling time after a migration step (downtime + adoption grace).
+MIGRATE_SETTLE_S = 1.2
+#: Settling time after an FM op (must cover heal + ≥2 refresh cycles).
+FM_SETTLE_S = 1.6
+#: Max links taken down by a single multi-link failure step.
+MAX_LINKS_PER_FAILURE = 3
+#: Aggregate background ARP-storm rate while ``churn`` is on (queries/s).
+CHURN_RATE_PPS = 200.0
 
 
 def run_scenario(scenario_seed: int, config: CampaignConfig) -> ScenarioResult:
@@ -342,18 +389,14 @@ def run_scenario(scenario_seed: int, config: CampaignConfig) -> ScenarioResult:
     result = ScenarioResult(seed=scenario_seed, k=k)
 
     sim = Simulator(seed=scenario_seed)
-    shape = config.fabric
-    if config.fm_ops:
-        shape = replace(shape, soft_state_refresh_s=config.fm_refresh_s)
-    fabric = _converged_fabric(sim, k, config.hosts_per_edge, shape,
-                               backend=config.backend, topo_seed=scenario_seed)
+    fabric = _converged_fabric(sim, k, config, topo_seed=scenario_seed)
     oracle = InvariantOracle(fabric)
     _start_probes(fabric, rng, config)
     if config.churn:
         from repro.workloads.arp_workload import ArpStorm
 
         ArpStorm(sim, fabric.host_list(),
-                 per_host_rate=config.churn_rate_pps
+                 per_host_rate=CHURN_RATE_PPS
                  / max(1, len(fabric.host_list())),
                  rng=random.Random(scenario_seed ^ 0x5A5A)).start()
     sim.run(until=sim.now + 0.1)
@@ -371,8 +414,8 @@ def run_scenario(scenario_seed: int, config: CampaignConfig) -> ScenarioResult:
         by_switch.setdefault(b, []).append((a, b))
 
     for _step in range(config.steps):
-        settle = config.settle_s
-        alive = [link for link in candidates if link not in failed]
+        settle = SETTLE_S
+        alive =[link for link in candidates if link not in failed]
         ops = ["fail", "fail", "fail-switch", "recover"]
         if config.migrate:
             ops.append("migrate")
@@ -395,7 +438,7 @@ def run_scenario(scenario_seed: int, config: CampaignConfig) -> ScenarioResult:
             op = "acl-install"
 
         if op == "fail":
-            count = rng.randint(1, min(config.max_links_per_failure, len(alive)))
+            count = rng.randint(1, min(MAX_LINKS_PER_FAILURE, len(alive)))
             chosen = rng.sample(alive, count)
             for pair in chosen:
                 failed[pair] = fabric.link_between(*pair)
@@ -424,7 +467,7 @@ def run_scenario(scenario_seed: int, config: CampaignConfig) -> ScenarioResult:
             VmMigration(fabric, host, new_edge=edge, new_port=port,
                         downtime_s=0.1).start()
             planner.commit(host, edge, port)
-            settle = config.migrate_settle_s
+            settle = MIGRATE_SETTLE_S
             result.steps.append(f"migrate {host}->{edge}:{port}")
         elif op == "expand":
             from repro.errors import TopologyError
@@ -447,7 +490,7 @@ def run_scenario(scenario_seed: int, config: CampaignConfig) -> ScenarioResult:
                 by_switch.setdefault(a, []).append((a, b))
                 by_switch.setdefault(b, []).append((a, b))
             planner.adopt_switch(fabric, expansion)
-            settle = max(settle, config.migrate_settle_s)
+            settle = max(settle, MIGRATE_SETTLE_S)
             result.steps.append(
                 f"expand +{expansion.new_switch}"
                 f" (spliced {len(expansion.spliced)})")
@@ -461,10 +504,10 @@ def run_scenario(scenario_seed: int, config: CampaignConfig) -> ScenarioResult:
             else:
                 fm.restart()
                 result.steps.append("fm-restart")
-            settle = max(settle, config.fm_settle_s)
+            settle = max(settle, FM_SETTLE_S)
         elif op == "fm-partition":
-            settle = max(settle, config.fm_settle_s)
-            result.steps.append(_fm_partition(fabric, rng, config))
+            settle = max(settle, FM_SETTLE_S)
+            result.steps.append(_fm_partition(fabric, rng))
         elif op == "acl-install":
             src, dst = rng.sample(hosts, 2)
             fabric.fabric_manager.install_acl(src.ip, dst.ip)
@@ -477,7 +520,7 @@ def run_scenario(scenario_seed: int, config: CampaignConfig) -> ScenarioResult:
 
         sim.run(until=sim.now + settle)
         oracle.check_now()
-        if oracle.violations and config.stop_on_violation:
+        if oracle.violations:
             break
 
     result.failed_links = sorted(failed)
@@ -494,19 +537,22 @@ def run_scenario(scenario_seed: int, config: CampaignConfig) -> ScenarioResult:
 # Shrinking
 
 
-def static_violations_for_links(k: int, links, hosts_per_edge: int = 1,
-                                settle_s: float = 0.6,
-                                sim_seed: int = 1,
-                                backend: str = "fattree",
+#: Settling time of a static re-check after its links are failed.
+STATIC_SETTLE_S = 0.6
+
+
+def static_violations_for_links(k: int, links,
+                                config: CampaignConfig | None = None,
                                 topo_seed: int = 0) -> list[Violation]:
     """Static-check violations after failing ``links`` simultaneously on
-    a fresh, converged fabric. The reproduction predicate for shrinking."""
-    sim = Simulator(seed=sim_seed)
-    fabric = _converged_fabric(sim, k, hosts_per_edge,
-                               backend=backend, topo_seed=topo_seed)
+    a fresh, converged fabric of ``config``'s shape (its ``fabric``,
+    backend and FM-op refresh period; the default row when omitted). The
+    reproduction predicate for shrinking."""
+    sim = Simulator(seed=1)
+    fabric = _converged_fabric(sim, k, config or CampaignConfig(), topo_seed)
     for a, b in links:
         fabric.link_between(a, b).fail()
-    sim.run(until=sim.now + settle_s)
+    sim.run(until=sim.now + STATIC_SETTLE_S)
     oracle = InvariantOracle(fabric, track_hops=False)
     found = oracle.check_now()
     oracle.close()
@@ -514,20 +560,19 @@ def static_violations_for_links(k: int, links, hosts_per_edge: int = 1,
 
 
 def shrink_failure_links(k: int, links, predicate=None,
-                         hosts_per_edge: int = 1,
-                         backend: str = "fattree",
+                         config: CampaignConfig | None = None,
                          topo_seed: int = 0) -> list[tuple[str, str]]:
     """Greedy one-at-a-time minimisation of a failing link set.
 
     ``predicate(candidate_links) -> bool`` decides whether the violation
     still reproduces; the default re-runs the static checks on a fresh
-    fabric. Returns a subset no single element of which can be removed.
+    fabric of ``config``'s shape. Returns a subset no single element of
+    which can be removed.
     """
     if predicate is None:
         def predicate(candidate):
             return bool(static_violations_for_links(
-                k, candidate, hosts_per_edge=hosts_per_edge,
-                backend=backend, topo_seed=topo_seed))
+                k, candidate, config, topo_seed=topo_seed))
     current = list(links)
     changed = True
     while changed:
@@ -588,12 +633,17 @@ def _compute_results(config: CampaignConfig) -> list[ScenarioResult]:
     return [_scenario_worker(payload) for payload in payloads]
 
 
+#: How many failing scenarios a campaign shrinks (shrinking rebuilds
+#: fabrics).
+MAX_SHRINKS = 3
+
+
 def run_campaign(config: CampaignConfig | None = None,
                  log=None) -> CampaignReport:
     """Run a full campaign. ``log`` (e.g. ``print``) gets progress lines."""
     config = config or CampaignConfig()
     report = CampaignReport(config=config)
-    shrinks_left = config.max_shrinks
+    shrinks_left = MAX_SHRINKS
     for index, result in enumerate(_compute_results(config)):
         seed = result.seed
         report.results.append(result)
@@ -606,15 +656,11 @@ def run_campaign(config: CampaignConfig | None = None,
             continue
         kinds = tuple(sorted({v.kind for v in result.violations}))
         if result.failed_links and shrinks_left > 0 and bool(
-                static_violations_for_links(
-                    result.k, result.failed_links,
-                    hosts_per_edge=config.hosts_per_edge,
-                    backend=config.backend, topo_seed=seed)):
+                static_violations_for_links(result.k, result.failed_links,
+                                            config, topo_seed=seed)):
             shrinks_left -= 1
-            minimal = shrink_failure_links(
-                result.k, result.failed_links,
-                hosts_per_edge=config.hosts_per_edge,
-                backend=config.backend, topo_seed=seed)
+            minimal = shrink_failure_links(result.k, result.failed_links,
+                                           config=config, topo_seed=seed)
             reproducer = Reproducer(seed, result.k, minimal, kinds,
                                     static=True, backend=config.backend)
         else:

@@ -38,7 +38,7 @@ from repro.switching.flow_table import (
     SetEthSrc,
     ToAgent,
 )
-from repro.switching.switch import FlowSwitch
+from repro.portland.switch import PortlandSwitch
 from repro.verify.invariants import Violation, agents_by_switch_id
 
 #: Walk-depth backstop; a fat-tree unicast path has at most 5 switch hops,
@@ -48,7 +48,7 @@ MAX_PATH_LEN = 16
 
 def _branches(entry: FlowEntry, frame: EthernetFrame, in_port: int):
     """All (out_port, frame) pairs ``entry`` could produce, plus whether
-    any action punts to the agent. Mirrors ``FlowSwitch.apply_actions``,
+    any action punts to the agent. Mirrors ``PortlandSwitch.apply_actions``,
     with ``SelectByHash`` expanded to every member port."""
     outs: list[tuple[int, EthernetFrame]] = []
     punted = False
@@ -95,7 +95,7 @@ def walk_unicast(fabric, src_host, dst_record, dst_host,
     if attach.link is None or attach.link.failed or attach.peer is None:
         return []  # source is detached (mid-migration): nothing on the wire
     first_switch = attach.peer.node
-    if not isinstance(first_switch, FlowSwitch):
+    if not isinstance(first_switch, PortlandSwitch):
         return []
     agents = agents_by_switch_id(fabric)
     src_agent = fabric.agents.get(first_switch.name)
@@ -128,7 +128,7 @@ def walk_unicast(fabric, src_host, dst_record, dst_host,
                 continue
             peer = port.peer
             next_node = peer.node
-            if isinstance(next_node, FlowSwitch):
+            if isinstance(next_node, PortlandSwitch):
                 if next_node.name in path or len(path) >= MAX_PATH_LEN:
                     violations.append(Violation(
                         "loop", next_node.name, now,

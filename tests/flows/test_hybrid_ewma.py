@@ -19,12 +19,12 @@ that smaller achieved load instead of the stream's rate.
 
 import pytest
 
+from repro.flows.engine import HYBRID_EPOCH_S as EPOCH_S
 from repro.host.apps.udp_stream import UdpStreamSender
 from repro.portland.config import PortlandConfig
 from repro.sim import Simulator
 from repro.topology import LinkParams, build_portland_fabric
 
-EPOCH_S = 0.005
 STREAM_BPS = 20e6
 PAYLOAD = 500
 FLUID_DEMAND_BPS = 100e6
@@ -34,7 +34,7 @@ def hybrid_fabric(seed=71):
     sim = Simulator(seed=seed)
     fabric = build_portland_fabric(
         sim, k=4,
-        config=PortlandConfig(flow_mode="hybrid", hybrid_epoch_s=EPOCH_S),
+        config=PortlandConfig(flow_mode="hybrid"),
         link_params=LinkParams(carrier_detect=True))
     fabric.start()
     fabric.run_until_located()

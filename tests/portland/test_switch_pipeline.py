@@ -18,7 +18,6 @@ from repro.switching.flow_table import (
     SetEthSrc,
     ToAgent,
 )
-from repro.switching.switch import SwitchAgent
 
 
 class Sink(Node):
@@ -30,18 +29,23 @@ class Sink(Node):
         self.received.append(frame)
 
 
-class Recorder(SwitchAgent):
-    def __init__(self, switch):
-        super().__init__(switch)
+class Recorder:
+    def __init__(self):
         self.punts = []
 
     def on_packet_in(self, frame, in_port, reason):
         self.punts.append((frame, reason))
 
+    def on_port_down(self, port):
+        pass
+
+    def on_port_up(self, port):
+        pass
+
 
 def build(sim):
     switch = PortlandSwitch(sim, "psw", 3, agent_delay_s=1e-6)
-    agent = Recorder(switch)
+    agent = Recorder()
     switch.attach_agent(agent)
     sinks = [Sink(sim, f"s{i}") for i in range(3)]
     for i, sink in enumerate(sinks):
@@ -200,7 +204,7 @@ def test_plan_execution_equals_the_interpreter(actions, ingresses,
         sim = Simulator()
         switch = PortlandSwitch(sim, "psw", 3, agent_delay_s=1e-6,
                                 decision_cache_entries=cache_entries)
-        agent = Recorder(switch)
+        agent = Recorder()
         switch.attach_agent(agent)
         sinks = [Sink(sim, f"s{i}") for i in range(3)]
         for i, sink in enumerate(sinks):

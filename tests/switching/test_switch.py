@@ -1,8 +1,10 @@
-"""Unit tests for the FlowSwitch chassis and its agent hook."""
+"""Unit tests for the switch data path's action interpreter and its
+agent hook (a PortlandSwitch with nothing but a forwarding table)."""
 
 from repro.net import AppData, EthernetFrame, Link, mac
 from repro.net.ethernet import ETHERTYPE_IPV4
 from repro.net.node import Node
+from repro.portland.switch import PortlandSwitch
 from repro.sim import Simulator
 from repro.switching.flow_table import (
     Match,
@@ -13,7 +15,6 @@ from repro.switching.flow_table import (
     SetEthSrc,
     ToAgent,
 )
-from repro.switching.switch import FlowSwitch, SwitchAgent
 
 
 class Sink(Node):
@@ -25,9 +26,8 @@ class Sink(Node):
         self.received.append(frame)
 
 
-class RecordingAgent(SwitchAgent):
-    def __init__(self, switch):
-        super().__init__(switch)
+class RecordingAgent:
+    def __init__(self):
         self.punted = []
         self.downs = []
         self.ups = []
@@ -43,7 +43,7 @@ class RecordingAgent(SwitchAgent):
 
 
 def build(sim, ports=4):
-    switch = FlowSwitch(sim, "sw", ports, agent_delay_s=1e-6)
+    switch = PortlandSwitch(sim, "sw", ports, agent_delay_s=1e-6)
     sinks = []
     for i in range(ports):
         sink = Sink(sim, f"s{i}")
@@ -74,17 +74,6 @@ def test_miss_drops_by_default():
     sim.run()
     assert switch.miss_drops == 1
     assert all(not s.received for s in sinks)
-
-
-def test_miss_to_agent_punts():
-    sim = Simulator()
-    switch, _ = build(sim)
-    switch.miss_to_agent = True
-    agent = RecordingAgent(switch)
-    switch.attach_agent(agent)
-    switch.receive(frame(), switch.port(0))
-    sim.run()
-    assert agent.punted[0][2] == "table-miss"
 
 
 def test_rewrite_then_output():
@@ -135,7 +124,7 @@ def test_select_by_hash_is_deterministic_and_ignores_liveness():
 def test_to_agent_action_with_reason():
     sim = Simulator()
     switch, _ = build(sim)
-    agent = RecordingAgent(switch)
+    agent = RecordingAgent()
     switch.attach_agent(agent)
     switch.table.install(Match(), (ToAgent("why"),))
     switch.receive(frame(), switch.port(0))
@@ -145,8 +134,8 @@ def test_to_agent_action_with_reason():
 
 def test_agent_delay_applies():
     sim = Simulator()
-    switch = FlowSwitch(sim, "sw", 2, agent_delay_s=0.005)
-    agent = RecordingAgent(switch)
+    switch = PortlandSwitch(sim, "sw", 2, agent_delay_s=0.005)
+    agent = RecordingAgent()
     switch.attach_agent(agent)
     switch.table.install(Match(), (ToAgent("slow"),))
     times = []
@@ -159,7 +148,7 @@ def test_agent_delay_applies():
 def test_carrier_events_reach_agent():
     sim = Simulator()
     switch, sinks = build(sim)
-    agent = RecordingAgent(switch)
+    agent = RecordingAgent()
     switch.attach_agent(agent)
     link = switch.port(2).link
     link.carrier_detect = True
@@ -169,11 +158,3 @@ def test_carrier_events_reach_agent():
     link.recover()
     sim.run()
     assert 2 in agent.ups
-
-
-def test_flood_respects_allowed_set():
-    sim = Simulator()
-    switch, sinks = build(sim)
-    switch.flood(frame(), switch.port(0), allowed={1, 3})
-    sim.run()
-    assert [len(s.received) for s in sinks] == [0, 1, 0, 1]

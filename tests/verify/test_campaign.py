@@ -7,10 +7,16 @@ the single causal link. With the real implementation, campaigns must
 come back clean.
 """
 
+from dataclasses import replace
+
 import pytest
 
 import repro.portland.faults as faults
+from repro.portland.config import PortlandConfig
+from repro.portland.fm_shard import FmShardCluster
+from repro.portland.messages import FaultUpdate
 from repro.verify.campaign import (
+    LANES,
     CampaignConfig,
     Reproducer,
     run_campaign,
@@ -81,11 +87,45 @@ def test_mutation_caught_by_campaign_with_reproducer(monkeypatch):
         assert static_violations_for_links(reproducer.k, reproducer.links)
 
 
+def test_shrinker_uses_the_lane_fabric(monkeypatch):
+    # Break the sharded FM: its cluster never relays an override push to
+    # the switch. The blackhole exists only on a sharded fabric, so the
+    # re-check and the shrinking must build the scenario's own fabric.
+    relay = FmShardCluster.relay
+
+    def relay_all_but_overrides(self, sender, switch_id, message):
+        if not isinstance(message, FaultUpdate):
+            relay(self, sender, switch_id, message)
+
+    monkeypatch.setattr(FmShardCluster, "relay", relay_all_but_overrides)
+    config = CampaignConfig(scenarios=1, seed=11, steps=4, probe_pairs=2,
+                            probe_rate_pps=100.0, migrate=False,
+                            fabric=PortlandConfig(fm_shards=4))
+    report = run_campaign(config)
+    assert not report.ok
+    reproducer = report.reproducers[0]
+    assert reproducer.static, str(reproducer)
+    assert static_violations_for_links(reproducer.k, reproducer.links, config,
+                                       topo_seed=reproducer.scenario_seed)
+
+
+@pytest.mark.parametrize("lane", LANES)
+def test_every_lane_runs_one_step_cleanly(lane):
+    report = run_campaign(replace(LANES[lane], scenarios=1, steps=1))
+    assert report.ok, [str(v) for r in report.results for v in r.violations]
+    assert len(report.results) == 1
+
+
+def test_lanes_are_distinct():
+    rows = list(LANES.values())
+    assert all(a != b for i, a in enumerate(rows) for b in rows[i + 1:])
+
+
 @pytest.mark.campaign
 def test_full_campaign_25_scenarios():
     # The 'make verify' workload as a test: excluded from tier-1 runs by
     # the default '-m "not campaign"' addopts.
-    report = run_campaign(CampaignConfig(scenarios=25, seed=7))
+    report = run_campaign(LANES["default"])
     assert report.ok, "\n".join(
         str(v) for result in report.results for v in result.violations)
 

@@ -10,10 +10,12 @@ abstraction: after any fail/recover/migrate sequence, do flows only
 ever occupy valid paths (or stall honestly)?
 """
 
+from dataclasses import replace
+
 import pytest
 
-from repro.portland.config import PortlandConfig
 from repro.verify.campaign import (
+    LANES,
     CampaignConfig,
     run_campaign,
     run_scenario,
@@ -22,10 +24,9 @@ from repro.verify.campaign import (
 
 
 def quick_config(**overrides) -> CampaignConfig:
-    defaults = dict(scenarios=3, seed=11, steps=3, probe_pairs=2,
-                    fabric=PortlandConfig(flow_mode=True))
+    defaults = dict(scenarios=3, seed=11, steps=3, probe_pairs=2)
     defaults.update(overrides)
-    return CampaignConfig(**defaults)
+    return replace(LANES["flows"], **defaults)
 
 
 def test_small_flow_mode_campaign_is_clean():
@@ -65,8 +66,7 @@ def test_faults_force_reresolution():
 def test_full_flow_mode_campaign_25_scenarios():
     # The 'make verify-flows' workload as a test: excluded from tier-1
     # runs by the default '-m "not campaign"' addopts.
-    report = run_campaign(CampaignConfig(
-        scenarios=25, seed=7, fabric=PortlandConfig(flow_mode=True)))
+    report = run_campaign(LANES["flows"])
     assert report.ok, "\n".join(
         str(v) for result in report.results for v in result.violations)
     assert sum(result.flow_paths for result in report.results) > 25

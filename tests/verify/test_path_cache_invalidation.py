@@ -15,7 +15,7 @@ from repro.host.apps import UdpStreamReceiver, UdpStreamSender
 from repro.portland.config import PortlandConfig
 from repro.sim import Simulator
 from repro.topology import build_portland_fabric
-from repro.verify.campaign import CampaignConfig, run_campaign
+from repro.verify.campaign import LANES, run_campaign
 from repro.verify.oracle import InvariantOracle
 from repro.verify.walk import check_all_pairs_delivery
 
@@ -107,8 +107,7 @@ def test_recovery_invalidates_again_and_stays_clean():
 def test_full_campaign_25_scenarios_with_path_cache():
     # The oracle-checked fault repertoire (multi-link failures, switch
     # failures, recoveries, migrations) with cut-through transit on.
-    report = run_campaign(CampaignConfig(
-        scenarios=25, seed=7, fabric=PortlandConfig(path_cache_entries=4096)))
+    report = run_campaign(LANES["path-cache"])
     assert report.ok, "\n".join(
         str(v) for result in report.results for v in result.violations)
     launches = sum(result.path_launches for result in report.results)

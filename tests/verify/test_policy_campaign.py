@@ -8,6 +8,8 @@ silently removed behind the FM's back, the campaign's oracle must
 report the leak.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.portland.config import PortlandConfig
@@ -15,6 +17,7 @@ from repro.sim import Simulator
 from repro.topology import LinkParams, build_portland_fabric
 from repro.verify import InvariantOracle
 from repro.verify.campaign import (
+    LANES,
     CampaignConfig,
     run_campaign,
     run_scenario,
@@ -24,9 +27,9 @@ from repro.verify.campaign import (
 
 def quick_config(**overrides) -> CampaignConfig:
     defaults = dict(scenarios=3, seed=11, steps=3, probe_pairs=2,
-                    probe_rate_pps=100.0, policy=True)
+                    probe_rate_pps=100.0)
     defaults.update(overrides)
-    return CampaignConfig(**defaults)
+    return replace(LANES["policy"], **defaults)
 
 
 def converged(sim, shards=0):
@@ -67,12 +70,12 @@ def test_policy_scenarios_are_deterministic():
     assert first.hops == second.hops
 
 
-@pytest.mark.slow
+@pytest.mark.campaign
 def test_policy_campaign_full_25_scenarios():
     """The `make verify-policy` acceptance lane, in-process: 25
     scenarios of faults, migrations, and ACL churn with zero
     unjustified drops and zero leaks."""
-    report = run_campaign(CampaignConfig(scenarios=25, seed=7, policy=True))
+    report = run_campaign(LANES["policy"])
     assert report.ok, report.reproducers
     assert report.violation_count == 0
 
