@@ -67,6 +67,9 @@ class PortCounters:
 class Port:
     """One attachment point on a node. At most one link per port."""
 
+    __slots__ = ("node", "index", "link", "_tx", "_counters", "_arriving",
+                 "enabled")
+
     def __init__(self, node: "Node", index: int) -> None:
         self.node = node
         self.index = index
@@ -139,7 +142,9 @@ class _Direction:
                  "fluid_tx_bytes", "class_tx_bytes", "class_drops")
 
     def __init__(self) -> None:
-        self.queue: deque[EthernetFrame] = deque()
+        # Best-effort FIFO, created by the first frame that has to wait:
+        # most directions never queue anything.
+        self.queue: deque[EthernetFrame] | None = None
         self.queued_bytes = 0
         # The latest frame put on the wire stops serializing at
         # ``busy_until``, and ``done_seq`` holds the place in the
@@ -178,7 +183,7 @@ class _Direction:
 
     def clear(self) -> None:
         """Drop what is queued or being serialized (the link was cut)."""
-        self.queue.clear()
+        self.queue = None
         self.queued_bytes = 0
         self.transmitting = False
         self.busy_until = _NEVER
@@ -188,6 +193,11 @@ class _Direction:
 
 class Link:
     """A full-duplex point-to-point link."""
+
+    __slots__ = ("sim", "a", "b", "rate_bps", "delay_s", "queue_bytes",
+                 "carrier_detect", "failed", "name", "_sec_per_byte",
+                 "_state_listeners", "loss_rate", "_loss_rng", "_directions",
+                 "priority_queues")
 
     def __init__(
         self,
@@ -384,6 +394,8 @@ class Link:
             if queues is None:
                 queues = direction.class_queues = {}
             queues.setdefault(frame.tclass, deque()).append(frame)
+        elif direction.queue is None:
+            direction.queue = deque((frame,))
         else:
             direction.queue.append(frame)
         direction.queued_bytes += size

@@ -32,7 +32,7 @@ def mac_prefix_mask(prefix_bits: int) -> int:
     return MAC_MASK_ALL ^ ((1 << (48 - prefix_bits)) - 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Match:
     """Fields a frame must satisfy. ``None`` means wildcard.
 
@@ -152,7 +152,7 @@ Action = (Output | OutputMany | SelectByHash | SetEthDst | SetEthSrc
           | ToAgent | Drop)
 
 
-@dataclass
+@dataclass(slots=True)
 class FlowEntry:
     """One table entry: match + priority + action list + counters."""
 

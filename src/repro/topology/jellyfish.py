@@ -24,8 +24,6 @@ from __future__ import annotations
 
 import random
 
-import networkx as nx
-
 from repro.errors import TopologyError
 from repro.topology.fattree import FatTree, HostSpec, WireSpec, host_ip, host_mac
 
@@ -49,6 +47,8 @@ def random_regular_connected(degree: int, num_switches: int, seed: int,
             f"jellyfish degree must be in [2, {num_switches - 1}], got {degree}")
     if (degree * num_switches) % 2:
         raise TopologyError("degree * num_switches must be even")
+    import networkx as nx
+
     for i in range(attempts):
         graph = nx.random_regular_graph(degree, num_switches, seed=seed + i)
         if nx.is_connected(graph):
@@ -161,6 +161,8 @@ def expand_jellyfish(tree: FatTree, seed: int = 0) -> FatTree:
 
 def jellyfish_graph(tree: FatTree) -> "nx.Graph":
     """The integer-node switch graph of a Jellyfish structure."""
+    import networkx as nx
+
     graph = nx.Graph()
     graph.add_nodes_from(range(len(tree.edge_names)))
     index = {name: i for i, name in enumerate(tree.edge_names)}

@@ -38,8 +38,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from repro.errors import TopologyError
 from repro.portland import faults
 from repro.portland.messages import SwitchLevel
@@ -49,6 +47,7 @@ from repro.switching.stp import bridge_mac_for
 from repro.topology.fattree import FatTree, build_fat_tree
 from repro.topology.jellyfish import build_jellyfish
 from repro.topology.twolayer import build_twolayer
+from repro.topology.validate import to_graph
 from repro.workloads.failures import switch_link_names
 
 
@@ -64,13 +63,14 @@ class StaticLocation:
     host_ports: frozenset[int] = field(default_factory=frozenset)
 
 
-def _switch_graph(tree: FatTree) -> "nx.Graph":
-    """Switch-only adjacency graph (names as nodes)."""
-    graph = nx.Graph()
-    graph.add_nodes_from(tree.edge_names + tree.agg_names + tree.core_names)
+def _switch_adjacency(tree: FatTree) -> dict[str, list[str]]:
+    """Switch name -> neighbouring switch names, in wiring order."""
+    adjacency: dict[str, list[str]] = {
+        name: [] for name in tree.edge_names + tree.agg_names + tree.core_names}
     for wire in tree.switch_wires:
-        graph.add_edge(wire.node_a, wire.node_b)
-    return graph
+        adjacency[wire.node_a].append(wire.node_b)
+        adjacency[wire.node_b].append(wire.node_a)
+    return adjacency
 
 
 def _wired_host_ports(tree: FatTree) -> dict[str, frozenset[int]]:
@@ -95,10 +95,10 @@ class TopologyScheme:
 
     def __init__(self, tree: FatTree) -> None:
         self.tree = tree
-        self._graph = _switch_graph(tree)
+        self._adjacency = _switch_adjacency(tree)
         #: switch name <-> 48-bit switch id (the management MAC LDP uses).
         self.id_by_name = {node: bridge_mac_for(node).value
-                          for node in self._graph.nodes}
+                          for node in self._adjacency}
         self.name_by_id = {sid: node for node, sid in self.id_by_name.items()}
 
     # -- locator assignment -------------------------------------------
@@ -164,11 +164,13 @@ class TopologyScheme:
         """
         if src_edge == dst_edge:
             return [(src_edge,)]
+        import networkx as nx
+
+        graph = to_graph(self.tree)
         if limit is None:
-            paths = nx.all_shortest_paths(self._graph, src_edge, dst_edge)
+            paths = nx.all_shortest_paths(graph, src_edge, dst_edge)
         else:
-            generator = nx.shortest_simple_paths(self._graph, src_edge,
-                                                 dst_edge)
+            generator = nx.shortest_simple_paths(graph, src_edge, dst_edge)
             paths = (path for path, _i in zip(generator, range(limit)))
         return [tuple(path) for path in paths]
 
@@ -203,12 +205,11 @@ class TopologyScheme:
 
     def _all_neighbors_heard(self, fabric) -> bool:
         """Every switch's LDP neighbor table covers its wired links."""
-        for node in self._graph.nodes:
+        for node, nbrs in self._adjacency.items():
             agent = fabric.agents[node]
             heard = {info.switch_id
                      for info in agent.ldp.neighbors.values()}
-            expected = {self.id_by_name[nbr]
-                        for nbr in self._graph.neighbors(node)}
+            expected = {self.id_by_name[nbr] for nbr in nbrs}
             if not expected <= heard:
                 return False
         return True
@@ -373,7 +374,9 @@ class JellyfishScheme(TopologyScheme):
         #: switch name -> PMAC locator (== index; build_jellyfish caps
         #: the switch count below the pod field's I/G-bit ceiling).
         self.locator = {node: i for i, node in enumerate(tree.edge_names)}
-        self._dist = dict(nx.all_pairs_shortest_path_length(self._graph))
+        import networkx as nx
+
+        self._dist = dict(nx.all_pairs_shortest_path_length(to_graph(tree)))
         #: (src name, dst name) -> static next-hop neighbor names.
         self._next_hops: dict[tuple[str, str], tuple[str, ...]] = {}
         for src in tree.edge_names:
@@ -382,7 +385,7 @@ class JellyfishScheme(TopologyScheme):
                     continue
                 here = self._dist[src][dst]
                 self._next_hops[(src, dst)] = tuple(sorted(
-                    nbr for nbr in self._graph.neighbors(src)
+                    nbr for nbr in self._adjacency[src]
                     if self._dist[nbr][dst] == here - 1))
 
     def rewire(self, tree: FatTree) -> None:

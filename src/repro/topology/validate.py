@@ -1,8 +1,10 @@
-"""Wiring validation and graph export for topology structures."""
+"""Wiring validation and graph export for topology structures.
+
+networkx is imported by the functions that use it, so importing this
+module (as ``repro.topology`` does) does not load it.
+"""
 
 from __future__ import annotations
-
-import networkx as nx
 
 from repro.errors import TopologyError
 from repro.topology.fattree import FatTree
@@ -14,6 +16,8 @@ def validate_tree(tree: FatTree) -> None:
     Raises :class:`TopologyError` on: duplicate port usage, dangling
     endpoints, disconnected fabric, or hosts wired to non-edge switches.
     """
+    import networkx as nx
+
     switch_names = set(tree.edge_names + tree.agg_names + tree.core_names)
     if len(switch_names) != (len(tree.edge_names) + len(tree.agg_names)
                              + len(tree.core_names)):
@@ -46,6 +50,8 @@ def validate_tree(tree: FatTree) -> None:
 
 def to_graph(tree: FatTree, include_hosts: bool = False) -> "nx.Graph":
     """Export the structure as a networkx graph (for analysis/tests)."""
+    import networkx as nx
+
     graph = nx.Graph()
     for name in tree.edge_names:
         graph.add_node(name, level="edge")
@@ -66,6 +72,8 @@ def to_graph(tree: FatTree, include_hosts: bool = False) -> "nx.Graph":
 def bisection_paths(tree: FatTree) -> int:
     """Count of edge-disjoint shortest paths between two sample pods —
     a quick structural sanity metric used in tests."""
+    import networkx as nx
+
     graph = to_graph(tree)
     if len(tree.edge_names) < 2:
         return 0
