@@ -1,6 +1,6 @@
 # Convenience targets for the PortLand reproduction.
 
-.PHONY: install test bench ledger ledger-smoke ledger-test ledger-driver ledger-pairs hop-profile bench-hybrid bench-topo bench-parallel bench-fm bench-policy examples loc verify verify-all verify-topo test-topo all
+.PHONY: install test bench ledger ledger-smoke ledger-test ledger-driver ledger-pairs verify-pairs hop-profile bench-hybrid bench-topo bench-parallel bench-fm bench-policy examples loc verify verify-all verify-topo test-topo all
 
 install:
 	pip install -e .
@@ -73,6 +73,13 @@ verify-all:
 # (docs/TOPOLOGIES.md).
 verify-topo:
 	$(VERIFY) default topo-jellyfish topo-twolayer
+
+# Every lane of the working tree against PARENT's, line by line, both
+# at --seed 7: `make verify-pairs PARENT=HEAD~1` (~5 min). Fails if any
+# lane's output differs; a change that claims to leave the simulation
+# alone claims exactly this.
+verify-pairs:
+	python3 benchmarks/verify_pairs.py --parent $(PARENT)
 
 verify-%:
 	$(VERIFY) $*

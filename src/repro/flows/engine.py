@@ -244,7 +244,7 @@ class FlowEngine:
         self._recompute_pending = True
         self.sim.schedule(0.0, self._recompute, priority=PRIORITY_LOW)
 
-    def _on_invalidation(self, _source: str, _reason: str) -> None:
+    def _on_invalidation(self) -> None:
         """Dirty the flows whose compiled path the invalidation retired
         and every stalled or volatile one (it may have opened them a
         path). One that touched nobody — negative verdicts, paths of

@@ -234,17 +234,12 @@ class PortlandAgent:
         key = (message.prefix.value, message.prefix_len)
         self._fault_overrides[key] = message.avoid_neighbor_ids
         self._install(self._fault_spec(key))
-        # A changed table flushed through its listener; a FaultUpdate
-        # that re-prescribes the installed entry changes nothing there,
-        # and this flush is the only one.
-        self.switch.flush_decisions("fault-update")
 
     def _on_fault_clear(self, message: FaultClear) -> None:
         key = (message.prefix.value, message.prefix_len)
         self._fault_overrides.pop(key, None)
         self.switch.table.remove_by_name(
             f"fault:{MacAddress(key[0])}/{key[1]}")
-        self.switch.flush_decisions("fault-clear")
 
     def _on_mcast_install(self, message: McastInstall) -> None:
         self._install(fwd.mcast_group(message.group_mac, message.ports))
@@ -255,28 +250,18 @@ class PortlandAgent:
     def _on_disable_link(self, message: DisableLink) -> None:
         self.fm_blocked_neighbors.add(message.neighbor_id)
         self._refresh_entries()
-        # ECMP memberships just changed shape: retire any decision
-        # that could still steer a flow into the disabled link even
-        # if _refresh_entries found the table already right.
-        self.switch.flush_decisions("link-disable")
 
     def _on_enable_link(self, message: EnableLink) -> None:
         self.fm_blocked_neighbors.discard(message.neighbor_id)
         self._refresh_entries()
-        self.switch.flush_decisions("link-enable")
 
     def _on_policy_install(self, message: PolicyInstall) -> None:
         self._install(fwd.acl_drop(message.port, message.dst_pmac,
                                    str(message.src_ip), str(message.dst_ip)))
-        # A re-push that reproduces the installed entry leaves the
-        # table alone, and must still retire any cached verdict
-        # predating the ACL.
-        self.switch.flush_decisions("acl-install")
 
     def _on_policy_revoke(self, message: PolicyRevoke) -> None:
         self.switch.table.remove_by_name(
             f"acl:{message.src_ip}->{message.dst_ip}")
-        self.switch.flush_decisions("acl-revoke")
 
     # ------------------------------------------------------------------
     # LDP listener callbacks
@@ -299,11 +284,6 @@ class PortlandAgent:
         self._reported_failed[port_index] = info.switch_id
         self.send_to_fm(LinkFail(self.switch_id, port_index, info.switch_id))
         self._refresh_entries()
-        # Same rationale as Disable/EnableLink: a lost neighbour can
-        # leave the table as it was (e.g. a core whose per-pod entry
-        # survives on another link), yet decisions and compiled paths
-        # made while it was alive must not outlive it.
-        self.switch.flush_decisions("neighbor-lost")
 
     def request_pod(self) -> None:
         self.send_to_fm(PodRequest(self.switch_id))

@@ -142,7 +142,8 @@ class FabricManager(Node):
         #: Messages dropped as undecodable or of a type with no handler.
         self.malformed_dropped = 0
         #: Prescriptive override traffic (per-switch cache invalidation
-        #: pressure: every update/clear flushes that switch's decisions).
+        #: pressure: an update/clear that changes a switch's table
+        #: flushes that switch's decisions).
         self.override_updates_sent = 0
         self.override_clears_sent = 0
         #: Recompute-work accounting: rounds of recompute+diff and

@@ -14,10 +14,11 @@ hash-resolved actions and, for a unicast verdict, the egress port and
 destination rewrite — memoised by (dst PMAC, ethertype, IP protocol,
 flow hash), so steady-state forwarding costs one dict probe and one
 ``port.send`` per hop instead of a priority-ordered match scan and an
-action interpreter. Every table mutation — entry installs and removals,
-fault-override diffs, ECMP membership refreshes — flushes the cache
-through the table's change listener, and the agent additionally flushes
-explicitly when the fabric manager changes link/override state. With
+action interpreter. A plan is compiled from one table entry and the
+switch's ports, so the table's change listener is the one thing that
+retires it: every entry install or removal — fault-override diffs and
+ECMP membership refreshes included — flushes the cache, and a message
+that leaves the table as it was leaves the plans too. With
 the cache off or bypassed the same plan is compiled per frame, so the
 path cache and the hop walker read one kind of verdict in every mode.
 
@@ -89,7 +90,6 @@ class PortlandSwitch(Node):
         if decision_cache_entries > 0:
             self.decision_cache = DecisionCache(
                 self.table, decision_cache_entries, self.ports)
-            self.decision_cache.on_flush = self._trace_cache_flush
         #: Shared fabric-level compiled-path cache (wired by the topology
         #: builder when ``PortlandConfig.path_cache_entries > 0``).
         self.path_cache: PathCache | None = None
@@ -257,18 +257,6 @@ class PortlandSwitch(Node):
                     else compile_plan(entry, key[3], self.ports))
         return plan
 
-    def flush_decisions(self, reason: str = "explicit") -> None:
-        """Drop all cached forwarding decisions (control-plane hook).
-
-        Fans out to the fabric-level path cache: every compiled path
-        traversing this switch was derived from the decisions being
-        flushed, so it dies with them.
-        """
-        if self.decision_cache is not None:
-            self.decision_cache.invalidate_all(reason)
-        if self.path_cache is not None:
-            self.path_cache.invalidate_switch(self, reason)
-
     def _miss(self, frame: EthernetFrame, in_index: int, **detail) -> None:
         """No entry matched: the frame is dropped, and counted."""
         self.miss_drops += 1
@@ -277,11 +265,6 @@ class PortlandSwitch(Node):
                                 payload=frame.payload, dst=frame.dst.value,
                                 ethertype=frame.ethertype, in_port=in_index,
                                 **detail)
-
-    def _trace_cache_flush(self, reason: str) -> None:
-        if self.sim.trace.wants("switch.cache_flush"):
-            self.sim.trace.emit(self.sim.now, "switch.cache_flush", self.name,
-                                reason=reason)
 
     def inject(self, frame: EthernetFrame, from_port_index: int = -1) -> None:
         """Run a software-generated frame through the forwarding table

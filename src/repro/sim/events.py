@@ -168,21 +168,6 @@ class EventQueue:
             return None
         return self._heap[0][0]
 
-    def pop_before(self, bound: float) -> Event | None:
-        """Remove and return the earliest live event *strictly before*
-        ``bound``, or ``None`` when the next live event is at or past it.
-
-        The drain primitive of the sharded kernel's conservative window
-        protocol: a shard repeatedly pops events below its granted
-        horizon and leaves everything at/after it untouched for the next
-        window. Uses ``peek_time`` first so cancelled entries at the top
-        are reclaimed whether or not anything is returned.
-        """
-        next_time = self.peek_time()
-        if next_time is None or next_time >= bound:
-            return None
-        return self.pop()
-
     def note_cancelled(self) -> None:
         """Inform the queue that one queued event was cancelled.
 

@@ -20,13 +20,15 @@ Correctness rests on two guarantees:
   that legitimately depends on the ingress port (``OutputMany``'s
   ingress exclusion, the no-reflection rule) is re-applied when the
   plan is executed, not baked into it.
-* **Invalidation** — the cache registers itself as a change listener on
-  the table, so every install/remove (base entries, fault-override
-  diffs, ECMP membership refreshes pushed by the fabric manager) flushes
-  all cached verdicts before the next lookup. A whole-cache flush keeps
-  the hook O(1); table changes are control-plane-rare next to packets.
-  A plan holds a ``Port``, which a node never replaces; whether that
-  port is enabled and wired is ``Port.send``'s question, per frame.
+* **Invalidation** — a plan is a function of one table entry and the
+  switch's ports, so the table's change listener is the only thing that
+  retires it: every install/remove (base entries, fault-override diffs,
+  ECMP membership refreshes pushed by the fabric manager) flushes all
+  cached verdicts before the next lookup, and nothing else does. A
+  whole-cache flush keeps the hook O(1); table changes are
+  control-plane-rare next to packets. A plan holds a ``Port``, which a
+  node never replaces; whether that port is enabled and wired is
+  ``Port.send``'s question, per frame.
 """
 
 from __future__ import annotations
@@ -89,7 +91,7 @@ def compile_plan(entry: FlowEntry, fhash: int,
 class DecisionCache:
     """Memoised forwarding decisions for one :class:`FlowTable`."""
 
-    __slots__ = ("_ports", "_capacity", "plans", "on_flush",
+    __slots__ = ("_ports", "_capacity", "plans",
                  "hits", "misses", "installs", "evictions", "flushes")
 
     def __init__(self, table: FlowTable, capacity: int = DEFAULT_CAPACITY,
@@ -104,8 +106,6 @@ class DecisionCache:
         #: per-frame path and counts the hit; everyone else goes through
         #: :meth:`lookup` / :meth:`install`.
         self.plans: dict[DecisionKey, Plan] = {}
-        #: Optional ``callback(reason)`` observing flushes (trace hook).
-        self.on_flush = None
         self.hits = 0
         self.misses = 0
         self.installs = 0
@@ -137,12 +137,10 @@ class DecisionCache:
         self.installs += 1
         return plan
 
-    def invalidate_all(self, reason: str = "table-change") -> None:
+    def invalidate_all(self) -> None:
         """Drop every cached decision."""
         self.plans.clear()
         self.flushes += 1
-        if self.on_flush is not None:
-            self.on_flush(reason)
 
     def _on_table_change(self) -> None:
         # Cheap when already empty (common during convergence bursts

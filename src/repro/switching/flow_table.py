@@ -183,7 +183,8 @@ class FlowTable:
 
     def __init__(self) -> None:
         self._entries: list[FlowEntry] = []
-        #: Bumped on every mutation; caches compare against it.
+        #: Bumped on every mutation: a count of changes for tests to
+        #: read. Caches hear of a change through the listeners instead.
         self.version = 0
         self._listeners: list = []
         # Entries whose match inspects fields outside the decision key

@@ -54,6 +54,7 @@ class Hop:
 def walk_decision_path(node, in_index: int, frame: "EthernetFrame",
                        require_live: bool = False, pure: bool = False,
                        visited: list | None = None,
+                       links: list | None = None,
                        ) -> tuple[list[Hop], "Port | None"]:
     """Follow the per-switch decision layer from ``node`` to a host port.
 
@@ -64,7 +65,9 @@ def walk_decision_path(node, in_index: int, frame: "EthernetFrame",
     unwired output port, a revisited switch (forwarding loop), or — with
     ``require_live`` — a hop whose link cannot currently carry the
     frame. ``hops`` always holds the traversals completed before the
-    dead end, and ``visited`` (if given) collects the switches entered.
+    dead end, ``visited`` (if given) collects the switches entered and
+    ``links`` (if given) the links read: each hop's, and the one a walk
+    stopped at because it could not (or, ``pure``, would not) use it.
 
     ``pure`` is the compiled-path cache's mode: live, and every hop
     provably a function of (ingress port, decision key) alone — it also
@@ -100,6 +103,8 @@ def walk_decision_path(node, in_index: int, frame: "EthernetFrame",
         link = out_port.link
         if link is None:
             return hops, None
+        if links is not None:
+            links.append(link)
         rx_port = link.other_end(out_port)
         if live and not (out_port.enabled and rx_port.enabled
                          and link.can_carry(out_port)):

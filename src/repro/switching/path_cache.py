@@ -33,19 +33,19 @@ off (it is disabled by default — see ``PortlandConfig.path_cache_entries``).
 Compilation refuses (and caches a negative verdict) whenever any hop is
 not provably pure: a non-``cache_safe`` table, an rx tap, a mid-path
 rewrite-table match, punts/multicast/empty actions, a reflected output,
-a down/disabled/unwired port, or a lossy link. Negative verdicts are
-registered against everything walked, so the state change that makes the
-path compilable retires them too.
+a down/disabled/unwired port, or a lossy link.
 
-Invalidation mirrors the decision cache exactly, per path:
+One rule retires a verdict, positive or negative: a compiled path dies
+when a table or a link its walk read changes —
 
-* every flow-table **and** rewrite-table mutation of any switch on the
-  path (change listeners);
-* explicit agent flushes (``PortlandSwitch.flush_decisions`` fans out to
-  ``invalidate_switch`` — FaultUpdate/FaultClear, Disable/EnableLink,
-  neighbour loss);
-* carrier-state changes of any traversed link
-  (``Link.add_state_listener`` — fail, fail_direction, recover, detach).
+* a flow-table **or** rewrite-table mutation of any switch the walk
+  entered (change listeners);
+* a carrier-state change of any link the walk read, the one a refused
+  walk stopped at included (``Link.add_state_listener`` — fail,
+  fail_direction, recover, detach).
+
+Nothing else does: a control message that leaves every table as it was
+leaves every path too.
 
 A frame already launched when its path is invalidated is handled like an
 in-flight frame: at delivery time the stored hops are revalidated
@@ -74,8 +74,8 @@ class CompiledPath:
 
     A negative verdict (``final_port is None``) records that this key is
     not compilable under the current fabric state; it is registered
-    against everything the failed dry-walk visited so the next relevant
-    state change retires it.
+    against every switch and link the failed dry-walk read, so the next
+    relevant state change retires it.
     """
 
     __slots__ = ("key", "ingress", "hops", "links", "entries",
@@ -121,8 +121,8 @@ class PathCache:
         # switch's tables or a link's carrier state change.
         self._by_switch: dict = {}
         self._by_link: dict = {}
-        #: Called as ``listener(source, reason)`` after every invalidation
-        #: that killed at least one path. The flow-level engine
+        #: Called as ``listener()`` after every invalidation that killed
+        #: at least one path. The flow-level engine
         #: (:mod:`repro.flows`) hangs its rate-recompute trigger off this:
         #: any fabric-state change that retires a compiled path — fault
         #: overrides, link disable/enable, carrier loss — must also
@@ -239,9 +239,11 @@ class PathCache:
         port, or return a negative verdict at the first impure hop."""
         self.compiles += 1
         switches: list = []
+        links: list = []
         hops, final_port = walk_decision_path(ingress, in_index, frame,
-                                              pure=True, visited=switches)
-        links = tuple(hop.link for hop in hops)
+                                              pure=True, visited=switches,
+                                              links=links)
+        links = tuple(links)
         if final_port is None:
             self.compile_failures += 1
             return CompiledPath(key, ingress, (), links, (), (), (),
@@ -292,12 +294,6 @@ class PathCache:
             if bucket is not None:
                 bucket.discard(path)
 
-    def invalidate_switch(self, switch, reason: str = "flush") -> int:
-        """Retire every path traversing ``switch`` (the
-        ``flush_decisions`` fan-out and table-change hook)."""
-        return self._invalidate(self._by_switch.get(switch), switch.name,
-                                reason)
-
     def _on_switch_change(self, switch) -> None:
         self._invalidate(self._by_switch.get(switch), switch.name,
                          "table-change")
@@ -306,13 +302,13 @@ class PathCache:
         self._invalidate(self._by_link.get(link), link.name, "link-state")
 
     def add_invalidation_listener(self, listener) -> None:
-        """Call ``listener(source, reason)`` after every invalidation
-        that retired at least one path (positive or negative verdict)."""
+        """Call ``listener()`` after every invalidation that retired at
+        least one path (positive or negative verdict)."""
         self._invalidation_listeners.append(listener)
 
-    def _invalidate(self, bucket, source: str, reason: str) -> int:
+    def _invalidate(self, bucket, source: str, reason: str) -> None:
         if not bucket:
-            return 0
+            return
         killed = len(bucket)
         for path in list(bucket):
             self._kill(path)
@@ -322,8 +318,7 @@ class PathCache:
             trace.emit(self.sim.now, "switch.path_flush", source,
                        reason=reason, killed=killed)
         for listener in self._invalidation_listeners:
-            listener(source, reason)
-        return killed
+            listener()
 
     # ------------------------------------------------------------------
     # Observability

@@ -13,6 +13,7 @@ import pytest
 from repro.portland.config import PortlandConfig
 from repro.sim import Simulator
 from repro.topology import build_portland_fabric
+from repro.topology.builder import LinkParams
 
 GBPS = 1e9
 
@@ -215,3 +216,32 @@ def test_rate_log_records_outage_span(flow_fabric):
     assert rates[0] > 0
     assert 0.0 in rates
     assert rates[-1] > 0
+
+
+def test_flow_recompiles_after_a_flap_shorter_than_ldp_can_see():
+    """A silent 1 ms cut of the flow's uplink is over before LDP misses
+    a keepalive, so no table changes: the link's recovery alone has to
+    retire the refused compile that stopped at it. Otherwise the flow
+    stays interpreted and volatile for the rest of the run."""
+    sim = Simulator(seed=3)
+    fabric = build_portland_fabric(sim, k=4,
+                                   config=PortlandConfig(flow_mode=True),
+                                   link_params=LinkParams(carrier_detect=False))
+    fabric.bring_up()
+    engine = fabric.flow_engine
+    hosts = {host.name: host for host in fabric.host_list()}
+    flow = engine.start_flow(hosts["host-p0-e0-0"], hosts["host-p2-e0-0"].ip,
+                             demand_bps=50e6)
+    _settle(fabric)
+    uplink = flow._path.segments[1][0]
+    assert uplink.name == "edge-p0-s0[2]<->agg-p0-s0[0]"
+    assert flow._path.compiled is not None
+    uplink.fail()
+    _settle(fabric, dt=0.001)
+    assert flow._path is None or flow._path.compiled is None
+    uplink.recover()
+    _settle(fabric, dt=0.2)
+    assert flow._path.compiled is not None
+    assert uplink in [link for link, _port in flow._path.segments]
+    assert not engine._unstable
+    assert fabric.path_cache.no_path_hits <= 1

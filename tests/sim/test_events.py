@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
+from repro.sim import Simulator
 from repro.sim.events import PRIORITY_HIGH, PRIORITY_LOW, PRIORITY_NORMAL, EventQueue
 
 
@@ -138,53 +139,31 @@ def test_queue_stats_counters():
 
 
 # ----------------------------------------------------------------------
-# Bounded draining (the sharded kernel's run_before substrate)
-
-
-def test_pop_before_respects_bound():
-    q = EventQueue()
-    q.push(1.0, lambda: None, ())
-    q.push(2.0, lambda: None, ())
-    q.push(3.0, lambda: None, ())
-    assert q.pop_before(2.0).time == 1.0
-    assert q.pop_before(2.0) is None          # 2.0 is not strictly before
-    assert q.pop_before(2.0 + 1e-12).time == 2.0
-    assert q.pop_before(10.0).time == 3.0
-    assert q.pop_before(10.0) is None         # empty
-
-
-def test_pop_before_skips_cancelled_heads():
-    q = EventQueue()
-    doomed = q.push(1.0, lambda: None, ())
-    q.push(1.5, lambda: None, ())
-    doomed.cancel()
-    q.note_cancelled()
-    assert q.pop_before(2.0).time == 1.5
-    assert q.pop_before(2.0) is None
+# Bounded draining (the sharded kernel's ``Simulator.run_before``)
 
 
 def test_compaction_correct_under_bounded_drain():
     """Heap compaction must not lose or reorder events when the queue is
     drained window-by-window with live events parked beyond the bound."""
-    q = EventQueue()
-    far = [q.push(100.0 + i, lambda: None, ()) for i in range(10)]
-    popped = []
+    sim = Simulator()
+    fired = []
+    far = [sim.schedule_at(100.0 + i, fired.append, 100.0 + i)
+           for i in range(10)]
     for window in range(8):
         base = float(window)
-        events = [q.push(base + i / 1000.0, lambda: None, ())
+        events = [sim.schedule_at(base + i / 1000.0, fired.append,
+                                  base + i / 1000.0)
                   for i in range(200)]
         for i, event in enumerate(events):
             if i % 4 != 0:                    # cancel 3 of every 4
-                event.cancel()
-                q.note_cancelled()
-        while (event := q.pop_before(base + 1.0)) is not None:
-            popped.append(event.time)
-    assert popped == sorted(popped)
-    assert len(popped) == 8 * 50              # survivors of each window
-    assert q.stats()["compactions"] >= 1      # churn actually compacted
-    assert len(q) == len(far)                 # parked events all intact
-    remaining = [q.pop().time for _ in range(len(far))]
-    assert remaining == sorted(e.time for e in far)
+                sim.cancel(event)
+        sim.run_before(base + 1.0)
+    assert fired == sorted(fired)
+    assert len(fired) == 8 * 50               # survivors of each window
+    assert sim.queue_stats()["compactions"] >= 1  # churn actually compacted
+    assert sim.pending_events() == len(far)   # parked events all intact
+    sim.run()
+    assert fired[8 * 50:] == [100.0 + i for i in range(10)]
 
 
 # ----------------------------------------------------------------------

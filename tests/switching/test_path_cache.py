@@ -2,8 +2,9 @@
 
 These drive :class:`~repro.switching.path_cache.PathCache` directly on a
 converged fabric: compilation and cut-through delivery, negative
-verdicts, FIFO eviction, every invalidation trigger (table change,
-explicit flush, link carrier change), and the in-flight revalidation
+verdicts, FIFO eviction, both invalidation triggers (a table change,
+a link carrier change — including the link a refused compile stopped
+at), and the in-flight revalidation
 semantics (table-only invalidation delivers; a dead link drops and is
 counted at the transmitting port).
 """
@@ -119,6 +120,7 @@ def _taint_lossy_link(fabric, core, hop):
 
 def _taint_dead_link(fabric, core, hop):
     hop.out_port.link.fail()
+    return hop.out_port.link.recover
 
 
 @pytest.mark.parametrize("taint, core_is_asked", [
@@ -133,16 +135,18 @@ def test_refused_compile_warms_only_the_switches_it_asked(taint,
     """What makes a hop impure is checked before the switch is asked for
     its verdict, what makes its *link* unusable after: a refusal at the
     core leaves the decision caches of the two switches before it warm,
-    the core's only when the verdict was needed, and nothing beyond."""
+    the core's only when the verdict was needed, and nothing beyond. A
+    taint that returns its cure is one the fabric hears lifted: the
+    cure must retire the verdict and let the key compile."""
     fabric = _converged()
     cache = fabric.path_cache
     node, in_index, frame = _cross_pod_item(fabric)
     walked, _final = walk_decision_path(node, in_index, frame)
     assert len(walked) == 5
     for switch in fabric.switches.values():
-        switch.decision_cache.invalidate_all("test")
+        switch.decision_cache.invalidate_all()
     core = walked[2].node
-    taint(fabric, core, walked[2])
+    cure = taint(fabric, core, walked[2])
     assert cache.resolve(node, frame, in_index) is None
     assert cache.compile_failures == 1
     key = decision_key(frame)
@@ -155,6 +159,14 @@ def test_refused_compile_warms_only_the_switches_it_asked(taint,
     negative = node._path_table[(in_index, key)]
     assert [s.name for s in negative.switches] == [
         hop.node.name for hop in walked[:3]]
+    if cure is not None:
+        # A dead link is read by the walk that stops at it, so its
+        # recovery is heard by the verdict that link refused.
+        assert negative.links == tuple(hop.link for hop in walked[:3])
+        cure()
+        assert not negative.alive
+        path = cache.resolve(node, frame, in_index)
+        assert path is not None and len(path.hops) == 5
 
 
 def test_fifo_eviction_bounds_the_table():
@@ -181,17 +193,6 @@ def test_table_change_on_any_hop_invalidates(pc_fabric):
     assert not path.alive
     assert path.key not in node._path_table
     assert cache.invalidated >= 1
-
-
-def test_explicit_flush_invalidates(pc_fabric):
-    cache = pc_fabric.path_cache
-    node, in_index, frame = _cross_pod_item(pc_fabric)
-    path = cache.resolve(node, frame, in_index)
-    # flush_decisions is what FaultUpdate/FaultClear/Disable/EnableLink
-    # call; it must fan out to the path cache.
-    path.switches[1].flush_decisions("test")
-    assert not path.alive
-    assert path.key not in node._path_table
 
 
 def test_link_state_change_invalidates_and_recompiles(pc_fabric):
@@ -231,7 +232,9 @@ def test_in_flight_frame_survives_table_only_invalidation(pc_fabric):
     node, in_index, frame = _cross_pod_item(pc_fabric)
     path = cache.resolve(node, frame, in_index)
     cache.launch(path, frame)
-    path.switches[1].flush_decisions("test")  # links all still up
+    # A table mutation on a traversed switch; the links all stay up.
+    path.switches[1].table.install(Match(ethertype=0x86DD), (), priority=1,
+                                   name="noop")
     assert not path.alive
     sim.run(until=sim.now + 0.01)
     assert cache.delivered == 1

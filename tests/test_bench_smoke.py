@@ -11,11 +11,13 @@ many seconds the difference is worth is the performance ledger's number
 
 import pytest
 
+from repro.host.apps import UdpStreamReceiver, UdpStreamSender
 from repro.portland.config import PortlandConfig
 from repro.portland.switch import PortlandSwitch
 from repro.sim import Simulator
 from repro.switching.flow_table import FlowTable
 from repro.topology import build_portland_fabric
+from repro.topology.builder import LinkParams
 from repro.workloads.replay import (
     all_to_all_frames,
     compile_paths,
@@ -184,6 +186,40 @@ def test_bring_up_notifies_at_most_once_per_installed_entry(monkeypatch, k):
                   for switch in fabric.switches.values())
     assert entries == {4: 136, 8: 864}[k]   # every switch fully programmed
     assert notifications <= entries, (notifications, entries)
+
+
+def test_decision_caches_flush_only_when_a_table_changes():
+    """A cached plan dies when its switch's forwarding table changes,
+    and nothing else retires it: over silent link failures under probe
+    traffic, the fabric's decision-cache flushes cannot outnumber its
+    table mutations. With the agents flushing by hand after every fault
+    and link message as well, this schedule flushed 161 times for 80
+    mutations."""
+    sim = Simulator(seed=31)
+    fabric = build_portland_fabric(
+        sim, k=4, link_params=LinkParams(carrier_detect=False))
+    fabric.bring_up()
+    hosts = fabric.host_list()
+    for i, src in enumerate(hosts):
+        dst = hosts[(i + 5) % len(hosts)]
+        UdpStreamReceiver(dst, 7000 + i)
+        UdpStreamSender(src, dst.ip, 7000 + i, rate_pps=1000.0).start()
+    sim.run(until=sim.now + 0.01)
+    switches = list(fabric.switches.values())
+
+    def totals() -> tuple[int, int]:
+        return (sum(s.decision_cache.flushes for s in switches),
+                sum(s.table.version for s in switches))
+
+    before = totals()
+    links = [link for (a, b), link in sorted(fabric.links.items())
+             if a in fabric.switches and b in fabric.switches]
+    for n, link in enumerate(links[::4]):
+        sim.schedule(0.01 + 0.02 * n, link.fail)
+    sim.run(until=sim.now + 0.25)
+    flushes, mutations = (now - then for now, then in zip(totals(), before))
+    assert mutations > 0 and flushes > 0   # the faults did reprogram
+    assert flushes <= mutations, (flushes, mutations)
 
 
 # ----------------------------------------------------------------------

@@ -32,8 +32,16 @@ def test_link_failure_mid_flow_never_serves_stale_decision(fabric):
         assert warm["hits"] > 0, "fast path never engaged"
         assert len(receiver.arrivals) > 0
 
+        # Cut the agg->core link the flow crosses: the switches either
+        # side of it hold plans compiled while it was up. (A link off
+        # the path changes only tables whose caches are empty, and an
+        # empty cache has nothing to flush.)
+        agg, core = (next(name for name, switch in fabric.switches.items()
+                          if name.startswith(level)
+                          and len(switch.decision_cache))
+                     for level in ("agg-p0", "core"))
         fail_time = sim.now
-        fabric.link_between("agg-p0-s0", "core-0").fail()
+        fabric.link_between(agg, core).fail()
         sim.run(until=fail_time + 1.0)
 
         after = fabric.decision_cache_stats()

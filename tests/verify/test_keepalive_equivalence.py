@@ -58,6 +58,7 @@ from repro.net.packet import AppData
 from repro.policy.classes import DSCP_EF
 from repro.portland.config import PortlandConfig
 from repro.sim import Simulator, TraceCollector
+from repro.switching.decision_cache import DecisionCache
 from repro.topology import build_portland_fabric
 from repro.topology.builder import LinkParams
 
@@ -463,6 +464,20 @@ def test_reference_catches_a_tie_rule_that_ignores_event_order(monkeypatch):
                                  and self.sim.now >= direction.busy_until))
     _, got = _run(3, 4, True, (), None)
     assert got["hops"] != expected["hops"]
+
+
+def test_reference_catches_a_plan_that_outlives_its_table(monkeypatch):
+    """The table's change listener is the only thing that retires a
+    cached plan. Silence it, and after one link failure the switches
+    that rerouted around it keep executing the plans they compiled
+    before: frames the reference sends the new way go the old one."""
+    faults = [(0.01, "fail", 0, 0)]
+    _, expected = _run(3, 4, True, faults, "interpreted")
+    monkeypatch.setattr(DecisionCache, "_on_table_change",
+                        lambda self: None)
+    _, got = _run(3, 4, True, faults, None)
+    assert got["hops"] != expected["hops"]
+    assert got["counters"] != expected["counters"]
 
 
 def test_unfaulted_run_accounts_nearly_every_keepalive():
