@@ -19,6 +19,7 @@ Failure semantics:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from typing import TYPE_CHECKING
 
@@ -67,8 +68,7 @@ class PortCounters:
 class Port:
     """One attachment point on a node. At most one link per port."""
 
-    __slots__ = ("node", "index", "link", "_tx", "_counters", "_arriving",
-                 "enabled")
+    __slots__ = ("node", "index", "link", "_tx", "_counters", "_enabled")
 
     def __init__(self, node: "Node", index: int) -> None:
         self.node = node
@@ -77,15 +77,10 @@ class Port:
         #: Transmit direction of ``link`` that starts here (set by
         #: :class:`Link`; kept after a detach until the port is rewired).
         self._tx: _Direction | None = None
+        # Incremented in place; read through ``counters``, which first
+        # writes in what a keepalive stream owes them.
         self._counters = PortCounters()
-        #: ``(deliver_at, frame, on_void)`` of a frame the link accounted
-        #: toward this port instead of scheduling (see
-        #: :meth:`Link.account`): it counts as received from
-        #: ``deliver_at`` on, unless the link is cut first.
-        self._arriving: tuple | None = None
-        #: Administrative state; a port can be disabled independently of
-        #: its link (used to model switch-local port shutdown).
-        self.enabled = True
+        self._enabled = True
 
     @property
     def name(self) -> str:
@@ -95,17 +90,29 @@ class Port:
     @property
     def counters(self) -> PortCounters:
         """Traffic counters, as of the current simulated instant."""
-        arriving = self._arriving
-        if arriving is not None and arriving[0] <= self.node.sim.now:
-            self._arriving = None
-            self._counters.rx_frames += 1
-            self._counters.rx_bytes += arriving[1].wire_length()
+        link = self.link
+        if link is not None:
+            for direction in link._directions:
+                if direction.stream is not None:
+                    direction.stream.settle()
         return self._counters
+
+    @property
+    def enabled(self) -> bool:
+        """Administrative state; a port can be disabled independently of
+        its link (used to model switch-local port shutdown)."""
+        return self._enabled
+
+    @enabled.setter
+    def enabled(self, enabled: bool) -> None:
+        if self.link is not None:
+            self.link._close_streams()
+        self._enabled = enabled
 
     @property
     def is_up(self) -> bool:
         """True when enabled, wired, and the link is not failed."""
-        return self.enabled and self.link is not None and not self.link.failed
+        return self._enabled and self.link is not None and not self.link.failed
 
     @property
     def peer(self) -> "Port | None":
@@ -117,8 +124,8 @@ class Port:
     def send(self, frame: EthernetFrame) -> bool:
         """Transmit ``frame``. Returns False (and counts a drop) when the
         port is down or the link queue is full."""
-        if not self.enabled or self.link is None:
-            self.counters.drops += 1
+        if not self._enabled or self.link is None:
+            self._counters.drops += 1
             return False
         return self.link.transmit(self, frame)
 
@@ -137,7 +144,7 @@ class _Direction:
     """
 
     __slots__ = ("queue", "queued_bytes", "transmitting", "busy_until",
-                 "done_seq", "cuts",
+                 "done_seq", "cuts", "stream",
                  "class_queues", "failed_tx", "fluid_bps", "frame_bps",
                  "fluid_tx_bytes", "class_tx_bytes", "class_drops")
 
@@ -160,6 +167,9 @@ class _Direction:
         #: the wire carry the count they started under; a cut in between
         #: makes them void.
         self.cuts = 0
+        #: The :class:`KeepaliveStream` this direction carries, or the
+        #: closed one whose last frame is still to arrive.
+        self.stream: KeepaliveStream | None = None
         # Strict-priority queues for tclass > 0 frames, created lazily by
         # the first classed frame that has to wait behind a busy
         # transmitter. None on every direction that only ever carries
@@ -189,6 +199,162 @@ class _Direction:
         self.busy_until = _NEVER
         self.cuts += 1
         self.class_queues = None
+
+
+class BeaconLog:
+    """A sender's repetitions of a frame, as the keepalive streams they
+    feed read them (see :class:`KeepaliveStream`).
+
+    A repetition (:meth:`beacon`) goes out on the sender's ports in port
+    order. Ports that take it one by one (a real frame, say) hold their
+    places in the event order as they go, each followed by a
+    :meth:`mark`; in between, each run of streamed ports shares one
+    reserved place (:meth:`place`).
+    """
+
+    __slots__ = ("sim", "count", "at", "before", "frame", "places",
+                 "marks", "live")
+
+    def __init__(self, sim: Simulator) -> None:
+        self.sim = sim
+        #: Repetitions so far, the instants of the last two, the last
+        #: frame, the places of its runs and the ports marked between.
+        self.count = 0
+        self.at = self.before = 0.0
+        self.frame: EthernetFrame | None = None
+        self.places: list[int] = []
+        self.marks: list[int] = []
+        #: Streams taking repetitions from this log.
+        self.live = 0
+
+    def beacon(self, frame: EthernetFrame) -> None:
+        """Log a repetition of ``frame`` now; its first run takes the
+        next place."""
+        self.count += 1
+        self.before = self.at
+        self.at = self.sim.now
+        self.frame = frame
+        self.places = [self.sim.reserve()]
+        self.marks = []
+
+    def mark(self, index: int) -> None:
+        """Port ``index``, past every port marked so far, had its turn
+        at this repetition: streams on later ports go in a new run,
+        after it."""
+        self.marks.append(index)
+        self.places.append(self.sim.reserve())
+
+    def place(self, index: int) -> int:
+        """The reserved place of the run of port ``index``."""
+        return self.places[bisect_left(self.marks, index)]
+
+
+class KeepaliveStream:
+    """A frame its sender repeats on one healthy, idle direction and
+    logs instead of transmitting (docs/PERF.md, "Keepalive floor").
+
+    Each repetition is a frame that found the wire free at its instant
+    and arrives one flight later. What it does to the direction is
+    written in only when something reads that state or could disturb it
+    (:meth:`settle`), with the float expressions of
+    :meth:`Link._start_transmission`.
+
+    ``log`` is the sender's :class:`BeaconLog`. The stream's place in a
+    repetition is its run's place plus a ``rank`` in [0, 1) that grows
+    with the port index, so the streams of one repetition end
+    serializing in port order, and never tie, when events take their
+    places. All repetitions have the size of the first. ``receiver`` learns when the far end's software hears them,
+    ``hear_delay`` after each arrival: ``hear(heard_at, heard_before,
+    frame)`` for the last one written in (``heard_before`` is ``None``
+    when only that one is new), and ``unhear()`` when a cut loses it on
+    the wire.
+    """
+
+    __slots__ = ("link", "src_port", "direction", "log", "rank",
+                 "receiver", "hear_delay", "size", "duration", "flight",
+                 "live", "seen", "deliver_at", "seq", "pending")
+
+    def __init__(self, link: "Link", src_port: Port, log: BeaconLog,
+                 receiver, hear_delay: float) -> None:
+        self.link = link
+        self.src_port = src_port
+        self.direction = src_port._tx
+        self.log = log
+        self.rank = src_port.index / (src_port.index + 1)
+        self.receiver = receiver
+        self.hear_delay = hear_delay
+        self.size = log.frame.wire_length()
+        self.duration = link.serialization_time(log.frame, src_port)
+        self.flight = self.duration + link.delay_s
+        #: Still taking repetitions (see :meth:`close`).
+        self.live = True
+        #: The log's count up to which repetitions are written in: the
+        #: stream starts with the latest one.
+        self.seen = log.count - 1
+        #: Arrival instant and place of the last repetition written in,
+        #: and whether it is yet to be counted as received.
+        self.deliver_at = 0.0
+        self.seq = 0
+        self.pending = False
+
+    def settle(self) -> None:
+        """Write in the repetitions logged since the last call, and the
+        arrival of the last one once its place in the event order has
+        been passed."""
+        link = self.link
+        src = self.src_port
+        dst = link.b if src is link.a else link.a
+        log = self.log
+        new = log.count - self.seen if self.live else 0
+        if new:
+            self.seen = log.count
+            size = self.size
+            counters = src._counters
+            counters.tx_frames += new
+            counters.tx_bytes += new * size
+            direction = self.direction
+            direction.busy_until = log.at + self.duration
+            direction.done_seq = self.seq = (log.place(src.index)
+                                             + self.rank)
+            # All but the newest have arrived: repetitions are a beacon
+            # period apart, a flight takes microseconds.
+            arrived = new - 1 + self.pending
+            if arrived:
+                counters = dst._counters
+                counters.rx_frames += arrived
+                counters.rx_bytes += arrived * size
+            deliver_at = self.deliver_at = log.at + self.flight
+            self.pending = True
+            before = ((log.before + self.flight) + self.hear_delay
+                      if new > 1 else None)
+            self.receiver.hear(deliver_at + self.hear_delay, before,
+                               log.frame)
+        if self.pending and link.sim.has_fired(self.deliver_at, self.seq):
+            self.pending = False
+            counters = dst._counters
+            counters.rx_frames += 1
+            counters.rx_bytes += self.size
+        if not self.live:
+            self._let_go()
+
+    def close(self, cut: bool = False) -> None:
+        """Take no more repetitions, after writing in those logged so
+        far. With ``cut`` the direction is being cut, and a last
+        repetition still on its way is lost with everything else on the
+        wire."""
+        self.settle()
+        if self.live:
+            self.live = False
+            self.log.live -= 1
+        if cut and self.pending:
+            self.pending = False
+            self.receiver.unhear()
+        self._let_go()
+
+    def _let_go(self) -> None:
+        """Leave the direction once closed and owing it nothing."""
+        if not self.pending and self.direction.stream is self:
+            self.direction.stream = None
 
 
 class Link:
@@ -323,7 +489,11 @@ class Link:
         direction (hybrid mode). Zero/negative clears it, so
         serialization stays bit-identical whenever no fluid flow
         actually crosses the direction."""
-        src_port._tx.fluid_bps = bps if bps > 0.0 else 0.0
+        bps = bps if bps > 0.0 else 0.0
+        direction = src_port._tx
+        if bps != direction.fluid_bps and direction.stream is not None:
+            direction.stream.close()  # it serializes at the old rate
+        direction.fluid_bps = bps
 
     def set_frame_load(self, src_port: Port, bps: float) -> None:
         """Register the frame path's estimated load on the ``src_port``
@@ -369,15 +539,17 @@ class Link:
     def transmit(self, src_port: Port, frame: EthernetFrame) -> bool:
         """Send ``frame`` from ``src_port`` toward the other end."""
         direction = src_port._tx
+        if direction.stream is not None:
+            direction.stream.close()
         if self.failed or direction.failed_tx:
-            src_port.counters.drops += 1
+            src_port._counters.drops += 1
             return False
         if self._wire_free(direction):
             self._start_transmission(src_port, direction, frame)
             return True
         size = frame.wire_length()
         if direction.queued_bytes + size > self.queue_bytes:
-            src_port.counters.drops += 1
+            src_port._counters.drops += 1
             if frame.tclass:
                 per = direction.class_drops
                 if per is None:
@@ -428,41 +600,18 @@ class Link:
             self._transmission_done, src_port, direction, direction.cuts)
 
     def _start_transmission(self, src_port: Port, direction: _Direction,
-                            frame: EthernetFrame, admit=None) -> bool:
+                            frame: EthernetFrame) -> None:
         """Put ``frame`` on the wire, which is free, now: charge the
         transmit side, keep the wire for the serialization time, and
         schedule the delivery. With frames queued behind this one the
         end of serialization is an event; with none it is only noted,
-        under the sequence number the event would have taken.
-
-        With ``admit`` (see :meth:`account`) the receiving side is first
-        asked to take the arrival as read. If it will, nothing is
-        scheduled for the delivery either; if it will not, nothing
-        happens at all and the result is False.
-        """
+        under the sequence number the event would have taken."""
         sim = self.sim
-        now = sim.now
         size = frame.wire_length()
         duration = (size + PER_FRAME_OVERHEAD_BYTES) * self._sec_per_byte
         if direction.fluid_bps > 0.0:
             duration = self._stretched(duration, direction.fluid_bps)
-        if admit is not None:
-            dst_port = self.b if src_port is self.a else self.a
-            deliver_at = now + (duration + self.delay_s)
-            on_void = admit(frame, dst_port, deliver_at)
-            if on_void is None:
-                return False
-            previous = dst_port._arriving
-            if previous is not None:
-                # One slot is enough while senders space accounted
-                # frames more than a flight apart (LDP: 10 ms against
-                # ~2 us).
-                assert previous[0] <= now, "two accounted frames in flight"
-                counters = dst_port._counters
-                counters.rx_frames += 1
-                counters.rx_bytes += previous[1].wire_length()
-            dst_port._arriving = (deliver_at, frame, on_void)
-        counters = src_port._counters  # tx side: nothing to settle
+        counters = src_port._counters
         counters.tx_frames += 1
         counters.tx_bytes += size
         if frame.tclass:
@@ -475,50 +624,41 @@ class Link:
                          src_port, direction, direction.cuts)
         else:
             direction.transmitting = False
-            direction.busy_until = now + duration
+            direction.busy_until = sim.now + duration
             direction.done_seq = sim.reserve()
-        if admit is None:
-            sim.schedule(duration + self.delay_s, self._deliver,
-                         src_port, direction, frame, direction.cuts, size)
-        return True
+        sim.schedule(duration + self.delay_s, self._deliver,
+                     src_port, direction, frame, direction.cuts, size)
 
-    # ------------------------------------------------------------------
-    # Accounted frames: an uncontended start whose delivery the receiver
-    # agreed to take as read (docs/PERF.md, "Keepalive floor"). The
-    # caller vouches that the receiver has nothing to do with the frame;
-    # the link vouches for the wire.
-
-    def account(self, src_port: Port, frame: EthernetFrame, admit) -> bool:
-        """Put ``frame`` on the wire from ``src_port`` now, without a
-        delivery event — if it would start at once and be certain to
-        arrive (direction healthy, both ports enabled, no random loss,
-        wire free) and the receiving side agrees: ``admit(frame,
-        dst_port, deliver_at)`` returns a callback, or ``None`` to
-        insist on a real frame. False means nothing was booked and the
-        caller should transmit.
-
-        The transmit side is that of any uncontended start; the far port
-        counts the frame from ``deliver_at`` on. If the link is cut
-        before then the frame is lost, like any other on the wire, and
-        the callback tells the receiving side that the arrival is off.
-        """
-        dst_port = self.b if src_port is self.a else self.a
+    def open_stream(self, src_port: Port, log: BeaconLog, receiver,
+                    hear_delay: float) -> KeepaliveStream | None:
+        """Carry the frame ``log`` recorded last, and every repetition it
+        records after it, on the ``src_port`` direction as a
+        :class:`KeepaliveStream` — if each is certain to start at its
+        instant and to arrive: both directions healthy, both ports
+        enabled, no random loss, and the wire free now (a stream closes
+        before anything else transmits). ``None`` means nothing was
+        opened and the frame should be transmitted."""
         direction = src_port._tx
+        if direction.stream is not None:
+            direction.stream.settle()  # a closed one may be done by now
+            if direction.stream is not None:
+                return None
+        dst_port = self.b if src_port is self.a else self.a
         if (self.failed or direction.failed_tx or dst_port._tx.failed_tx
-                or self.loss_rate
-                or not src_port.enabled or not dst_port.enabled):
+                or self.loss_rate or log.frame.tclass
+                or not src_port._enabled or not dst_port._enabled
+                or not self._wire_free(direction)):
             # (Either direction failed: not worth telling them apart.)
-            return False
-        return (self._wire_free(direction)
-                and self._start_transmission(src_port, direction, frame, admit))
+            return None
+        stream = direction.stream = KeepaliveStream(
+            self, src_port, log, receiver, hear_delay)
+        log.live += 1
+        return stream
 
-    def _void_arrival(self, dst_port: Port) -> None:
-        """The link is being cut: an accounted frame still on the wire
-        toward ``dst_port`` is lost with everything else on it."""
-        arriving = dst_port._arriving
-        if arriving is not None and arriving[0] > self.sim.now:
-            dst_port._arriving = None
-            arriving[2]()  # on_void
+    def _close_streams(self) -> None:
+        for direction in self._directions:
+            if direction.stream is not None:
+                direction.stream.close()
 
     def _transmission_done(self, src_port: Port, direction: _Direction,
                            cuts: int) -> None:
@@ -562,18 +702,16 @@ class Link:
             # lost, even if the link has recovered since.
             return
         if self._loss_rng is not None and self._loss_rng.random() < self.loss_rate:
-            src_port.counters.drops += 1
+            src_port._counters.drops += 1
             if self.sim.trace.wants("link.loss"):
                 self.sim.trace.emit(self.sim.now, "link.loss", self.name,
                                     port=src_port.name)
             return
         dst_port = self.b if src_port is self.a else self.a
-        if not dst_port.enabled:
-            dst_port.counters.drops += 1
+        if not dst_port._enabled:
+            dst_port._counters.drops += 1
             return
-        # The settling property only when an accounted frame is pending.
-        counters = (dst_port._counters if dst_port._arriving is None
-                    else dst_port.counters)
+        counters = dst_port._counters
         counters.rx_frames += 1
         counters.rx_bytes += size
         dst_port.node.receive(frame, dst_port)
@@ -585,9 +723,9 @@ class Link:
             return
         self.failed = True
         for direction in self._directions:
+            if direction.stream is not None:
+                direction.stream.close(cut=True)
             direction.clear()
-        self._void_arrival(self.a)
-        self._void_arrival(self.b)
         self.sim.trace.emit(self.sim.now, "link.fail", self.name)
         self._notify_state()
         if self.carrier_detect:
@@ -604,9 +742,11 @@ class Link:
         """
         if src_port not in (self.a, self.b):
             raise LinkError(f"{src_port} is not an endpoint of {self.name}")
+        for direction in self._directions:
+            if direction.stream is not None:
+                direction.stream.close(cut=direction is src_port._tx)
         src_port._tx.failed_tx = True
         src_port._tx.clear()
-        self._void_arrival(self.other_end(src_port))
         if self.sim.trace.wants("link.fail_direction"):
             self.sim.trace.emit(self.sim.now, "link.fail_direction",
                                 self.name, from_port=src_port.name)

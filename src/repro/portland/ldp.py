@@ -22,12 +22,12 @@ this is the failure detector whose latency dominates Fig. 10.
 
 On a settled fabric almost every LDM is a pure keepalive: it crosses a
 healthy idle link to a located switch whose only reaction is to refresh
-one timestamp. Such an LDM is *accounted* instead of sent
-(:meth:`LdpProcess.hear_ahead`, :meth:`repro.net.link.Link.account`):
-counters, wire occupancy and the neighbour's ``last_heard`` end up
-exactly as the frame would have left them, with no events scheduled.
-Subscribing to the ``keepalive.ldm`` trace category turns every LDM back
-into a frame.
+one timestamp. Such a port's LDMs become a *keepalive stream*
+(:class:`repro.net.link.KeepaliveStream`): each beacon is logged once
+for all of them, and counters, wire occupancy and the neighbour's
+``last_heard`` are written in, exactly as the frames would have left
+them, only when something reads them. Subscribing to the
+``keepalive.ldm`` trace category turns every LDM back into a frame.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, Protocol
 from repro.net.addresses import MacAddress
 from repro.net.codec import decode_payload
 from repro.net.ethernet import ETHERTYPE_LDP, EthernetFrame
-from repro.net.link import Port
+from repro.net.link import BeaconLog, KeepaliveStream, Port
 from repro.portland.config import PortlandConfig
 from repro.portland.messages import (
     NO_POD,
@@ -104,7 +104,7 @@ class NeighborInfo:
     """What we currently know about the switch across one port."""
 
     __slots__ = ("port_index", "switch_id", "level", "pod", "position",
-                 "last_heard", "_heard_before", "_in_flight")
+                 "_last_heard", "_heard_before", "_in_flight", "stream")
 
     def __init__(self, port_index: int, switch_id: int, now: float) -> None:
         self.port_index = port_index
@@ -112,16 +112,37 @@ class NeighborInfo:
         self.level = SwitchLevel.UNKNOWN
         self.pod: int | None = None
         self.position: int | None = None
-        #: When the latest LDM reached (or, for an accounted LDM still in
-        #: flight, will reach) switch software: up to one flight time
-        #: ahead of the clock, see :meth:`LdpProcess.hear_ahead`.
-        self.last_heard = now
+        self._last_heard = now
+        # The stamp before, and the LDM that set the stamp, while that
+        # one is a streamed LDM (settled with ``last_heard``).
         self._heard_before = now
         self._in_flight: EthernetFrame | None = None
+        #: The keepalive stream that last brought this neighbour's LDMs.
+        self.stream: KeepaliveStream | None = None
+
+    @property
+    def last_heard(self) -> float:
+        """When the latest LDM reached switch software — or, for a
+        streamed one still in flight, will reach it: up to one flight
+        time ahead of the clock (see :meth:`LdpProcess._refreshes_only`)."""
+        if self.stream is not None:
+            self.stream.settle()
+        return self._last_heard
+
+    def hear(self, heard_at: float, heard_before: float | None,
+             frame: EthernetFrame) -> None:
+        """The streamed LDM ``frame`` reaches switch software at
+        ``heard_at``, the one before it at ``heard_before`` (``None``:
+        the current stamp)."""
+        if heard_before is None:
+            heard_before = self._last_heard
+        self._heard_before = heard_before
+        self._last_heard = heard_at
+        self._in_flight = frame
 
     def unhear(self) -> None:
-        """The accounted LDM that set ``last_heard`` was lost on the wire."""
-        self.last_heard = self._heard_before
+        """The streamed LDM that set the stamp was lost on the wire."""
+        self._last_heard = self._heard_before
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<Neighbor port={self.port_index} id={self.switch_id:#x} "
@@ -138,16 +159,6 @@ class _Proposal:
         self.deadline = deadline
         self.grants: set[int] = set()
         self.rejected = False
-
-
-def _admit_ldm(frame: EthernetFrame, in_port: Port, deliver_at: float):
-    """:meth:`Link.account`'s question, passed on to the LDP instance of
-    the switch that owns ``in_port``."""
-    try:
-        ldp = in_port.node.agent.ldp
-    except AttributeError:
-        return None  # a host, or a switch that does not speak LDP
-    return ldp.hear_ahead(frame, in_port, deliver_at)
 
 
 class LdpProcess:
@@ -185,6 +196,16 @@ class LdpProcess:
         self._checker = PeriodicTask(self.sim, config.ldm_period_s / 2,
                                      self._check, jitter=0.1,
                                      rng_name=f"ldpchk/{switch.name}")
+        self._timeout = config.miss_threshold * config.ldm_period_s
+        self._log = BeaconLog(self.sim)
+        #: Streams opened on this switch's ports and live at the last
+        #: beacon; ports whose LDMs go one by one, in port order.
+        self._streams: list[KeepaliveStream] = []
+        self._singles: list[Port] = []
+        #: The LDM fields and host-port count the live streams were
+        #: opened under, and the port count the grouping saw.
+        self._shape: tuple | None = None
+        self._port_count = 0
         #: LDMs transmitted (control-overhead measurement).
         self.ldms_sent = 0
         #: LDP frames dropped as undecodable or not an LDP message.
@@ -260,6 +281,16 @@ class LdpProcess:
     # Beaconing
 
     def _send_ldm(self) -> None:
+        """Beacon an LDM on every switch-facing port.
+
+        Ports whose LDMs a live keepalive stream carries cost nothing
+        each: the beacon is logged once for all of them (docs/PERF.md,
+        "Keepalive floor"). The others are taken one by one, and each
+        either opens a stream or sends its LDM as a frame. When the
+        LDM's fields or the host ports change, every stream closes
+        first; a ``keepalive.ldm`` subscriber keeps them closed and sees
+        each LDM sent as a frame.
+        """
         self._seq += 1
         message = LocationDiscoveryMessage(
             switch_id=self.switch_id,
@@ -268,25 +299,78 @@ class LdpProcess:
             position=self.position if self.position is not None else NO_POSITION,
             seq=self._seq,
         )
-        trace = self.sim.trace
-        observed = trace.wants("keepalive.ldm")
-        # Accounted LDMs are only ever sized, so they share one frame.
-        keepalive = None if observed else EthernetFrame(
-            LDP_MULTICAST, self.switch_mac, ETHERTYPE_LDP, message)
-        for port in self.data_ports():
-            if port.index in self.host_ports:
-                continue  # never bother hosts with LDMs once classified
-            self.ldms_sent += 1
-            if observed:
-                trace.emit(self.sim.now, "keepalive.ldm", self.switch.name,
-                           port=port.index, seq=self._seq)
-            elif port.link.account(port, keepalive, _admit_ldm):
-                # Nothing can observe this LDM travelling (docs/PERF.md,
-                # "Keepalive floor"): idle healthy link, and a switch at
-                # the far end that would only note that it came.
-                continue
-            port.send(EthernetFrame(LDP_MULTICAST, self.switch_mac,
-                                    ETHERTYPE_LDP, message))
+        sim = self.sim
+        log = self._log
+        hosts = self.host_ports
+        shape = (message.level, message.pod, message.position, len(hosts))
+        observed = sim.trace.wants("keepalive.ldm")
+        if observed or shape != self._shape:
+            self._regroup(keep=False)
+            self._shape = shape
+        elif (log.live != len(self._streams)
+              or len(self.switch.ports) != self._port_count):
+            self._regroup(keep=True)  # one closed, or a port was added
+        log.beacon(EthernetFrame(LDP_MULTICAST, self.switch_mac,
+                                 ETHERTYPE_LDP, message))
+        self.ldms_sent += len(self._streams)
+        singles = []
+        for port in self._singles:
+            if port.link is None:
+                singles.append(port)  # may be wired later
+            elif port.index not in hosts:  # never bother hosts once classified
+                self.ldms_sent += 1
+                if observed:
+                    sim.trace.emit(sim.now, "keepalive.ldm", self.switch.name,
+                                   port=port.index, seq=self._seq)
+                if observed or not self._open_stream(port):
+                    singles.append(port)
+                    port.send(EthernetFrame(LDP_MULTICAST, self.switch_mac,
+                                            ETHERTYPE_LDP, message))
+            log.mark(port.index)
+        self._singles = singles
+
+    def _regroup(self, keep: bool) -> None:
+        """Take every port one by one again, except those of the live
+        streams if ``keep``; close the others."""
+        if not keep:
+            for stream in self._streams:
+                stream.close()
+        streams = self._streams = [stream for stream in self._streams
+                                   if stream.live]
+        streamed = {stream.src_port for stream in streams}
+        control = self.switch.control_port
+        self._singles = [p for p in self.switch.ports
+                         if p is not control and p not in streamed]
+        self._port_count = len(self.switch.ports)
+
+    def _open_stream(self, port: Port) -> bool:
+        """Whether ``port``'s LDMs travel as a keepalive stream from
+        this beacon's on: a PortLand switch at the far end would only
+        refresh a stamp (:meth:`_refreshes_only`) and the link carries
+        the stream (:meth:`Link.open_stream`). Its checks can skip the
+        stream's neighbour: beacons come less than two periods apart
+        (jitter < 1), each stamping ahead, which the far end's timeout
+        must cover."""
+        link = port.link
+        peer = link.other_end(port)
+        try:
+            ldp = peer.node.agent.ldp
+        except AttributeError:
+            return False  # a host, or a switch that does not speak LDP
+        if 2 * self.config.ldm_period_s > ldp._timeout:
+            return False
+        log = self._log
+        deliver_at = self.sim.now + (link.serialization_time(log.frame, port)
+                                     + link.delay_s)
+        info = ldp._refreshes_only(log.frame.payload, peer, deliver_at)
+        if info is None:
+            return False
+        stream = link.open_stream(port, log, info, ldp.switch.agent_delay_s)
+        if stream is None:
+            return False
+        info.stream = stream
+        self._streams.append(stream)
+        return True
 
     # ------------------------------------------------------------------
     # Receive path (called by the agent for every LDP frame)
@@ -331,37 +415,32 @@ class LdpProcess:
             return None  # the grant is not pinned yet
         return info
 
-    def hear_ahead(self, frame: EthernetFrame, in_port: Port,
-                   deliver_at: float):
-        """Take note now that the LDM in ``frame``, delivered to
-        ``in_port`` at ``deliver_at``, will have reached this switch's
-        software a packet-in delay later — if that is all there is to
-        it; the sender then accounts the frame instead of transmitting
-        it. Returns the callback that takes the note back (the frame got
-        lost after all), or ``None`` when the LDM needs real processing.
+    def _refreshes_only(self, ldm: LocationDiscoveryMessage,
+                        in_port: Port,
+                        deliver_at: float) -> NeighborInfo | None:
+        """The neighbour entry that ``ldm``, delivered to ``in_port`` at
+        ``deliver_at``, would only refresh — ``None`` if it needs real
+        processing, or if the stamp it replaces could expire first.
 
-        ``last_heard`` runs ahead of the clock until the LDM is in. That
-        is invisible to :meth:`_check` because the stamp it replaces is
-        required not to expire before then: earlier checks find the
-        neighbour alive under either stamp, later ones see this one.
+        A streamed LDM's stamp runs ahead of the clock until the LDM is
+        in. That is invisible to :meth:`_check` because the stamp it
+        replaces is required not to expire before then: earlier checks
+        find the neighbour alive under either stamp, later ones see this
+        one.
         """
-        info = self._refreshed_by(frame.payload, in_port.index)
+        info = self._refreshed_by(ldm, in_port.index)
         if info is None:
             return None
         heard_at = deliver_at + self.switch.agent_delay_s
-        timeout = self.config.miss_threshold * self.config.ldm_period_s
-        if heard_at - info.last_heard > timeout:
+        if heard_at - info.last_heard > self._timeout:
             return None
-        info._heard_before = info.last_heard
-        info._in_flight = frame
-        info.last_heard = heard_at
-        return info.unhear
+        return info
 
     def _on_ldm(self, ldm: LocationDiscoveryMessage, in_port: Port) -> None:
         index = in_port.index
         info = self._refreshed_by(ldm, index)
         if info is not None:
-            info.last_heard = self.sim.now
+            info._last_heard = self.sim.now
             return
         info = self.neighbors.get(index)
         is_new = info is None or info.switch_id != ldm.switch_id
@@ -369,8 +448,10 @@ class LdpProcess:
             info = NeighborInfo(index, ldm.switch_id, self.sim.now)
             self.neighbors[index] = info
             # A port we thought faced a host turns out to face a switch.
-            self.host_ports.discard(index)
-        info.last_heard = self.sim.now
+            if index in self.host_ports:
+                self.host_ports.discard(index)
+                self._shape = None
+        info._last_heard = self.sim.now
         changed = is_new
         pod = None if ldm.pod == NO_POD else ldm.pod
         position = None if ldm.position == NO_POSITION else ldm.position
@@ -532,10 +613,12 @@ class LdpProcess:
     # Liveness
 
     def _check(self) -> None:
-        timeout = self.config.miss_threshold * self.config.ldm_period_s
+        timeout = self._timeout
         now = self.sim.now
+        # A live stream's neighbour cannot have expired (_open_stream).
         lost = [info for info in self.neighbors.values()
-                if now - info.last_heard > timeout]
+                if (info.stream is None or not info.stream.live)
+                and now - info._last_heard > timeout]
         for info in lost:
             self._lose_neighbor(info)
         proposal = self._proposal
@@ -552,9 +635,9 @@ class LdpProcess:
         info = self.neighbors.get(port.index)
         if info is not None:
             if info.last_heard > self.sim.now:
-                # An accounted LDM had crossed the link before it died
-                # and is still on its way to us: from here on it is a
-                # real packet-in, judged on arrival like any other.
+                # A streamed LDM had crossed the link before it died and
+                # is still on its way to us: from here on it is a real
+                # packet-in, judged on arrival like any other.
                 self.sim.schedule_at(info.last_heard, self.on_frame,
                                      info._in_flight, port)
             self._lose_neighbor(info)
@@ -562,9 +645,15 @@ class LdpProcess:
     def _lose_neighbor(self, info: NeighborInfo) -> None:
         del self.neighbors[info.port_index]
         # Release any position grant pinned to that edge.
-        self._grants = {pos: (holder, exp)
-                        for pos, (holder, exp) in self._grants.items()
-                        if holder != info.switch_id}
+        grants = {pos: (holder, exp)
+                  for pos, (holder, exp) in self._grants.items()
+                  if holder != info.switch_id}
+        if len(grants) != len(self._grants):
+            # Streamed LDMs may have relied on a pinned one.
+            for other in self.neighbors.values():
+                if other.stream is not None and other.stream.live:
+                    other.stream.close()
+        self._grants = grants
         self.sim.trace.emit(self.sim.now, "ldp.neighbor_lost", self.switch.name,
                             port=info.port_index, neighbor=info.switch_id)
         self.listener.on_neighbor_lost(info.port_index, info)

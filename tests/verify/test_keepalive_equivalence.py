@@ -33,7 +33,10 @@ Fault instants are drawn both freely and relative to a beacon of the
 link they hit — before it by less than one LDM serialization time,
 while the LDM is on the wire (~1.7 us), while it sits in the receiving
 switch's software path (50 us), and just after — because those are the
-windows in which an accounted LDM is neither here nor there. Beacon
+windows in which an accounted LDM is neither here nor there. They are
+also drawn at exactly the instant an LDM reaches the far port or the
+far switch's software, as absolute times: there only the kernel's event
+order tells the cut from the arrival. Beacon
 instants do not depend on faults (each switch jitters from its own
 random stream), so one unfaulted reference run per seed supplies them.
 The same run supplies the instants at which data frames start on
@@ -79,6 +82,10 @@ def _noop(record) -> None:
     pass
 
 
+class _Exact(float):
+    """A fault instant that is absolute, not seconds after registration."""
+
+
 def _switch_links(fabric):
     return [link for (a, b), link in sorted(fabric.links.items())
             if a in fabric.switches and b in fabric.switches]
@@ -90,11 +97,9 @@ def _after_every_start(hook):
     has put a frame on the wire."""
     start = Link._start_transmission
 
-    def hooked(self, src_port, direction, frame, admit=None):
-        started = start(self, src_port, direction, frame, admit)
-        if started:
-            hook(self, src_port, direction, frame)
-        return started
+    def hooked(self, src_port, direction, frame):
+        start(self, src_port, direction, frame)
+        hook(self, src_port, direction, frame)
 
     Link._start_transmission = hooked
     try:
@@ -133,13 +138,17 @@ def _priority_stream(host, dst_ip, port: int, count: int,
 
 def _run(seed: int, k: int, carrier: bool, faults, reference: str | None,
          landmarks: dict | None = None,
-         config: PortlandConfig | None = None) -> tuple:
-    """One run; ``faults`` is a list of (seconds after registration,
-    operation, link index, end). ``reference`` is ``None`` for the code
-    as it is, or the kind of left-out work to put back: ``"frames"``,
-    ``"eager"`` or ``"interpreted"``. Returns the fabric and everything
-    observable about the run; ``landmarks``, if given, collects the
-    run's beacons and data-frame starts."""
+         config: PortlandConfig | None = None,
+         read_every_s: float | None = None) -> tuple:
+    """One run; ``faults`` is a list of (seconds after registration, or
+    an :class:`_Exact` instant, operation, link index, end).
+    ``reference`` is ``None`` for the code as it is, or the kind of
+    left-out work to put back: ``"frames"``, ``"eager"`` or
+    ``"interpreted"``. Returns the fabric and everything observable
+    about the run; ``landmarks``, if given, collects the run's beacons,
+    data-frame starts and LDM arrivals. With ``read_every_s``, every
+    port's counters and every neighbour's stamp are read that often
+    between events."""
     sim = Simulator(seed=seed)
     beacons = landmarks["beacons"] if landmarks is not None else None
     if reference == "frames":
@@ -163,13 +172,28 @@ def _run(seed: int, k: int, carrier: bool, faults, reference: str | None,
                     landmarks["starts"].append(
                         (sim.now, port, direction.busy_until - sim.now,
                          link.delay_s))
+                else:  # delivered at, as Link._start_transmission has it
+                    landmarks["arrivals"].append(
+                        (sim.now + (link.serialization_time(frame, port)
+                                    + link.delay_s), port))
 
             patches.enter_context(_after_every_start(note_data_start))
         return fabric, _observe(sim, fabric, faults, ldp_records,
-                                hop_records)
+                                hop_records, read_every_s)
 
 
-def _observe(sim, fabric, faults, ldp_records, hop_records) -> dict:
+def _read_everything(fabric) -> None:
+    for node in (list(fabric.switches.values()) + fabric.host_list()
+                 + [fabric.fabric_manager]):
+        for port in node.ports:
+            port.counters
+    for agent in fabric.agents.values():
+        for info in agent.ldp.neighbors.values():
+            info.last_heard
+
+
+def _observe(sim, fabric, faults, ldp_records, hop_records,
+             read_every_s=None) -> dict:
     fabric.start()
     fabric.run_until_located()
     fabric.announce_hosts()
@@ -215,7 +239,12 @@ def _observe(sim, fabric, faults, ldp_records, hop_records) -> dict:
                                        link.b if end else link.a)
         else:
             action = getattr(link, operation)
-        sim.schedule_at(start + offset, action)
+        sim.schedule_at(
+            offset if isinstance(offset, _Exact) else start + offset, action)
+    if read_every_s is not None:
+        while sim.now < start + WINDOW_S:
+            sim.run(until=min(sim.now + read_every_s, start + WINDOW_S))
+            _read_everything(fabric)
     sim.run(until=start + WINDOW_S)
     ldp_records.close()
     hop_records.close()
@@ -274,10 +303,12 @@ def _observe(sim, fabric, faults, ldp_records, hop_records) -> dict:
 def _landmarks(seed: int, k: int) -> tuple:
     """From one fault-free run: (seconds after registration, link
     index, end) of every LDM a switch sent to a switch inside the
-    window, and (seconds after registration, link index, end,
+    window; (seconds after registration, link index, end,
     serialization time, propagation delay) of every data frame a switch
-    started toward a switch."""
-    seen: dict = {"beacons": [], "starts": []}
+    started toward a switch; and (seconds after registration, the
+    :class:`_Exact` instant, link index, end) of every such LDM's
+    arrival at the far port and at the far switch's software."""
+    seen: dict = {"beacons": [], "starts": [], "arrivals": []}
     fabric, result = _run(seed, k, True, (), reference="frames",
                           landmarks=seen)
     index_of = {}
@@ -297,7 +328,13 @@ def _landmarks(seed: int, k: int) -> tuple:
         (at - start, *index_of[port.node.name, port.index], duration, delay)
         for at, port, duration, delay in seen["starts"]
         if in_window(at) and (port.node.name, port.index) in index_of)
-    return beacons, starts
+    arrivals = tuple(
+        (at - start, _Exact(at), *index_of[port.node.name, port.index])
+        for delivered, port in seen["arrivals"]
+        if in_window(delivered) and (port.node.name, port.index) in index_of
+        for at in (delivered,
+                   delivered + port.peer.node.agent_delay_s))
+    return beacons, starts, arrivals
 
 
 def _beacons(seed: int, k: int) -> tuple:
@@ -305,11 +342,12 @@ def _beacons(seed: int, k: int) -> tuple:
 
 
 def _faults(draw, seed: int, k: int) -> list:
-    beacons, starts = _landmarks(seed, k)
+    beacons, starts, arrivals = _landmarks(seed, k)
     faults = []
     for _ in range(draw(st.integers(1, 4))):
         operation = draw(st.sampled_from(("fail", "fail_direction")))
-        near = draw(st.sampled_from(("beacon", "frame", "nothing")))
+        near = draw(st.sampled_from(("beacon", "frame", "arrival",
+                                     "nothing")))
         if near == "beacon":
             at, index, end = draw(st.sampled_from(beacons))
             at += draw(st.sampled_from(NEAR_BEACON_S))
@@ -322,11 +360,14 @@ def _faults(draw, seed: int, k: int) -> list:
             at += draw(st.sampled_from(NEAR_FRAME_S))
             if draw(st.booleans()):
                 end = 1 - end  # cut only the reverse direction
+        elif near == "arrival":
+            at, exact, index, end = draw(st.sampled_from(arrivals))
         else:
             at = draw(st.floats(0.001, WINDOW_S - 0.03))
             index = draw(st.integers(0, 255))
             end = draw(st.integers(0, 1))
-        faults.append((at, operation, index, end))
+        faults.append((exact if near == "arrival" else at, operation,
+                       index, end))
         if draw(st.booleans()):
             # Recoveries from 1 us (the LDM still on the wire) and 20 us
             # (still in the software path) to 40 ms.
@@ -376,6 +417,37 @@ def test_link_flap_inside_one_ldm_flight(carrier, fail_after, recover_after):
         faults = [(at + fail_after, "fail", index, end),
                   (at + fail_after + recover_after, "recover", index, end)]
         _assert_equivalent(3, 4, carrier, faults)
+
+
+@pytest.mark.parametrize("carrier", [True, False])
+@pytest.mark.parametrize("software", [False, True])
+def test_link_cut_at_the_instant_an_ldm_arrives(carrier, software):
+    """A tie the clock cannot break: cut at exactly the instant an LDM
+    reaches the far port (or the far switch's software), the LDM is lost
+    or not by the kernel's order of the two events alone. The cut was
+    scheduled long before, so it comes first."""
+    arrivals = _landmarks(3, 4)[2]
+    for _, exact, index, end in arrivals[40 + software:160:60]:
+        _assert_equivalent(3, 4, carrier, [(exact, "fail", index, end)])
+
+
+@pytest.mark.parametrize("carrier", [True, False])
+def test_reading_counters_and_stamps_changes_nothing(carrier):
+    """What a keepalive stream owes is written in when it is read, and
+    reading must be all it does: a run whose port counters and neighbour
+    stamps are all read every simulated millisecond, under faults, is
+    the unread run exactly, events included."""
+    beacons, _, arrivals = _landmarks(3, 4)
+    at, index, end = beacons[60]
+    _, exact, other, other_end = arrivals[140]
+    faults = [(at + 1e-6, "fail", index, end),
+              (at + 3e-3, "recover", index, end),
+              (exact, "fail_direction", other, other_end),
+              (exact + 12e-3, "recover", other, other_end)]
+    _, expected = _run(3, 4, carrier, faults, None)
+    _, got = _run(3, 4, carrier, faults, None, read_every_s=1e-3)
+    for section in expected:
+        assert got[section] == expected[section], section
 
 
 @pytest.mark.slow
@@ -442,7 +514,7 @@ def test_lazy_end_of_serialization_under_fluid_load():
     the frame is on the wire: the noted end must be the one the event
     would have carried."""
     config = PortlandConfig(flow_mode="hybrid")
-    _, starts = _landmarks(3, 4)
+    _, starts, _ = _landmarks(3, 4)
     at, index, end, duration, _delay = starts[len(starts) // 2]
     faults = [(at + duration, "fail", index, end),
               (at + duration + 3e-3, "recover", index, end)]
@@ -492,8 +564,12 @@ def test_unfaulted_run_accounts_nearly_every_keepalive():
     sim.run(until=sim.now + 0.02)  # pins and pods settle
     sent = sum(agent.ldp.ldms_sent for agent in fabric.agents.values())
     events = sim.events_executed
-    sim.run(until=sim.now + 0.1)
+    starts = []
+    with _after_every_start(lambda *frame_start: starts.append(frame_start)):
+        sim.run(until=sim.now + 0.1)
     sent = sum(agent.ldp.ldms_sent for agent in fabric.agents.values()) - sent
+    # Not one LDM is put on a wire: each beacon is logged once for all.
+    assert starts == []
     # 32 switch-to-switch links, two directions, ten beacons each.
     assert sent == pytest.approx(32 * 2 * 10, rel=0.1)
     # Three events per switch per period (beacon + two checks), plus
