@@ -78,7 +78,7 @@ class Port:
         #: :class:`Link`; kept after a detach until the port is rewired).
         self._tx: _Direction | None = None
         # Incremented in place; read through ``counters``, which first
-        # writes in what a keepalive stream owes them.
+        # writes in what the link's keepalive streams owe them.
         self._counters = PortCounters()
         self._enabled = True
 
@@ -90,11 +90,8 @@ class Port:
     @property
     def counters(self) -> PortCounters:
         """Traffic counters, as of the current simulated instant."""
-        link = self.link
-        if link is not None:
-            for direction in link._directions:
-                if direction.stream is not None:
-                    direction.stream.settle()
+        if self.link is not None:
+            self.link.settle()
         return self._counters
 
     @property
@@ -106,7 +103,9 @@ class Port:
     @enabled.setter
     def enabled(self, enabled: bool) -> None:
         if self.link is not None:
-            self.link._close_streams()
+            # What arrives here from now on is judged by the new state.
+            self.link.settle(close=True,
+                             redeliver=self.link.other_end(self)._tx)
         self._enabled = enabled
 
     @property
@@ -137,6 +136,15 @@ class Port:
 class _Direction:
     """Everything a link knows about one transmit direction.
 
+    A direction *streams* while it holds the ``stream_log`` of a sender
+    that repeats a frame on it (docs/PERF.md, "Keepalive floor"): each
+    repetition is a frame that found the wire free at its instant and
+    arrives one flight later, and what it does — to the counters at
+    both ends, ``busy_until``/``done_seq``, the pending
+    ``stream_arrival`` and the ``stream_receiver``'s stamps — is written
+    in only when :meth:`Link.settle` runs, with the float expressions of
+    :meth:`Link._start_transmission`.
+
     The fields after ``class_queues`` stay at their initial values
     outside unidirectional-failure, hybrid and policy runs, so the
     classic frame and fluid paths execute the exact same float
@@ -144,7 +152,8 @@ class _Direction:
     """
 
     __slots__ = ("queue", "queued_bytes", "transmitting", "busy_until",
-                 "done_seq", "cuts", "stream",
+                 "done_seq", "cuts", "stream_log", "stream_receiver",
+                 "stream_hear_delay", "stream_seen", "stream_arrival",
                  "class_queues", "failed_tx", "fluid_bps", "frame_bps",
                  "fluid_tx_bytes", "class_tx_bytes", "class_drops")
 
@@ -167,9 +176,16 @@ class _Direction:
         #: the wire carry the count they started under; a cut in between
         #: makes them void.
         self.cuts = 0
-        #: The :class:`KeepaliveStream` this direction carries, or the
-        #: closed one whose last frame is still to arrive.
-        self.stream: KeepaliveStream | None = None
+        # The stream: its sender's log, whom it tells when the far end
+        # hears a repetition and after what delay, the log's count up
+        # to which repetitions are written in, and the arrival (instant,
+        # place, frame) of the last one written in while it is yet to be
+        # received — also after the stream has closed.
+        self.stream_log: BeaconLog | None = None
+        self.stream_receiver = None
+        self.stream_hear_delay = 0.0
+        self.stream_seen = 0
+        self.stream_arrival: tuple | None = None
         # Strict-priority queues for tclass > 0 frames, created lazily by
         # the first classed frame that has to wait behind a busy
         # transmitter. None on every direction that only ever carries
@@ -202,14 +218,14 @@ class _Direction:
 
 
 class BeaconLog:
-    """A sender's repetitions of a frame, as the keepalive streams they
-    feed read them (see :class:`KeepaliveStream`).
+    """A sender's repetitions of a frame, as the directions that stream
+    them read them (see :class:`_Direction`).
 
     A repetition (:meth:`beacon`) goes out on the sender's ports in port
     order. Ports that take it one by one (a real frame, say) hold their
     places in the event order as they go, each followed by a
     :meth:`mark`; in between, each run of streamed ports shares one
-    reserved place (:meth:`place`).
+    reserved place, which :meth:`place` ranks by port index.
     """
 
     __slots__ = ("sim", "count", "at", "before", "frame", "places",
@@ -224,7 +240,7 @@ class BeaconLog:
         self.frame: EthernetFrame | None = None
         self.places: list[int] = []
         self.marks: list[int] = []
-        #: Streams taking repetitions from this log.
+        #: Directions streaming this log's repetitions.
         self.live = 0
 
     def beacon(self, frame: EthernetFrame) -> None:
@@ -244,117 +260,13 @@ class BeaconLog:
         self.marks.append(index)
         self.places.append(self.sim.reserve())
 
-    def place(self, index: int) -> int:
-        """The reserved place of the run of port ``index``."""
-        return self.places[bisect_left(self.marks, index)]
-
-
-class KeepaliveStream:
-    """A frame its sender repeats on one healthy, idle direction and
-    logs instead of transmitting (docs/PERF.md, "Keepalive floor").
-
-    Each repetition is a frame that found the wire free at its instant
-    and arrives one flight later. What it does to the direction is
-    written in only when something reads that state or could disturb it
-    (:meth:`settle`), with the float expressions of
-    :meth:`Link._start_transmission`.
-
-    ``log`` is the sender's :class:`BeaconLog`. The stream's place in a
-    repetition is its run's place plus a ``rank`` in [0, 1) that grows
-    with the port index, so the streams of one repetition end
-    serializing in port order, and never tie, when events take their
-    places. All repetitions have the size of the first. ``receiver`` learns when the far end's software hears them,
-    ``hear_delay`` after each arrival: ``hear(heard_at, heard_before,
-    frame)`` for the last one written in (``heard_before`` is ``None``
-    when only that one is new), and ``unhear()`` when a cut loses it on
-    the wire.
-    """
-
-    __slots__ = ("link", "src_port", "direction", "log", "rank",
-                 "receiver", "hear_delay", "size", "duration", "flight",
-                 "live", "seen", "deliver_at", "seq", "pending")
-
-    def __init__(self, link: "Link", src_port: Port, log: BeaconLog,
-                 receiver, hear_delay: float) -> None:
-        self.link = link
-        self.src_port = src_port
-        self.direction = src_port._tx
-        self.log = log
-        self.rank = src_port.index / (src_port.index + 1)
-        self.receiver = receiver
-        self.hear_delay = hear_delay
-        self.size = log.frame.wire_length()
-        self.duration = link.serialization_time(log.frame, src_port)
-        self.flight = self.duration + link.delay_s
-        #: Still taking repetitions (see :meth:`close`).
-        self.live = True
-        #: The log's count up to which repetitions are written in: the
-        #: stream starts with the latest one.
-        self.seen = log.count - 1
-        #: Arrival instant and place of the last repetition written in,
-        #: and whether it is yet to be counted as received.
-        self.deliver_at = 0.0
-        self.seq = 0
-        self.pending = False
-
-    def settle(self) -> None:
-        """Write in the repetitions logged since the last call, and the
-        arrival of the last one once its place in the event order has
-        been passed."""
-        link = self.link
-        src = self.src_port
-        dst = link.b if src is link.a else link.a
-        log = self.log
-        new = log.count - self.seen if self.live else 0
-        if new:
-            self.seen = log.count
-            size = self.size
-            counters = src._counters
-            counters.tx_frames += new
-            counters.tx_bytes += new * size
-            direction = self.direction
-            direction.busy_until = log.at + self.duration
-            direction.done_seq = self.seq = (log.place(src.index)
-                                             + self.rank)
-            # All but the newest have arrived: repetitions are a beacon
-            # period apart, a flight takes microseconds.
-            arrived = new - 1 + self.pending
-            if arrived:
-                counters = dst._counters
-                counters.rx_frames += arrived
-                counters.rx_bytes += arrived * size
-            deliver_at = self.deliver_at = log.at + self.flight
-            self.pending = True
-            before = ((log.before + self.flight) + self.hear_delay
-                      if new > 1 else None)
-            self.receiver.hear(deliver_at + self.hear_delay, before,
-                               log.frame)
-        if self.pending and link.sim.has_fired(self.deliver_at, self.seq):
-            self.pending = False
-            counters = dst._counters
-            counters.rx_frames += 1
-            counters.rx_bytes += self.size
-        if not self.live:
-            self._let_go()
-
-    def close(self, cut: bool = False) -> None:
-        """Take no more repetitions, after writing in those logged so
-        far. With ``cut`` the direction is being cut, and a last
-        repetition still on its way is lost with everything else on the
-        wire."""
-        self.settle()
-        if self.live:
-            self.live = False
-            self.log.live -= 1
-        if cut and self.pending:
-            self.pending = False
-            self.receiver.unhear()
-        self._let_go()
-
-    def _let_go(self) -> None:
-        """Leave the direction once closed and owing it nothing."""
-        if not self.pending and self.direction.stream is self:
-            self.direction.stream = None
+    def place(self, index: int) -> float:
+        """The place of the repetition streamed on port ``index``: its
+        run's, plus a rank in [0, 1) that grows with the index, so the
+        streams of one repetition end serializing in port order, and
+        never tie, when events take their places."""
+        return (self.places[bisect_left(self.marks, index)]
+                + index / (index + 1))
 
 
 class Link:
@@ -491,8 +403,8 @@ class Link:
         actually crosses the direction."""
         bps = bps if bps > 0.0 else 0.0
         direction = src_port._tx
-        if bps != direction.fluid_bps and direction.stream is not None:
-            direction.stream.close()  # it serializes at the old rate
+        if bps != direction.fluid_bps and direction.stream_log is not None:
+            self.settle(close=True)  # it serializes at the old rate
         direction.fluid_bps = bps
 
     def set_frame_load(self, src_port: Port, bps: float) -> None:
@@ -523,12 +435,13 @@ class Link:
         The flow engine advances flows in rate-sized chunks instead of
         per-frame events; this books the equivalent tx/rx totals so
         :mod:`repro.metrics.utilization` aggregates are mode-agnostic.
+        (Counts only add up, so what a stream owes them can wait.)
         """
-        src = src_port.counters
+        src = src_port._counters
         src.tx_frames += frames
         src.tx_bytes += nbytes
         src_port._tx.fluid_tx_bytes += nbytes
-        dst = self.other_end(src_port).counters
+        dst = self.other_end(src_port)._counters
         dst.rx_frames += frames
         dst.rx_bytes += nbytes
 
@@ -539,8 +452,8 @@ class Link:
     def transmit(self, src_port: Port, frame: EthernetFrame) -> bool:
         """Send ``frame`` from ``src_port`` toward the other end."""
         direction = src_port._tx
-        if direction.stream is not None:
-            direction.stream.close()
+        if direction.stream_log is not None:
+            self.settle(close=True)
         if self.failed or direction.failed_tx:
             src_port._counters.drops += 1
             return False
@@ -630,35 +543,105 @@ class Link:
                      src_port, direction, frame, direction.cuts, size)
 
     def open_stream(self, src_port: Port, log: BeaconLog, receiver,
-                    hear_delay: float) -> KeepaliveStream | None:
-        """Carry the frame ``log`` recorded last, and every repetition it
-        records after it, on the ``src_port`` direction as a
-        :class:`KeepaliveStream` — if each is certain to start at its
-        instant and to arrive: both directions healthy, both ports
-        enabled, no random loss, and the wire free now (a stream closes
-        before anything else transmits). ``None`` means nothing was
-        opened and the frame should be transmitted."""
+                    hear_delay: float) -> bool:
+        """Stream the frame ``log`` recorded last, and every repetition
+        it records after it, on the ``src_port`` direction — if each is
+        certain to start at its instant and to arrive: both directions
+        healthy, both ports enabled, no random loss, and the wire free
+        now (a stream closes before anything else transmits). The far
+        end hears each one ``hear_delay`` after it arrives, and
+        ``receiver`` learns it: ``hear(heard_at, heard_before, frame)``
+        when a repetition is written in (``heard_before`` is ``None``
+        when only that one is new), ``unhear()`` when it is lost or
+        handed back after all; its ``fed_by`` is this link while the
+        stream lasts. False means nothing was opened and the frame
+        should be transmitted."""
         direction = src_port._tx
-        if direction.stream is not None:
-            direction.stream.settle()  # a closed one may be done by now
-            if direction.stream is not None:
-                return None
+        if direction.stream_arrival is not None:
+            self.settle()  # a closed stream's last arrival may be in by now
         dst_port = self.b if src_port is self.a else self.a
-        if (self.failed or direction.failed_tx or dst_port._tx.failed_tx
+        if (direction.stream_log is not None
+                or direction.stream_arrival is not None
+                or self.failed or direction.failed_tx or dst_port._tx.failed_tx
                 or self.loss_rate or log.frame.tclass
                 or not src_port._enabled or not dst_port._enabled
                 or not self._wire_free(direction)):
             # (Either direction failed: not worth telling them apart.)
-            return None
-        stream = direction.stream = KeepaliveStream(
-            self, src_port, log, receiver, hear_delay)
+            return False
+        direction.stream_log = log
+        direction.stream_receiver = receiver
+        receiver.fed_by = self
+        direction.stream_hear_delay = hear_delay
+        # It starts with the latest repetition.
+        direction.stream_seen = log.count - 1
         log.live += 1
-        return stream
+        return True
 
-    def _close_streams(self) -> None:
-        for direction in self._directions:
-            if direction.stream is not None:
-                direction.stream.close()
+    def streaming(self, src_port: Port) -> bool:
+        """Whether the ``src_port`` direction streams repetitions."""
+        return src_port._tx.stream_log is not None
+
+    def settle(self, close: bool = False, cut: tuple = (),
+               redeliver: _Direction | None = None) -> None:
+        """Write in what the streams of both directions owe, as of now:
+        the repetitions logged since the last call, and the arrival of
+        the last one once its place in the event order has been passed.
+        Every read or disturbance of that state comes through here.
+
+        With ``close`` both directions stop streaming. A direction in
+        ``cut`` is being cut, and a last repetition still on its way is
+        lost with everything else on the wire. On ``redeliver``, whose
+        far port is changing state, it becomes the frame it stood for
+        again, in its place, for :meth:`_deliver` to judge on arrival.
+        """
+        sim = self.sim
+        first, second = self._directions
+        for direction, src, dst in ((first, self.a, self.b),
+                                    (second, self.b, self.a)):
+            log = direction.stream_log
+            arrival = direction.stream_arrival
+            arrived = 0
+            if log is not None and log.count != direction.stream_seen:
+                new = log.count - direction.stream_seen
+                direction.stream_seen = log.count
+                frame = log.frame
+                duration = self.serialization_time(frame, src)
+                flight = duration + self.delay_s
+                counters = src._counters
+                counters.tx_frames += new
+                counters.tx_bytes += new * frame.wire_length()
+                direction.busy_until = log.at + duration
+                direction.done_seq = seq = log.place(src.index)
+                # All but the newest have arrived, and the one pending
+                # before them: repetitions are a beacon period apart, a
+                # flight takes microseconds.
+                arrived = new - 1 + (arrival is not None)
+                deliver_at = log.at + flight
+                arrival = direction.stream_arrival = (deliver_at, seq, frame)
+                delay = direction.stream_hear_delay
+                before = (log.before + flight) + delay if new > 1 else None
+                direction.stream_receiver.hear(deliver_at + delay, before,
+                                               frame)
+            if log is not None and close:
+                direction.stream_log = None
+                direction.stream_receiver.fed_by = None
+                log.live -= 1
+            if arrival is not None:
+                deliver_at, seq, frame = arrival
+                if sim.has_fired(deliver_at, seq):
+                    direction.stream_arrival = None
+                    arrived += 1
+                elif direction in cut or direction is redeliver:
+                    direction.stream_arrival = None
+                    direction.stream_receiver.unhear()
+                    if direction is redeliver:
+                        sim.schedule_reserved(
+                            deliver_at, seq, self._deliver, src, direction,
+                            frame, direction.cuts, frame.wire_length())
+            if arrived:
+                counters = dst._counters
+                counters.rx_frames += arrived
+                counters.rx_bytes += arrived * frame.wire_length()
 
     def _transmission_done(self, src_port: Port, direction: _Direction,
                            cuts: int) -> None:
@@ -722,9 +705,8 @@ class Link:
         if self.failed:
             return
         self.failed = True
+        self.settle(close=True, cut=self._directions)
         for direction in self._directions:
-            if direction.stream is not None:
-                direction.stream.close(cut=True)
             direction.clear()
         self.sim.trace.emit(self.sim.now, "link.fail", self.name)
         self._notify_state()
@@ -742,9 +724,7 @@ class Link:
         """
         if src_port not in (self.a, self.b):
             raise LinkError(f"{src_port} is not an endpoint of {self.name}")
-        for direction in self._directions:
-            if direction.stream is not None:
-                direction.stream.close(cut=direction is src_port._tx)
+        self.settle(close=True, cut=(src_port._tx,))
         src_port._tx.failed_tx = True
         src_port._tx.clear()
         if self.sim.trace.wants("link.fail_direction"):

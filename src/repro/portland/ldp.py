@@ -22,12 +22,13 @@ this is the failure detector whose latency dominates Fig. 10.
 
 On a settled fabric almost every LDM is a pure keepalive: it crosses a
 healthy idle link to a located switch whose only reaction is to refresh
-one timestamp. Such a port's LDMs become a *keepalive stream*
-(:class:`repro.net.link.KeepaliveStream`): each beacon is logged once
+one timestamp. Such a port's link direction *streams* its LDMs
+(:meth:`repro.net.link.Link.open_stream`): each beacon is logged once
 for all of them, and counters, wire occupancy and the neighbour's
 ``last_heard`` are written in, exactly as the frames would have left
-them, only when something reads them. Subscribing to the
-``keepalive.ldm`` trace category turns every LDM back into a frame.
+them, only by :meth:`~repro.net.link.Link.settle` — which every read
+of them goes through. Subscribing to the ``keepalive.ldm`` trace
+category turns every LDM back into a frame.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from typing import TYPE_CHECKING, Protocol
 from repro.net.addresses import MacAddress
 from repro.net.codec import decode_payload
 from repro.net.ethernet import ETHERTYPE_LDP, EthernetFrame
-from repro.net.link import BeaconLog, KeepaliveStream, Port
+from repro.net.link import BeaconLog, Link, Port
 from repro.portland.config import PortlandConfig
 from repro.portland.messages import (
     NO_POD,
@@ -104,7 +105,7 @@ class NeighborInfo:
     """What we currently know about the switch across one port."""
 
     __slots__ = ("port_index", "switch_id", "level", "pod", "position",
-                 "_last_heard", "_heard_before", "_in_flight", "stream")
+                 "_last_heard", "_heard_before", "_in_flight", "fed_by")
 
     def __init__(self, port_index: int, switch_id: int, now: float) -> None:
         self.port_index = port_index
@@ -117,16 +118,17 @@ class NeighborInfo:
         # one is a streamed LDM (settled with ``last_heard``).
         self._heard_before = now
         self._in_flight: EthernetFrame | None = None
-        #: The keepalive stream that last brought this neighbour's LDMs.
-        self.stream: KeepaliveStream | None = None
+        #: The link streaming this neighbour's LDMs, while one does (the
+        #: link sets and clears it: see :meth:`Link.open_stream`).
+        self.fed_by: Link | None = None
 
     @property
     def last_heard(self) -> float:
         """When the latest LDM reached switch software — or, for a
         streamed one still in flight, will reach it: up to one flight
-        time ahead of the clock (see :meth:`LdpProcess._refreshes_only`)."""
-        if self.stream is not None:
-            self.stream.settle()
+        time ahead of the clock (see :meth:`LdpProcess._open_stream`)."""
+        if self.fed_by is not None:
+            self.fed_by.settle()
         return self._last_heard
 
     def hear(self, heard_at: float, heard_before: float | None,
@@ -198,9 +200,9 @@ class LdpProcess:
                                      rng_name=f"ldpchk/{switch.name}")
         self._timeout = config.miss_threshold * config.ldm_period_s
         self._log = BeaconLog(self.sim)
-        #: Streams opened on this switch's ports and live at the last
-        #: beacon; ports whose LDMs go one by one, in port order.
-        self._streams: list[KeepaliveStream] = []
+        #: Ports whose LDMs streamed at the last beacon; ports whose
+        #: LDMs go one by one, in port order.
+        self._streams: list[Port] = []
         self._singles: list[Port] = []
         #: The LDM fields and host-port count the live streams were
         #: opened under, and the port count the grouping saw.
@@ -330,46 +332,48 @@ class LdpProcess:
         self._singles = singles
 
     def _regroup(self, keep: bool) -> None:
-        """Take every port one by one again, except those of the live
-        streams if ``keep``; close the others."""
+        """Take every port one by one again, except those that still
+        stream if ``keep``; close the others."""
+        streams = [port for port in self._streams
+                   if port.link is not None and port.link.streaming(port)]
         if not keep:
-            for stream in self._streams:
-                stream.close()
-        streams = self._streams = [stream for stream in self._streams
-                                   if stream.live]
-        streamed = {stream.src_port for stream in streams}
+            for port in streams:
+                port.link.settle(close=True)
+            streams = []
+        self._streams = streams
         control = self.switch.control_port
         self._singles = [p for p in self.switch.ports
-                         if p is not control and p not in streamed]
+                         if p is not control and p not in streams]
         self._port_count = len(self.switch.ports)
 
     def _open_stream(self, port: Port) -> bool:
-        """Whether ``port``'s LDMs travel as a keepalive stream from
-        this beacon's on: a PortLand switch at the far end would only
-        refresh a stamp (:meth:`_refreshes_only`) and the link carries
-        the stream (:meth:`Link.open_stream`). Its checks can skip the
-        stream's neighbour: beacons come less than two periods apart
-        (jitter < 1), each stamping ahead, which the far end's timeout
-        must cover."""
+        """Whether ``port``'s LDMs are streamed from this beacon's on: a
+        PortLand switch at the far end would only refresh a stamp
+        (:meth:`_refreshed_by`), which could not expire before this LDM
+        is in, and the link streams it (:meth:`Link.open_stream`).
+
+        A streamed LDM's stamp runs ahead of the clock until the LDM is
+        in. That is invisible to :meth:`_check` because the stamp it
+        replaces cannot expire before then: beacons come less than two
+        periods apart (jitter < 1), and two periods must fit in the far
+        end's timeout.
+        """
         link = port.link
         peer = link.other_end(port)
         try:
             ldp = peer.node.agent.ldp
         except AttributeError:
             return False  # a host, or a switch that does not speak LDP
-        if 2 * self.config.ldm_period_s > ldp._timeout:
-            return False
         log = self._log
-        deliver_at = self.sim.now + (link.serialization_time(log.frame, port)
-                                     + link.delay_s)
-        info = ldp._refreshes_only(log.frame.payload, peer, deliver_at)
-        if info is None:
+        info = ldp._refreshed_by(log.frame.payload, peer.index)
+        delay = ldp.switch.agent_delay_s
+        heard_at = self.sim.now + (link.serialization_time(log.frame, port)
+                                   + link.delay_s) + delay
+        if (info is None or 2 * self.config.ldm_period_s > ldp._timeout
+                or heard_at - info.last_heard > ldp._timeout
+                or not link.open_stream(port, log, info, delay)):
             return False
-        stream = link.open_stream(port, log, info, ldp.switch.agent_delay_s)
-        if stream is None:
-            return False
-        info.stream = stream
-        self._streams.append(stream)
+        self._streams.append(port)
         return True
 
     # ------------------------------------------------------------------
@@ -413,27 +417,6 @@ class LdpProcess:
                 and ldm.level is SwitchLevel.EDGE and position is not None
                 and self._grants.get(position) != (ldm.switch_id, _PINNED)):
             return None  # the grant is not pinned yet
-        return info
-
-    def _refreshes_only(self, ldm: LocationDiscoveryMessage,
-                        in_port: Port,
-                        deliver_at: float) -> NeighborInfo | None:
-        """The neighbour entry that ``ldm``, delivered to ``in_port`` at
-        ``deliver_at``, would only refresh — ``None`` if it needs real
-        processing, or if the stamp it replaces could expire first.
-
-        A streamed LDM's stamp runs ahead of the clock until the LDM is
-        in. That is invisible to :meth:`_check` because the stamp it
-        replaces is required not to expire before then: earlier checks
-        find the neighbour alive under either stamp, later ones see this
-        one.
-        """
-        info = self._refreshed_by(ldm, in_port.index)
-        if info is None:
-            return None
-        heard_at = deliver_at + self.switch.agent_delay_s
-        if heard_at - info.last_heard > self._timeout:
-            return None
         return info
 
     def _on_ldm(self, ldm: LocationDiscoveryMessage, in_port: Port) -> None:
@@ -615,10 +598,9 @@ class LdpProcess:
     def _check(self) -> None:
         timeout = self._timeout
         now = self.sim.now
-        # A live stream's neighbour cannot have expired (_open_stream).
+        # A streamed neighbour cannot have expired (_open_stream).
         lost = [info for info in self.neighbors.values()
-                if (info.stream is None or not info.stream.live)
-                and now - info._last_heard > timeout]
+                if info.fed_by is None and now - info._last_heard > timeout]
         for info in lost:
             self._lose_neighbor(info)
         proposal = self._proposal
@@ -651,8 +633,8 @@ class LdpProcess:
         if len(grants) != len(self._grants):
             # Streamed LDMs may have relied on a pinned one.
             for other in self.neighbors.values():
-                if other.stream is not None and other.stream.live:
-                    other.stream.close()
+                if other.fed_by is not None:
+                    other.fed_by.settle(close=True)
         self._grants = grants
         self.sim.trace.emit(self.sim.now, "ldp.neighbor_lost", self.switch.name,
                             port=info.port_index, neighbor=info.switch_id)

@@ -1,9 +1,9 @@
-"""Frames a link carries as a keepalive stream instead of scheduling
-(Link.open_stream, KeepaliveStream).
+"""Frames a link direction streams instead of scheduling
+(Link.open_stream, Link.settle).
 
 A streamed frame must occupy the wire, move the counters and reach the
 far side exactly as a transmitted one would — and stop doing so the
-moment the link is cut under it.
+moment the link is cut under it, or the far port is disabled.
 """
 
 import pytest
@@ -145,16 +145,16 @@ def test_accounted_frame_not_idle_or_unhealthy_is_refused():
         books nothing."""
         logs[port].beacon(keepalive)
         before = (_counters(link.a), _counters(link.b))
-        stream = link.open_stream(port, logs[port], receiver, 50e-6)
-        if stream is None:
+        opened = link.open_stream(port, logs[port], receiver, 50e-6)
+        if not opened:
             assert (_counters(link.a), _counters(link.b)) == before
-        return stream is not None
+        return opened
 
     a.port(0).send(_frame(ETHERTYPE_IPV4, 1000))   # wire busy
     assert not opened(a.port(0))
     assert opened(b.port(0))                       # other direction idle
-    assert link.open_stream(b.port(0), logs[b.port(0)], receiver,
-                            50e-6) is None         # carries one already
+    assert not link.open_stream(b.port(0), logs[b.port(0)], receiver,
+                                50e-6)             # streams already
     sim.run(until=1.0)
     assert _counters(a.port(0))[0] == 1            # the refusal booked nothing
     assert _counters(b.port(0))[0] == 1            # the streamed one
@@ -180,8 +180,59 @@ def test_accounted_frame_not_idle_or_unhealthy_is_refused():
                  loss_rate=0.01)
     lossy_log = BeaconLog(sim)
     lossy_log.beacon(keepalive)
-    assert lossy.open_stream(lossy.a, lossy_log, receiver, 50e-6) is None
+    assert not lossy.open_stream(lossy.a, lossy_log, receiver, 50e-6)
     assert receiver.unheard == 0
+
+
+def _keepalive_across_a_port_toggle(streamed: bool, end: int,
+                                    offset: float, reenabled: bool):
+    """Two keepalives 10 ms apart, streamed or sent; ``offset`` after
+    the first, the port at ``end`` (0 sends, 1 receives) is disabled,
+    and with ``reenabled`` enabled again 0.1 us later."""
+    sim = Simulator()
+    a, b = Sink(sim, "a"), Sink(sim, "b")
+    link = Link(sim, a.port(0), b.port(0), carrier_detect=False)
+    keepalive = _frame(ETHERTYPE_LDP, 30)
+    log, receiver = BeaconLog(sim), _Receiver()
+
+    def beacon():
+        if streamed:
+            log.beacon(keepalive)
+            if log.live or link.open_stream(a.port(0), log, receiver,
+                                            50e-6):
+                return
+        a.port(0).send(keepalive)
+
+    port = (a, b)[end].port(0)
+    for at in (0.001, 0.011):
+        sim.schedule_at(at, beacon)
+    sim.schedule_at(0.001 + offset, setattr, port, "enabled", False)
+    if reenabled:
+        sim.schedule_at(0.001 + offset + 0.1e-6, setattr, port, "enabled",
+                        True)
+    sim.run(until=0.02)
+    counters = (_counters(a.port(0)), _counters(b.port(0)))  # settles
+    # A streamed keepalive counts as delivered while the receiver keeps
+    # what it was told; one handed back as a frame reaches ``b`` itself.
+    delivered = len(b.received) + len(receiver.heard) - receiver.unheard
+    return (*counters, delivered, {at for at, _ in b.received})
+
+
+@pytest.mark.parametrize("reenabled", [False, True])
+@pytest.mark.parametrize("offset", [0.3e-6, 1.0e-6, 5e-6])
+@pytest.mark.parametrize("end", [0, 1])
+def test_port_disabled_under_a_streamed_keepalive(end, offset, reenabled):
+    """Disabling a port while a keepalive is serializing (0.3 us) or on
+    the wire (1 us) — or after it arrived (5 us) — does to a streamed
+    one what it does to a frame: at the far port the frame is dropped on
+    arrival, or delivered if the port is enabled again by then; at the
+    sending port it goes on."""
+    real = _keepalive_across_a_port_toggle(False, end, offset, reenabled)
+    got = _keepalive_across_a_port_toggle(True, end, offset, reenabled)
+    assert got[:3] == real[:3]
+    assert got[3] <= real[3]  # handed back as a frame: on time
+    if end == 1 and offset < 1.672e-6:  # the first one is on its way
+        assert real[2] == (2 if reenabled else 0)
 
 
 def test_link_failed_before_delivery_voids_accounted_ldm():
@@ -232,7 +283,7 @@ def test_one_beacon_holds_places_in_port_order_across_real_and_streamed():
     sim.run(until=sim.now + 0.02)            # a beacon regroups the ports
 
     agg.ldp._send_ldm()
-    streamed = [p for p in ports if p._tx.stream is not None]
+    streamed = [p for p in ports if p.link.streaming(p)]
     assert real not in streamed and len(streamed) == len(ports) - 1
     for port in ports:
         port.counters                        # writes in the streams' places

@@ -6,7 +6,7 @@ them back (docs/PERF.md, "Keepalive floor" and "One event per
 uncontended hop"):
 
 * every LDM that crosses a healthy, data-idle link to a located
-  neighbour is accounted instead of sent. Reference ``"frames"``: the
+  neighbour is streamed instead of sent. Reference ``"frames"``: the
   same seed with a no-op handler subscribed to ``keepalive.ldm``, which
   turns every LDM back into a frame;
 * the end of a frame's serialization is an event only if another frame
@@ -21,9 +21,10 @@ table and compiles its plan for every frame instead of executing a
 cached one (docs/PERF.md, "The hop as a plan") — the same events, and
 everything below must still agree.
 
-Under any schedule of ``fail`` / ``recover`` / ``fail_direction`` the
-run and its reference must agree *exactly*: LDP trace records and their
-times, every ``verify.hop`` record and its time, fabric-manager traffic
+Under any schedule of ``fail`` / ``recover`` / ``fail_direction``, and
+of disabling and re-enabling one end's port, the run and its reference
+must agree *exactly*: LDP trace records and their times, every
+``verify.hop`` record and its time, fabric-manager traffic
 and fault matrix, installed tables, every port counter and per-class
 link counter, LDM counts, neighbour liveness stamps, and the delivery
 times of UDP, strict-priority UDP and TCP probe workloads — with
@@ -33,7 +34,7 @@ Fault instants are drawn both freely and relative to a beacon of the
 link they hit — before it by less than one LDM serialization time,
 while the LDM is on the wire (~1.7 us), while it sits in the receiving
 switch's software path (50 us), and just after — because those are the
-windows in which an accounted LDM is neither here nor there. They are
+windows in which a streamed LDM is neither here nor there. They are
 also drawn at exactly the instant an LDM reaches the far port or the
 far switch's software, as absolute times: there only the kernel's event
 order tells the cut from the arrival. Beacon
@@ -234,9 +235,12 @@ def _observe(sim, fabric, faults, ldp_records, hop_records,
     links = _switch_links(fabric)
     for offset, operation, index, end in faults:
         link = links[index % len(links)]
+        port = link.b if end else link.a
         if operation == "fail_direction":
-            action = functools.partial(link.fail_direction,
-                                       link.b if end else link.a)
+            action = functools.partial(link.fail_direction, port)
+        elif operation in ("disable", "enable"):
+            action = functools.partial(setattr, port, "enabled",
+                                       operation == "enable")
         else:
             action = getattr(link, operation)
         sim.schedule_at(
@@ -282,7 +286,7 @@ def _observe(sim, fabric, faults, ldp_records, hop_records,
             if port.link is not None},
         "ldms_sent": {name: agent.ldp.ldms_sent
                       for name, agent in fabric.agents.items()},
-        # An accounted LDM still in flight has its stamp set ahead of
+        # A streamed LDM still in flight has its stamp set ahead of
         # the clock; what counts at this instant is the one before.
         "neighbors": {
             name: sorted(
@@ -345,7 +349,8 @@ def _faults(draw, seed: int, k: int) -> list:
     beacons, starts, arrivals = _landmarks(seed, k)
     faults = []
     for _ in range(draw(st.integers(1, 4))):
-        operation = draw(st.sampled_from(("fail", "fail_direction")))
+        operation = draw(st.sampled_from(("fail", "fail_direction",
+                                          "disable")))
         near = draw(st.sampled_from(("beacon", "frame", "arrival",
                                      "nothing")))
         if near == "beacon":
@@ -373,7 +378,8 @@ def _faults(draw, seed: int, k: int) -> list:
             # (still in the software path) to 40 ms.
             after = draw(st.sampled_from((1e-6, 20e-6, 200e-6, 3e-3, 12e-3,
                                           40e-3)))
-            faults.append((min(at + after, WINDOW_S - 0.001), "recover",
+            faults.append((min(at + after, WINDOW_S - 0.001),
+                           "enable" if operation == "disable" else "recover",
                            index, end))
     return sorted(faults)
 
@@ -411,7 +417,7 @@ def test_accounted_keepalives_are_unobservable_k4(carrier, data):
 def test_link_flap_inside_one_ldm_flight(carrier, fail_after, recover_after):
     """The rarest schedule, spelled out because random draws seldom hit
     it: a frame in flight is lost to such a flap although the link is
-    whole again when it would have arrived, so the accounted one has to
+    whole again when it would have arrived, so the streamed one has to
     be taken back as well."""
     for at, index, end in _beacons(3, 4)[40:120:40]:
         faults = [(at + fail_after, "fail", index, end),
@@ -429,6 +435,18 @@ def test_link_cut_at_the_instant_an_ldm_arrives(carrier, software):
     arrivals = _landmarks(3, 4)[2]
     for _, exact, index, end in arrivals[40 + software:160:60]:
         _assert_equivalent(3, 4, carrier, [(exact, "fail", index, end)])
+
+
+@pytest.mark.parametrize("back_after", [0.3e-6, 3e-3])
+def test_far_port_disabled_under_an_ldm_on_the_wire(back_after):
+    """The receiving port goes down while an LDM is on the wire and
+    comes back before it arrives (0.3 us) or long after (3 ms): the LDM
+    is delivered or dropped by the port's state at arrival, streamed or
+    not."""
+    for at, index, end in _beacons(3, 4)[50:130:40]:
+        _assert_equivalent(3, 4, False, [
+            (at + 1e-6, "disable", index, 1 - end),
+            (at + 1e-6 + back_after, "enable", index, 1 - end)])
 
 
 @pytest.mark.parametrize("carrier", [True, False])
