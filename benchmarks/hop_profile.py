@@ -1,15 +1,16 @@
-"""Where the run phase of a ledger workload spends its function calls.
+"""Where a ledger workload's set-up and run phase spend their calls.
 
 ``make hop-profile WORKLOAD=<w>`` (default ``frame_shuffle_k8``; add
 ``SEED=<n>``, ``SMOKE=1`` for the k=4 size): build the workload's fabric
-and bring it up exactly as ``ledger/worker.py`` does, then run only its
-run phase under ``cProfile`` and print, per module under ``src/repro``,
-self time and calls, the twenty functions with the most self time, and
-calls per executed event and per transmitted frame. The call counts
-repeat exactly for a seed; the seconds are profiler seconds (every
-Python call taxed, C calls not) and only rank candidates — a gain is
-measured with ``make ledger-pairs``. Reads ``ledger/workloads.py``,
-changes nothing there.
+and bring it up exactly as ``ledger/worker.py`` does, then run its run
+phase, each of the two under ``cProfile``. For each it prints, per
+module under ``src/repro``, self time and calls, the twenty functions
+with the most self time, calls per executed event and per transmitted
+frame, and the calls of the functions bring-up work is counted in. The
+call counts repeat exactly for a seed; the seconds are profiler seconds
+(every Python call taxed, C calls not) and only rank candidates — a
+gain is measured with ``make ledger-pairs``. Reads
+``ledger/workloads.py``, changes nothing there.
 """
 
 import argparse
@@ -22,19 +23,32 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TOP_FUNCTIONS = 20
+#: Functions whose call counts size bring-up work: level classification
+#: (``data_ports`` called from ``_classify`` is one full evaluation of
+#: the port rules), stream refusal (``serialization_time`` called from
+#: ``_open_stream`` is one that reached the arrival arithmetic) and
+#: table derivation.
+WATCHED = ("_classify", "data_ports", "_open_stream",
+           "serialization_time", "_refresh_entries", "_restate_down",
+           "down_to_position", "down_to_pod", "default_up", "sync")
 
 
-def profile_run_phase(name: str, seed: int, smoke: bool):
-    """(pstats of the run phase, events executed, frames transmitted)."""
+def profile_phases(name: str, seed: int, smoke: bool):
+    """``(phase, pstats, events executed, frames transmitted)`` for the
+    set-up (build and bring-up, as the ledger's ``setup_s``) and the run
+    phase."""
     from repro.sim import Simulator
     from repro.topology.builder import build_portland_fabric
     from workloads import QUIET_TAIL_S, WORKLOADS
 
     workload = WORKLOADS[name].sized(smoke)
+    profiler = cProfile.Profile()
+    profiler.enable()
     sim = Simulator(seed=seed)
     fabric = build_portland_fabric(sim, k=workload.k, config=workload.config,
                                    link_params=workload.link_params())
     fabric.bring_up()
+    profiler.disable()
     nodes = [*fabric.switches.values(), *fabric.hosts.values(),
              fabric.fabric_manager]
 
@@ -43,13 +57,15 @@ def profile_run_phase(name: str, seed: int, smoke: bool):
                    for node in nodes for port in node.ports)
 
     events, frames = sim.events_executed, frames_tx()
+    phases = [("set-up", pstats.Stats(profiler), events, frames)]
     profiler = cProfile.Profile()
     profiler.enable()
     workload.run(fabric, random.Random(seed))
     sim.run(until=sim.now + QUIET_TAIL_S)
     profiler.disable()
-    return (pstats.Stats(profiler), sim.events_executed - events,
-            frames_tx() - frames)
+    phases.append(("run", pstats.Stats(profiler),
+                   sim.events_executed - events, frames_tx() - frames))
+    return phases
 
 
 def module_of(filename: str) -> str:
@@ -60,17 +76,23 @@ def module_of(filename: str) -> str:
     return "(builtins)" if filename == "~" else "(other)"
 
 
-def report(stats, events: int, frames: int) -> None:
+def report(phase: str, stats, events: int, frames: int) -> None:
+    print(f"== {phase}")
     by_module = defaultdict(lambda: [0.0, 0])
     functions = []
+    watched = []
     total_calls = 0
-    for (filename, line, function), (_, calls, self_s, _, _) in (
+    for (filename, line, function), (_, calls, self_s, _, callers) in (
             stats.stats.items()):
         module = module_of(filename)
         by_module[module][0] += self_s
         by_module[module][1] += calls
         total_calls += calls
         functions.append((self_s, calls, f"{module}:{line} {function}"))
+        if function in WATCHED and module.startswith("repro."):
+            by_caller = sorted(((n, caller[2]) for caller, (_, n, _, _)
+                                in callers.items()), reverse=True)
+            watched.append((function, module, calls, by_caller[:3]))
     print(f"{'module':<36} {'self_s':>8} {'calls':>10} {'calls/event':>12}")
     for module, (self_s, calls) in sorted(by_module.items(),
                                           key=lambda item: -item[1][0]):
@@ -79,9 +101,15 @@ def report(stats, events: int, frames: int) -> None:
     print(f"\ntop {TOP_FUNCTIONS} functions by self time")
     for self_s, calls, label in sorted(functions, reverse=True)[:TOP_FUNCTIONS]:
         print(f"  {self_s:7.3f} s {calls:9d}  {label}")
+    if watched:
+        print("\ncalls of the watched functions (top callers)")
+    for function, module, calls, by_caller in sorted(
+            watched, key=lambda row: WATCHED.index(row[0])):
+        callers = ", ".join(f"{caller} {n}" for n, caller in by_caller)
+        print(f"  {calls:9d}  {module}.{function}  ({callers})")
     print(f"\n{events} events, {frames} frames transmitted, "
           f"{total_calls} calls: {total_calls / events:.1f} per event, "
-          f"{total_calls / frames:.1f} per frame")
+          f"{total_calls / frames:.1f} per frame\n")
 
 
 def main(argv=None) -> int:
@@ -91,7 +119,8 @@ def main(argv=None) -> int:
     parser.add_argument("--smoke", action="store_true")
     args = parser.parse_args(argv)
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "ledger")]
-    report(*profile_run_phase(args.workload, args.seed, args.smoke))
+    for phase in profile_phases(args.workload, args.seed, args.smoke):
+        report(*phase)
     return 0
 
 

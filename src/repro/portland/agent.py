@@ -122,6 +122,10 @@ class PortlandAgent:
             self.sim, config.soft_state_refresh_s, self._soft_state_refresh,
             jitter=0.2, rng_name=f"refresh/{switch.name}")
         self._base_installed = False
+        #: Usable uplink port -> neighbour id; port -> the key of its
+        #: down entry (the edge's position, or at a core the pod).
+        self._uplinks: dict[int, int] = {}
+        self._down_keys: dict[int, int | None] = {}
 
         # Measurement counters.
         self.arp_queries = 0
@@ -272,18 +276,18 @@ class PortlandAgent:
         self._refresh_task.start()
 
     def on_neighbor_changed(self, port_index: int) -> None:
-        if self._reported_failed.pop(port_index, None) is not None:
-            info = self.ldp.neighbors.get(port_index)
-            if info is not None:
-                self.send_to_fm(LinkRecover(self.switch_id, port_index,
-                                            info.switch_id))
-        self._refresh_entries()
+        # The link that failed is what recovered, whoever answers now.
+        failed_peer = self._reported_failed.pop(port_index, None)
+        if failed_peer is not None:
+            self.send_to_fm(LinkRecover(self.switch_id, port_index,
+                                        failed_peer))
+        self._refresh_entries(port_index)
         self._schedule_report()
 
     def on_neighbor_lost(self, port_index: int, info: NeighborInfo) -> None:
         self._reported_failed[port_index] = info.switch_id
         self.send_to_fm(LinkFail(self.switch_id, port_index, info.switch_id))
-        self._refresh_entries()
+        self._refresh_entries(port_index)
 
     def request_pod(self) -> None:
         self.send_to_fm(PodRequest(self.switch_id))
@@ -319,42 +323,72 @@ class PortlandAgent:
             self._install(fwd.own_pod_drop(self.ldp.pod))
         self._refresh_entries()
 
-    def _refresh_entries(self) -> None:
-        """State the topology-dependent entries; the table reconciles
-        (what is already installed stays, counters and all)."""
-        if self._base_installed:
-            self.switch.table.sync(self._TOPOLOGY_ENTRIES,
-                                   self._topology_specs())
+    def _refresh_entries(self, port_index: int | None = None) -> None:
+        """State the topology entries a change at ``port_index`` can have
+        moved (all, without it), and only those; the table reconciles. A
+        scheme's routes follow every neighbour: they are stated whole."""
+        if not self._base_installed:
+            return
+        routes = self.scheme.route_entries(self)
+        whole = port_index is None or routes is not None
+        specs, gone = [], []
+        uplinks = {index: self.ldp.neighbors[index].switch_id
+                   for index in self._usable_up_ports()}
+        if whole or uplinks != self._uplinks:
+            self._uplinks = uplinks
+            if routes is not None:
+                specs.extend(routes)
+            elif uplinks:  # a core has none
+                specs.append(fwd.default_up(tuple(uplinks)))
+            else:
+                gone.append("default-up")
+            # (Overrides have a priority of their own: their place is moot.)
+            specs.extend(self._fault_spec(key) for key in self._fault_overrides)
+        if routes is None:
+            self._restate_down(None if whole else port_index, specs, gone)
+        if specs or gone:
+            self.switch.table.sync(self._TOPOLOGY_ENTRIES if whole else (),
+                                   specs, gone)
 
-    def _topology_specs(self) -> list[tuple]:
-        """Every entry that follows from the live neighbours, the links
-        the fabric manager blocked and its fault overrides: the scheme's
-        ``route:`` set or the fat tree's up/down/pod derivation, then
-        the overrides layered above either."""
-        specs = self.scheme.route_entries(self)
-        if specs is None:
-            specs = []
-            level = self.level
-            up = tuple(self._usable_up_ports())  # a core has none
-            if up:
-                specs.append(fwd.default_up(up))
-            pods: dict[int, list[int]] = {}
-            for index, info in self.ldp.neighbors.items():
-                if info.switch_id in self.fm_blocked_neighbors:
-                    continue
-                if (level is SwitchLevel.AGGREGATION
-                        and info.level is SwitchLevel.EDGE
-                        and info.position is not None):
-                    specs.append(fwd.down_to_position(
-                        self.ldp.pod, info.position, index))
-                elif (level is SwitchLevel.CORE
-                        and info.level is SwitchLevel.AGGREGATION
-                        and info.pod is not None):
-                    pods.setdefault(info.pod, []).append(index)
-            specs.extend(fwd.down_to_pod(pod, tuple(sorted(ports)))
-                         for pod, ports in pods.items())
-        specs.extend(self._fault_spec(key) for key in self._fault_overrides)
-        return specs
+    def _restate_down(self, port_index: int | None, specs: list[tuple],
+                      gone: list[str]) -> None:
+        """Add the down entries a change at ``port_index`` (``None``: any)
+        can have moved to ``specs``, or their names to ``gone``. Their
+        ports are the unblocked neighbours keyed on them: a pod's share
+        one; of two edges claiming a position, the later one wins."""
+        if self.level is SwitchLevel.AGGREGATION:
+            below = SwitchLevel.EDGE
+        elif self.level is SwitchLevel.CORE:
+            below = SwitchLevel.AGGREGATION
+        else:
+            return
+        blocked = self.fm_blocked_neighbors
+        to_edges = below is SwitchLevel.EDGE
+        keyed = {index: info.position if to_edges else info.pod
+                 for index, info in self.ldp.neighbors.items()
+                 if info.level is below and info.switch_id not in blocked}
+        was = self._down_keys.get(port_index)
+        self._down_keys = keyed
+        if port_index is None:
+            keys = set(keyed.values())
+        elif keyed.get(port_index) == was:
+            return  # the same entry, over the same ports
+        else:
+            keys = {was, keyed.get(port_index)}
+        keys.discard(None)
+        ports: dict[int, list[int]] = {}
+        for index, key in keyed.items():
+            if key in keys:
+                ports.setdefault(key, []).append(index)
+        pod = self.ldp.pod
+        if to_edges:
+            gone.extend(fwd.down_name(pod, key) for key in keys - ports.keys())
+            specs.extend(fwd.down_to_position(pod, key, on[-1])
+                         for key, on in ports.items())
+        else:
+            gone.extend(fwd.down_name(key) for key in keys - ports.keys())
+            specs.extend(fwd.down_to_pod(key, tuple(sorted(on)))
+                         for key, on in ports.items())
 
     def _usable_up_ports(self) -> list[int]:
         """Uplink ports minus any the fabric manager has blocked."""

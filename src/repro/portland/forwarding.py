@@ -124,12 +124,18 @@ def own_pod_drop(pod: int) -> tuple[Match, tuple, int, str]:
             PRIO_OWN_PREFIX_DROP, "own-pod-drop")
 
 
+def down_name(pod: int, position: int | None = None) -> str:
+    """Name of the entry toward one edge switch, or one pod without
+    ``position``."""
+    return f"pod:{pod}" if position is None else f"down:{pod}.{position}"
+
+
 def down_to_position(pod: int, position: int,
                      port: int) -> tuple[Match, tuple, int, str]:
     """Aggregation: descend toward one edge switch."""
     value, bits = position_prefix(pod, position)
     return (Match(eth_dst=value, eth_dst_mask=mac_prefix_mask(bits)),
-            (Output(port),), PRIO_DOWN, f"down:{pod}.{position}")
+            (Output(port),), PRIO_DOWN, down_name(pod, position))
 
 
 def down_to_pod(pod: int, ports: tuple[int, ...]) -> tuple[Match, tuple, int, str]:
@@ -137,7 +143,7 @@ def down_to_pod(pod: int, ports: tuple[int, ...]) -> tuple[Match, tuple, int, st
     value, bits = pod_prefix(pod)
     action = (Output(ports[0]),) if len(ports) == 1 else (SelectByHash(ports),)
     return (Match(eth_dst=value, eth_dst_mask=mac_prefix_mask(bits)),
-            action, PRIO_DOWN, f"pod:{pod}")
+            action, PRIO_DOWN, down_name(pod))
 
 
 def default_up(ports: tuple[int, ...]) -> tuple[Match, tuple, int, str]:

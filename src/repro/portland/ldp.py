@@ -61,11 +61,15 @@ LDP_MULTICAST = MacAddress.parse("01:80:c2:00:00:0e")
 #: Hard cap on the position space (matches the 8-bit PMAC field).
 MAX_POSITIONS = 256
 
+#: The levels, bound once: reading one off the enum class runs its
+#: metaclass's attribute hook, a cost on every LDM's path.
+_UNKNOWN, _EDGE, _AGGREGATION, _CORE = SwitchLevel
 #: Level whose LDMs a pod-less switch of the keyed level takes its pod
 #: number from (aggregation adopts from edges below, edges from
 #: aggregation above).
-_POD_SOURCE = {SwitchLevel.EDGE: SwitchLevel.AGGREGATION,
-               SwitchLevel.AGGREGATION: SwitchLevel.EDGE}
+_POD_SOURCE = {_EDGE: _AGGREGATION, _AGGREGATION: _EDGE}
+#: Level of a switch's uplink neighbours, keyed by its own level.
+_UP_LEVEL = {_EDGE: _AGGREGATION, _AGGREGATION: _CORE}
 
 _PINNED = float("inf")
 
@@ -110,7 +114,7 @@ class NeighborInfo:
     def __init__(self, port_index: int, switch_id: int, now: float) -> None:
         self.port_index = port_index
         self.switch_id = switch_id
-        self.level = SwitchLevel.UNKNOWN
+        self.level = _UNKNOWN
         self.pod: int | None = None
         self.position: int | None = None
         self._last_heard = now
@@ -175,7 +179,7 @@ class LdpProcess:
         self.switch_mac = bridge_mac_for(switch.name)
         self.switch_id = self.switch_mac.value
 
-        self.level = SwitchLevel.UNKNOWN
+        self.level = _UNKNOWN
         self.pod: int | None = None
         self.position: int | None = None
         self.host_ports: set[int] = set()
@@ -208,6 +212,8 @@ class LdpProcess:
         #: opened under, and the port count the grouping saw.
         self._shape: tuple | None = None
         self._port_count = 0
+        #: Links whose far end does not speak LDP: never offered a stream.
+        self._deaf: set[Link] = set()
         #: LDMs transmitted (control-overhead measurement).
         self.ldms_sent = 0
         #: LDP frames dropped as undecodable or not an LDP message.
@@ -247,11 +253,11 @@ class LdpProcess:
     @property
     def location_complete(self) -> bool:
         """Whether this switch fully knows where it is."""
-        if self.level is SwitchLevel.EDGE:
+        if self.level is _EDGE:
             return self.pod is not None and self.position is not None
-        if self.level is SwitchLevel.AGGREGATION:
+        if self.level is _AGGREGATION:
             return self.pod is not None
-        return self.level is SwitchLevel.CORE
+        return self.level is _CORE
 
     def set_pod(self, pod: int) -> None:
         """Install a pod number (from the fabric manager's PodReply)."""
@@ -271,13 +277,8 @@ class LdpProcess:
 
     def up_ports(self) -> list[int]:
         """Port indices facing the next level up (confirmed neighbours)."""
-        if self.level is SwitchLevel.EDGE:
-            return sorted(i for i, n in self.neighbors.items()
-                          if n.level is SwitchLevel.AGGREGATION)
-        if self.level is SwitchLevel.AGGREGATION:
-            return sorted(i for i, n in self.neighbors.items()
-                          if n.level is SwitchLevel.CORE)
-        return []
+        up = _UP_LEVEL.get(self.level)
+        return sorted(i for i, n in self.neighbors.items() if n.level is up)
 
     # ------------------------------------------------------------------
     # Beaconing
@@ -326,8 +327,7 @@ class LdpProcess:
                                    port=port.index, seq=self._seq)
                 if observed or not self._open_stream(port):
                     singles.append(port)
-                    port.send(EthernetFrame(LDP_MULTICAST, self.switch_mac,
-                                            ETHERTYPE_LDP, message))
+                    port.send(log.frame.copy())
             log.mark(port.index)
         self._singles = singles
 
@@ -359,18 +359,23 @@ class LdpProcess:
         end's timeout.
         """
         link = port.link
+        if link in self._deaf:
+            return False
         peer = link.other_end(port)
         try:
             ldp = peer.node.agent.ldp
-        except AttributeError:
-            return False  # a host, or a switch that does not speak LDP
+        except AttributeError:  # a host (never retried), or no agent yet
+            if not hasattr(peer.node, "agent"):
+                self._deaf.add(link)
+            return False
         log = self._log
         info = ldp._refreshed_by(log.frame.payload, peer.index)
+        if info is None or 2 * self.config.ldm_period_s > ldp._timeout:
+            return False
         delay = ldp.switch.agent_delay_s
         heard_at = self.sim.now + (link.serialization_time(log.frame, port)
                                    + link.delay_s) + delay
-        if (info is None or 2 * self.config.ldm_period_s > ldp._timeout
-                or heard_at - info.last_heard > ldp._timeout
+        if (heard_at - info.last_heard > ldp._timeout
                 or not link.open_stream(port, log, info, delay)):
             return False
         self._streams.append(port)
@@ -399,6 +404,9 @@ class LdpProcess:
         """The neighbour entry that ``ldm``, arriving on port ``index``,
         would refresh — ``None`` if processing it would do anything more
         than set ``last_heard`` (see the steps of :meth:`_on_ldm`)."""
+        level = self.level
+        if level is _UNKNOWN:
+            return None  # _classify has work to do
         info = self.neighbors.get(index)
         if info is None or info.switch_id != ldm.switch_id:
             return None
@@ -407,14 +415,11 @@ class LdpProcess:
         if (info.level is not ldm.level or info.pod != pod
                 or info.position != position):
             return None
-        level = self.level
-        if level is SwitchLevel.UNKNOWN:
-            return None  # _classify has work to do
         if (self.pod is None and pod is not None
                 and _POD_SOURCE.get(level) is ldm.level):
             return None  # _adopt_pod would take the pod
-        if (level is SwitchLevel.AGGREGATION
-                and ldm.level is SwitchLevel.EDGE and position is not None
+        if (level is _AGGREGATION
+                and ldm.level is _EDGE and position is not None
                 and self._grants.get(position) != (ldm.switch_id, _PINNED)):
             return None  # the grant is not pinned yet
         return info
@@ -445,11 +450,11 @@ class LdpProcess:
             changed = True
 
         self._adopt_pod(info)
-        self._classify()
+        self._classify(info)
         # An aggregation switch pins a position grant when it sees the
         # edge actually beaconing with it.
-        if (self.level is SwitchLevel.AGGREGATION
-                and ldm.level is SwitchLevel.EDGE and position is not None):
+        if (self.level is _AGGREGATION
+                and ldm.level is _EDGE and position is not None):
             self._grants[position] = (ldm.switch_id, _PINNED)
         if changed:
             self.listener.on_neighbor_changed(index)
@@ -459,35 +464,40 @@ class LdpProcess:
                 or _POD_SOURCE.get(self.level) is not info.level):
             return
         self.pod = info.pod
-        if self.level is SwitchLevel.EDGE:
+        if self.level is _EDGE:
             self._pod_request_timer.stop()
         self._maybe_announce()
 
     # ------------------------------------------------------------------
     # Level classification
 
-    def _classify(self) -> None:
-        if self.level is not SwitchLevel.UNKNOWN:
+    def _classify(self, info: NeighborInfo) -> None:
+        """The level rules, after the LDM that updated ``info``. While the
+        level is unknown no neighbour is an edge (the LDM that made one
+        so settled the level), so only ``info`` can newly satisfy a rule:
+        the aggregation rule as an edge, the core rule as aggregation;
+        the edge rule needs only the edge-detection wait to be over."""
+        if self.level is not _UNKNOWN:
             return
-        if any(n.level is SwitchLevel.EDGE for n in self.neighbors.values()):
-            self.level = SwitchLevel.AGGREGATION
+        if info.level is _EDGE:
+            self.level = _AGGREGATION
             self._maybe_announce()
             return
+        detected = self.sim.now - self._started_at >= edge_detect_s(self.config)
+        if not detected and info.level is not _AGGREGATION:
+            return  # no rule can fire: the port rules are not evaluated
         wired = {p.index for p in self.data_ports()}
         heard = set(self.neighbors)
         silent = wired - heard
-        waited = self.sim.now - self._started_at
-        if (silent and heard
-                and waited >= edge_detect_s(self.config)):
-            self.level = SwitchLevel.EDGE
+        if silent and heard and detected:
+            self.level = _EDGE
             self.host_ports = silent
             self._start_position_agreement()
             self._maybe_announce()
             return
-        if (wired and heard == wired
-                and all(n.level is SwitchLevel.AGGREGATION
-                        for n in self.neighbors.values())):
-            self.level = SwitchLevel.CORE
+        if wired and heard == wired and all(
+                n.level is _AGGREGATION for n in self.neighbors.values()):
+            self.level = _CORE
             self._maybe_announce()
 
     def _maybe_announce(self) -> None:
@@ -527,7 +537,7 @@ class LdpProcess:
                                    self.sim.now + PROPOSAL_TIMEOUT_S)
         proposal = PositionProposal(self.switch_id, position)
         for index, info in self.neighbors.items():
-            if info.level in (SwitchLevel.AGGREGATION, SwitchLevel.UNKNOWN):
+            if info.level in (_AGGREGATION, _UNKNOWN):
                 self.switch.ports[index].send(
                     EthernetFrame(LDP_MULTICAST, self.switch_mac,
                                   ETHERTYPE_LDP, proposal))
@@ -545,7 +555,7 @@ class LdpProcess:
         proposal.grants.add(ack.switch_id)
         # Commit once every known upward neighbour has granted.
         upward = {n.switch_id for n in self.neighbors.values()
-                  if n.level in (SwitchLevel.AGGREGATION, SwitchLevel.UNKNOWN)}
+                  if n.level in (_AGGREGATION, _UNKNOWN)}
         if upward and upward <= proposal.grants:
             self._commit_position(proposal.position)
 
@@ -575,7 +585,7 @@ class LdpProcess:
     # Position arbitration (aggregation side)
 
     def _on_proposal(self, proposal: PositionProposal, in_port: Port) -> None:
-        if self.level is not SwitchLevel.AGGREGATION:
+        if self.level is not _AGGREGATION:
             return
         granted = self._grant(proposal.position, proposal.switch_id)
         ack = PositionAck(self.switch_id, proposal.position, granted)

@@ -243,12 +243,12 @@ class FlowTable:
             self._non_key_entries += 1
         return entry
 
-    def sync(self, owned: tuple[str, ...], specs) -> bool:
+    def sync(self, owned: tuple[str, ...], specs, gone=()) -> bool:
         """Make the owned entries exactly ``specs``; True if any changed.
 
         ``specs`` are ``(match, actions, priority, name)`` tuples with
         distinct names. An entry is *owned* when its name is one of
-        theirs or starts with one of the ``owned`` prefixes. An owned
+        theirs or of ``gone``, or starts with an ``owned`` prefix. An owned
         entry that already is its spec — same match, actions and
         priority — stays where it is and keeps its counters; every other
         owned entry goes, and the specs still missing are placed as
@@ -265,7 +265,7 @@ class FlowTable:
                                     entry.priority):
                     continue
                 wanted[name] = None  # satisfied; a later duplicate goes
-            elif name.startswith(owned):
+            elif name in gone or name.startswith(owned):
                 continue
             kept.append(entry)
         if len(kept) == len(self._entries) and not any(wanted.values()):

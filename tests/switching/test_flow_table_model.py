@@ -139,7 +139,8 @@ MUTATIONS = st.lists(
         st.tuples(st.just("remove_by_name"), NAMES),
         st.tuples(st.just("remove_where"), st.integers(0, 3)),
         st.tuples(st.just("clear")),
-        st.tuples(st.just("sync"), OWNED, st.lists(SPECS, max_size=4)),
+        st.tuples(st.just("sync"), OWNED, st.lists(SPECS, max_size=4),
+                  st.lists(NAMES, max_size=2)),
     ),
     min_size=1, max_size=20,
 )
@@ -183,7 +184,7 @@ class TableModel:
     def drop(self, predicate):
         self.rows = [row for row in self.rows if not predicate(row)]
 
-    def sync(self, owned, specs):
+    def sync(self, owned, specs, gone):
         wanted = {spec[3]: spec[:3] for spec in specs}
         kept = []
         for row in self.ordered():
@@ -193,6 +194,7 @@ class TableModel:
                     continue
                 del wanted[name]
             elif (any(name.startswith(prefix) for prefix in owned)
+                    or name in gone
                     or any(name == spec[3] for spec in specs)):
                 continue
             kept.append(row)
@@ -230,8 +232,8 @@ def test_indexed_lookup_equals_scan_after_every_mutation(mutations, probes):
             model.drop(lambda row: row[3] == op[1])
         elif op[0] == "sync":
             specs = _specs_for(table, op[2])
-            changed = table.sync(op[1], specs)
-            model.sync(op[1], specs)
+            changed = table.sync(op[1], specs, op[3])
+            model.sync(op[1], specs, op[3])
             assert changed == (table.version != before[0])
         else:
             table.clear()

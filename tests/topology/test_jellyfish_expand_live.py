@@ -126,3 +126,19 @@ def test_campaign_expand_step_recovers():
     assert len(expand_steps) == 2
     assert result.ok, result.violations
     assert result.path_launches > 0
+
+
+def test_live_expansion_leaves_no_stale_fault():
+    # A spliced link's endpoints report it failed and, when their freed
+    # ports hear the new switch, recovered: the recovery must name the
+    # link that failed, not the new neighbour, or the fabric manager
+    # keeps the dead link in its fault matrix and both endpoints keep
+    # their old partner blocked for good.
+    sim = Simulator(seed=11)
+    fabric = converged_even_degree_fabric(sim)
+    expand_jellyfish_live(fabric, seed=EXPAND_SEED)
+    sim.run(until=sim.now + 3.0)
+    assert fabric.fabric_manager.fault_matrix == set()
+    assert {name: agent.fm_blocked_neighbors
+            for name, agent in fabric.agents.items()
+            if agent.fm_blocked_neighbors} == {}
