@@ -6,49 +6,84 @@ and bring it up exactly as ``ledger/worker.py`` does, then run its run
 phase, each of the two under ``cProfile``. For each it prints, per
 module under ``src/repro``, self time and calls, the twenty functions
 with the most self time, calls per executed event and per transmitted
-frame, and the calls of the functions bring-up work is counted in. The
-call counts repeat exactly for a seed; the seconds are profiler seconds
-(every Python call taxed, C calls not) and only rank candidates — a
-gain is measured with ``make ledger-pairs``. Reads
-``ledger/workloads.py``, changes nothing there.
+frame, the calls of the functions bring-up work is counted in, and the
+garbage collector's collections and seconds per generation (from
+``gc.callbacks``). The call counts repeat exactly for a seed; the
+seconds are profiler seconds (every Python call taxed, C calls not) and
+only rank candidates — a gain is measured with ``make ledger-pairs``.
+Reads ``ledger/workloads.py``, changes nothing there.
 """
 
 import argparse
 import cProfile
+import gc
 import pstats
 import random
 import sys
 from collections import defaultdict
 from pathlib import Path
+from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 TOP_FUNCTIONS = 20
 #: Functions whose call counts size bring-up work: level classification
 #: (``data_ports`` called from ``_classify`` is one full evaluation of
 #: the port rules), stream refusal (``serialization_time`` called from
-#: ``_open_stream`` is one that reached the arrival arithmetic) and
-#: table derivation.
+#: ``_open_stream`` is one that reached the arrival arithmetic), table
+#: derivation (``_usable_up_ports`` is one uplink-map rebuild), per-port
+#: LDM frames (``copy``, ``payload_length``, ``other_end``), the fabric
+#: manager's override runs (``pod`` is ``FabricView.pod``) and Python
+#: constructors of kernel events. A name with a dot is
+#: ``module.function``.
 WATCHED = ("_classify", "data_ports", "_open_stream",
            "serialization_time", "_refresh_entries", "_restate_down",
-           "down_to_position", "down_to_pod", "default_up", "sync")
+           "_usable_up_ports", "down_to_position", "down_to_pod",
+           "default_up", "sync", "copy", "payload_length", "other_end",
+           "_recompute_affected", "pod", "repro.sim.events.__init__")
+
+
+class GcMeter:
+    """Collections and seconds per generation, from ``gc.callbacks``."""
+
+    def __init__(self) -> None:
+        self.collections = [0, 0, 0]
+        self.seconds = [0.0, 0.0, 0.0]
+        self._started = 0.0
+
+    def __call__(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self._started = perf_counter()
+            return
+        generation = info["generation"]
+        self.collections[generation] += 1
+        self.seconds[generation] += perf_counter() - self._started
+
+    def __enter__(self) -> "GcMeter":
+        gc.callbacks.append(self)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        gc.callbacks.remove(self)
 
 
 def profile_phases(name: str, seed: int, smoke: bool):
-    """``(phase, pstats, events executed, frames transmitted)`` for the
-    set-up (build and bring-up, as the ledger's ``setup_s``) and the run
-    phase."""
+    """``(phase, pstats, events executed, frames transmitted, GcMeter)``
+    for the set-up (build and bring-up, as the ledger's ``setup_s``) and
+    the run phase."""
     from repro.sim import Simulator
     from repro.topology.builder import build_portland_fabric
     from workloads import QUIET_TAIL_S, WORKLOADS
 
     workload = WORKLOADS[name].sized(smoke)
     profiler = cProfile.Profile()
-    profiler.enable()
-    sim = Simulator(seed=seed)
-    fabric = build_portland_fabric(sim, k=workload.k, config=workload.config,
-                                   link_params=workload.link_params())
-    fabric.bring_up()
-    profiler.disable()
+    with GcMeter() as setup_gc:
+        profiler.enable()
+        sim = Simulator(seed=seed)
+        fabric = build_portland_fabric(sim, k=workload.k,
+                                       config=workload.config,
+                                       link_params=workload.link_params())
+        fabric.bring_up()
+        profiler.disable()
     nodes = [*fabric.switches.values(), *fabric.hosts.values(),
              fabric.fabric_manager]
 
@@ -57,14 +92,16 @@ def profile_phases(name: str, seed: int, smoke: bool):
                    for node in nodes for port in node.ports)
 
     events, frames = sim.events_executed, frames_tx()
-    phases = [("set-up", pstats.Stats(profiler), events, frames)]
+    phases = [("set-up", pstats.Stats(profiler), events, frames, setup_gc)]
     profiler = cProfile.Profile()
-    profiler.enable()
-    workload.run(fabric, random.Random(seed))
-    sim.run(until=sim.now + QUIET_TAIL_S)
-    profiler.disable()
+    with GcMeter() as run_gc:
+        profiler.enable()
+        workload.run(fabric, random.Random(seed))
+        sim.run(until=sim.now + QUIET_TAIL_S)
+        profiler.disable()
     phases.append(("run", pstats.Stats(profiler),
-                   sim.events_executed - events, frames_tx() - frames))
+                   sim.events_executed - events, frames_tx() - frames,
+                   run_gc))
     return phases
 
 
@@ -76,7 +113,8 @@ def module_of(filename: str) -> str:
     return "(builtins)" if filename == "~" else "(other)"
 
 
-def report(phase: str, stats, events: int, frames: int) -> None:
+def report(phase: str, stats, events: int, frames: int,
+           collector: GcMeter) -> None:
     print(f"== {phase}")
     by_module = defaultdict(lambda: [0.0, 0])
     functions = []
@@ -89,10 +127,12 @@ def report(phase: str, stats, events: int, frames: int) -> None:
         by_module[module][1] += calls
         total_calls += calls
         functions.append((self_s, calls, f"{module}:{line} {function}"))
-        if function in WATCHED and module.startswith("repro."):
+        name = next((name for name in (function, f"{module}.{function}")
+                     if name in WATCHED), None)
+        if name is not None and module.startswith("repro."):
             by_caller = sorted(((n, caller[2]) for caller, (_, n, _, _)
                                 in callers.items()), reverse=True)
-            watched.append((function, module, calls, by_caller[:3]))
+            watched.append((name, function, module, calls, by_caller[:3]))
     print(f"{'module':<36} {'self_s':>8} {'calls':>10} {'calls/event':>12}")
     for module, (self_s, calls) in sorted(by_module.items(),
                                           key=lambda item: -item[1][0]):
@@ -103,10 +143,13 @@ def report(phase: str, stats, events: int, frames: int) -> None:
         print(f"  {self_s:7.3f} s {calls:9d}  {label}")
     if watched:
         print("\ncalls of the watched functions (top callers)")
-    for function, module, calls, by_caller in sorted(
+    for _, function, module, calls, by_caller in sorted(
             watched, key=lambda row: WATCHED.index(row[0])):
         callers = ", ".join(f"{caller} {n}" for n, caller in by_caller)
         print(f"  {calls:9d}  {module}.{function}  ({callers})")
+    print("\ngarbage collector: " + ", ".join(
+        f"gen{generation} {collector.collections[generation]} "
+        f"({collector.seconds[generation]:.3f} s)" for generation in range(3)))
     print(f"\n{events} events, {frames} frames transmitted, "
           f"{total_calls} calls: {total_calls / events:.1f} per event, "
           f"{total_calls / frames:.1f} per frame\n")

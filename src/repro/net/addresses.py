@@ -90,8 +90,7 @@ class MacAddress:
     def __str__(self) -> str:
         text = self._str
         if text is None:
-            raw = self.to_bytes()
-            text = self._str = ":".join(f"{octet:02x}" for octet in raw)
+            text = self._str = self.to_bytes().hex(":")
         return text
 
     def __repr__(self) -> str:

@@ -245,7 +245,9 @@ class BeaconLog:
 
     def beacon(self, frame: EthernetFrame) -> None:
         """Log a repetition of ``frame`` now; its first run takes the
-        next place."""
+        next place. Every port that sends or streams the repetition
+        shares this one object, so it is sized once, by whichever reads
+        its length first."""
         self.count += 1
         self.before = self.at
         self.at = self.sim.now

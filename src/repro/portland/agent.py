@@ -332,10 +332,10 @@ class PortlandAgent:
         routes = self.scheme.route_entries(self)
         whole = port_index is None or routes is not None
         specs, gone = [], []
-        uplinks = {index: self.ldp.neighbors[index].switch_id
-                   for index in self._usable_up_ports()}
-        if whole or uplinks != self._uplinks:
-            self._uplinks = uplinks
+        if whole or self._uplink(port_index) != self._uplinks.get(port_index):
+            self._uplinks = uplinks = {
+                index: self.ldp.neighbors[index].switch_id
+                for index in self._usable_up_ports()}
             if routes is not None:
                 specs.extend(routes)
             elif uplinks:  # a core has none
@@ -364,17 +364,23 @@ class PortlandAgent:
             return
         blocked = self.fm_blocked_neighbors
         to_edges = below is SwitchLevel.EDGE
-        keyed = {index: info.position if to_edges else info.pod
-                 for index, info in self.ldp.neighbors.items()
-                 if info.level is below and info.switch_id not in blocked}
-        was = self._down_keys.get(port_index)
-        self._down_keys = keyed
+        neighbors = self.ldp.neighbors
+        if port_index is not None:
+            was = self._down_keys.get(port_index)
+            info = neighbors.get(port_index)
+            key = (None if info is None or info.level is not below
+                   or info.switch_id in blocked
+                   else info.position if to_edges else info.pod)
+            if key == was:
+                return  # the same entry, over the same ports
+            keys = {was, key}
+        # In neighbour order: of two edges on one position, the later wins.
+        keyed = self._down_keys = {
+            index: info.position if to_edges else info.pod
+            for index, info in neighbors.items()
+            if info.level is below and info.switch_id not in blocked}
         if port_index is None:
             keys = set(keyed.values())
-        elif keyed.get(port_index) == was:
-            return  # the same entry, over the same ports
-        else:
-            keys = {was, keyed.get(port_index)}
         keys.discard(None)
         ports: dict[int, list[int]] = {}
         for index, key in keyed.items():
@@ -389,6 +395,15 @@ class PortlandAgent:
             gone.extend(fwd.down_name(key) for key in keys - ports.keys())
             specs.extend(fwd.down_to_pod(key, tuple(sorted(on)))
                          for key, on in ports.items())
+
+    def _uplink(self, index: int) -> int | None:
+        """The neighbour on port ``index`` if :meth:`_usable_up_ports`
+        lists the port."""
+        info = self.ldp.neighbors.get(index)
+        if (info is not None and self.ldp.faces_up(info)
+                and info.switch_id not in self.fm_blocked_neighbors):
+            return info.switch_id
+        return None
 
     def _usable_up_ports(self) -> list[int]:
         """Uplink ports minus any the fabric manager has blocked."""

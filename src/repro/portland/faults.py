@@ -60,7 +60,7 @@ def compute_overrides(view: FabricView) -> Overrides:
         position = view.position(edge)
         if pod is None or position is None:
             continue
-        if not _touched_by_failure(view, edge, pod):
+        if not _touched_by_failure(view, edge, _pod_relevance(view, pod)):
             continue
         prefix, d_aggs, d_cores = _dest_state(view, edge, pod, position)
         _edge_overrides(view, overrides, edge, pod, prefix, d_aggs, d_cores)
@@ -82,26 +82,27 @@ def _dest_state(view: FabricView, edge: int, pod: int,
     return (value.value, bits), d_aggs, d_cores
 
 
-def _relevance(view: FabricView, edge: int, pod: int) -> set[int]:
-    """Switches whose links feed ``edge``'s reachability analysis: the
-    edge itself, its pod's aggregation switches, and their cores. Every
-    quantity in :func:`_dest_state` and the per-sender avoid sets reads
-    only links with at least one endpoint in this set (an uplink chosen
-    by any sender must land on a core wired to the destination pod to
-    matter, and that core is in the set)."""
-    relevant = {edge}
+def _pod_relevance(view: FabricView, pod: int) -> set[int]:
+    """Switches whose links feed the reachability analysis of an edge in
+    ``pod``, besides the edge: the pod's aggregation switches and their
+    cores. Every quantity in :func:`_dest_state` and the per-sender avoid
+    sets reads only links with an endpoint there or at the edge (an
+    uplink chosen by any sender must land on a core wired to the
+    destination pod to matter, and that core is in the set)."""
+    relevant: set[int] = set()
     for agg in view.aggs_in_pod(pod):
         relevant.add(agg)
         relevant.update(view.core_neighbors(agg))
     return relevant
 
 
-def _touched_by_failure(view: FabricView, edge: int, pod: int) -> bool:
+def _touched_by_failure(view: FabricView, edge: int,
+                        relevant: set[int]) -> bool:
     """Whether any failed link could affect reachability of ``edge``:
-    a link touching the edge itself, its pod's aggregation switches, or
-    those switches' cores."""
-    relevant = _relevance(view, edge, pod)
-    return any(relevant & link for link in view.failed)
+    a link touching the edge itself or ``relevant``, its pod's
+    :func:`_pod_relevance`."""
+    return any(edge in link or not relevant.isdisjoint(link)
+               for link in view.failed)
 
 
 def _avoid_for_edge(view: FabricView, other: int, pod: int,
@@ -157,7 +158,8 @@ class OverrideComputer:
     destination prefixes the change can affect:
 
     * a fault-matrix flip on link *l* touches exactly the prefixes whose
-      :func:`_relevance` set intersects *l*'s endpoints;
+      destination edge or :func:`_pod_relevance` set meets *l*'s
+      endpoints;
     * a wiring change at switch *s* (LDP pruning or re-adding links in
       its neighbour report) additionally rewrites *s*'s own avoid rows
       for every prefix, since ``phys_up``/``core_neighbors`` of a sender
@@ -165,10 +167,10 @@ class OverrideComputer:
       cached ``(D_aggs, D_cores)`` of each unaffected destination.
 
     Level/pod/position changes (and anything else the caller cannot
-    attribute) are handled by the same derivation loop with *every*
-    switch marked changed. ``edges_examined`` counts destination
-    prefixes re-derived over the computer's lifetime — the per-event
-    recompute-work metric the fig. 15 bench reports.
+    attribute) must come as a full update, which starts over with
+    *every* switch marked changed. ``edges_examined`` counts
+    destination prefixes re-derived over the computer's lifetime — the
+    per-event recompute-work metric the fig. 15 bench reports.
     """
 
     def __init__(self) -> None:
@@ -183,6 +185,10 @@ class OverrideComputer:
         #: edge_id -> (prefix, pod, d_aggs, d_cores) for touched edges.
         self._dest: dict[int, tuple[tuple[int, int], int,
                                     set[int], set[int]]] = {}
+        #: (edge, pod, position) by id of the edges with both, read from
+        #: the records once after a full update (the roles hold till the
+        #: next).
+        self._located: list[tuple[int, int, int]] | None = None
         self._primed = False
 
     def update(self, view: FabricView,
@@ -193,7 +199,8 @@ class OverrideComputer:
         ``changed_links`` are links whose fault or wiring state flipped
         since the last update; ``changed_switches`` are switches whose
         reported neighbour set changed. ``None`` (or an unprimed
-        computer) means "unknown": start over with every switch changed.
+        computer) means "unknown": start over with every switch changed
+        — required when a switch's level, pod or position changed.
         """
         view = view.fresh()  # the caller's may predate the change
         if changed_links is None or not self._primed:
@@ -214,25 +221,27 @@ class OverrideComputer:
 
     def _recompute_affected(self, view: FabricView,
                             changed_ids: set[int]) -> None:
-        """Re-derive every destination prefix whose relevance set meets
-        ``changed_ids`` — the computer's one way to derive a prefix."""
-        live_edges = set(view.edges())
-        for edge in sorted(live_edges | set(self._dest)):
-            pod = view.pod(edge)
-            position = view.position(edge)
-            cached = self._dest.get(edge)
-            if edge not in live_edges or pod is None or position is None:
-                if cached is not None:  # edge left the view: retract
-                    self._strip_prefix(cached[0])
-                    del self._dest[edge]
-                continue
-            if not (_relevance(view, edge, pod) & changed_ids):
+        """Re-derive every destination prefix whose edge or pod
+        relevance set meets ``changed_ids`` — the computer's one way to
+        derive a prefix. An edge without a pod or a position has none."""
+        if self._located is None:
+            self._located = sorted(
+                (edge, record.pod, record.position)
+                for edge, record in view.switches.items()
+                if record.level is SwitchLevel.EDGE
+                and record.pod is not None and record.position is not None)
+        relevance: dict[int, set[int]] = {}  # per pod
+        for edge, pod, position in self._located:
+            relevant = relevance.get(pod)
+            if relevant is None:
+                relevant = relevance[pod] = _pod_relevance(view, pod)
+            if edge not in changed_ids and relevant.isdisjoint(changed_ids):
                 continue
             self.edges_examined += 1
+            cached = self._dest.pop(edge, None)
             if cached is not None:
                 self._strip_prefix(cached[0])
-                del self._dest[edge]
-            if not _touched_by_failure(view, edge, pod):
+            if not _touched_by_failure(view, edge, relevant):
                 continue
             prefix, d_aggs, d_cores = _dest_state(view, edge, pod, position)
             self._strip_prefix(prefix)

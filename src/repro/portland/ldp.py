@@ -72,6 +72,8 @@ _POD_SOURCE = {_EDGE: _AGGREGATION, _AGGREGATION: _EDGE}
 _UP_LEVEL = {_EDGE: _AGGREGATION, _AGGREGATION: _CORE}
 
 _PINNED = float("inf")
+#: :meth:`LdpProcess._far_end` of a far end that takes no stream.
+_DEAF = (None, 0)
 
 #: How long a wired-but-silent port must stay silent before an edge
 #: switch concludes it faces a host, in LDM periods.
@@ -212,8 +214,9 @@ class LdpProcess:
         #: opened under, and the port count the grouping saw.
         self._shape: tuple | None = None
         self._port_count = 0
-        #: Links whose far end does not speak LDP: never offered a stream.
-        self._deaf: set[Link] = set()
+        #: Link -> (LDP process, port index) across it, or ``_DEAF``
+        #: when that end never takes a stream (see :meth:`_far_end`).
+        self._far: dict[Link, tuple] = {}
         #: LDMs transmitted (control-overhead measurement).
         self.ldms_sent = 0
         #: LDP frames dropped as undecodable or not an LDP message.
@@ -277,8 +280,11 @@ class LdpProcess:
 
     def up_ports(self) -> list[int]:
         """Port indices facing the next level up (confirmed neighbours)."""
-        up = _UP_LEVEL.get(self.level)
-        return sorted(i for i, n in self.neighbors.items() if n.level is up)
+        return sorted(i for i, n in self.neighbors.items() if self.faces_up(n))
+
+    def faces_up(self, info: NeighborInfo) -> bool:
+        """Whether neighbour ``info`` is on the next level up."""
+        return info.level is _UP_LEVEL.get(self.level)
 
     # ------------------------------------------------------------------
     # Beaconing
@@ -313,8 +319,9 @@ class LdpProcess:
         elif (log.live != len(self._streams)
               or len(self.switch.ports) != self._port_count):
             self._regroup(keep=True)  # one closed, or a port was added
-        log.beacon(EthernetFrame(LDP_MULTICAST, self.switch_mac,
-                                 ETHERTYPE_LDP, message))
+        frame = EthernetFrame(LDP_MULTICAST, self.switch_mac, ETHERTYPE_LDP,
+                              message)
+        log.beacon(frame)
         self.ldms_sent += len(self._streams)
         singles = []
         for port in self._singles:
@@ -327,7 +334,9 @@ class LdpProcess:
                                    port=port.index, seq=self._seq)
                 if observed or not self._open_stream(port):
                     singles.append(port)
-                    port.send(log.frame.copy())
+                    # Shared by every port: nothing rewrites an LDP
+                    # frame, which a switch punts before any rewrite.
+                    port.send(frame)
             log.mark(port.index)
         self._singles = singles
 
@@ -359,18 +368,15 @@ class LdpProcess:
         end's timeout.
         """
         link = port.link
-        if link in self._deaf:
-            return False
-        peer = link.other_end(port)
-        try:
-            ldp = peer.node.agent.ldp
-        except AttributeError:  # a host (never retried), or no agent yet
-            if not hasattr(peer.node, "agent"):
-                self._deaf.add(link)
-            return False
+        far = self._far.get(link)
+        if far is None:
+            far = self._far_end(link, port)
+        ldp, index = far
+        if ldp is None or ldp.level is _UNKNOWN:
+            return False  # _refreshed_by would refuse: _classify has work
         log = self._log
-        info = ldp._refreshed_by(log.frame.payload, peer.index)
-        if info is None or 2 * self.config.ldm_period_s > ldp._timeout:
+        info = ldp._refreshed_by(log.frame.payload, index)
+        if info is None:
             return False
         delay = ldp.switch.agent_delay_s
         heard_at = self.sim.now + (link.serialization_time(log.frame, port)
@@ -380,6 +386,21 @@ class LdpProcess:
             return False
         self._streams.append(port)
         return True
+
+    def _far_end(self, link: Link, port: Port) -> tuple:
+        """``(LDP process, port index)`` across ``link``, remembered; or
+        ``_DEAF``, remembered too for a host or a switch whose stamp
+        could expire before a streamed LDM is in (see
+        :meth:`_open_stream`), and not for a switch without its agent."""
+        peer = link.other_end(port)
+        agent = getattr(peer.node, "agent", None)
+        if agent is None and hasattr(peer.node, "agent"):
+            return _DEAF
+        far = self._far[link] = (
+            _DEAF if agent is None
+            or 2 * self.config.ldm_period_s > agent.ldp._timeout
+            else (agent.ldp, peer.index))
+        return far
 
     # ------------------------------------------------------------------
     # Receive path (called by the agent for every LDP frame)

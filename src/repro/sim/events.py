@@ -1,21 +1,23 @@
-"""Event objects and the pending-event queue for the discrete-event kernel.
+"""Events and the pending-event queue for the discrete-event kernel.
 
-The queue is a binary heap of ``(time, priority, sequence, event)``
-tuples. ``sequence`` is a monotonically increasing tie-breaker so that
-two events scheduled for the same instant at the same priority always
-fire in the order they were scheduled — this is what makes simulations
-reproducible. It is also unique, so tuple comparison (done in C by
-``heapq``) never reaches the :class:`Event` itself.
+An event is the list ``[time, priority, seq, callback, args]``, its own
+heap entry: a push builds one object and runs no Python constructor.
+``seq`` is a monotonically increasing tie-breaker so that two events
+scheduled for the same instant at the same priority always fire in the
+order they were scheduled — this is what makes simulations
+reproducible. It is also unique, so list comparison (done in C by
+``heapq``) never reaches the callback.
 
 A sequence number can also be taken without an event
 (``EventQueue.reserve``): the place in the order is held, and an
 event may be pushed into it later — or never, when it turns out nothing
 needed to happen there (docs/PERF.md, "One event per uncontended hop").
 
-Cancellation is *lazy*: cancelled events stay in the heap but are skipped
-when popped. This keeps cancellation O(1), which matters because protocol
-timers (LDP keepalives, TCP retransmission timers) are cancelled and
-re-armed far more often than they fire.
+Cancellation is *lazy*: a cancelled event has its callback cleared and
+stays in the heap, skipped when it is popped. This keeps cancellation
+O(1), which matters because protocol timers (LDP keepalives, TCP
+retransmission timers) are cancelled and re-armed far more often than
+they fire.
 
 Lazy cancellation alone lets the heap grow without bound when timers are
 re-armed faster than their old entries reach the top (a long TCP run
@@ -29,8 +31,8 @@ cancellations that created those entries.
 
 from __future__ import annotations
 
-import heapq
 import itertools
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable
 
 from repro.errors import SimulationError
@@ -44,45 +46,11 @@ PRIORITY_HIGH = 10
 PRIORITY_LOW = 1000
 
 
-class Event:
-    """A scheduled callback.
-
-    Instances are created by :meth:`EventQueue.push` (normally via
-    :meth:`repro.sim.simulator.Simulator.schedule`) and should be treated
-    as opaque handles whose only useful operations are :meth:`cancel` and
-    the read-only properties below.
-    """
-
-    __slots__ = ("time", "priority", "seq", "callback", "args", "_cancelled")
-
-    def __init__(
-        self,
-        time: float,
-        priority: int,
-        seq: int,
-        callback: Callable[..., None],
-        args: tuple[Any, ...],
-    ) -> None:
-        self.time = time
-        self.priority = priority
-        self.seq = seq
-        self.callback = callback
-        self.args = args
-        self._cancelled = False
-
-    @property
-    def cancelled(self) -> bool:
-        """Whether :meth:`cancel` has been called on this event."""
-        return self._cancelled
-
-    def cancel(self) -> None:
-        """Prevent the event from firing. Safe to call more than once."""
-        self._cancelled = True
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self._cancelled else "pending"
-        name = getattr(self.callback, "__qualname__", repr(self.callback))
-        return f"<Event t={self.time:.9f} prio={self.priority} {name} {state}>"
+#: A scheduled callback: ``[time, priority, seq, callback, args]``,
+#: read through the indices below; an opaque handle outside the kernel.
+#: ``callback`` is ``None`` once it is cancelled, or taken to run.
+Event = list
+TIME, PRIORITY, SEQ, CALLBACK, ARGS = range(5)
 
 
 #: Below this heap size a compaction sweep costs more than it saves.
@@ -90,13 +58,13 @@ COMPACT_MIN_HEAP = 64
 
 
 class EventQueue:
-    """Min-heap of :class:`Event` objects with lazy cancellation."""
+    """Min-heap of events with lazy cancellation."""
 
     def __init__(self, compact_min_heap: int = COMPACT_MIN_HEAP) -> None:
-        #: ``(time, priority, seq, event)`` entries. Only ever mutated in
-        #: place: :meth:`Simulator.run` holds on to the list while
+        #: The queued events, each its own heap entry. Only ever mutated
+        #: in place: :meth:`Simulator.run` holds on to the list while
         #: callbacks push, cancel and compact.
-        self._heap: list[tuple[float, int, int, Event]] = []
+        self._heap: list[Event] = []
         self._counter = itertools.count()
         #: ``reserve()`` takes the sequence number a push would take now
         #: and queues nothing: the holder's place among same-instant
@@ -132,17 +100,18 @@ class EventQueue:
         args: tuple[Any, ...] = (),
         priority: int = PRIORITY_NORMAL,
     ) -> Event:
-        """Queue ``callback(*args)`` to run at simulated ``time``."""
+        """Queue ``callback(*args)`` to run at simulated ``time`` (the
+        one place an event is made)."""
         if time != time:  # NaN guard: NaN would corrupt heap ordering.
             raise SimulationError("event time is NaN")
         seq = self._next_seq
         if seq is None:
-            seq = next(self._counter)
+            seq = self.reserve()
         else:
             self._next_seq = None
-        event = Event(time, priority, seq, callback, args)
+        event = [time, priority, seq, callback, args]
         heap = self._heap
-        heapq.heappush(heap, (time, priority, seq, event))
+        heappush(heap, event)
         self._live += 1
         self.pushes += 1
         if len(heap) > self.peak_heap:
@@ -151,9 +120,10 @@ class EventQueue:
 
     def pop(self) -> Event | None:
         """Remove and return the earliest live event, or ``None`` if empty."""
-        while self._heap:
-            event = heapq.heappop(self._heap)[3]
-            if event._cancelled:
+        heap = self._heap
+        while heap:
+            event = heappop(heap)
+            if event[CALLBACK] is None:
                 continue
             self._live -= 1
             self.pops += 1
@@ -162,19 +132,19 @@ class EventQueue:
 
     def peek_time(self) -> float | None:
         """Time of the earliest live event without removing it."""
-        while self._heap and self._heap[0][3]._cancelled:
-            heapq.heappop(self._heap)
-        if not self._heap:
+        heap = self._heap
+        while heap and heap[0][CALLBACK] is None:
+            heappop(heap)
+        if not heap:
             return None
-        return self._heap[0][0]
+        return heap[0][TIME]
 
-    def note_cancelled(self) -> None:
-        """Inform the queue that one queued event was cancelled.
-
-        Called by the simulator so ``len()`` stays accurate; the heap entry
-        itself is discarded lazily on pop, or eagerly by compaction when
-        cancelled entries come to dominate the heap.
-        """
+    def cancel(self, event: Event) -> None:
+        """Cancel ``event``, which is queued and not cancelled yet: its
+        callback is cleared, and the entry is discarded lazily on pop,
+        or eagerly by compaction when cancelled entries come to dominate
+        the heap."""
+        event[CALLBACK] = None
         self._live -= 1
         self.cancellations += 1
         self._maybe_compact()
@@ -187,8 +157,8 @@ class EventQueue:
         if dead <= self._live:
             return
         before = len(heap)
-        heap[:] = [entry for entry in heap if not entry[3]._cancelled]
-        heapq.heapify(heap)
+        heap[:] = [event for event in heap if event[CALLBACK] is not None]
+        heapify(heap)
         self.compactions += 1
         self.compacted_entries += before - len(heap)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from repro.sim.events import PRIORITY_NORMAL, Event
+from repro.sim.events import PRIORITY_NORMAL, TIME, Event
 from repro.sim.simulator import Simulator
 
 
@@ -60,7 +60,7 @@ class Timer:
         earlier arming."""
         deadline = self._sim.now + delay
         if self._event is not None:
-            if self._event.time <= deadline:
+            if self._event[TIME] <= deadline:
                 # Deadline stayed put or moved out: keep the heap entry;
                 # _fire defers itself to the deadline when it pops early.
                 self._deadline = deadline
@@ -150,9 +150,10 @@ class PeriodicTask:
     def _next_delay(self) -> float:
         if self._jitter == 0.0:
             return self.period
-        # Uniform in [period*(1-jitter), period*(1+jitter)].
+        # Uniform in [period*(1-jitter), period*(1+jitter)]: what
+        # ``uniform(-spread, spread)`` computes, without its call.
         spread = self.period * self._jitter
-        return self.period + self._rng.uniform(-spread, spread)
+        return self.period + (-spread + (spread + spread) * self._rng.random())
 
     def _tick(self) -> None:
         if not self._running:

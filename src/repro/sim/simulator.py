@@ -14,11 +14,11 @@ Typical driver loop::
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop
 from typing import Any, Callable
 
 from repro.errors import SimulationError
-from repro.sim.events import PRIORITY_NORMAL, Event, EventQueue
+from repro.sim.events import CALLBACK, PRIORITY_NORMAL, Event, EventQueue
 from repro.sim.rng import RandomStreams
 from repro.sim.trace import TraceBus
 
@@ -38,18 +38,19 @@ class Simulator:
         self._queue = EventQueue()
         self._running = False
         self._stopped = False
-        #: How far execution has got in the ``(time, priority, seq)``
-        #: order: the heap entry of the event being executed (or, after
-        #: ``stop()`` / ``step()``, the last one); after a completed
-        #: ``run`` / ``run_before``, a key between what fired and what
-        #: did not. Only ever compared with ``<`` (see :meth:`has_fired`).
-        self._position: tuple = (0.0, _BEFORE_ALL)
+        #: How far execution has got in the ``[time, priority, seq]``
+        #: order: the event being executed (or, after ``stop()`` /
+        #: ``step()``, the last one); after a completed ``run`` /
+        #: ``run_before``, a key between what fired and what did not.
+        #: Only ever compared with ``<`` (see :meth:`has_fired`).
+        self._position: list = [0.0, _BEFORE_ALL]
         #: ``reserve()`` holds the place in the event order that an event
         #: scheduled now would get among others at its instant, without
         #: scheduling one, and returns its number. Ask :meth:`has_fired`
         #: whether the place has been passed, or fill it after all with
         #: :meth:`schedule_reserved`.
         self.reserve: Callable[[], int] = self._queue.reserve
+        self._push = self._queue.push
         self.trace = TraceBus()
         self.random = RandomStreams(seed)
         #: Count of events executed so far (for progress reporting/limits).
@@ -67,7 +68,7 @@ class Simulator:
         """Run ``callback(*args)`` after ``delay`` simulated seconds."""
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay}s in the past")
-        return self._queue.push(self.now + delay, callback, args, priority)
+        return self._push(self.now + delay, callback, args, priority)
 
     def schedule_at(
         self,
@@ -79,7 +80,7 @@ class Simulator:
         """Run ``callback(*args)`` at absolute simulated ``time``."""
         if time < self.now:
             raise SimulationError(f"cannot schedule at {time} < now {self.now}")
-        return self._queue.push(time, callback, args, priority)
+        return self._push(time, callback, args, priority)
 
     def has_fired(self, time: float, seq: int) -> bool:
         """Whether a ``PRIORITY_NORMAL`` event at ``time`` holding
@@ -89,7 +90,7 @@ class Simulator:
         first. Outside any event, everything at ``now`` has fired after
         ``run(until)`` and nothing at ``bound`` has after
         ``run_before(bound)``."""
-        return (time, PRIORITY_NORMAL, seq) < self._position
+        return [time, PRIORITY_NORMAL, seq] < self._position
 
     def schedule_reserved(self, time: float, seq: int,
                           callback: Callable[..., None], *args: Any) -> Event:
@@ -108,11 +109,11 @@ class Simulator:
             self._queue._next_seq = None
 
     def cancel(self, event: Event | None) -> None:
-        """Cancel a pending event. ``None`` and already-cancelled are no-ops."""
-        if event is None or event.cancelled:
+        """Cancel a pending event. ``None``, a cancelled event and one
+        taken to run (both without a callback) are no-ops."""
+        if event is None or event[CALLBACK] is None:
             return
-        event.cancel()
-        self._queue.note_cancelled()
+        self._queue.cancel(event)
 
     def run(self, until: float | None = None) -> float:
         """Execute events until the queue drains or the clock passes ``until``.
@@ -125,7 +126,7 @@ class Simulator:
         if until is not None and self.now < until:
             self.now = until
         if not self._stopped:
-            self._position = (self.now, _AFTER_ALL)
+            self._position = [self.now, _AFTER_ALL]
         return self.now
 
     def run_until(self, done, deadline: float, step_s: float) -> bool:
@@ -162,7 +163,7 @@ class Simulator:
         if self.now < bound:
             self.now = bound
         if not self._stopped:
-            self._position = (bound, _BEFORE_ALL)
+            self._position = [bound, _BEFORE_ALL]
         return self.now
 
     def _drain(self, bound: float | None, inclusive: bool) -> None:
@@ -171,8 +172,11 @@ class Simulator:
         ``inclusive``.
 
         One loop straight over the queue's heap: per event, one look at
-        the head, one ``heappop`` and the counters — no per-event method
-        calls into the queue.
+        the head, one ``heappop`` and the live count (the executed and
+        popped counts are added once, at the end) — no per-event method
+        calls into the queue. A taken event loses its callback, as a
+        cancelled one does. The cap is checked before an event is taken:
+        the one that trips it stays queued for a later run.
         """
         if self._running:
             raise SimulationError("simulator is already running (reentrant run())")
@@ -180,28 +184,32 @@ class Simulator:
         self._stopped = False
         queue = self._queue
         heap = queue._heap  # mutated in place only, see EventQueue
-        heappop = heapq.heappop
         if bound is None:
             bound = float("inf")
+        cap = self.max_events
+        room = float("inf") if cap is None else cap - self.events_executed
+        taken = 0
         try:
             while heap and not self._stopped:
-                entry = heap[0]
-                time, _, _, event = entry
-                if event._cancelled:
+                event = heap[0]
+                time, _, _, callback, args = event
+                if callback is None:
                     heappop(heap)
                     continue
                 if time >= bound and (time > bound or not inclusive):
                     break
+                if taken >= room:
+                    raise SimulationError(f"exceeded max_events={cap}")
                 heappop(heap)
+                event[CALLBACK] = None
                 queue._live -= 1
-                queue.pops += 1
+                taken += 1
                 self.now = time
-                self._position = entry
-                self.events_executed += 1
-                if self.max_events is not None and self.events_executed > self.max_events:
-                    raise SimulationError(f"exceeded max_events={self.max_events}")
-                event.callback(*event.args)
+                self._position = event
+                callback(*args)
         finally:
+            self.events_executed += taken
+            queue.pops += taken
             self._running = False
 
     def next_event_time(self) -> float | None:
@@ -217,10 +225,12 @@ class Simulator:
         event = self._queue.pop()
         if event is None:
             return False
-        self.now = event.time
-        self._position = (event.time, event.priority, event.seq)
+        time, _, _, callback, args = event
+        event[CALLBACK] = None
+        self.now = time
+        self._position = event
         self.events_executed += 1
-        event.callback(*event.args)
+        callback(*args)
         return True
 
     def stop(self) -> None:

@@ -293,8 +293,28 @@ def _candidate_links(view):
 
 
 _ops = st.lists(
-    st.tuples(st.sampled_from(("fault", "wire")), st.integers(0, 10**6)),
+    st.tuples(st.sampled_from(("fault", "wire", "role")),
+              st.integers(0, 10**6)),
     min_size=1, max_size=12)
+
+
+def _examined_by_the_per_edge_loop(view, changed_ids):
+    """Destination prefixes the computer re-derives for one update, as
+    its former loop counted them: every edge through ``view.pod`` and
+    ``view.position``, relevance rebuilt per edge."""
+    view = view.fresh()
+    count = 0
+    for edge in view.edges():
+        pod, position = view.pod(edge), view.position(edge)
+        if pod is None or position is None:
+            continue
+        relevant = {edge}
+        for agg in view.aggs_in_pod(pod):
+            relevant.add(agg)
+            relevant.update(view.core_neighbors(agg))
+        if relevant & changed_ids:
+            count += 1
+    return count
 
 
 @settings(max_examples=60, deadline=None)
@@ -305,8 +325,10 @@ def test_incremental_computer_matches_full(ops):
     computer = OverrideComputer()
     computer.update(view)  # prime on the clean fabric
     removed: dict[tuple[int, int], tuple[int, SwitchLevel]] = {}
+    cleared: dict[int, tuple[int, int]] = {}
 
     for kind, n in ops:
+        examined = computer.edges_examined
         if kind == "fault":
             link = frozenset(links[n % len(links)])
             if link in view.failed:
@@ -314,6 +336,25 @@ def test_incremental_computer_matches_full(ops):
             else:
                 view.failed.add(link)
             got = computer.update(view, changed_links={link})
+            expected = _examined_by_the_per_edge_loop(view, set(link))
+        elif kind == "role":
+            # An edge loses its pod or its position (what the override
+            # runs of a bring-up see, before any pod is known), or gets
+            # both back: a role change, which the fabric manager sends
+            # as a full update.
+            edge = sorted(view.edges())[n % len(view.edges())]
+            record = view.switches[edge]
+            if edge in cleared:
+                record.pod, record.position = cleared.pop(edge)
+            else:
+                cleared[edge] = (record.pod, record.position)
+                if n % 2:
+                    record.pod = None
+                else:
+                    record.position = None
+            got = computer.update(view)
+            expected = (_examined_by_the_per_edge_loop(view, set(view.switches))
+                        if view.failed else 0)
         else:
             # One-sided wiring toggle (LDP pruning / re-adding an uplink
             # in one switch's report): ports 2-3 are the up-neighbours
@@ -332,7 +373,9 @@ def test_incremental_computer_matches_full(ops):
             got = computer.update(view,
                                   changed_links={frozenset((sid, nbr))},
                                   changed_switches={sid})
+            expected = _examined_by_the_per_edge_loop(view, {sid, nbr})
         assert got == compute_overrides(view)
+        assert computer.edges_examined - examined == expected
 
 
 def test_computer_full_fallback_on_unattributed_change():

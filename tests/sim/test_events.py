@@ -4,7 +4,8 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim import Simulator
-from repro.sim.events import PRIORITY_HIGH, PRIORITY_LOW, PRIORITY_NORMAL, EventQueue
+from repro.sim.events import (ARGS, CALLBACK, PRIORITY_HIGH, PRIORITY_LOW,
+                               PRIORITY_NORMAL, SEQ, EventQueue)
 
 
 def test_pop_orders_by_time():
@@ -14,7 +15,7 @@ def test_pop_orders_by_time():
     q.push(1.0, seen.append, ("a",))
     q.push(2.0, seen.append, ("b",))
     while (event := q.pop()) is not None:
-        event.callback(*event.args)
+        event[CALLBACK](*event[ARGS])
     assert seen == ["a", "b", "c"]
 
 
@@ -26,7 +27,7 @@ def test_same_time_orders_by_priority_then_fifo():
     q.push(1.0, order.append, ("high",), priority=PRIORITY_HIGH)
     q.push(1.0, order.append, ("normal-2",), priority=PRIORITY_NORMAL)
     while (event := q.pop()) is not None:
-        event.callback(*event.args)
+        event[CALLBACK](*event[ARGS])
     assert order == ["high", "normal-1", "normal-2", "low"]
 
 
@@ -34,8 +35,7 @@ def test_cancel_skips_event():
     q = EventQueue()
     fired = []
     event = q.push(1.0, fired.append, ("x",))
-    event.cancel()
-    q.note_cancelled()
+    q.cancel(event)
     assert q.pop() is None
     assert fired == []
     assert len(q) == 0
@@ -46,8 +46,7 @@ def test_len_counts_only_live_events():
     e1 = q.push(1.0, lambda: None)
     q.push(2.0, lambda: None)
     assert len(q) == 2
-    e1.cancel()
-    q.note_cancelled()
+    q.cancel(e1)
     assert len(q) == 1
 
 
@@ -55,8 +54,7 @@ def test_peek_time_skips_cancelled():
     q = EventQueue()
     e1 = q.push(1.0, lambda: None)
     q.push(2.0, lambda: None)
-    e1.cancel()
-    q.note_cancelled()
+    q.cancel(e1)
     assert q.peek_time() == 2.0
 
 
@@ -86,8 +84,7 @@ def test_heap_stays_bounded_under_cancel_churn():
     q = EventQueue()
     for i in range(10_000):
         event = q.push(1000.0 + i, lambda: None)
-        event.cancel()
-        q.note_cancelled()
+        q.cancel(event)
         # One live far-future event so the heap is never trivially empty.
         if i == 0:
             q.push(2000.0, lambda: None)
@@ -103,11 +100,10 @@ def test_compaction_preserves_pop_order():
     keep = [q.push(float(t), fired.append, (t,)) for t in range(100)]
     cancelled = [q.push(t + 0.5, fired.append, (-t,)) for t in range(200)]
     for event in cancelled:
-        event.cancel()
-        q.note_cancelled()
+        q.cancel(event)
     assert q.compactions > 0
     while (event := q.pop()) is not None:
-        event.callback(*event.args)
+        event[CALLBACK](*event[ARGS])
     assert fired == list(range(100))
     assert len(keep) == 100  # silence unused warning
 
@@ -116,8 +112,7 @@ def test_no_compaction_below_min_heap_size():
     q = EventQueue()
     events = [q.push(float(i), lambda: None) for i in range(20)]
     for event in events[:15]:
-        event.cancel()
-        q.note_cancelled()
+        q.cancel(event)
     # 15 dead vs 5 live, but the heap is tiny: not worth a sweep.
     assert q.compactions == 0
     assert q.heap_size == 20
@@ -127,8 +122,7 @@ def test_queue_stats_counters():
     q = EventQueue()
     e1 = q.push(1.0, lambda: None)
     q.push(2.0, lambda: None)
-    e1.cancel()
-    q.note_cancelled()
+    q.cancel(e1)
     q.pop()
     stats = q.stats()
     assert stats["pushes"] == 2
@@ -179,10 +173,10 @@ def test_reserved_number_is_a_place_in_the_order():
     q._next_seq = held                        # the next push fills it ...
     late = q.push(1.0, order.append, ("second",))
     fresh = q.push(1.0, order.append, ("fourth",))   # ... and only that one
-    assert late.seq == held
-    assert fresh.seq == held + 2
+    assert late[SEQ] == held
+    assert fresh[SEQ] == held + 2
     while (event := q.pop()) is not None:
-        event.callback(*event.args)
+        event[CALLBACK](*event[ARGS])
     assert order == ["first", "second", "third", "fourth"]
 
 
@@ -190,7 +184,8 @@ def test_reserving_consumes_the_number_an_event_would_have():
     eager, lazy = EventQueue(), EventQueue()
     eager.push(1.0, lambda: None)
     lazy.reserve()
-    assert eager.push(2.0, lambda: None).seq == lazy.push(2.0, lambda: None).seq
+    assert (eager.push(2.0, lambda: None)[SEQ]
+            == lazy.push(2.0, lambda: None)[SEQ])
     assert lazy.stats()["pushes"] == 1        # nothing was queued for it
 
 
@@ -208,12 +203,11 @@ def test_compaction_keeps_late_filled_places_in_order():
         q._next_seq = held[t]
         q.push(float(t), fired.append, ((t, "b"),))
     for event in cancelled:
-        event.cancel()
-        q.note_cancelled()
+        q.cancel(event)
     assert q.compactions > 0
     for t in range(0, 100, 2):
         q._next_seq = held[t]
         q.push(float(t), fired.append, ((t, "b"),))
     while (event := q.pop()) is not None:
-        event.callback(*event.args)
+        event[CALLBACK](*event[ARGS])
     assert fired == [(t, tag) for t in range(100) for tag in "abc"]

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim import Simulator
-from repro.sim.events import PRIORITY_HIGH, PRIORITY_NORMAL
+from repro.sim.events import PRIORITY_HIGH, PRIORITY_NORMAL, SEQ
 
 
 def test_schedule_and_run_advances_clock():
@@ -54,6 +54,44 @@ def test_cancel_via_simulator():
     sim.cancel(None)  # no-op
     sim.run()
     assert fired == []
+    assert sim.pending_events() == 0
+
+
+def test_cancelling_an_event_that_ran_changes_nothing():
+    sim = Simulator()
+    fired = []
+    first = sim.schedule(1.0, fired.append, "a")
+    sim.schedule(2.0, fired.append, "b")
+    sim.run(until=1.5)
+    sim.cancel(first)
+    assert sim.pending_events() == 1
+    assert sim.queue_stats()["cancellations"] == 0
+    sim.run()
+    assert fired == ["a", "b"]
+
+
+def test_cancel_inside_an_event_tells_taken_from_pending():
+    sim = Simulator()
+    fired = []
+    handles = {}
+
+    def first():
+        fired.append("first")
+        sim.cancel(handles["first"])          # itself: running, a no-op
+        # Ahead of this event in the order, yet still pending.
+        handles["urgent"] = sim.schedule(0.0, fired.append, "urgent",
+                                         priority=PRIORITY_HIGH)
+        sim.cancel(handles["urgent"])
+
+    handles["first"] = sim.schedule(1.0, first)
+    sim.schedule(2.0, fired.append, "last")
+    sim.run(until=1.0)
+    # Scheduled at the instant a run ended in: pending, not passed.
+    late = sim.schedule(0.0, fired.append, "late")
+    sim.cancel(late)
+    sim.run()
+    assert fired == ["first", "last"]
+    assert sim.queue_stats()["cancellations"] == 2
     assert sim.pending_events() == 0
 
 
@@ -112,6 +150,24 @@ def test_max_events_guard():
         sim.run()
 
 
+def test_event_over_the_cap_waits_for_the_next_run():
+    sim = Simulator()
+    fired = []
+    sim.schedule(1.0, fired.append, "a")
+    sim.schedule(2.0, fired.append, "b")
+    sim.max_events = 1
+    with pytest.raises(SimulationError):
+        sim.run()
+    assert fired == ["a"]
+    assert sim.events_executed == 1
+    assert sim.pending_events() == 1
+    assert sim.now == 1.0
+    sim.max_events = None
+    sim.run()
+    assert fired == ["a", "b"]
+    assert sim.events_executed == 2
+
+
 def test_reentrant_run_rejected():
     sim = Simulator()
 
@@ -158,7 +214,7 @@ def test_filling_a_place_that_has_passed_is_refused():
     with pytest.raises(SimulationError):
         sim.schedule_reserved(1.0, held, lambda: None)
     # The refusal left nothing behind for the next push to trip over.
-    assert sim.schedule(1.0, lambda: None).seq == held + 2
+    assert sim.schedule(1.0, lambda: None)[SEQ] == held + 2
 
 
 @pytest.mark.parametrize("priority", [PRIORITY_NORMAL, PRIORITY_HIGH])

@@ -46,6 +46,7 @@ start, its end of serialization (where the left-out event would be) and
 its delivery.
 """
 
+import collections
 import contextlib
 import dataclasses
 import functools
@@ -57,10 +58,12 @@ from hypothesis import strategies as st
 from repro.host.apps import UdpStreamReceiver, UdpStreamSender
 from repro.host.apps.tcp_bulk import TcpBulkSender, TcpSink
 from repro.net.ethernet import ETHERTYPE_LDP
-from repro.net.link import Link
+from repro.net.link import BeaconLog, Link
 from repro.net.packet import AppData
 from repro.policy.classes import DSCP_EF
 from repro.portland.config import PortlandConfig
+from repro.portland.ldp import LdpProcess
+from repro.portland.messages import LocationDiscoveryMessage
 from repro.sim import Simulator, TraceCollector
 from repro.switching.decision_cache import DecisionCache
 from repro.topology import build_portland_fabric
@@ -593,3 +596,52 @@ def test_unfaulted_run_accounts_nearly_every_keepalive():
     # Three events per switch per period (beacon + two checks), plus
     # the fabric's slow soft-state timers: nothing per LDM.
     assert sim.events_executed - events < 20 * 3 * 10 * 1.2
+
+
+@pytest.mark.parametrize("observed", [False, True])
+def test_every_ldm_frame_arrives_as_its_sender_beaconed_it(observed,
+                                                           monkeypatch):
+    """A beacon's ports send one shared frame object, not a copy each
+    (docs/PERF.md, "Per-event floor"). Through a k=4 bring-up and a
+    fail/recover schedule — with every LDM a frame, and as streamed —
+    every LDM a switch receives as a frame is field for field (wire
+    bytes, VLAN tag, class) what its sender beaconed: a stage that
+    rewrote an LDP frame in place would show here."""
+    beaconed: dict = {}
+    delivered: list = []
+
+    def fields(frame) -> tuple:
+        return frame.encode(), frame.vlan, frame.tclass
+
+    beacon = BeaconLog.beacon
+    on_frame = LdpProcess.on_frame
+
+    def noting_beacon(log, frame) -> None:
+        beaconed[frame.src, frame.payload.seq] = fields(frame)
+        beacon(log, frame)
+
+    def noting_arrival(ldp, frame, in_port) -> None:
+        if isinstance(frame.payload, LocationDiscoveryMessage):
+            delivered.append(((frame.src, frame.payload.seq), fields(frame)))
+        on_frame(ldp, frame, in_port)
+
+    monkeypatch.setattr(BeaconLog, "beacon", noting_beacon)
+    monkeypatch.setattr(LdpProcess, "on_frame", noting_arrival)
+    sim = Simulator(seed=7)
+    if observed:
+        sim.trace.subscribe("keepalive.ldm", _noop)
+    fabric = build_portland_fabric(
+        sim, k=4, link_params=LinkParams(carrier_detect=False))
+    fabric.start()
+    fabric.run_until_located()
+    links = _switch_links(fabric)
+    links[0].fail()
+    links[5].fail_direction(links[5].b)
+    sim.run(until=sim.now + 0.1)
+    for link in (links[0], links[5]):
+        link.recover()
+    sim.run(until=sim.now + 0.1)
+    arrivals = collections.Counter(key for key, _ in delivered)
+    assert max(arrivals.values()) > 1  # one beacon, frames on several ports
+    for key, arrived in delivered:
+        assert arrived == beaconed[key]
