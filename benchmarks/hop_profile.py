@@ -32,14 +32,12 @@ TOP_FUNCTIONS = 20
 #: ``_open_stream`` is one that reached the arrival arithmetic), table
 #: derivation (``_usable_up_ports`` is one uplink-map rebuild), per-port
 #: LDM frames (``copy``, ``payload_length``, ``other_end``), the fabric
-#: manager's override runs (``pod`` is ``FabricView.pod``) and Python
-#: constructors of kernel events. A name with a dot is
-#: ``module.function``.
+#: manager's override runs (``pod`` is ``FabricView.pod``).
 WATCHED = ("_classify", "data_ports", "_open_stream",
            "serialization_time", "_refresh_entries", "_restate_down",
            "_usable_up_ports", "down_to_position", "down_to_pod",
            "default_up", "sync", "copy", "payload_length", "other_end",
-           "_recompute_affected", "pod", "repro.sim.events.__init__")
+           "_recompute_affected", "pod")
 
 
 class GcMeter:
@@ -127,12 +125,10 @@ def report(phase: str, stats, events: int, frames: int,
         by_module[module][1] += calls
         total_calls += calls
         functions.append((self_s, calls, f"{module}:{line} {function}"))
-        name = next((name for name in (function, f"{module}.{function}")
-                     if name in WATCHED), None)
-        if name is not None and module.startswith("repro."):
+        if function in WATCHED and module.startswith("repro."):
             by_caller = sorted(((n, caller[2]) for caller, (_, n, _, _)
                                 in callers.items()), reverse=True)
-            watched.append((name, function, module, calls, by_caller[:3]))
+            watched.append((function, module, calls, by_caller[:3]))
     print(f"{'module':<36} {'self_s':>8} {'calls':>10} {'calls/event':>12}")
     for module, (self_s, calls) in sorted(by_module.items(),
                                           key=lambda item: -item[1][0]):
@@ -143,7 +139,7 @@ def report(phase: str, stats, events: int, frames: int,
         print(f"  {self_s:7.3f} s {calls:9d}  {label}")
     if watched:
         print("\ncalls of the watched functions (top callers)")
-    for _, function, module, calls, by_caller in sorted(
+    for function, module, calls, by_caller in sorted(
             watched, key=lambda row: WATCHED.index(row[0])):
         callers = ", ".join(f"{caller} {n}" for n, caller in by_caller)
         print(f"  {calls:9d}  {module}.{function}  ({callers})")

@@ -138,8 +138,8 @@ class FlowEngine:
     """Fluid-mode executor for one fabric.
 
     Built by the topology builder when ``PortlandConfig.flow_mode`` is
-    set (which also forces the compiled-path cache on — resolution and
-    invalidation ride the same machinery as cut-through transit).
+    set, on a fabric that always has a compiled-path cache: resolution
+    and invalidation ride the same machinery as cut-through transit.
     """
 
     def __init__(self, fabric: "PortlandFabric",
@@ -151,8 +151,7 @@ class FlowEngine:
         #: Hybrid fluid+frame execution: fluid allocations slow frame
         #: serialization, epoch-sampled frame load shrinks fluid capacity.
         self.hybrid = fabric.config.flow_mode == "hybrid"
-        if self.path_cache is not None:
-            self.path_cache.add_invalidation_listener(self._on_invalidation)
+        self.path_cache.add_invalidation_listener(self._on_invalidation)
         #: Admitted, not-yet-completed flows (stalled ones included).
         self.flows: list[Flow] = []
         #: Completed (or stopped) flows, in completion order.
@@ -469,9 +468,7 @@ class FlowEngine:
         edge = edge_port.node
         if not isinstance(edge, PortlandSwitch):
             return None
-        compiled = None
-        if self.path_cache is not None:
-            compiled = self.path_cache.resolve(edge, frame, edge_port.index)
+        compiled = self.path_cache.resolve(edge, frame, edge_port.index)
         if compiled is not None:
             hops = compiled.hops
         else:

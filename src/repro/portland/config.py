@@ -22,9 +22,6 @@ class PortlandConfig:
 
     #: Switch software (packet-in) path latency.
     agent_delay_s: float = 50e-6
-    #: Per-switch forwarding decision-cache capacity (0 disables the
-    #: fast path and forces the full LPM walk on every packet).
-    decision_cache_entries: int = 4096
     #: Per-ingress-switch compiled-path cache capacity (0 — the default —
     #: disables end-to-end cut-through transit). When enabled, cached
     #: flows are delivered by one composite event that skips per-hop

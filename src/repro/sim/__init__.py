@@ -4,7 +4,7 @@ Exports the simulator, timer helpers, tracing, and statistics used by
 every other subsystem in the library.
 """
 
-from repro.sim.events import PRIORITY_HIGH, PRIORITY_LOW, PRIORITY_NORMAL, Event, EventQueue
+from repro.sim.events import PRIORITY_HIGH, PRIORITY_LOW, PRIORITY_NORMAL, Event
 from repro.sim.process import PeriodicTask, Timer
 from repro.sim.rng import RandomStreams, child_seed
 from repro.sim.simulator import Simulator
@@ -26,7 +26,6 @@ __all__ = [
     "PRIORITY_NORMAL",
     "Counter",
     "Event",
-    "EventQueue",
     "PeriodicTask",
     "RandomStreams",
     "RateMeter",

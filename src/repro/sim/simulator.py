@@ -1,6 +1,6 @@
 """The discrete-event simulator core.
 
-A :class:`Simulator` owns the virtual clock, the pending-event queue, the
+A :class:`Simulator` owns the virtual clock, the pending events, the
 trace bus, and the deterministic random streams. Every other object in
 this library (links, hosts, switches, the fabric manager) holds a
 reference to one simulator and schedules its behaviour through it.
@@ -10,22 +10,48 @@ Typical driver loop::
     sim = Simulator(seed=1)
     ...build topology, hosts, agents...
     sim.run(until=10.0)          # simulated seconds
+
+The pending events are one min-heap of :data:`~repro.sim.events.Event`
+lists. A sequence number can also be taken without an event
+(:attr:`Simulator.reserve`): the place in the order is held, and an
+event may be put into it later — or never, when it turns out nothing
+needed to happen there (docs/PERF.md, "One event per uncontended hop").
+
+Cancellation is *lazy*: a cancelled event has its callback cleared and
+stays in the heap, skipped when it reaches the top. This keeps
+cancellation O(1), which matters because protocol timers (LDP
+keepalives, TCP retransmission timers) are cancelled and re-armed far
+more often than they fire.
+
+Lazy cancellation alone lets the heap grow without bound when timers are
+re-armed faster than their old entries reach the top (a long TCP run
+re-arms its retransmission timer on every ACK). The kernel therefore
+*compacts* the heap — dropping cancelled entries and re-heapifying —
+once cancelled entries outnumber live ones and the heap is big enough
+for the O(n) sweep to pay for itself. Amortised cost stays O(1) per
+cancellation: each compaction removes at least half the heap, paid for
+by the cancellations that created those entries.
 """
 
 from __future__ import annotations
 
-from heapq import heappop
+import itertools
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable
 
 from repro.errors import SimulationError
-from repro.sim.events import CALLBACK, PRIORITY_NORMAL, Event, EventQueue
+from repro.sim.events import CALLBACK, PRIORITY_NORMAL, TIME, Event
 from repro.sim.rng import RandomStreams
 from repro.sim.trace import TraceBus
 
+#: Below this heap size a compaction sweep costs more than it saves.
+COMPACT_MIN_HEAP = 64
+
+_INF = float("inf")
 # Priorities no event has: they close ``Simulator._position`` off below
 # or above every event at its instant.
-_BEFORE_ALL = float("-inf")
-_AFTER_ALL = float("inf")
+_BEFORE_ALL = -_INF
+_AFTER_ALL = _INF
 
 
 class Simulator:
@@ -35,7 +61,12 @@ class Simulator:
         #: Current simulated time in seconds. A plain attribute because it
         #: is read several times per event; only the kernel writes it.
         self.now = 0.0
-        self._queue = EventQueue()
+        #: The queued events, each its own heap entry. Only ever mutated
+        #: in place: :meth:`_drain` holds on to the list while callbacks
+        #: push, cancel and compact.
+        self._heap: list[Event] = []
+        #: Queued events that are not cancelled.
+        self._live = 0
         self._running = False
         self._stopped = False
         #: How far execution has got in the ``[time, priority, seq]``
@@ -48,15 +79,24 @@ class Simulator:
         #: scheduled now would get among others at its instant, without
         #: scheduling one, and returns its number. Ask :meth:`has_fired`
         #: whether the place has been passed, or fill it after all with
-        #: :meth:`schedule_reserved`.
-        self.reserve: Callable[[], int] = self._queue.reserve
-        self._push = self._queue.push
+        #: :meth:`schedule_reserved`. (The counter's own method: this is
+        #: called per frame.)
+        self.reserve: Callable[[], int] = itertools.count().__next__
+        #: A number from ``reserve()`` that the next push takes instead
+        #: of a fresh one (see :meth:`schedule_reserved`).
+        self._next_seq: int | None = None
         self.trace = TraceBus()
         self.random = RandomStreams(seed)
         #: Count of events executed so far (for progress reporting/limits).
         self.events_executed = 0
         #: Optional hard cap on executed events; ``run`` raises when hit.
         self.max_events: int | None = None
+        # Lifetime queue counters (see ``queue_stats``).
+        self._pushes = 0
+        self._cancellations = 0
+        self._compactions = 0
+        self._compacted_entries = 0
+        self._peak_heap = 0
 
     def schedule(
         self,
@@ -82,6 +122,26 @@ class Simulator:
             raise SimulationError(f"cannot schedule at {time} < now {self.now}")
         return self._push(time, callback, args, priority)
 
+    def _push(self, time: float, callback: Callable[..., None],
+              args: tuple[Any, ...], priority: int) -> Event:
+        """Queue ``callback(*args)`` at ``time`` (the one place an event
+        is made)."""
+        if time != time:  # NaN guard: NaN would corrupt heap ordering.
+            raise SimulationError("event time is NaN")
+        seq = self._next_seq
+        if seq is None:
+            seq = self.reserve()
+        else:
+            self._next_seq = None
+        event = [time, priority, seq, callback, args]
+        heap = self._heap
+        heappush(heap, event)
+        self._live += 1
+        self._pushes += 1
+        if len(heap) > self._peak_heap:
+            self._peak_heap = len(heap)
+        return event
+
     def has_fired(self, time: float, seq: int) -> bool:
         """Whether a ``PRIORITY_NORMAL`` event at ``time`` holding
         reserved place ``seq`` would have run by now — "now" being the
@@ -100,20 +160,34 @@ class Simulator:
         if self.has_fired(time, seq):
             raise SimulationError(
                 f"reserved place ({time}, {seq}) is already in the past")
-        self._queue._next_seq = seq
+        self._next_seq = seq
         try:
             # Through the public method, so a subclass that wraps
             # scheduling sees this event like any other.
             return self.schedule_at(time, callback, *args)
         finally:
-            self._queue._next_seq = None
+            self._next_seq = None
 
     def cancel(self, event: Event | None) -> None:
         """Cancel a pending event. ``None``, a cancelled event and one
-        taken to run (both without a callback) are no-ops."""
+        taken to run (both without a callback) are no-ops.
+
+        The entry stays in the heap, skipped when it reaches the top,
+        until cancelled entries outnumber live ones in a heap of at
+        least :data:`COMPACT_MIN_HEAP`: then one sweep drops them all.
+        """
         if event is None or event[CALLBACK] is None:
             return
-        self._queue.cancel(event)
+        event[CALLBACK] = None
+        self._live -= 1
+        self._cancellations += 1
+        heap = self._heap
+        before = len(heap)
+        if before >= COMPACT_MIN_HEAP and before - self._live > self._live:
+            heap[:] = [entry for entry in heap if entry[CALLBACK] is not None]
+            heapify(heap)
+            self._compactions += 1
+            self._compacted_entries += before - len(heap)
 
     def run(self, until: float | None = None) -> float:
         """Execute events until the queue drains or the clock passes ``until``.
@@ -166,28 +240,35 @@ class Simulator:
             self._position = [bound, _BEFORE_ALL]
         return self.now
 
-    def _drain(self, bound: float | None, inclusive: bool) -> None:
-        """Execute events in order up to ``bound`` (all of them when it
-        is ``None``); an event exactly at ``bound`` runs only when
-        ``inclusive``.
+    def step(self) -> bool:
+        """Execute exactly one event, under :meth:`run`'s rules (not
+        from inside an event; the event over ``max_events`` raises and
+        stays queued). Returns ``False`` if the queue is empty."""
+        return self._drain(None, inclusive=True, limit=1) == 1
 
-        One loop straight over the queue's heap: per event, one look at
-        the head, one ``heappop`` and the live count (the executed and
-        popped counts are added once, at the end) — no per-event method
-        calls into the queue. A taken event loses its callback, as a
-        cancelled one does. The cap is checked before an event is taken:
-        the one that trips it stays queued for a later run.
+    def _drain(self, bound: float | None, inclusive: bool,
+               limit: float = _INF) -> int:
+        """Execute events in order up to ``bound`` (all of them when it
+        is ``None``), at most ``limit`` of them; an event exactly at
+        ``bound`` runs only when ``inclusive``. Returns how many ran.
+
+        The one place an event is taken: per event, one look at the
+        head, one ``heappop`` and the live count (the executed count is
+        added once, at the end). A taken event loses its callback, as a
+        cancelled one does. The cap — ``limit`` or what ``max_events``
+        leaves, whichever is smaller — is checked before an event is
+        taken: the one that trips it stays queued for a later run.
         """
         if self._running:
             raise SimulationError("simulator is already running (reentrant run())")
         self._running = True
         self._stopped = False
-        queue = self._queue
-        heap = queue._heap  # mutated in place only, see EventQueue
+        heap = self._heap  # mutated in place only, see __init__
         if bound is None:
-            bound = float("inf")
+            bound = _INF
         cap = self.max_events
-        room = float("inf") if cap is None else cap - self.events_executed
+        room = _INF if cap is None else cap - self.events_executed
+        last = min(room, limit)
         taken = 0
         try:
             while heap and not self._stopped:
@@ -198,19 +279,21 @@ class Simulator:
                     continue
                 if time >= bound and (time > bound or not inclusive):
                     break
-                if taken >= room:
-                    raise SimulationError(f"exceeded max_events={cap}")
+                if taken >= last:
+                    if taken < limit:
+                        raise SimulationError(f"exceeded max_events={cap}")
+                    break
                 heappop(heap)
                 event[CALLBACK] = None
-                queue._live -= 1
+                self._live -= 1
                 taken += 1
                 self.now = time
                 self._position = event
                 callback(*args)
         finally:
             self.events_executed += taken
-            queue.pops += taken
             self._running = False
+        return taken
 
     def next_event_time(self) -> float | None:
         """Absolute time of the earliest pending event (``None`` if idle).
@@ -218,20 +301,10 @@ class Simulator:
         The lookahead input of the conservative barrier: peers may not
         be granted a horizon past ``min(next_event_time)`` + window.
         """
-        return self._queue.peek_time()
-
-    def step(self) -> bool:
-        """Execute exactly one event. Returns ``False`` if the queue is empty."""
-        event = self._queue.pop()
-        if event is None:
-            return False
-        time, _, _, callback, args = event
-        event[CALLBACK] = None
-        self.now = time
-        self._position = event
-        self.events_executed += 1
-        callback(*args)
-        return True
+        heap = self._heap
+        while heap and heap[0][CALLBACK] is None:
+            heappop(heap)
+        return heap[0][TIME] if heap else None
 
     def stop(self) -> None:
         """Ask a running :meth:`run` loop to return after the current event."""
@@ -239,9 +312,19 @@ class Simulator:
 
     def pending_events(self) -> int:
         """Number of live events waiting in the queue."""
-        return len(self._queue)
+        return self._live
 
     def queue_stats(self) -> dict[str, int]:
-        """Event-queue counters (pushes, pops, cancellations, compactions,
-        heap occupancy) — the kernel half of the fast-path telemetry."""
-        return self._queue.stats()
+        """Lifetime event-queue counters plus the current heap occupancy
+        — the kernel half of the fast-path telemetry. ``pops`` counts
+        events taken to run, so it equals ``events_executed``."""
+        return {
+            "pushes": self._pushes,
+            "pops": self.events_executed,
+            "cancellations": self._cancellations,
+            "compactions": self._compactions,
+            "compacted_entries": self._compacted_entries,
+            "peak_heap": self._peak_heap,
+            "heap_size": len(self._heap),
+            "live": self._live,
+        }

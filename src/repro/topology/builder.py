@@ -72,10 +72,8 @@ class PortlandFabric:
     def rack_switch(self, name: str, num_ports: int) -> PortlandAgent:
         """Create one switch and its agent (not started) under this
         fabric's config, scheme and shared path cache."""
-        switch = PortlandSwitch(
-            self.sim, name, num_ports,
-            agent_delay_s=self.config.agent_delay_s,
-            decision_cache_entries=self.config.decision_cache_entries)
+        switch = PortlandSwitch(self.sim, name, num_ports,
+                                agent_delay_s=self.config.agent_delay_s)
         switch.path_cache = self.path_cache
         agent = PortlandAgent(switch, self.config, self.scheme)
         switch.attach_agent(agent)

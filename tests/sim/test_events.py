@@ -1,76 +1,79 @@
-"""Unit tests for the event queue."""
+"""Unit tests for the kernel's pending events: order, cancellation,
+compaction and reserved places, driven through :class:`Simulator`."""
 
 import pytest
 
 from repro.errors import SimulationError
 from repro.sim import Simulator
-from repro.sim.events import (ARGS, CALLBACK, PRIORITY_HIGH, PRIORITY_LOW,
-                               PRIORITY_NORMAL, SEQ, EventQueue)
+from repro.sim.events import PRIORITY_HIGH, PRIORITY_LOW, PRIORITY_NORMAL, SEQ
+from repro.sim.simulator import COMPACT_MIN_HEAP
 
 
 def test_pop_orders_by_time():
-    q = EventQueue()
+    sim = Simulator()
     seen = []
-    q.push(3.0, seen.append, ("c",))
-    q.push(1.0, seen.append, ("a",))
-    q.push(2.0, seen.append, ("b",))
-    while (event := q.pop()) is not None:
-        event[CALLBACK](*event[ARGS])
+    sim.schedule_at(3.0, seen.append, "c")
+    sim.schedule_at(1.0, seen.append, "a")
+    sim.schedule_at(2.0, seen.append, "b")
+    while sim.step():
+        pass
     assert seen == ["a", "b", "c"]
 
 
 def test_same_time_orders_by_priority_then_fifo():
-    q = EventQueue()
+    sim = Simulator()
     order = []
-    q.push(1.0, order.append, ("normal-1",), priority=PRIORITY_NORMAL)
-    q.push(1.0, order.append, ("low",), priority=PRIORITY_LOW)
-    q.push(1.0, order.append, ("high",), priority=PRIORITY_HIGH)
-    q.push(1.0, order.append, ("normal-2",), priority=PRIORITY_NORMAL)
-    while (event := q.pop()) is not None:
-        event[CALLBACK](*event[ARGS])
+    sim.schedule_at(1.0, order.append, "normal-1", priority=PRIORITY_NORMAL)
+    sim.schedule_at(1.0, order.append, "low", priority=PRIORITY_LOW)
+    sim.schedule_at(1.0, order.append, "high", priority=PRIORITY_HIGH)
+    sim.schedule_at(1.0, order.append, "normal-2", priority=PRIORITY_NORMAL)
+    sim.run()
     assert order == ["high", "normal-1", "normal-2", "low"]
 
 
 def test_cancel_skips_event():
-    q = EventQueue()
+    sim = Simulator()
     fired = []
-    event = q.push(1.0, fired.append, ("x",))
-    q.cancel(event)
-    assert q.pop() is None
+    event = sim.schedule_at(1.0, fired.append, "x")
+    sim.cancel(event)
+    assert sim.step() is False
     assert fired == []
-    assert len(q) == 0
+    assert sim.pending_events() == 0
 
 
 def test_len_counts_only_live_events():
-    q = EventQueue()
-    e1 = q.push(1.0, lambda: None)
-    q.push(2.0, lambda: None)
-    assert len(q) == 2
-    q.cancel(e1)
-    assert len(q) == 1
+    sim = Simulator()
+    e1 = sim.schedule_at(1.0, lambda: None)
+    sim.schedule_at(2.0, lambda: None)
+    assert sim.pending_events() == 2
+    sim.cancel(e1)
+    assert sim.pending_events() == 1
 
 
 def test_peek_time_skips_cancelled():
-    q = EventQueue()
-    e1 = q.push(1.0, lambda: None)
-    q.push(2.0, lambda: None)
-    q.cancel(e1)
-    assert q.peek_time() == 2.0
+    sim = Simulator()
+    e1 = sim.schedule_at(1.0, lambda: None)
+    sim.schedule_at(2.0, lambda: None)
+    sim.cancel(e1)
+    assert sim.next_event_time() == 2.0
 
 
 def test_nan_time_rejected():
-    q = EventQueue()
+    sim = Simulator()
     with pytest.raises(SimulationError):
-        q.push(float("nan"), lambda: None)
+        sim.schedule_at(float("nan"), lambda: None)
+    with pytest.raises(SimulationError):
+        sim.schedule(float("nan"), lambda: None)
 
 
-def test_clear_empties_queue():
-    q = EventQueue()
-    q.push(1.0, lambda: None)
-    q.push(2.0, lambda: None)
-    q.clear()
-    assert len(q) == 0
-    assert q.pop() is None
+def test_cancelling_every_event_empties_queue():
+    sim = Simulator()
+    events = [sim.schedule_at(1.0, lambda: None),
+              sim.schedule_at(2.0, lambda: None)]
+    for event in events:
+        sim.cancel(event)
+    assert sim.pending_events() == 0
+    assert sim.step() is False
 
 
 # ----------------------------------------------------------------------
@@ -81,50 +84,52 @@ def test_heap_stays_bounded_under_cancel_churn():
     # Regression: lazy cancellation used to leave every cancelled entry
     # in the heap until it reached the top, so a constantly re-armed
     # far-future timer grew the heap without bound.
-    q = EventQueue()
+    sim = Simulator()
     for i in range(10_000):
-        event = q.push(1000.0 + i, lambda: None)
-        q.cancel(event)
+        event = sim.schedule_at(1000.0 + i, lambda: None)
+        sim.cancel(event)
         # One live far-future event so the heap is never trivially empty.
         if i == 0:
-            q.push(2000.0, lambda: None)
-    assert len(q) == 1
-    assert q.heap_size <= 2 * (len(q) + 1) + 64
-    assert q.compactions > 0
-    assert q.stats()["compacted_entries"] >= 10_000 - q.heap_size
+            sim.schedule_at(2000.0, lambda: None)
+    stats = sim.queue_stats()
+    assert sim.pending_events() == 1
+    assert stats["heap_size"] <= 2 * (sim.pending_events() + 1) + 64
+    assert stats["compactions"] > 0
+    assert stats["compacted_entries"] >= 10_000 - stats["heap_size"]
 
 
 def test_compaction_preserves_pop_order():
-    q = EventQueue()
+    sim = Simulator()
     fired = []
-    keep = [q.push(float(t), fired.append, (t,)) for t in range(100)]
-    cancelled = [q.push(t + 0.5, fired.append, (-t,)) for t in range(200)]
+    keep = [sim.schedule_at(float(t), fired.append, t) for t in range(100)]
+    cancelled = [sim.schedule_at(t + 0.5, fired.append, -t)
+                 for t in range(200)]
     for event in cancelled:
-        q.cancel(event)
-    assert q.compactions > 0
-    while (event := q.pop()) is not None:
-        event[CALLBACK](*event[ARGS])
+        sim.cancel(event)
+    assert sim.queue_stats()["compactions"] > 0
+    sim.run()
     assert fired == list(range(100))
     assert len(keep) == 100  # silence unused warning
 
 
 def test_no_compaction_below_min_heap_size():
-    q = EventQueue()
-    events = [q.push(float(i), lambda: None) for i in range(20)]
+    sim = Simulator()
+    events = [sim.schedule_at(float(i), lambda: None) for i in range(20)]
     for event in events[:15]:
-        q.cancel(event)
+        sim.cancel(event)
     # 15 dead vs 5 live, but the heap is tiny: not worth a sweep.
-    assert q.compactions == 0
-    assert q.heap_size == 20
+    assert 20 < COMPACT_MIN_HEAP
+    assert sim.queue_stats()["compactions"] == 0
+    assert sim.queue_stats()["heap_size"] == 20
 
 
 def test_queue_stats_counters():
-    q = EventQueue()
-    e1 = q.push(1.0, lambda: None)
-    q.push(2.0, lambda: None)
-    q.cancel(e1)
-    q.pop()
-    stats = q.stats()
+    sim = Simulator()
+    e1 = sim.schedule_at(1.0, lambda: None)
+    sim.schedule_at(2.0, lambda: None)
+    sim.cancel(e1)
+    sim.step()
+    stats = sim.queue_stats()
     assert stats["pushes"] == 2
     assert stats["pops"] == 1
     assert stats["cancellations"] == 1
@@ -165,49 +170,47 @@ def test_compaction_correct_under_bounded_drain():
 
 
 def test_reserved_number_is_a_place_in_the_order():
-    q = EventQueue()
+    sim = Simulator()
     order = []
-    q.push(1.0, order.append, ("first",))
-    held = q.reserve()                        # where "second" would be
-    q.push(1.0, order.append, ("third",))
-    q._next_seq = held                        # the next push fills it ...
-    late = q.push(1.0, order.append, ("second",))
-    fresh = q.push(1.0, order.append, ("fourth",))   # ... and only that one
+    sim.schedule_at(1.0, order.append, "first")
+    held = sim.reserve()                      # where "second" would be
+    sim.schedule_at(1.0, order.append, "third")
+    # The reserved push fills the held place ...
+    late = sim.schedule_reserved(1.0, held, order.append, "second")
+    # ... and only that one.
+    fresh = sim.schedule_at(1.0, order.append, "fourth")
     assert late[SEQ] == held
     assert fresh[SEQ] == held + 2
-    while (event := q.pop()) is not None:
-        event[CALLBACK](*event[ARGS])
+    sim.run()
     assert order == ["first", "second", "third", "fourth"]
 
 
 def test_reserving_consumes_the_number_an_event_would_have():
-    eager, lazy = EventQueue(), EventQueue()
-    eager.push(1.0, lambda: None)
+    eager, lazy = Simulator(), Simulator()
+    eager.schedule_at(1.0, lambda: None)
     lazy.reserve()
-    assert (eager.push(2.0, lambda: None)[SEQ]
-            == lazy.push(2.0, lambda: None)[SEQ])
-    assert lazy.stats()["pushes"] == 1        # nothing was queued for it
+    assert (eager.schedule_at(2.0, lambda: None)[SEQ]
+            == lazy.schedule_at(2.0, lambda: None)[SEQ])
+    assert lazy.queue_stats()["pushes"] == 1  # nothing was queued for it
 
 
 def test_compaction_keeps_late_filled_places_in_order():
-    q = EventQueue()
+    sim = Simulator()
     fired = []
     held = []
     for t in range(100):
-        q.push(float(t), fired.append, ((t, "a"),))
-        held.append(q.reserve())
-        q.push(float(t), fired.append, ((t, "c"),))
-    cancelled = [q.push(t + 0.5, fired.append, (None,)) for t in range(400)]
+        sim.schedule_at(float(t), fired.append, (t, "a"))
+        held.append(sim.reserve())
+        sim.schedule_at(float(t), fired.append, (t, "c"))
+    cancelled = [sim.schedule_at(t + 0.5, fired.append, None)
+                 for t in range(400)]
     # Fill the places out of order, half before the sweep and half after.
     for t in range(99, -1, -2):
-        q._next_seq = held[t]
-        q.push(float(t), fired.append, ((t, "b"),))
+        sim.schedule_reserved(float(t), held[t], fired.append, (t, "b"))
     for event in cancelled:
-        q.cancel(event)
-    assert q.compactions > 0
+        sim.cancel(event)
+    assert sim.queue_stats()["compactions"] > 0
     for t in range(0, 100, 2):
-        q._next_seq = held[t]
-        q.push(float(t), fired.append, ((t, "b"),))
-    while (event := q.pop()) is not None:
-        event[CALLBACK](*event[ARGS])
+        sim.schedule_reserved(float(t), held[t], fired.append, (t, "b"))
+    sim.run()
     assert fired == [(t, tag) for t in range(100) for tag in "abc"]

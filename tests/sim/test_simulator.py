@@ -3,8 +3,9 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Simulator
+from repro.sim import PeriodicTask, Simulator, Timer
 from repro.sim.events import PRIORITY_HIGH, PRIORITY_NORMAL, SEQ
+from repro.topology import build_portland_fabric
 
 
 def test_schedule_and_run_advances_clock():
@@ -121,6 +122,44 @@ def test_step_executes_single_event():
     assert fired == [1]
     assert sim.step() is True
     assert sim.step() is False
+
+
+def test_step_stops_at_max_events():
+    sim = Simulator()
+    fired = []
+    sim.schedule(1.0, fired.append, "a")
+    sim.schedule(2.0, fired.append, "b")
+    sim.max_events = 1
+    assert sim.step() is True
+    with pytest.raises(SimulationError):
+        sim.step()
+    # The event over the cap stays queued, as under run().
+    assert fired == ["a"]
+    assert sim.events_executed == 1
+    assert sim.pending_events() == 1
+    sim.max_events = None
+    assert sim.step() is True
+    assert fired == ["a", "b"]
+
+
+def test_step_inside_an_event_is_refused():
+    sim = Simulator()
+    fired = []
+    answers = []
+
+    def outer():
+        fired.append("outer")
+        with pytest.raises(SimulationError):
+            sim.step()
+        # Nothing nested ran: the event executing is still this one.
+        answers.append(sim.has_fired(1.0, held))
+
+    sim.schedule(1.0, outer)
+    held = sim.reserve()
+    sim.schedule(1.0, fired.append, "inner")
+    sim.run()
+    assert fired == ["outer", "inner"]
+    assert answers == [False]
 
 
 def test_events_scheduled_during_run_execute():
@@ -276,3 +315,58 @@ def test_has_fired_after_stop_is_relative_to_the_last_event_run():
     assert not sim.has_fired(1.0, held)
     sim.run()
     assert sim.has_fired(1.0, held)
+
+
+# ----------------------------------------------------------------------
+# What a simulator subclass may rely on: every event, however it is
+# made, passes through the public ``schedule`` / ``schedule_at`` once
+# (the ledger's tracing simulator wraps only those two).
+
+
+class _Wrapping(Simulator):
+    def __init__(self, seed: int) -> None:
+        super().__init__(seed=seed)
+        self.wraps = 0
+        self.ran = 0
+
+    def schedule(self, delay, callback, *args, priority=PRIORITY_NORMAL):
+        self.wraps += 1
+        return super().schedule(delay, self._run, callback, args,
+                                priority=priority)
+
+    def schedule_at(self, time, callback, *args, priority=PRIORITY_NORMAL):
+        self.wraps += 1
+        return super().schedule_at(time, self._run, callback, args,
+                                   priority=priority)
+
+    def _run(self, callback, args) -> None:
+        self.ran += 1
+        callback(*args)
+
+
+def test_a_subclass_wrapping_scheduling_sees_every_event_once():
+    sim = _Wrapping(seed=5)
+    fired = []
+    held = sim.reserve()
+    sim.schedule(0.2, lambda: None)
+    sim.schedule(0.1, sim.schedule_reserved, 0.2, held, fired.append,
+                 "reserved")
+    timer = Timer(sim, fired.append, "timer")
+    timer.start(0.1)
+    timer.start(0.3)                  # later: the event re-arms itself
+    timer.start(0.25)                 # earlier: cancel and push again
+    task = PeriodicTask(sim, 0.1, fired.append, "tick", jitter=0.1)
+    task.start()
+    sim.run(until=1.0)
+    task.stop()
+    assert fired.count("reserved") == fired.count("timer") == 1
+    assert fired.count("tick") >= 8
+    fabric = build_portland_fabric(sim, k=4)
+    fabric.bring_up()
+    stats = sim.queue_stats()
+    assert stats["cancellations"] > 0
+    assert sim.wraps == stats["pushes"]
+    assert sim.ran == sim.events_executed == stats["pops"]
+    assert set(stats) == {"pushes", "pops", "cancellations", "compactions",
+                          "compacted_entries", "peak_heap", "heap_size",
+                          "live"}

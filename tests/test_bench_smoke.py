@@ -31,8 +31,7 @@ from repro.workloads.replay import (
 def _converged_k4(path_cache_entries: int):
     sim = Simulator(seed=99)
     fabric = build_portland_fabric(
-        sim, k=4, config=PortlandConfig(decision_cache_entries=4096,
-                                        path_cache_entries=path_cache_entries))
+        sim, k=4, config=PortlandConfig(path_cache_entries=path_cache_entries))
     fabric.bring_up()
     return fabric
 

@@ -15,8 +15,8 @@ uncontended hop"):
   the frame starts, through the method ``Link.transmit`` itself uses —
   the event sequence of the code before the rule existed.
 
-A third reference, ``"interpreted"``, leaves no event out: it builds the
-fabric with ``decision_cache_entries=0``, so every switch walks its
+A third reference, ``"interpreted"``, leaves no event out: it takes
+every switch's decision cache away, so every switch walks its
 table and compiles its plan for every frame instead of executing a
 cached one (docs/PERF.md, "The hop as a plan") — the same events, and
 everything below must still agree.
@@ -48,7 +48,6 @@ its delivery.
 
 import collections
 import contextlib
-import dataclasses
 import functools
 
 import pytest
@@ -160,12 +159,12 @@ def _run(seed: int, k: int, carrier: bool, faults, reference: str | None,
                             beacons.append if beacons is not None else _noop)
     ldp_records = TraceCollector(sim.trace, "ldp")
     hop_records = TraceCollector(sim.trace, "verify.hop")
-    if reference == "interpreted":
-        config = dataclasses.replace(config or PortlandConfig(),
-                                     decision_cache_entries=0)
     fabric = build_portland_fabric(
         sim, k=k, config=config,
         link_params=LinkParams(carrier_detect=carrier))
+    if reference == "interpreted":
+        for switch in fabric.switches.values():
+            switch.decision_cache = None
     with contextlib.ExitStack() as patches:
         if reference == "eager":
             patches.enter_context(
