@@ -1,6 +1,6 @@
 # Convenience targets for the PortLand reproduction.
 
-.PHONY: install test bench ledger ledger-smoke ledger-test ledger-driver ledger-pairs verify-pairs hop-profile bench-hybrid bench-topo bench-parallel bench-fm bench-policy examples loc verify verify-all verify-topo test-topo all
+.PHONY: install test bench ledger ledger-smoke ledger-test ledger-driver ledger-pairs verify-pairs hop-profile census bench-hybrid bench-topo bench-parallel bench-fm bench-policy examples loc verify verify-all verify-topo test-topo all
 
 install:
 	pip install -e .
@@ -50,6 +50,12 @@ hop-profile:
 	python3 benchmarks/hop_profile.py \
 		--workload $(or $(WORKLOAD),frame_shuffle_k8) \
 		--seed $(or $(SEED),31) $(if $(SMOKE),--smoke)
+
+# Reach census: every def under src/ that no example, ledger smoke run,
+# CLI subcommand, verify lane or bench enters, per file, with line
+# counts (benchmarks/census.py; about 20 min, in a temporary copy).
+census:
+	python3 benchmarks/census.py
 
 # Hybrid fluid+frame acceptance: k=16 fluid background sea under a
 # frame TCP foreground with mid-window faults; writes BENCH_hybrid.json

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import abc
 
+from repro.errors import CodecError
+
 
 class Packet(abc.ABC):
     """A protocol data unit.
@@ -74,6 +76,24 @@ def coerce(payload: "Packet | bytes | None", cls: type) -> "Packet":
     if isinstance(payload, (bytes, bytearray)):
         return cls.decode(bytes(payload))
     raise TypeError(f"cannot interpret {type(payload).__name__} as {cls.__name__}")
+
+
+def payload_as(payload: "Packet | bytes | None", cls: type) -> "Packet | None":
+    """``payload`` as an instance of ``cls``, or ``None`` when it holds
+    something else or its bytes do not decode as ``cls``.
+
+    The one place a data path parses a payload it did not put there:
+    only :class:`~repro.errors.CodecError` means "not this protocol";
+    any other exception from a decoder is a bug and propagates.
+    """
+    if isinstance(payload, cls):
+        return payload
+    if isinstance(payload, (bytes, bytearray)):
+        try:
+            return cls.decode(bytes(payload))
+        except CodecError:
+            return None
+    return None
 
 
 class AppData(Packet):

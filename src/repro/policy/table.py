@@ -28,11 +28,6 @@ class PolicyRule:
     src_ip: str
     dst_ip: str
 
-    @property
-    def name(self) -> str:
-        """The flow-table entry name this rule materialises as."""
-        return f"acl:{self.src_ip}->{self.dst_ip}"
-
 
 class PolicyTable:
     """An ordered set of :class:`PolicyRule` with O(1) pair lookup."""

@@ -18,6 +18,7 @@ failures/recoveries detected by LDP (or carrier), and apply prescriptive
 
 from __future__ import annotations
 
+from repro.errors import AddressError
 from repro.net.addresses import BROADCAST_MAC, ZERO_MAC, IPv4Address, MacAddress
 from repro.net.arp import ARP_REQUEST, ArpPacket
 from repro.net.codec import decode_payload
@@ -25,7 +26,7 @@ from repro.net.ethernet import ETHERTYPE_ARP, ETHERTYPE_FABRIC, EthernetFrame
 from repro.net.igmp import IgmpMessage
 from repro.net.ipv4 import IPv4Packet
 from repro.net.link import Port
-from repro.net.packet import Packet, coerce
+from repro.net.packet import Packet, coerce, payload_as
 from repro.portland import forwarding as fwd
 from repro.portland.config import PortlandConfig
 from repro.portland.ldp import LdpProcess, NeighborInfo, edge_detect_s
@@ -243,13 +244,13 @@ class PortlandAgent:
         key = (message.prefix.value, message.prefix_len)
         self._fault_overrides.pop(key, None)
         self.switch.table.remove_by_name(
-            f"fault:{MacAddress(key[0])}/{key[1]}")
+            fwd.fault_name(MacAddress(key[0]), key[1]))
 
     def _on_mcast_install(self, message: McastInstall) -> None:
         self._install(fwd.mcast_group(message.group_mac, message.ports))
 
     def _on_mcast_remove(self, message: McastRemove) -> None:
-        self.switch.table.remove_by_name(f"mcast:{message.group_mac}")
+        self.switch.table.remove_by_name(fwd.mcast_name(message.group_mac))
 
     def _on_disable_link(self, message: DisableLink) -> None:
         self.fm_blocked_neighbors.add(message.neighbor_id)
@@ -265,7 +266,7 @@ class PortlandAgent:
 
     def _on_policy_revoke(self, message: PolicyRevoke) -> None:
         self.switch.table.remove_by_name(
-            f"acl:{message.src_ip}->{message.dst_ip}")
+            fwd.acl_name(message.src_ip, message.dst_ip))
 
     # ------------------------------------------------------------------
     # LDP listener callbacks
@@ -294,11 +295,6 @@ class PortlandAgent:
 
     # ------------------------------------------------------------------
     # Entry installation
-
-    #: Names of the entries that are a function of what LDP discovered
-    #: and what the fabric manager prescribed: :meth:`_refresh_entries`
-    #: owns every entry named under these prefixes.
-    _TOPOLOGY_ENTRIES = ("default-up", "fault:", "down:", "pod:", "route:")
 
     def _install(self, spec: tuple) -> None:
         """Make the entry named by ``spec`` exactly ``spec``."""
@@ -347,7 +343,7 @@ class PortlandAgent:
         if routes is None:
             self._restate_down(None if whole else port_index, specs, gone)
         if specs or gone:
-            self.switch.table.sync(self._TOPOLOGY_ENTRIES if whole else (),
+            self.switch.table.sync(fwd.TOPOLOGY_ENTRIES if whole else (),
                                    specs, gone)
 
     def _restate_down(self, port_index: int | None, specs: list[tuple],
@@ -507,11 +503,7 @@ class PortlandAgent:
     def _install_host_entries(self, record: HostRecord) -> None:
         pmac_mac = record.pmac.to_mac()
         self.switch.rewrite_table.install(
-            fwd.Match(in_port=record.port, eth_src=record.amac),
-            (fwd.SetEthSrc(pmac_mac),),
-            fwd.REWRITE_PRIO_HOST,
-            f"ingress:{record.amac}",
-        )
+            *fwd.host_ingress(pmac_mac, record.amac, record.port))
         self._install(fwd.host_egress(pmac_mac, record.amac, record.port))
         # A returning/migrated host supersedes any trap for its PMAC.
         self._remove_trap(pmac_mac)
@@ -522,11 +514,10 @@ class PortlandAgent:
             arp = coerce(frame.payload, ArpPacket)
             if arp.sender_ip.value != 0:
                 ip = arp.sender_ip
-        elif frame.payload is not None:
-            try:
-                ip = coerce(frame.payload, IPv4Packet).src
-            except Exception:
-                ip = None
+        else:
+            packet = payload_as(frame.payload, IPv4Packet)
+            if packet is not None:
+                ip = packet.src
         if ip is None:
             return
         if record.ip != ip or not record.registered:
@@ -547,8 +538,8 @@ class PortlandAgent:
         pmac_mac = record.pmac.to_mac()
         self.hosts_by_amac.pop(record.amac, None)
         self.hosts_by_pmac.pop(pmac_mac, None)
-        self.switch.rewrite_table.remove_by_name(f"ingress:{record.amac}")
-        self.switch.table.remove_by_name(f"host:{pmac_mac}")
+        self.switch.rewrite_table.remove_by_name(fwd.ingress_name(record.amac))
+        self.switch.table.remove_by_name(fwd.host_name(pmac_mac))
         if self.allocator is not None:
             self.allocator.release(record.pmac)
 
@@ -641,11 +632,11 @@ class PortlandAgent:
         else:
             try:
                 requester = Pmac.from_mac(message.requester_pmac)
-                if (requester.pod == self.ldp.pod
-                        and requester.position == self.ldp.position):
-                    skip_port = requester.port
-            except Exception:
-                skip_port = None
+            except AddressError:  # a multicast MAC is no PMAC
+                requester = None
+            if (requester is not None and requester.pod == self.ldp.pod
+                    and requester.position == self.ldp.position):
+                skip_port = requester.port
         request = ArpPacket(ARP_REQUEST, message.requester_pmac,
                             message.requester_ip, ZERO_MAC, message.target_ip)
         for port_index in self.ldp.host_ports:
@@ -674,11 +665,10 @@ class PortlandAgent:
                                   igmp.is_join, packet.src))
 
     def _handle_mcast_miss(self, frame: EthernetFrame, in_port: Port) -> None:
-        if frame.ethertype == ETHERTYPE_ARP or frame.payload is None:
+        if frame.ethertype == ETHERTYPE_ARP:
             return
-        try:
-            packet = coerce(frame.payload, IPv4Packet)
-        except Exception:
+        packet = payload_as(frame.payload, IPv4Packet)
+        if packet is None:
             return
         group = packet.dst
         if group.is_limited_broadcast:
@@ -731,7 +721,7 @@ class PortlandAgent:
 
     def _remove_trap(self, pmac_mac: MacAddress) -> None:
         if self._traps.pop(pmac_mac, None) is not None:
-            self.switch.table.remove_by_name(f"trap:{pmac_mac}")
+            self.switch.table.remove_by_name(fwd.trap_name(pmac_mac))
 
     def _handle_trap(self, frame: EthernetFrame) -> None:
         trap = self._traps.get(frame.dst)

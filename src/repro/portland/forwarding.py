@@ -48,6 +48,11 @@ REWRITE_PRIO_NEW_HOST = 100
 #: A match on "any Ethernet multicast destination" (I/G bit set).
 MULTICAST_BIT_MATCH = Match(eth_dst=MacAddress(1 << 40), eth_dst_mask=1 << 40)
 
+#: Name prefixes of the entries that are a function of what LDP
+#: discovered and what the fabric manager prescribed: the agent's
+#: ``_refresh_entries`` owns every entry named under them.
+TOPOLOGY_ENTRIES = ("default-up", "fault:", "down:", "pod:", "route:")
+
 
 def entry_direction(name: str) -> str:
     """Classify a forwarding-entry name by which way it moves a frame.
@@ -94,11 +99,28 @@ def mcast_miss() -> tuple[Match, tuple, int, str]:
             "mcast-miss")
 
 
+def host_name(pmac_mac: MacAddress) -> str:
+    """Name of the egress entry toward one local host."""
+    return f"host:{pmac_mac}"
+
+
 def host_egress(pmac_mac: MacAddress, amac: MacAddress,
                 port: int) -> tuple[Match, tuple, int, str]:
     """Edge: deliver to a local host, rewriting PMAC back to AMAC."""
     return (Match(eth_dst=pmac_mac), (SetEthDst(amac), Output(port)),
-            PRIO_HOST, f"host:{pmac_mac}")
+            PRIO_HOST, host_name(pmac_mac))
+
+
+def ingress_name(amac: MacAddress) -> str:
+    """Name of the rewrite-table entry for one local host's source."""
+    return f"ingress:{amac}"
+
+
+def host_ingress(pmac_mac: MacAddress, amac: MacAddress,
+                 port: int) -> tuple[Match, tuple, int, str]:
+    """Edge rewrite table: a known host's frames leave with its PMAC."""
+    return (Match(in_port=port, eth_src=amac), (SetEthSrc(pmac_mac),),
+            REWRITE_PRIO_HOST, ingress_name(amac))
 
 
 def new_host_trap(port: int) -> tuple[Match, tuple, int, str]:
@@ -166,25 +188,45 @@ def route_entry(pod: int, position: int,
             PRIO_DEFAULT_UP, f"route:{pod}.{position}")
 
 
+def fault_name(prefix: MacAddress, prefix_len: int) -> str:
+    """Name of the override entry for one destination prefix."""
+    return f"fault:{prefix}/{prefix_len}"
+
+
 def fault_override(prefix: MacAddress, prefix_len: int,
                    ports: tuple[int, ...]) -> tuple[Match, tuple, int, str]:
     """Fault-constrained up route for one destination prefix."""
     return (Match(eth_dst=prefix, eth_dst_mask=mac_prefix_mask(prefix_len)),
             (SelectByHash(ports),) if ports else (),
-            PRIO_FAULT, f"fault:{prefix}/{prefix_len}")
+            PRIO_FAULT, fault_name(prefix, prefix_len))
+
+
+def mcast_name(group_mac: MacAddress) -> str:
+    """Name of one multicast group's tree entry."""
+    return f"mcast:{group_mac}"
 
 
 def mcast_group(group_mac: MacAddress,
                 ports: tuple[int, ...]) -> tuple[Match, tuple, int, str]:
     """Installed multicast tree entry."""
     return (Match(eth_dst=group_mac), (OutputMany(ports),),
-            PRIO_MCAST_GROUP, f"mcast:{group_mac}")
+            PRIO_MCAST_GROUP, mcast_name(group_mac))
+
+
+def trap_name(old_pmac: MacAddress) -> str:
+    """Name of the migration trap for one stale PMAC."""
+    return f"trap:{old_pmac}"
 
 
 def migration_trap(old_pmac: MacAddress) -> tuple[Match, tuple, int, str]:
     """Old edge after migration: trap frames for the stale PMAC."""
     return (Match(eth_dst=old_pmac), (ToAgent("migrated"),), PRIO_TRAP,
-            f"trap:{old_pmac}")
+            trap_name(old_pmac))
+
+
+def acl_name(src_ip, dst_ip) -> str:
+    """Name of the ACL entry blocking one (src IP, dst IP) pair."""
+    return f"acl:{src_ip}->{dst_ip}"
 
 
 def acl_drop(in_port: int, dst_pmac: MacAddress, src_ip: str,
@@ -200,4 +242,4 @@ def acl_drop(in_port: int, dst_pmac: MacAddress, src_ip: str,
     ever bypass the ACL.
     """
     return (Match(in_port=in_port, eth_dst=dst_pmac), (Drop("acl"),),
-            PRIO_ACL, f"acl:{src_ip}->{dst_ip}")
+            PRIO_ACL, acl_name(src_ip, dst_ip))

@@ -241,7 +241,7 @@ class LdpProcess:
         """Statically assign this switch's location before :meth:`start`.
 
         Topology schemes whose coordinates are known at build time (a
-        generated leaf-spine design, Jellyfish's uniform ToR mesh —
+        two-level leaf-spine fabric, Jellyfish's uniform ToR mesh —
         which LDP's three-level classifier cannot even express) install
         them here. Beaconing, neighbor discovery, and liveness detection
         all still run; only the classification/arbitration half of LDP

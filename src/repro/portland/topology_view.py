@@ -142,19 +142,3 @@ class FabricView:
                 nbr for nbr in self.neighbors_of(agg_id).values()
                 if self.level(nbr) is SwitchLevel.CORE)
         return cores
-
-    def agg_group(self, agg_id: int) -> set[int]:
-        """All aggregation switches sharing a core with ``agg_id``.
-
-        In a fat tree this is "the same index in every pod" — the set a
-        remote edge must avoid when this aggregation switch loses a link
-        to an edge below it. Includes ``agg_id`` itself. Derived purely
-        from physical wiring, so it also works on irregular multi-rooted
-        trees.
-        """
-        group = {agg_id}
-        for core in self.core_neighbors(agg_id):
-            for nbr in self.neighbors_of(core).values():
-                if self.level(nbr) is SwitchLevel.AGGREGATION:
-                    group.add(nbr)
-        return group

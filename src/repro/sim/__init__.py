@@ -9,12 +9,10 @@ from repro.sim.process import PeriodicTask, Timer
 from repro.sim.rng import RandomStreams, child_seed
 from repro.sim.simulator import Simulator
 from repro.sim.stats import (
-    Counter,
     RateMeter,
     SummaryStats,
     TimeSeries,
     aggregate_counters,
-    cdf_points,
     percentile,
     summarize,
 )
@@ -24,7 +22,6 @@ __all__ = [
     "PRIORITY_HIGH",
     "PRIORITY_LOW",
     "PRIORITY_NORMAL",
-    "Counter",
     "Event",
     "PeriodicTask",
     "RandomStreams",
@@ -37,7 +34,6 @@ __all__ = [
     "TraceCollector",
     "TraceRecord",
     "aggregate_counters",
-    "cdf_points",
     "child_seed",
     "percentile",
     "summarize",

@@ -1,4 +1,4 @@
-"""Measurement primitives: counters, time series, rate meters, CDFs.
+"""Measurement primitives: time series, rate meters, percentiles.
 
 These are deliberately simulator-agnostic (they take explicit timestamps)
 so the same classes serve unit tests, metrics collectors subscribed to
@@ -7,32 +7,12 @@ the trace bus, and the benchmark harnesses.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
 
-class Counter:
-    """A named monotonic counter with an optional byte dimension."""
-
-    __slots__ = ("name", "count", "bytes")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.count = 0
-        self.bytes = 0
-
-    def add(self, n: int = 1, nbytes: int = 0) -> None:
-        """Increment by ``n`` occurrences and ``nbytes`` bytes."""
-        self.count += n
-        self.bytes += nbytes
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Counter({self.name}: {self.count} events, {self.bytes} bytes)"
-
-
 class TimeSeries:
-    """Append-only ``(time, value)`` samples with window queries."""
+    """Append-only ``(time, value)`` samples."""
 
     def __init__(self, name: str = "") -> None:
         self.name = name
@@ -50,24 +30,6 @@ class TimeSeries:
             )
         self.times.append(time)
         self.values.append(value)
-
-    def window(self, start: float, end: float) -> list[tuple[float, float]]:
-        """Samples with ``start <= time < end``."""
-        lo = bisect.bisect_left(self.times, start)
-        hi = bisect.bisect_left(self.times, end)
-        return list(zip(self.times[lo:hi], self.values[lo:hi]))
-
-    def last_value(self, default: float = 0.0) -> float:
-        """Most recent value, or ``default`` when empty."""
-        return self.values[-1] if self.values else default
-
-    def integrate(self) -> float:
-        """Trapezoidal integral of value over time."""
-        total = 0.0
-        for i in range(1, len(self.times)):
-            dt = self.times[i] - self.times[i - 1]
-            total += dt * (self.values[i] + self.values[i - 1]) / 2.0
-        return total
 
 
 class RateMeter:
@@ -192,12 +154,3 @@ def aggregate_counters(counter_dicts) -> dict[str, int]:
         for key, value in counters.items():
             total[key] = total.get(key, 0) + value
     return total
-
-
-def cdf_points(samples: list[float]) -> list[tuple[float, float]]:
-    """Empirical CDF as ``(value, cumulative_fraction)`` points."""
-    if not samples:
-        return []
-    ordered = sorted(samples)
-    n = len(ordered)
-    return [(value, (i + 1) / n) for i, value in enumerate(ordered)]

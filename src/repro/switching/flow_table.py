@@ -16,7 +16,7 @@ from repro.errors import SwitchError
 from repro.net.addresses import MacAddress
 from repro.net.ethernet import ETHERTYPE_IPV4, EthernetFrame
 from repro.net.ipv4 import IPPROTO_TCP, IPPROTO_UDP, IPv4Packet
-from repro.net.packet import coerce
+from repro.net.packet import payload_as
 from repro.net.tcp_wire import TcpSegment
 from repro.net.udp import UdpDatagram
 
@@ -78,13 +78,10 @@ class Match:
             ):
                 return False
         if self.ip_proto is not None:
-            if frame.ethertype != ETHERTYPE_IPV4 or frame.payload is None:
+            if frame.ethertype != ETHERTYPE_IPV4:
                 return False
-            try:
-                packet = coerce(frame.payload, IPv4Packet)
-            except Exception:
-                return False
-            if packet.protocol != self.ip_proto:
+            packet = payload_as(frame.payload, IPv4Packet)
+            if packet is None or packet.protocol != self.ip_proto:
                 return False
         return True
 
@@ -349,11 +346,8 @@ def _hash_and_proto(frame: EthernetFrame) -> tuple[int, int | None]:
     protocol: int | None = None
     material = frame.src.to_bytes() + frame.dst.to_bytes()
     material += frame.ethertype.to_bytes(2, "big")
-    if frame.ethertype == ETHERTYPE_IPV4 and frame.payload is not None:
-        try:
-            packet = coerce(frame.payload, IPv4Packet)
-        except Exception:
-            packet = None
+    if frame.ethertype == ETHERTYPE_IPV4:
+        packet = payload_as(frame.payload, IPv4Packet)
         if packet is not None:
             protocol = packet.protocol
             material += packet.src.to_bytes() + packet.dst.to_bytes()
@@ -429,13 +423,10 @@ def resolve_actions(actions: tuple[Action, ...],
 
 
 def _transport_ports(packet: IPv4Packet) -> tuple[int, int] | None:
-    try:
-        if packet.protocol == IPPROTO_UDP:
-            datagram = coerce(packet.payload, UdpDatagram)
-            return (datagram.src_port, datagram.dst_port)
-        if packet.protocol == IPPROTO_TCP:
-            segment = coerce(packet.payload, TcpSegment)
-            return (segment.src_port, segment.dst_port)
-    except Exception:
+    if packet.protocol == IPPROTO_UDP:
+        header = payload_as(packet.payload, UdpDatagram)
+    elif packet.protocol == IPPROTO_TCP:
+        header = payload_as(packet.payload, TcpSegment)
+    else:
         return None
-    return None
+    return None if header is None else (header.src_port, header.dst_port)

@@ -4,9 +4,9 @@ Several layers need to answer the same question — "which switch-by-switch
 path would the live decision layer send this frame down?" — without
 scheduling simulator events: the compiled-path cache
 (:mod:`repro.switching.path_cache`), the flow engine's path resolver
-(:mod:`repro.flows`), the replay benchmarks
-(:mod:`repro.workloads.replay`) and the trace-equivalence tests. This
-module is the single copy of that walk.
+(:mod:`repro.flows`), the event-free replay the perf smoke and
+path-cache tests drive (:mod:`repro.workloads.replay`) and the
+trace-equivalence tests. This module is the single copy of that walk.
 
 The walk calls ``_forwarding_decision`` — exactly what ``receive`` runs
 after the rewrite stage — and follows the egress port of the plan it

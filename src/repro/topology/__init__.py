@@ -28,12 +28,11 @@ __all__ = [
 
 from repro.topology.baselines import L2Fabric, L3Fabric, build_l2_fabric, build_l3_fabric
 from repro.topology.multirooted import build_multirooted_tree
-from repro.topology.validate import bisection_paths, to_graph, validate_tree
+from repro.topology.validate import to_graph, validate_tree
 
 __all__ += [
     "L2Fabric",
     "L3Fabric",
-    "bisection_paths",
     "build_l2_fabric",
     "build_l3_fabric",
     "build_multirooted_tree",
@@ -51,12 +50,7 @@ from repro.topology.scheme import (
     TwoLayerFatTreeScheme,
     scheme_for_backend,
 )
-from repro.topology.twolayer import (
-    TwoLayerDesign,
-    build_designed_twolayer,
-    build_twolayer,
-    design_twolayer,
-)
+from repro.topology.twolayer import build_twolayer
 
 __all__ += [
     "BACKEND_NAMES",
@@ -64,12 +58,9 @@ __all__ += [
     "JellyfishExpansion",
     "JellyfishScheme",
     "TopologyScheme",
-    "TwoLayerDesign",
     "TwoLayerFatTreeScheme",
-    "build_designed_twolayer",
     "build_jellyfish",
     "build_twolayer",
-    "design_twolayer",
     "expand_jellyfish",
     "expand_jellyfish_live",
     "scheme_for_backend",

@@ -15,7 +15,7 @@ crew would do:
 3. Update the shared :class:`JellyfishScheme` in place
    (:meth:`~repro.topology.scheme.JellyfishScheme.rewire`) — the planned
    expansion's new routing tables — and refresh every agent's entries.
-4. Start the new switch's agent (preseeded, like any generated design)
+4. Start the new switch's agent (preseeded, like every Jellyfish switch)
    and connect it to the control network.
 5. After the edge-adoption grace period, the new hosts announce
    themselves with gratuitous ARPs and register with the fabric manager.

@@ -13,8 +13,8 @@ backends can be swapped under the unchanged mechanism:
 * **locator assignment** — either dynamic (return ``None`` from
   :meth:`static_locations` and let LDP discover levels/pods/positions,
   as the classic fat tree does) or static preseeding for fabrics LDP
-  cannot classify (Jellyfish's uniform ToR mesh, a generated leaf-spine
-  design);
+  cannot classify (Jellyfish's uniform ToR mesh, a two-level leaf-spine
+  fabric);
 * **route resolution** — either the built-in up*-down* entry refresh
   (return ``None`` from :meth:`route_entries`) or an explicit per-
   destination-prefix entry set (Jellyfish's shortest-path DAG ECMP);
@@ -246,15 +246,16 @@ class FatTreeScheme(TopologyScheme):
 
 
 class TwoLayerFatTreeScheme(FatTreeScheme):
-    """A generated leaf-spine design (see :mod:`repro.topology.twolayer`).
+    """A two-level leaf-spine fabric from
+    :func:`~repro.topology.twolayer.build_twolayer`.
 
     Reuses the entire fat-tree pipeline — the two-level tree *is* a fat
     tree whose pods all collapsed into pod 0 and whose core layer is
-    empty — but preseeds locations: a generated design's coordinates are
-    known at build time, and LDP's edge/aggregation classifier cannot
-    run without a third level to anchor the hierarchy (spines would
+    empty — but preseeds locations: the fabric's layout is known at
+    build time, and LDP's edge/aggregation classifier cannot run
+    without a third level to anchor the hierarchy (spines would
     classify fine, but leaf position arbitration and pod requests add
-    convergence time for information the designer already has).
+    convergence time for information the builder already has).
     """
 
     name = "twolayer"

@@ -1,20 +1,14 @@
-"""Generated two-level fat trees (leaf-spine), sized by automated
-parameter search over switch port counts (after Solnushkin, "Automated
-Design of Two-Level Fat Trees").
+"""Two-level fat trees (leaf-spine).
 
 A two-level fat tree is the degenerate-but-ubiquitous case of the
 Al-Fares construction: ``L`` leaf switches, each with ``h`` host ports
-and ``u`` uplinks, fully bipartite to ``S = u`` spine switches. Instead
-of fixing a single port count ``k``, :func:`design_twolayer` searches
-the available switch models (port counts) for the cheapest — fewest
-switches, then fewest total ports — design that carries a requested
-host count within an oversubscription bound ``h/u``.
+and ``u`` uplinks, fully bipartite to ``S = u`` spine switches.
 
 Like the other topology modules this emits pure structure in the
 :class:`FatTree` container: leaves as pod-0 "edge" switches, spines as
 pod-0 "aggregation" switches, no cores. PMAC locators come from
 :class:`repro.topology.scheme.TwoLayerFatTreeScheme`, which preseeds
-every leaf's (pod=0, position=index) statically — a generated design is
+every leaf's (pod=0, position=index) statically — the layout is
 installed knowledge, not something to rediscover by protocol.
 
 Leaf port layout::
@@ -28,86 +22,11 @@ Spine ``j`` uses port ``i`` for leaf ``i``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.errors import TopologyError
 from repro.topology.fattree import FatTree, HostSpec, WireSpec, host_ip, host_mac
 
-#: Port counts of commodity switch models the designer may pick from.
-DEFAULT_PORT_COUNTS = (8, 16, 24, 32, 48, 64)
-
 #: The position field of the PMAC caps the number of leaves.
 MAX_LEAVES = 256
-
-
-@dataclass(frozen=True)
-class TwoLayerDesign:
-    """One feasible two-level fat-tree design."""
-
-    leaves: int
-    spines: int
-    hosts_per_leaf: int
-    #: Switch model (port count) used at each layer.
-    leaf_ports: int
-    spine_ports: int
-
-    @property
-    def num_hosts(self) -> int:
-        return self.leaves * self.hosts_per_leaf
-
-    @property
-    def num_switches(self) -> int:
-        return self.leaves + self.spines
-
-    @property
-    def oversubscription(self) -> float:
-        return self.hosts_per_leaf / self.spines
-
-
-def design_twolayer(num_hosts: int,
-                    port_counts: tuple[int, ...] = DEFAULT_PORT_COUNTS,
-                    max_oversubscription: float = 1.0) -> TwoLayerDesign:
-    """Search switch port counts for the cheapest two-level design.
-
-    For every leaf model with ``p`` ports and every split ``p = h + u``
-    (host ports + uplinks) meeting the oversubscription bound
-    ``h/u <= max_oversubscription``, the design needs
-    ``L = ceil(num_hosts / h)`` leaves and ``S = u`` spines, and a spine
-    model with at least ``L`` ports. The cheapest design minimises
-    (total switches, total switch ports, leaves) — deterministic
-    tie-breaking so the same inputs always yield the same fabric.
-    """
-    if num_hosts < 2:
-        raise TopologyError("a fabric needs at least 2 hosts")
-    if max_oversubscription <= 0:
-        raise TopologyError("max_oversubscription must be positive")
-    best: tuple | None = None
-    for leaf_ports in sorted(port_counts):
-        for uplinks in range(1, leaf_ports):
-            hosts_per_leaf = leaf_ports - uplinks
-            if hosts_per_leaf / uplinks > max_oversubscription:
-                continue
-            leaves = -(-num_hosts // hosts_per_leaf)  # ceil
-            if leaves < 2 or leaves > MAX_LEAVES:
-                continue
-            spine_models = [p for p in sorted(port_counts) if p >= leaves]
-            if not spine_models:
-                continue
-            spine_ports = spine_models[0]
-            design = TwoLayerDesign(leaves=leaves, spines=uplinks,
-                                    hosts_per_leaf=hosts_per_leaf,
-                                    leaf_ports=leaf_ports,
-                                    spine_ports=spine_ports)
-            cost = (design.num_switches,
-                    leaves * leaf_ports + uplinks * spine_ports,
-                    leaves, uplinks)
-            if best is None or cost < best[0]:
-                best = (cost, design)
-    if best is None:
-        raise TopologyError(
-            f"no feasible two-level design for {num_hosts} hosts from "
-            f"port counts {port_counts}")
-    return best[1]
 
 
 def leaf_name(index: int) -> str:
@@ -149,15 +68,3 @@ def build_twolayer(leaves: int, spines: int, hosts_per_leaf: int,
             tree.switch_wires.append(WireSpec(leaf, base + j,
                                               spine_name(j), i))
     return tree
-
-
-def build_designed_twolayer(num_hosts: int,
-                            port_counts: tuple[int, ...] = DEFAULT_PORT_COUNTS,
-                            max_oversubscription: float = 1.0,
-                            spare_host_ports: int = 0) -> FatTree:
-    """Design + build in one step: the structure for the cheapest
-    feasible two-level fat tree carrying ``num_hosts`` hosts."""
-    design = design_twolayer(num_hosts, port_counts, max_oversubscription)
-    return build_twolayer(design.leaves, design.spines,
-                          design.hosts_per_leaf,
-                          spare_host_ports=spare_host_ports)

@@ -67,16 +67,3 @@ def to_graph(tree: FatTree, include_hosts: bool = False) -> "nx.Graph":
         for wire in tree.host_wires:
             graph.add_edge(wire.node_a, wire.node_b)
     return graph
-
-
-def bisection_paths(tree: FatTree) -> int:
-    """Count of edge-disjoint shortest paths between two sample pods —
-    a quick structural sanity metric used in tests."""
-    import networkx as nx
-
-    graph = to_graph(tree)
-    if len(tree.edge_names) < 2:
-        return 0
-    src = tree.edge_names[0]
-    dst = tree.edge_names[-1]
-    return nx.edge_connectivity(graph, src, dst)

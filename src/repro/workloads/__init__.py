@@ -30,10 +30,9 @@ from repro.workloads.shuffle import (
 __all__ += ["FlowResult", "FluidShuffleWorkload", "HybridWorkload",
             "ShuffleWorkload"]
 
-from repro.workloads.elephant_mice import ElephantMiceWorkload
 from repro.workloads.incast import IncastWorkload
 
-__all__ += ["ElephantMiceWorkload", "IncastWorkload"]
+__all__ += ["IncastWorkload"]
 
 from repro.workloads.replay import (
     all_to_all_frames,

@@ -5,10 +5,10 @@ live fabric without scheduling simulator events: the per-hop variant
 calls ``PortlandSwitch._forwarding_decision`` (exactly what ``receive``
 runs) and follows output ports across the real wiring; the compiled
 variant probes the :class:`~repro.switching.path_cache.PathCache`'s
-per-ingress tables. Benchmarks and the tier-1 perf smoke test use them
-to measure the steady-state cost of forwarding itself, isolated from
-event-kernel and host-stack overhead — and to cross-check that both
-layers produce identical paths.
+per-ingress tables. The tier-1 perf smoke test and the path-cache tests
+use them to measure the steady-state cost of forwarding itself,
+isolated from event-kernel and host-stack overhead — and to cross-check
+that both layers produce identical paths.
 """
 
 from __future__ import annotations

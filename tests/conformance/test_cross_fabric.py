@@ -32,24 +32,26 @@ def test_healthy_fabric_passes_all_invariants(fabric_backend):
 
 
 def test_fault_then_recovery_keeps_invariants(fabric_backend):
-    """A link failure must not strand the walker (reroute or provably
-    unreachable), and recovery must retract every override."""
+    """Every single-link failure the scheme offers, one at a time: it
+    must not strand the walker (reroute or provably unreachable), and
+    its recovery must retract every override."""
     fabric = fabric_backend.converged(seed=5)
     sim = fabric.sim
     candidates = fabric.scheme.fault_candidate_links()
     assert candidates, "scheme offered no faultable links"
-    link = fabric.link_between(*candidates[len(candidates) // 2])
     with InvariantOracle(fabric, track_hops=False) as oracle:
-        link.fail()
-        sim.run(until=sim.now + 0.6)
-        assert oracle.check_now() == []
-        link.recover()
-        sim.run(until=sim.now + 0.6)
-        assert oracle.check_now() == []
-    leftover = {name: dict(agent._fault_overrides)
-                for name, agent in fabric.agents.items()
-                if agent._fault_overrides}
-    assert not leftover, f"overrides survived recovery: {leftover}"
+        for pair in candidates:
+            link = fabric.link_between(*pair)
+            link.fail()
+            sim.run(until=sim.now + 0.6)
+            assert oracle.check_now() == [], f"{pair} failed"
+            link.recover()
+            sim.run(until=sim.now + 0.6)
+            assert oracle.check_now() == [], f"{pair} recovered"
+            leftover = {name: dict(agent._fault_overrides)
+                        for name, agent in fabric.agents.items()
+                        if agent._fault_overrides}
+            assert not leftover, f"overrides survived {pair}: {leftover}"
 
 
 def test_enumerated_paths_follow_the_wiring(fabric_backend):

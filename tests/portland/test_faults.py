@@ -65,9 +65,9 @@ def test_view_structure_queries():
     assert view.port_toward(100, 200) == 2
     assert view.adjacent(100, 200)
     assert not view.adjacent(100, 300)
-    # Aggregation group: agg 200 (pod0, idx0) shares cores with 202/204/206.
-    assert view.agg_group(200) == {200, 202, 204, 206}
-    assert view.agg_group(201) == {201, 203, 205, 207}
+    # Agg a of every pod wires to core group a.
+    assert set(view.core_neighbors(200)) == {300, 301}
+    assert set(view.core_neighbors(203)) == {302, 303}
 
 
 def test_alive_respects_fault_matrix():

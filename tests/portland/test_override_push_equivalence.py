@@ -23,8 +23,7 @@ the diff between the reference at the previous push and the reference
 now — no more, no fewer, none stale.
 
 Views: the hand-built k=4 and k=6 fat trees, and a two-layer leaf–spine
-fabric (every leaf in pod 0, no cores — the Solnushkin design's shape,
-served by the same computer).
+fabric (every leaf in pod 0, no cores, served by the same computer).
 """
 
 from collections import Counter

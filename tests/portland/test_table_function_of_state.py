@@ -124,7 +124,7 @@ def _full_topology_specs(agent):
 
 def _topology_rows(table):
     return [(e.name, e.match, e.actions, e.priority) for e in table
-            if e.name.startswith(PortlandAgent._TOPOLOGY_ENTRIES)]
+            if e.name.startswith(fwd.TOPOLOGY_ENTRIES)]
 
 
 @contextmanager
@@ -151,7 +151,7 @@ def _checked_against_full_rules():
         refresh(agent, *port_index)
         if agent._base_installed:
             shadow = shadows.setdefault(agent.switch.table, FlowTable())
-            shadow.sync(PortlandAgent._TOPOLOGY_ENTRIES,
+            shadow.sync(fwd.TOPOLOGY_ENTRIES,
                         _full_topology_specs(agent))
             assert (_topology_rows(agent.switch.table)
                     == _topology_rows(shadow)), (agent.switch.name,

@@ -5,30 +5,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.sim.stats import (
-    Counter,
     RateMeter,
     TimeSeries,
     aggregate_counters,
-    cdf_points,
     percentile,
     summarize,
 )
 
 
-def test_counter_accumulates():
-    c = Counter("rx")
-    c.add()
-    c.add(2, nbytes=100)
-    assert c.count == 3
-    assert c.bytes == 100
-
-
-def test_time_series_window_and_last():
+def test_time_series_records_in_order():
     ts = TimeSeries("t")
     for t, v in [(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)]:
         ts.record(t, v)
-    assert ts.window(0.5, 2.0) == [(1.0, 2.0)]
-    assert ts.last_value() == 3.0
+    assert ts.times == [0.0, 1.0, 2.0]
+    assert ts.values == [1.0, 2.0, 3.0]
     assert len(ts) == 3
 
 
@@ -37,13 +27,6 @@ def test_time_series_rejects_time_travel():
     ts.record(1.0, 0.0)
     with pytest.raises(ValueError):
         ts.record(0.5, 0.0)
-
-
-def test_time_series_integrate_trapezoid():
-    ts = TimeSeries()
-    ts.record(0.0, 0.0)
-    ts.record(2.0, 2.0)
-    assert ts.integrate() == pytest.approx(2.0)
 
 
 def test_rate_meter_bins_and_zero_gaps():
@@ -109,15 +92,6 @@ def test_summarize_basics():
     assert stats.maximum == 3.0
     assert stats.mean == pytest.approx(2.0)
     assert stats.p50 == 2.0
-
-
-def test_cdf_points_monotone():
-    points = cdf_points([5.0, 1.0, 3.0])
-    values = [v for v, _f in points]
-    fracs = [f for _v, f in points]
-    assert values == sorted(values)
-    assert fracs[-1] == pytest.approx(1.0)
-    assert cdf_points([]) == []
 
 
 @given(st.lists(st.floats(min_value=-1e9, max_value=1e9,

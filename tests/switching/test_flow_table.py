@@ -1,5 +1,7 @@
 """Unit tests for matches, actions, flow tables, and flow hashing."""
 
+import pytest
+
 from repro.net import AppData, EthernetFrame, IPv4Packet, TcpSegment, UdpDatagram, mac
 from repro.net.addresses import IPv4Address, MacAddress
 from repro.net.ethernet import ETHERTYPE_ARP, ETHERTYPE_IPV4
@@ -119,3 +121,27 @@ def test_flow_hash_survives_encoded_payloads():
     as_object = frame(payload=packet)
     as_bytes = frame(payload=packet.encode())
     assert flow_hash(as_object) == flow_hash(as_bytes)
+
+
+def test_flow_hash_ignores_undecodable_bytes():
+    # Bytes that are no UDP header (or no IPv4 packet) are "not this
+    # protocol": the hash falls back to the layers below, not raising.
+    def udp(payload):
+        return frame(payload=IPv4Packet(IPv4Address(1), IPv4Address(2),
+                                        IPPROTO_UDP, payload))
+
+    assert flow_hash(udp(b"ab")) == flow_hash(udp(b"cd"))
+    assert flow_hash(frame(payload=b"\x00" * 3)) == flow_hash(frame())
+
+
+def test_flow_hash_propagates_a_decoder_bug(monkeypatch):
+    # Only a codec error means "not this protocol"; a decoder that fails
+    # any other way is a bug, and the data path must not hide it.
+    def broken(cls, data):
+        raise RuntimeError("decoder bug")
+
+    monkeypatch.setattr(UdpDatagram, "decode", classmethod(broken))
+    packet = IPv4Packet(IPv4Address(1), IPv4Address(2), IPPROTO_UDP,
+                        UdpDatagram(5, 80, b"abc").encode())
+    with pytest.raises(RuntimeError, match="decoder bug"):
+        flow_hash(frame(payload=packet))

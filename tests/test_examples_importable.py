@@ -22,4 +22,4 @@ def test_example_imports(path):
 
 
 def test_examples_exist():
-    assert len(EXAMPLES) >= 8
+    assert len(EXAMPLES) >= 7

@@ -2,8 +2,8 @@
 
 The conformance suite proves the backends behave identically through
 the shared pipeline; these tests pin the *structures* themselves — the
-two-level design search, the bipartite wiring, the Jellyfish port
-layout, and the :func:`scheme_for_backend` campaign-scale mapping.
+two-level bipartite wiring, the Jellyfish port layout, and the
+:func:`scheme_for_backend` campaign-scale mapping.
 """
 
 import pytest
@@ -19,49 +19,7 @@ from repro.topology.scheme import (
     TwoLayerFatTreeScheme,
     scheme_for_backend,
 )
-from repro.topology.twolayer import (
-    build_twolayer,
-    design_twolayer,
-)
-
-
-# ----------------------------------------------------------------------
-# Two-level design search (Solnushkin-style)
-
-
-def test_design_search_minimises_switch_count():
-    design = design_twolayer(48, port_counts=(8, 16, 24, 32, 48, 64))
-    assert design.num_hosts >= 48
-    assert design.oversubscription <= 1.0
-    assert design.leaf_ports >= design.hosts_per_leaf + design.spines
-    assert design.spine_ports >= design.leaves
-    # No feasible design with fewer switches exists: brute-check the
-    # same space the search walks.
-    for leaf_ports in (8, 16, 24, 32, 48, 64):
-        for uplinks in range(1, leaf_ports):
-            hosts = leaf_ports - uplinks
-            if hosts > uplinks:  # violates 1:1 oversubscription
-                continue
-            leaves = -(-48 // hosts)
-            if leaves < 2 or leaves > 256 or leaves > 64:
-                continue
-            assert leaves + uplinks >= design.num_switches
-
-
-def test_design_search_is_deterministic_and_bounded():
-    first = design_twolayer(100)
-    second = design_twolayer(100)
-    assert first == second
-    relaxed = design_twolayer(100, max_oversubscription=3.0)
-    assert relaxed.num_switches <= first.num_switches
-    assert relaxed.oversubscription <= 3.0
-
-
-def test_design_search_rejects_infeasible():
-    with pytest.raises(TopologyError):
-        design_twolayer(10_000, port_counts=(8,))
-    with pytest.raises(TopologyError):
-        design_twolayer(1)
+from repro.topology.twolayer import build_twolayer
 
 
 def test_build_twolayer_is_fully_bipartite():

@@ -13,6 +13,7 @@ from dataclasses import replace
 import pytest
 
 from repro.portland.config import PortlandConfig
+from repro.portland.forwarding import acl_name
 from repro.sim import Simulator
 from repro.topology import LinkParams, build_portland_fabric
 from repro.verify import InvariantOracle
@@ -111,7 +112,8 @@ def test_acl_leak_is_reported():
 
     removed = 0
     for agent in fabric.agents.values():
-        removed += agent.switch.table.remove_by_name(rule.name)
+        removed += agent.switch.table.remove_by_name(
+            acl_name(rule.src_ip, rule.dst_ip))
     assert removed == 1
 
     oracle = InvariantOracle(fabric)

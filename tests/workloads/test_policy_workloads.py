@@ -1,5 +1,5 @@
-"""Scenario-pack smoke tests: incast mice, elephant rehashing, and the
-fluid engine's per-class water-filling (docs/POLICY.md)."""
+"""Scenario-pack smoke tests: incast mice and the fluid engine's
+per-class water-filling (docs/POLICY.md)."""
 
 import pytest
 
@@ -7,7 +7,7 @@ from repro.policy import CLASS_PRIORITY, DSCP_EF
 from repro.portland.config import PortlandConfig
 from repro.sim import Simulator
 from repro.topology import LinkParams, build_portland_fabric
-from repro.workloads import ElephantMiceWorkload, IncastWorkload
+from repro.workloads import IncastWorkload
 
 
 def converged(sim, flow_mode=False, priority_queues=True):
@@ -53,41 +53,6 @@ def test_incast_rejects_empty_senders():
     sim = Simulator(seed=62)
     with pytest.raises(ValueError):
         IncastWorkload(sim, [], reducer=None)
-
-
-def test_elephant_mice_completes_and_rehashes():
-    sim = Simulator(seed=63)
-    fabric = converged(sim, flow_mode=True)
-    hosts = fabric.host_list()
-    # Four cross-pod elephants hammered onto paths via the same two
-    # core-facing uplinks collide often at k=4; an absurdly high rehash
-    # threshold forces every check to re-place them until the budget
-    # runs out, exercising stop + restart-remainder.
-    elephants = [(hosts[i], hosts[8 + i]) for i in range(4)]
-    mice = [(hosts[4 + i], hosts[12 + i]) for i in range(4)]
-    workload = ElephantMiceWorkload(
-        fabric, elephants, mice,
-        elephant_bytes=400_000, mouse_bytes=20_000,
-        check_interval_s=0.002, rehash_below_bps=10e9, max_rehashes=2)
-    workload.start()
-    workload.run_until_done(timeout_s=20.0)
-    assert workload.all_done()
-    assert workload.rehashes > 0
-    assert workload.elephant_fct_stats().count == 4
-    assert workload.mice_fct_stats().count == 4
-    # FCT spans the whole transfer across restarts: every elephant's
-    # completion is after its start.
-    for result in workload.elephant_results:
-        assert result.fct > 0
-
-
-def test_elephant_mice_requires_flow_engine():
-    sim = Simulator(seed=64)
-    fabric = converged(sim, flow_mode=False)
-    hosts = fabric.host_list()
-    with pytest.raises(ValueError):
-        ElephantMiceWorkload(fabric, [(hosts[0], hosts[8])],
-                             [(hosts[1], hosts[9])])
 
 
 def test_fluid_water_filling_serves_priority_class_first():
