@@ -6,7 +6,9 @@ and bring it up exactly as ``ledger/worker.py`` does, then run its run
 phase, each of the two under ``cProfile``. For each it prints, per
 module under ``src/repro``, self time and calls, the twenty functions
 with the most self time, calls per executed event and per transmitted
-frame, the calls of the functions bring-up work is counted in, and the
+frame, the calls of the watched functions (the ones bring-up work is
+counted in, and the ones every frame hop and TCP segment runs) with
+their calls per transmitted frame and per TCP segment built, and the
 garbage collector's collections and seconds per generation (from
 ``gc.callbacks``). The call counts repeat exactly for a seed; the
 seconds are profiler seconds (every Python call taxed, C calls not) and
@@ -26,18 +28,38 @@ from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 TOP_FUNCTIONS = 20
-#: Functions whose call counts size bring-up work: level classification
-#: (``data_ports`` called from ``_classify`` is one full evaluation of
-#: the port rules), stream refusal (``serialization_time`` called from
-#: ``_open_stream`` is one that reached the arrival arithmetic), table
-#: derivation (``_usable_up_ports`` is one uplink-map rebuild), per-port
-#: LDM frames (``copy``, ``payload_length``, ``other_end``), the fabric
-#: manager's override runs (``pod`` is ``FabricView.pod``).
+#: Functions whose call counts size the work, each named by its
+#: function or by the end of ``<module>.<function>`` (``link.send`` is
+#: ``Port.send``). Bring-up: level classification (``data_ports``
+#: called from ``_classify`` is one full evaluation of the port rules),
+#: stream refusal (``serialization_time`` called from ``_open_stream``
+#: is one that reached the arrival arithmetic), table derivation
+#: (``_usable_up_ports`` is one uplink-map rebuild), per-port LDM frames
+#: (``copy``, ``payload_length``, ``other_end``), the fabric manager's
+#: override runs (``pod`` is ``FabricView.pod``). The frame path: the
+#: ECMP hash (``_hash_and_proto``; ``_crc_hash`` is one CRC build), the
+#: edge rewrites' copies (``ethernet.copy``), the link hop
+#: (``link.send``, ``link.transmit``, ``_start_transmission``), sizes
+#: (``wire_length``, ``payload_length``) and TCP segments
+#: (``tcp_wire.__init__``, one per segment built).
 WATCHED = ("_classify", "data_ports", "_open_stream",
            "serialization_time", "_refresh_entries", "_restate_down",
            "_usable_up_ports", "down_to_position", "down_to_pod",
            "default_up", "sync", "copy", "payload_length", "other_end",
-           "_recompute_affected", "pod")
+           "_recompute_affected", "pod", "_hash_and_proto", "_crc_hash",
+           "link.send", "link.transmit", "_start_transmission",
+           "wire_length", "tcp_wire.__init__")
+#: The watched function one call of which is one TCP segment.
+SEGMENT = "tcp_wire.__init__"
+
+
+def watched_as(module: str, function: str) -> str | None:
+    """The ``WATCHED`` entry a function of ``module`` is counted under."""
+    qualified = f"{module}.{function}"
+    for entry in WATCHED:
+        if qualified.endswith("." + entry):
+            return entry
+    return None
 
 
 class GcMeter:
@@ -125,10 +147,11 @@ def report(phase: str, stats, events: int, frames: int,
         by_module[module][1] += calls
         total_calls += calls
         functions.append((self_s, calls, f"{module}:{line} {function}"))
-        if function in WATCHED and module.startswith("repro."):
+        entry = watched_as(module, function)
+        if entry is not None and module.startswith("repro."):
             by_caller = sorted(((n, caller[2]) for caller, (_, n, _, _)
                                 in callers.items()), reverse=True)
-            watched.append((function, module, calls, by_caller[:3]))
+            watched.append((entry, function, module, calls, by_caller[:3]))
     print(f"{'module':<36} {'self_s':>8} {'calls':>10} {'calls/event':>12}")
     for module, (self_s, calls) in sorted(by_module.items(),
                                           key=lambda item: -item[1][0]):
@@ -137,12 +160,16 @@ def report(phase: str, stats, events: int, frames: int,
     print(f"\ntop {TOP_FUNCTIONS} functions by self time")
     for self_s, calls, label in sorted(functions, reverse=True)[:TOP_FUNCTIONS]:
         print(f"  {self_s:7.3f} s {calls:9d}  {label}")
+    segments = sum(row[3] for row in watched if row[0] == SEGMENT)
     if watched:
-        print("\ncalls of the watched functions (top callers)")
-    for function, module, calls, by_caller in sorted(
-            watched, key=lambda row: WATCHED.index(row[0])):
+        print(f"\ncalls of the watched functions, per transmitted frame "
+              f"and per TCP segment ({segments} built), top callers")
+    for entry, function, module, calls, by_caller in sorted(
+            watched, key=lambda row: (WATCHED.index(row[0]), row[2])):
         callers = ", ".join(f"{caller} {n}" for n, caller in by_caller)
-        print(f"  {calls:9d}  {module}.{function}  ({callers})")
+        per_segment = f"{calls / segments:7.2f}" if segments else "      -"
+        print(f"  {calls:9d} {calls / frames:7.2f} {per_segment}  "
+              f"{module}.{function}  ({callers})")
     print("\ngarbage collector: " + ", ".join(
         f"gen{generation} {collector.collections[generation]} "
         f"({collector.seconds[generation]:.3f} s)" for generation in range(3)))

@@ -22,7 +22,8 @@ from repro.net.ethernet import (
     EthernetFrame,
 )
 from repro.net.igmp import IgmpMessage
-from repro.net.ipv4 import IPPROTO_IGMP, IPPROTO_TCP, IPPROTO_UDP, IPv4Packet
+from repro.net.ipv4 import (DEFAULT_TTL, IPPROTO_IGMP, IPPROTO_TCP,
+                             IPPROTO_UDP, IPv4Packet)
 from repro.net.link import Port
 from repro.net.node import Node
 from repro.net.packet import Packet, coerce
@@ -81,10 +82,13 @@ class Host(Node):
         """NIC receive path: filter on destination MAC, then demux."""
         if not self._accepts(frame.dst):
             return
-        if frame.ethertype == ETHERTYPE_ARP:
+        ethertype = frame.ethertype
+        if ethertype == ETHERTYPE_IPV4:
+            packet = frame.payload
+            self._handle_ip(packet if type(packet) is IPv4Packet
+                            else coerce(packet, IPv4Packet))
+        elif ethertype == ETHERTYPE_ARP:
             self._handle_arp(coerce(frame.payload, ArpPacket))
-        elif frame.ethertype == ETHERTYPE_IPV4:
-            self._handle_ip(coerce(frame.payload, IPv4Packet))
 
     def _accepts(self, dst: MacAddress) -> bool:
         if dst == self.mac or dst.is_broadcast:
@@ -95,8 +99,8 @@ class Host(Node):
 
     def _send_frame(self, dst: MacAddress, ethertype: int,
                     payload: Packet | bytes, tclass: int = 0) -> None:
-        self.nic.send(EthernetFrame(dst, self.mac, ethertype, payload,
-                                    tclass=tclass))
+        self.ports[0].send(EthernetFrame(dst, self.mac, ethertype, payload,
+                                         tclass=tclass))
 
     # ------------------------------------------------------------------
     # ARP
@@ -171,9 +175,8 @@ class Host(Node):
         ``dscp`` marks the packet's code point; the frame's traffic class
         (802.1p, what the fabric's priority queues serve) derives from it.
         """
-        kwargs = {} if ttl is None else {"ttl": ttl}
         packet = IPv4Packet(self.ip, dst_ip, protocol, payload,
-                            dscp=dscp, **kwargs)
+                            DEFAULT_TTL if ttl is None else ttl, 0, dscp)
         tclass = class_of_dscp(dscp)
         if dst_ip.is_limited_broadcast:
             self._send_frame(BROADCAST_MAC, ETHERTYPE_IPV4, packet,
@@ -196,16 +199,18 @@ class Host(Node):
             self._start_resolution(dst_ip)
 
     def _handle_ip(self, packet: IPv4Packet) -> None:
-        to_us = packet.dst == self.ip
-        to_group = packet.dst.is_multicast and packet.dst in self.joined_groups
-        if not (to_us or to_group or packet.dst.is_limited_broadcast):
-            return
-        if packet.dst.is_limited_broadcast and packet.src == self.ip:
-            return  # never deliver our own broadcast back to ourselves
-        if packet.protocol == IPPROTO_UDP:
-            self._deliver_udp(packet)
-        elif packet.protocol == IPPROTO_TCP:
+        dst = packet.dst
+        if dst != self.ip:  # (unicast to us asks nothing more)
+            if dst.is_limited_broadcast:
+                if packet.src == self.ip:
+                    return  # never deliver our own broadcast back to us
+            elif not (dst.is_multicast and dst in self.joined_groups):
+                return
+        protocol = packet.protocol
+        if protocol == IPPROTO_TCP:
             self.tcp.deliver(packet)
+        elif protocol == IPPROTO_UDP:
+            self._deliver_udp(packet)
         # IGMP to hosts is ignored: the fabric manager is authoritative.
 
     # ------------------------------------------------------------------

@@ -22,7 +22,7 @@ from repro.errors import HostError
 from repro.host.tcp.congestion import DEFAULT_MSS, RenoCongestionControl
 from repro.host.tcp.reassembly import ReassemblyBuffer
 from repro.host.tcp.rto import RtoEstimator
-from repro.host.tcp.seqnum import unwrap, wire
+from repro.host.tcp.seqnum import unwrap
 from repro.net.addresses import IPv4Address
 from repro.net.packet import AppData
 from repro.net.tcp_wire import (
@@ -85,6 +85,8 @@ class TcpConnection:
         self.local_port = local_port
         self.remote_ip = remote_ip
         self.remote_port = remote_port
+        #: What every data segment's payload names its flow.
+        self._flow_id = f"{stack.host.name}:{local_port}"
         self.state = TcpState.CLOSED
         self.mss = mss
         self.cc = RenoCongestionControl(mss)
@@ -247,16 +249,17 @@ class TcpConnection:
         if seg.flags & FLAG_ACK:
             self._process_ack(seg)
 
+        length = seg.payload_length
         delivered = 0
-        if seg.payload_length > 0:
+        if length > 0:
             seq_abs = unwrap(seg.seq, self.reassembly.rcv_nxt)
-            delivered = self.reassembly.offer(seq_abs, seg.payload_length)
+            delivered = self.reassembly.offer(seq_abs, length)
             self.bytes_received += delivered
 
         fin_advanced = False
         if seg.flags & FLAG_FIN:
             seq_abs = unwrap(seg.seq, self.reassembly.rcv_nxt)
-            fin_seq = seq_abs + seg.payload_length
+            fin_seq = seq_abs + length
             self._peer_fin_seq = fin_seq
         if (self._peer_fin_seq is not None
                 and self.reassembly.rcv_nxt == self._peer_fin_seq):
@@ -271,7 +274,7 @@ class TcpConnection:
             self._handle_peer_fin()
         elif seg.flags & FLAG_FIN:
             self._emit_ack()
-        elif seg.payload_length > 0:
+        elif length > 0:
             self._ack_data(delivered)
 
     def _ack_data(self, delivered: int) -> None:
@@ -444,7 +447,7 @@ class TcpConnection:
             self.state = TcpState.LAST_ACK
 
     def _emit_data(self, seq_abs: int, length: int) -> None:
-        payload = AppData(length, flow_id=f"{self.stack.host.name}:{self.local_port}",
+        payload = AppData(length, flow_id=self._flow_id,
                           seq=seq_abs, sent_at=self.sim.now)
         self._emit(seq=seq_abs, flags=FLAG_ACK | FLAG_PSH, payload=payload)
         if self._rtt_probe is None:
@@ -457,18 +460,12 @@ class TcpConnection:
         self._emit(seq=self.snd_nxt, flags=FLAG_ACK)
 
     def _emit(self, seq: int, flags: int, payload: AppData | None = None) -> None:
-        ack_wire = 0
+        ack = 0
         if flags & FLAG_ACK and self.reassembly is not None:
-            ack_wire = wire(self.reassembly.rcv_nxt)
-        segment = TcpSegment(
-            src_port=self.local_port,
-            dst_port=self.remote_port,
-            seq=wire(seq),
-            ack=ack_wire,
-            flags=flags,
-            window=RECEIVE_WINDOW,
-            payload=payload,
-        )
+            ack = self.reassembly.rcv_nxt
+        # Absolute positions: the segment keeps their low 32 bits.
+        segment = TcpSegment(self.local_port, self.remote_port, seq, ack,
+                             flags, RECEIVE_WINDOW, payload)
         self.stack.transmit(self.remote_ip, segment)
 
     # ------------------------------------------------------------------
@@ -508,7 +505,7 @@ class TcpConnection:
                 break
             length = min(self.mss, data_end - start)
             payload = AppData(length,
-                              flow_id=f"{self.stack.host.name}:{self.local_port}",
+                              flow_id=self._flow_id,
                               seq=start, sent_at=self.sim.now)
             self._emit(seq=start, flags=FLAG_ACK | FLAG_PSH, payload=payload)
             self.segments_retransmitted += 1
@@ -532,7 +529,7 @@ class TcpConnection:
         data_end = self.snd_nxt if self.fin_seq is None else self.fin_seq
         length = min(self.mss, data_end - self.snd_una)
         if length > 0:
-            payload = AppData(length, flow_id=f"{self.stack.host.name}:{self.local_port}",
+            payload = AppData(length, flow_id=self._flow_id,
                               seq=self.snd_una, sent_at=self.sim.now)
             self._emit(seq=self.snd_una, flags=FLAG_ACK | FLAG_PSH, payload=payload)
 

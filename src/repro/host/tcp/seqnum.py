@@ -1,19 +1,16 @@
 """32-bit sequence-number arithmetic helpers.
 
 Internally the connection tracks *absolute* 64-bit sequence positions
-(immune to wrap); the wire carries the low 32 bits. ``unwrap`` recovers
-the absolute position of a wire value given a nearby reference.
+(immune to wrap); the wire carries the low 32 bits, which
+:class:`~repro.net.tcp_wire.TcpSegment` keeps of the positions it is
+built from. ``unwrap`` recovers the absolute position of a wire value
+given a nearby reference.
 """
 
 from __future__ import annotations
 
 SEQ_MOD = 1 << 32
 _HALF = 1 << 31
-
-
-def wire(seq_abs: int) -> int:
-    """Low 32 bits of an absolute sequence position."""
-    return seq_abs & (SEQ_MOD - 1)
 
 
 def unwrap(seq_wire: int, reference_abs: int) -> int:

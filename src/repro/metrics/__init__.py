@@ -18,14 +18,9 @@ __all__ = [
 ]
 
 from repro.metrics.utilization import (
-    LinkUsage,
-    by_layer,
     class_drop_totals,
     class_totals,
-    imbalance,
     snapshot,
-    usage_since,
 )
 
-__all__ += ["LinkUsage", "by_layer", "class_drop_totals", "class_totals",
-            "imbalance", "snapshot", "usage_since"]
+__all__ += ["class_drop_totals", "class_totals", "snapshot"]

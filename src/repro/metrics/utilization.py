@@ -1,9 +1,8 @@
 """Link-utilization accounting from port counters.
 
-Answers "where did the bytes go?" for any fabric: per-link byte counts,
-per-layer aggregates (host↔edge, edge↔agg, agg↔core), and utilization
-relative to capacity over a measurement window. Used by the shuffle
-analyses and handy when debugging load imbalance.
+Answers "where did the bytes go?" for any fabric: per-link byte and
+frame counts (:func:`snapshot`; diff two to measure a window) and the
+bytes and drops of each traffic class.
 
 Port counters include compiled cut-through traversals and fluid-flow
 charges: when the path cache is enabled (see ``docs/PERF.md``),
@@ -15,35 +14,7 @@ execution mode even though no per-hop link events ran.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.net.link import Link
-
-
-@dataclass(frozen=True)
-class LinkUsage:
-    """Traffic totals for one link (sum of both directions)."""
-
-    name: str
-    a: str
-    b: str
-    bytes_total: int
-    frames_total: int
-    #: True when the link was absent from the baseline snapshot (added
-    #: after it — e.g. by a VM-migration re-home), so the totals cover
-    #: the link's whole lifetime rather than just the window.
-    new_since_baseline: bool = False
-
-    def utilization(self, elapsed_s: float, rate_bps: float) -> float:
-        """Mean utilization of the link's total (both-direction)
-        capacity over ``elapsed_s``."""
-        if elapsed_s <= 0 or rate_bps <= 0:
-            return 0.0
-        return (self.bytes_total * 8) / (2 * rate_bps * elapsed_s)
-
-
-def _layer_of(node_name: str) -> str:
-    return node_name.split("-")[0]
 
 
 def _link_totals(link: Link) -> tuple[int, int]:
@@ -56,31 +27,6 @@ def snapshot(links: dict[tuple[str, str], Link]) -> dict[tuple[str, str], tuple[
     """Capture (bytes, frames) per link — diff two snapshots to measure
     a window."""
     return {key: _link_totals(link) for key, link in links.items()}
-
-
-def usage_since(links: dict[tuple[str, str], Link],
-                baseline: dict[tuple[str, str], tuple[int, int]],
-                ) -> list[LinkUsage]:
-    """Per-link usage since a :func:`snapshot`, descending by bytes.
-
-    A link missing from ``baseline`` (attached after the snapshot was
-    taken) is counted from zero and flagged
-    :attr:`LinkUsage.new_since_baseline` so analyses can tell a
-    whole-lifetime total from a window delta.
-    """
-    usages = []
-    for (a, b), link in links.items():
-        now_bytes, now_frames = _link_totals(link)
-        base = baseline.get((a, b))
-        base_bytes, base_frames = base if base is not None else (0, 0)
-        usages.append(LinkUsage(
-            name=link.name, a=a, b=b,
-            bytes_total=now_bytes - base_bytes,
-            frames_total=now_frames - base_frames,
-            new_since_baseline=base is None,
-        ))
-    usages.sort(key=lambda u: u.bytes_total, reverse=True)
-    return usages
 
 
 def class_totals(links: dict[tuple[str, str], Link]) -> dict[int, int]:
@@ -120,30 +66,3 @@ def class_drop_totals(links: dict[tuple[str, str], Link]) -> dict[int, int]:
             for tclass, count in link.class_drops(port).items():
                 totals[tclass] = totals.get(tclass, 0) + count
     return totals
-
-
-def by_layer(usages: list[LinkUsage]) -> dict[str, int]:
-    """Aggregate bytes per fabric layer.
-
-    Layers are derived from the node-name conventions used by the
-    topology builders (``host-*``, ``edge-*``, ``agg-*``, ``core-*``).
-    """
-    totals: dict[str, int] = {}
-    for usage in usages:
-        layers = tuple(sorted((_layer_of(usage.a), _layer_of(usage.b))))
-        label = "-".join(layers)
-        totals[label] = totals.get(label, 0) + usage.bytes_total
-    return totals
-
-
-def imbalance(usages: list[LinkUsage], layer_pair: str) -> float:
-    """max/mean byte ratio across the links of one layer (1.0 = perfectly
-    balanced). Quantifies how well ECMP spreads load."""
-    selected = [
-        u.bytes_total for u in usages
-        if "-".join(sorted((_layer_of(u.a), _layer_of(u.b)))) == layer_pair
-    ]
-    if not selected or sum(selected) == 0:
-        return 1.0
-    mean = sum(selected) / len(selected)
-    return max(selected) / mean

@@ -18,7 +18,7 @@ from repro.errors import AddressError
 class MacAddress:
     """An EUI-48 MAC address."""
 
-    __slots__ = ("_value", "_bytes", "_str")
+    __slots__ = ("value", "_bytes", "_str")
 
     MAX = (1 << 48) - 1
     #: Bit 40 (the I/G bit of the first octet) marks group addresses.
@@ -29,7 +29,9 @@ class MacAddress:
     def __init__(self, value: int) -> None:
         if not 0 <= value <= self.MAX:
             raise AddressError(f"MAC value out of range: {value:#x}")
-        self._value = value
+        #: The address as a 48-bit integer (a plain slot: the flow hash
+        #: and the tables read it per frame; never reassigned).
+        self.value = value
         # Lazily memoised encodings: the flow hash re-reads to_bytes()
         # on every uncached decision and traces stringify addresses per
         # record, but the value is immutable so both are computed once.
@@ -61,30 +63,25 @@ class MacAddress:
         return cls(int.from_bytes(data, "big"))
 
     @property
-    def value(self) -> int:
-        """The address as a 48-bit integer."""
-        return self._value
-
-    @property
     def is_broadcast(self) -> bool:
         """``ff:ff:ff:ff:ff:ff``."""
-        return self._value == self.MAX
+        return self.value == self.MAX
 
     @property
     def is_multicast(self) -> bool:
         """Group (I/G) bit set — includes broadcast."""
-        return bool(self._value & self._MULTICAST_BIT)
+        return bool(self.value & self._MULTICAST_BIT)
 
     @property
     def is_locally_administered(self) -> bool:
         """U/L bit set. PortLand PMACs are locally administered."""
-        return bool(self._value & self._LOCAL_BIT)
+        return bool(self.value & self._LOCAL_BIT)
 
     def to_bytes(self) -> bytes:
         """Six-byte big-endian encoding (memoised)."""
         raw = self._bytes
         if raw is None:
-            raw = self._bytes = self._value.to_bytes(6, "big")
+            raw = self._bytes = self.value.to_bytes(6, "big")
         return raw
 
     def __str__(self) -> str:
@@ -98,16 +95,16 @@ class MacAddress:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, MacAddress):
-            return self._value == other._value
+            return self.value == other.value
         return NotImplemented
 
     def __lt__(self, other: "MacAddress") -> bool:
         if isinstance(other, MacAddress):
-            return self._value < other._value
+            return self.value < other.value
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((MacAddress, self._value))
+        return hash((MacAddress, self.value))
 
 
 #: The all-ones broadcast MAC.
@@ -120,14 +117,15 @@ ZERO_MAC = MacAddress(0)
 class IPv4Address:
     """An IPv4 address."""
 
-    __slots__ = ("_value",)
+    __slots__ = ("value",)
 
     MAX = (1 << 32) - 1
 
     def __init__(self, value: int) -> None:
         if not 0 <= value <= self.MAX:
             raise AddressError(f"IPv4 value out of range: {value:#x}")
-        self._value = value
+        #: The address as a 32-bit integer (never reassigned).
+        self.value = value
 
     @classmethod
     def parse(cls, text: str) -> "IPv4Address":
@@ -153,30 +151,25 @@ class IPv4Address:
         return cls(int.from_bytes(data, "big"))
 
     @property
-    def value(self) -> int:
-        """The address as a 32-bit integer."""
-        return self._value
-
-    @property
     def is_multicast(self) -> bool:
         """Class D: 224.0.0.0/4."""
-        return (self._value >> 28) == 0xE
+        return (self.value >> 28) == 0xE
 
     @property
     def is_limited_broadcast(self) -> bool:
         """The all-ones limited broadcast, 255.255.255.255."""
-        return self._value == self.MAX
+        return self.value == self.MAX
 
     def to_bytes(self) -> bytes:
         """Four-byte big-endian encoding."""
-        return self._value.to_bytes(4, "big")
+        return self.value.to_bytes(4, "big")
 
     def multicast_mac(self) -> MacAddress:
         """Map a class-D address to its Ethernet multicast MAC
         (``01:00:5e`` + low 23 bits), per RFC 1112 §6.4."""
         if not self.is_multicast:
             raise AddressError(f"{self} is not a multicast address")
-        return MacAddress((0x01005E << 24) | (self._value & 0x7FFFFF))
+        return MacAddress((0x01005E << 24) | (self.value & 0x7FFFFF))
 
     def __str__(self) -> str:
         raw = self.to_bytes()
@@ -187,16 +180,16 @@ class IPv4Address:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, IPv4Address):
-            return self._value == other._value
+            return self.value == other.value
         return NotImplemented
 
     def __lt__(self, other: "IPv4Address") -> bool:
         if isinstance(other, IPv4Address):
-            return self._value < other._value
+            return self.value < other.value
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((IPv4Address, self._value))
+        return hash((IPv4Address, self.value))
 
 
 def mac(text: str) -> MacAddress:

@@ -143,7 +143,8 @@ class _Direction:
     both ends, ``busy_until``/``done_seq``, the pending
     ``stream_arrival`` and the ``stream_receiver``'s stamps — is written
     in only when :meth:`Link.settle` runs, with the float expressions of
-    :meth:`Link._start_transmission`.
+    a start of transmission (the free-wire start in :meth:`Link.transmit`
+    and :meth:`Link._start_transmission`'s dequeue).
 
     The fields after ``class_queues`` stay at their initial values
     outside unidirectional-failure, hybrid and policy runs, so the
@@ -452,17 +453,42 @@ class Link:
             listener()
 
     def transmit(self, src_port: Port, frame: EthernetFrame) -> bool:
-        """Send ``frame`` from ``src_port`` toward the other end."""
+        """Send ``frame`` from ``src_port`` toward the other end.
+
+        A frame that finds the wire free starts in this call: the
+        transmit side is charged, the end of its serialization is noted
+        under the sequence number its event would have taken, and its
+        delivery is scheduled — what :meth:`_start_transmission` does for
+        a frame taken off the queue, with the same float expressions. A
+        frame that finds it busy waits (docs/PERF.md, "Frame path").
+        """
         direction = src_port._tx
         if direction.stream_log is not None:
             self.settle(close=True)
         if self.failed or direction.failed_tx:
             src_port._counters.drops += 1
             return False
-        if self._wire_free(direction):
-            self._start_transmission(src_port, direction, frame)
+        size = frame._wire_len
+        if size is None:
+            size = frame.wire_length()
+        sim = self.sim
+        # The wire is free when nothing waits and the last serialization
+        # ended before now; a tie is :meth:`_wire_free`'s to decide.
+        if not direction.transmitting and (
+                sim.now > direction.busy_until or self._wire_free(direction)):
+            duration = (size + PER_FRAME_OVERHEAD_BYTES) * self._sec_per_byte
+            if direction.fluid_bps > 0.0:
+                duration = self._stretched(duration, direction.fluid_bps)
+            counters = src_port._counters
+            counters.tx_frames += 1
+            counters.tx_bytes += size
+            if frame.tclass:
+                self._charge_class(direction, frame.tclass, size)
+            direction.busy_until = sim.now + duration
+            direction.done_seq = sim.reserve()
+            sim.schedule(duration + self.delay_s, self._deliver,
+                         src_port, direction, frame, direction.cuts, size)
             return True
-        size = frame.wire_length()
         if direction.queued_bytes + size > self.queue_bytes:
             src_port._counters.drops += 1
             if frame.tclass:
@@ -470,9 +496,9 @@ class Link:
                 if per is None:
                     per = direction.class_drops = {}
                 per[frame.tclass] = per.get(frame.tclass, 0) + 1
-            trace = self.sim.trace
+            trace = sim.trace
             if trace.wants("link.drop"):
-                trace.emit(self.sim.now, "link.drop", self.name,
+                trace.emit(sim.now, "link.drop", self.name,
                            port=src_port.name, reason="queue_full",
                            frame=repr(frame))
             return False
@@ -516,13 +542,14 @@ class Link:
 
     def _start_transmission(self, src_port: Port, direction: _Direction,
                             frame: EthernetFrame) -> None:
-        """Put ``frame`` on the wire, which is free, now: charge the
-        transmit side, keep the wire for the serialization time, and
-        schedule the delivery. With frames queued behind this one the
-        end of serialization is an event; with none it is only noted,
-        under the sequence number the event would have taken."""
+        """Put ``frame``, just taken off the queue, on the wire, which
+        is free, now: charge the transmit side, keep the wire for the
+        serialization time, and schedule the delivery. With frames
+        queued behind this one the end of serialization is an event;
+        with none it is only noted, under the sequence number the event
+        would have taken."""
         sim = self.sim
-        size = frame.wire_length()
+        size = frame._wire_len  # sized by transmit before it queued
         duration = (size + PER_FRAME_OVERHEAD_BYTES) * self._sec_per_byte
         if direction.fluid_bps > 0.0:
             duration = self._stretched(duration, direction.fluid_bps)
@@ -530,10 +557,7 @@ class Link:
         counters.tx_frames += 1
         counters.tx_bytes += size
         if frame.tclass:
-            per = direction.class_tx_bytes
-            if per is None:
-                per = direction.class_tx_bytes = {}
-            per[frame.tclass] = per.get(frame.tclass, 0) + size
+            self._charge_class(direction, frame.tclass, size)
         if direction.queued_bytes:
             sim.schedule(duration, self._transmission_done,
                          src_port, direction, direction.cuts)
@@ -543,6 +567,13 @@ class Link:
             direction.done_seq = sim.reserve()
         sim.schedule(duration + self.delay_s, self._deliver,
                      src_port, direction, frame, direction.cuts, size)
+
+    @staticmethod
+    def _charge_class(direction: _Direction, tclass: int, size: int) -> None:
+        per = direction.class_tx_bytes
+        if per is None:
+            per = direction.class_tx_bytes = {}
+        per[tclass] = per.get(tclass, 0) + size
 
     def open_stream(self, src_port: Port, log: BeaconLog, receiver,
                     hear_delay: float) -> bool:
@@ -675,7 +706,7 @@ class Link:
                     port=src_port.name,
                     waiting=sorted(queues))  # pragma: no cover
         if frame is not None:
-            direction.queued_bytes -= frame.wire_length()
+            direction.queued_bytes -= frame._wire_len
             self._start_transmission(src_port, direction, frame)
         else:
             direction.transmitting = False

@@ -35,7 +35,8 @@ def flag_names(flags: int) -> str:
 class TcpSegment(Packet):
     """A TCP segment."""
 
-    __slots__ = ("src_port", "dst_port", "seq", "ack", "flags", "window", "payload")
+    __slots__ = ("src_port", "dst_port", "seq", "ack", "flags", "window",
+                 "payload", "payload_length")
 
     def __init__(
         self,
@@ -47,9 +48,11 @@ class TcpSegment(Packet):
         window: int,
         payload: Packet | bytes | None = None,
     ) -> None:
-        for name, port in (("source", src_port), ("destination", dst_port)):
-            if not 0 <= port <= 0xFFFF:
-                raise CodecError(f"bad TCP {name} port: {port}")
+        if not (0 <= src_port <= 0xFFFF and 0 <= dst_port <= 0xFFFF):
+            for name, port in (("source", src_port),
+                               ("destination", dst_port)):
+                if not 0 <= port <= 0xFFFF:
+                    raise CodecError(f"bad TCP {name} port: {port}")
         self.src_port = src_port
         self.dst_port = dst_port
         self.seq = seq & 0xFFFFFFFF
@@ -57,11 +60,10 @@ class TcpSegment(Packet):
         self.flags = flags
         self.window = min(window, 0xFFFF)
         self.payload = payload
-
-    @property
-    def payload_length(self) -> int:
-        """Bytes of user data carried."""
-        return payload_length(self.payload)
+        #: Bytes of user data carried, sized once: a payload is
+        #: immutable once sent, and the receiver reads this several
+        #: times per segment.
+        self.payload_length = payload_length(payload)
 
     @property
     def seg_len(self) -> int:

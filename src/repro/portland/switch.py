@@ -117,13 +117,24 @@ class PortlandSwitch(Node):
             self.rx_tap(frame, in_port)
 
         in_index = in_port.index
+        # Rewrites keep a frame's length: one size serves both stages.
+        size = frame._wire_len
+        if size is None:
+            size = frame.wire_length()
         current = frame
-        rewrite = self.rewrite_table.lookup(current, in_index)
-        if rewrite is not None:
-            rewrite.touch(current)
-            current = self.apply_actions(current, in_port, rewrite.actions)
-            if current is None:  # the entry did more than rewrite headers
-                return
+        rewrite_table = self.rewrite_table
+        # Rewrite entries name their ingress port: from a port with none
+        # (every uplink, every port of a switch above the edge) the
+        # stage is skipped without a lookup; an unknown port looks up.
+        if rewrite_table.by_ingress.get(in_index, True):
+            rewrite = rewrite_table.lookup(current, in_index)
+            if rewrite is not None:
+                rewrite.packets += 1
+                rewrite.bytes += size
+                current = self.apply_actions(current, in_port,
+                                             rewrite.actions)
+                if current is None:  # the entry did more than rewrite headers
+                    return
 
         path_cache = self.path_cache
         if path_cache is not None and current.tclass == 0:
@@ -156,7 +167,7 @@ class PortlandSwitch(Node):
                 return
         entry, actions, port, set_dst = plan
         entry.packets += 1
-        entry.bytes += current.wire_length()
+        entry.bytes += size
         if trace.wants("verify.hop"):
             trace.emit(self.sim.now, "verify.hop", self.name,
                        payload=current.payload, dst=current.dst.value,

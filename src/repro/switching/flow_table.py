@@ -191,10 +191,11 @@ class FlowTable:
         #: Whether every installed match is decision-key-only (so a
         #: decision cache keyed by :func:`decision_key` is sound).
         self.cache_safe = True
-        # Ingress port -> the entries a frame arriving there can match
-        # (``match.in_port`` unset or equal), in table order. Filled by
-        # the first lookup from that port, dropped by every mutation.
-        self._candidates: dict[int, tuple[FlowEntry, ...]] = {}
+        #: Ingress port -> the entries a frame arriving there can match
+        #: (``match.in_port`` unset or equal), in table order. Filled by
+        #: the first lookup from that port, dropped by every mutation;
+        #: an empty tuple lets the switch skip a stage without a lookup.
+        self.by_ingress: dict[int, tuple[FlowEntry, ...]] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -209,7 +210,7 @@ class FlowTable:
     def _changed(self) -> None:
         self.version += 1
         self.cache_safe = self._non_key_entries == 0
-        self._candidates.clear()
+        self.by_ingress.clear()
         for listener in self._listeners:
             listener()
 
@@ -322,9 +323,9 @@ class FlowTable:
         a frame from an uplink evaluates none and a frame from a host
         only that host's, however many hosts the switch has.
         """
-        candidates = self._candidates.get(in_port)
+        candidates = self.by_ingress.get(in_port)
         if candidates is None:
-            candidates = self._candidates[in_port] = tuple(
+            candidates = self.by_ingress[in_port] = tuple(
                 entry for entry in self._entries
                 if entry.match.in_port is None
                 or entry.match.in_port == in_port)
@@ -340,9 +341,45 @@ class FlowTable:
 # Flow hashing (for ECMP)
 
 
+#: Flows whose hash :func:`_hash_and_proto` remembers. A full memo
+#: starts again empty: a hash is a function of its key alone, so
+#: forgetting one costs only its recomputation.
+FLOW_HASH_MEMO_ENTRIES = 1 << 16
+_flow_hashes: dict[tuple, int] = {}
+
+
 def _hash_and_proto(frame: EthernetFrame) -> tuple[int, int | None]:
     """``(flow hash, IP protocol)`` of a frame; protocol is ``None`` for
-    non-IPv4 (or unparseable) payloads."""
+    non-IPv4 (or unparseable) payloads.
+
+    A TCP or UDP frame whose headers are objects is hashed once per
+    flow: the hash is remembered under exactly its inputs — both MACs,
+    the ethertype, both IP addresses, the protocol and both ports. Any
+    other frame (ARP, ICMP, bytes payloads) is hashed from scratch.
+    """
+    if frame.ethertype == ETHERTYPE_IPV4:
+        packet = frame.payload
+        if type(packet) is IPv4Packet:
+            protocol = packet.protocol
+            header = packet.payload
+            if ((protocol == IPPROTO_TCP and type(header) is TcpSegment)
+                    or (protocol == IPPROTO_UDP
+                        and type(header) is UdpDatagram)):
+                inputs = (frame.src.value, frame.dst.value, ETHERTYPE_IPV4,
+                          packet.src.value, packet.dst.value, protocol,
+                          header.src_port, header.dst_port)
+                fhash = _flow_hashes.get(inputs)
+                if fhash is None:
+                    if len(_flow_hashes) >= FLOW_HASH_MEMO_ENTRIES:
+                        _flow_hashes.clear()
+                    fhash = _flow_hashes[inputs] = _crc_hash(frame)[0]
+                return fhash, protocol
+    return _crc_hash(frame)
+
+
+def _crc_hash(frame: EthernetFrame) -> tuple[int, int | None]:
+    """:func:`_hash_and_proto` computed from the headers: the CRC-32 of
+    the L2–L4 fields."""
     protocol: int | None = None
     material = frame.src.to_bytes() + frame.dst.to_bytes()
     material += frame.ethertype.to_bytes(2, "big")

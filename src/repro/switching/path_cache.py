@@ -174,8 +174,9 @@ class PathCache:
         cut-through equivalent of per-hop ``touch``/tx/rx accounting),
         synthesizes the per-hop ``verify.hop`` records interpreted
         forwarding would have emitted — with identical timestamps, since
-        the accumulated time uses the same float operations as
-        ``Link._start_transmission`` — and schedules a single delivery at
+        the accumulated time uses the same float operations as a start
+        of transmission in ``Link`` (``transmit``'s free-wire start and
+        ``_start_transmission``) — and schedules a single delivery at
         the path's total latency.
         """
         wire_len = frame.wire_length()

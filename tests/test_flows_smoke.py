@@ -26,7 +26,7 @@ gated:
 """
 
 from repro.host.apps.udp_stream import UdpStreamReceiver, UdpStreamSender
-from repro.metrics.utilization import snapshot, usage_since
+from repro.metrics.utilization import snapshot
 from repro.portland.config import PortlandConfig
 from repro.sim import Simulator
 from repro.topology import build_portland_fabric
@@ -66,6 +66,12 @@ def _pair_names(fabric):
             for a, b in random_permutation_pairs(fabric.host_list(), rng)]
 
 
+def _bytes_since(links, baseline) -> dict:
+    """Bytes each link carried since ``baseline``, both directions."""
+    now = snapshot(links)
+    return {key: now[key][0] - baseline[key][0] for key in now}
+
+
 def test_fluid_rates_and_link_bytes_agree_with_frame_path():
     frame_fab = _converged(99, flow_mode=False)
     fluid_fab = _converged(99, flow_mode=True)
@@ -86,7 +92,7 @@ def test_fluid_rates_and_link_bytes_agree_with_frame_path():
     frame_base = snapshot(frame_fab.links)
     t0 = frame_fab.sim.now
     frame_fab.sim.run(until=t0 + WINDOW_S)
-    frame_usage = {u.name: u for u in usage_since(frame_fab.links, frame_base)}
+    frame_usage = _bytes_since(frame_fab.links, frame_base)
 
     # Flow mode: the same permutation as fluid flows with the same
     # demand AND the same 5-tuple — sport copied from the frame-mode
@@ -104,7 +110,7 @@ def test_fluid_rates_and_link_bytes_agree_with_frame_path():
     t0 = fluid_fab.sim.now
     fluid_fab.sim.run(until=t0 + WINDOW_S)
     engine.settle_now()
-    fluid_usage = {u.name: u for u in usage_since(fluid_fab.links, fluid_base)}
+    fluid_usage = _bytes_since(fluid_fab.links, fluid_base)
 
     # Per-flow rates: fluid allocation vs what the receiver measured.
     for i, flow in enumerate(flows):
@@ -119,16 +125,15 @@ def test_fluid_rates_and_link_bytes_agree_with_frame_path():
     # placement means the same links are hot in both modes.
     assert frame_usage.keys() == fluid_usage.keys()
     mismatches = [
-        (name, frame_usage[name].bytes_total, fluid_usage[name].bytes_total)
+        (name, frame_usage[name], fluid_usage[name])
         for name in frame_usage
-        if abs(frame_usage[name].bytes_total - fluid_usage[name].bytes_total)
-        > LINK_BYTES_TOLERANCE * max(frame_usage[name].bytes_total,
-                                     fluid_usage[name].bytes_total)
+        if abs(frame_usage[name] - fluid_usage[name])
+        > LINK_BYTES_TOLERANCE * max(frame_usage[name], fluid_usage[name])
         + LINK_BYTES_SLACK
     ]
     assert not mismatches, f"per-link byte divergence: {mismatches[:5]}"
     # And the comparison is not vacuous: data actually crossed the core.
-    hot = [u for u in fluid_usage.values() if u.bytes_total > 100_000]
+    hot = [n for n in fluid_usage.values() if n > 100_000]
     assert len(hot) >= len(pairs)
 
 

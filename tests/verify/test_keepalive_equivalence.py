@@ -97,18 +97,26 @@ def _switch_links(fabric):
 @contextlib.contextmanager
 def _after_every_start(hook):
     """Call ``hook(link, src_port, direction, frame)`` each time a link
-    has put a frame on the wire."""
-    start = Link._start_transmission
+    has put a frame on the wire: in ``transmit``, when it found the wire
+    free (it leaves nothing waiting then), or in ``_start_transmission``,
+    when it took the frame off the queue."""
+    transmit, start = Link.transmit, Link._start_transmission
 
-    def hooked(self, src_port, direction, frame):
+    def hooked_transmit(self, src_port, frame):
+        sent = transmit(self, src_port, frame)
+        if sent and not src_port._tx.transmitting:
+            hook(self, src_port, src_port._tx, frame)
+        return sent
+
+    def hooked_start(self, src_port, direction, frame):
         start(self, src_port, direction, frame)
         hook(self, src_port, direction, frame)
 
-    Link._start_transmission = hooked
+    Link.transmit, Link._start_transmission = hooked_transmit, hooked_start
     try:
         yield
     finally:
-        Link._start_transmission = start
+        Link.transmit, Link._start_transmission = transmit, start
 
 
 def _end_of_serialization_now(link, src_port, direction, frame) -> None:

@@ -1,20 +1,7 @@
 """Unit tests for link-utilization accounting (synthetic data)."""
 
-import pytest
-
-from repro.metrics.utilization import (
-    LinkUsage,
-    by_layer,
-    imbalance,
-    snapshot,
-    usage_since,
-)
+from repro.metrics.utilization import snapshot
 from repro.net.link import PortCounters
-
-
-def usage(a, b, nbytes):
-    return LinkUsage(name=f"{a}<->{b}", a=a, b=b, bytes_total=nbytes,
-                     frames_total=nbytes // 100)
 
 
 class _FakeEnd:
@@ -35,43 +22,6 @@ class _FakeLink:
         end.counters.tx_bytes += nbytes
 
 
-def test_by_layer_aggregates_symmetrically():
-    usages = [
-        usage("host-p0-e0-0", "edge-p0-s0", 100),
-        usage("edge-p0-s0", "agg-p0-s0", 60),
-        usage("agg-p0-s0", "edge-p0-s1", 40),  # reversed order, same layer
-        usage("agg-p0-s0", "core-0", 30),
-    ]
-    layers = by_layer(usages)
-    assert layers["edge-host"] == 100
-    assert layers["agg-edge"] == 100
-    assert layers["agg-core"] == 30
-
-
-def test_imbalance_perfectly_balanced_is_one():
-    usages = [usage("agg-p0-s0", "core-0", 50),
-              usage("agg-p0-s1", "core-1", 50)]
-    assert imbalance(usages, "agg-core") == pytest.approx(1.0)
-
-
-def test_imbalance_detects_hotspot():
-    usages = [usage("agg-p0-s0", "core-0", 90),
-              usage("agg-p0-s1", "core-1", 10)]
-    assert imbalance(usages, "agg-core") == pytest.approx(1.8)
-
-
-def test_imbalance_empty_layer_is_neutral():
-    assert imbalance([], "agg-core") == 1.0
-    assert imbalance([usage("a-x", "b-y", 0)], "a-b") == 1.0
-
-
-def test_utilization_fraction():
-    u = usage("host-p0-e0-0", "edge-p0-s0", 125_000)  # 1 Mbit total
-    # 1 Mbit over 1 s on a 1 Mb/s link = 50% of the 2x duplex capacity.
-    assert u.utilization(1.0, 1e6) == pytest.approx(0.5)
-    assert u.utilization(0.0, 1e6) == 0.0
-
-
 def test_snapshot_roundtrip_is_zero_delta():
     link = _FakeLink("host-p0-e0-0", "edge-p0-s0")
     link.tx(link.a, 3, 300)
@@ -79,37 +29,4 @@ def test_snapshot_roundtrip_is_zero_delta():
     links = {("host-p0-e0-0", "edge-p0-s0"): link}
     base = snapshot(links)
     assert base[("host-p0-e0-0", "edge-p0-s0")] == (400, 4)
-    [u] = usage_since(links, base)
-    assert (u.bytes_total, u.frames_total) == (0, 0)
-    assert not u.new_since_baseline
-
-
-def test_usage_since_measures_the_window_both_directions():
-    link = _FakeLink("edge-p0-s0", "agg-p0-s0")
-    link.tx(link.a, 5, 500)
-    base = snapshot({("edge-p0-s0", "agg-p0-s0"): link})
-    link.tx(link.a, 2, 200)
-    link.tx(link.b, 1, 100)
-    [u] = usage_since({("edge-p0-s0", "agg-p0-s0"): link}, base)
-    assert (u.bytes_total, u.frames_total) == (300, 3)
-    assert not u.new_since_baseline
-
-
-def test_usage_since_flags_links_added_after_baseline():
-    old = _FakeLink("edge-p0-s0", "agg-p0-s0")
-    base = snapshot({("edge-p0-s0", "agg-p0-s0"): old})
-    # A migration re-home attaches a brand-new host link mid-window.
-    new = _FakeLink("host-p1-e0-0", "edge-p1-s0")
-    new.tx(new.a, 7, 700)
-    usages = usage_since(
-        {("edge-p0-s0", "agg-p0-s0"): old,
-         ("host-p1-e0-0", "edge-p1-s0"): new},
-        base)
-    flagged = {u.name: u.new_since_baseline for u in usages}
-    assert flagged == {"edge-p0-s0<->agg-p0-s0": False,
-                       "host-p1-e0-0<->edge-p1-s0": True}
-    by_name = {u.name: u for u in usages}
-    # The new link reports its whole lifetime, counted from zero.
-    assert by_name["host-p1-e0-0<->edge-p1-s0"].bytes_total == 700
-    # Descending-bytes ordering puts the busy new link first.
-    assert usages[0].name == "host-p1-e0-0<->edge-p1-s0"
+    assert snapshot(links) == base
