@@ -7,8 +7,9 @@ phase, each of the two under ``cProfile``. For each it prints, per
 module under ``src/repro``, self time and calls, the twenty functions
 with the most self time, calls per executed event and per transmitted
 frame, the calls of the watched functions (the ones bring-up work is
-counted in, and the ones every frame hop and TCP segment runs) with
-their calls per transmitted frame and per TCP segment built, and the
+counted in, the ones every frame hop and TCP segment runs, and the
+fabric manager's override derivation) with their calls per transmitted
+frame, per TCP segment built and per override recompute, and the
 garbage collector's collections and seconds per generation (from
 ``gc.callbacks``). The call counts repeat exactly for a seed; the
 seconds are profiler seconds (every Python call taxed, C calls not) and
@@ -41,16 +42,26 @@ TOP_FUNCTIONS = 20
 #: edge rewrites' copies (``ethernet.copy``), the link hop
 #: (``link.send``, ``link.transmit``, ``_start_transmission``), sizes
 #: (``wire_length``, ``payload_length``) and TCP segments
-#: (``tcp_wire.__init__``, one per segment built).
+#: (``tcp_wire.__init__``, one per segment built). The fault path: one
+#: override recompute (``faults.update``, ``OverrideComputer.update``),
+#: its per-destination rows (``_edge_overrides``, ``_agg_overrides``),
+#: the per-sender derivation (``avoid_for``; ``_avoid_for_edge`` and
+#: ``_avoid_for_agg`` where a sender is walked link by link) and the
+#: view's link tests (``alive``, ``adjacent``).
 WATCHED = ("_classify", "data_ports", "_open_stream",
            "serialization_time", "_refresh_entries", "_restate_down",
            "_usable_up_ports", "down_to_position", "down_to_pod",
            "default_up", "sync", "copy", "payload_length", "other_end",
-           "_recompute_affected", "pod", "_hash_and_proto", "_crc_hash",
-           "link.send", "link.transmit", "_start_transmission",
-           "wire_length", "tcp_wire.__init__")
+           "faults.update", "_recompute_affected", "_edge_overrides",
+           "_agg_overrides", "avoid_for", "_avoid_for_edge",
+           "_avoid_for_agg", "topology_view.alive",
+           "topology_view.adjacent", "pod", "_hash_and_proto",
+           "_crc_hash", "link.send", "link.transmit",
+           "_start_transmission", "wire_length", "tcp_wire.__init__")
 #: The watched function one call of which is one TCP segment.
 SEGMENT = "tcp_wire.__init__"
+#: The watched function one call of which is one override recompute.
+RECOMPUTE = "faults.update"
 
 
 def watched_as(module: str, function: str) -> str | None:
@@ -161,15 +172,20 @@ def report(phase: str, stats, events: int, frames: int,
     for self_s, calls, label in sorted(functions, reverse=True)[:TOP_FUNCTIONS]:
         print(f"  {self_s:7.3f} s {calls:9d}  {label}")
     segments = sum(row[3] for row in watched if row[0] == SEGMENT)
+    recomputes = sum(row[3] for row in watched if row[0] == RECOMPUTE)
     if watched:
-        print(f"\ncalls of the watched functions, per transmitted frame "
-              f"and per TCP segment ({segments} built), top callers")
+        print(f"\ncalls of the watched functions, per transmitted frame, "
+              f"per TCP segment ({segments} built) and per override "
+              f"recompute ({recomputes} run), top callers")
+
+    def per(calls: int, unit: int) -> str:
+        return f"{calls / unit:9.2f}" if unit else "        -"
+
     for entry, function, module, calls, by_caller in sorted(
             watched, key=lambda row: (WATCHED.index(row[0]), row[2])):
         callers = ", ".join(f"{caller} {n}" for n, caller in by_caller)
-        per_segment = f"{calls / segments:7.2f}" if segments else "      -"
-        print(f"  {calls:9d} {calls / frames:7.2f} {per_segment}  "
-              f"{module}.{function}  ({callers})")
+        print(f"  {calls:9d} {calls / frames:7.2f}{per(calls, segments)}"
+              f"{per(calls, recomputes)}  {module}.{function}  ({callers})")
     print("\ngarbage collector: " + ", ".join(
         f"gen{generation} {collector.collections[generation]} "
         f"({collector.seconds[generation]:.3f} s)" for generation in range(3)))

@@ -117,7 +117,7 @@ ZERO_MAC = MacAddress(0)
 class IPv4Address:
     """An IPv4 address."""
 
-    __slots__ = ("value",)
+    __slots__ = ("value", "_hash")
 
     MAX = (1 << 32) - 1
 
@@ -126,6 +126,8 @@ class IPv4Address:
             raise AddressError(f"IPv4 value out of range: {value:#x}")
         #: The address as a 32-bit integer (never reassigned).
         self.value = value
+        # Hashed per ARP-cache lookup and TCP demux: computed once.
+        self._hash = hash((IPv4Address, value))
 
     @classmethod
     def parse(cls, text: str) -> "IPv4Address":
@@ -189,7 +191,11 @@ class IPv4Address:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((IPv4Address, self.value))
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuilt from the value, so the hash is this process's.
+        return IPv4Address, (self.value,)
 
 
 def mac(text: str) -> MacAddress:

@@ -45,11 +45,14 @@ Overrides = dict[int, dict[tuple[int, int], set[int]]]
 def compute_overrides(view: FabricView) -> Overrides:
     """Full override map implied by the current fault matrix.
 
-    Derived from scratch — simple, idempotent, and naturally correct
-    for overlapping failures and recoveries. The fabric manager runs
-    :class:`OverrideComputer`, which maintains the same map while
-    re-deriving only the prefixes a given change can touch; this
-    function is the independent reference its tests compare against.
+    Derived from scratch, rule by rule and sender by sender — simple,
+    idempotent, and naturally correct for overlapping failures and
+    recoveries. The fabric manager runs :class:`OverrideComputer`, which
+    maintains the same map by set algebra over the view's
+    :meth:`~FabricView.uplink_index`, re-deriving only the prefixes a
+    given change can touch; this function shares none of that
+    derivation and is the independent reference its tests compare
+    against.
     """
     overrides: Overrides = {}
     if not view.failed:
@@ -63,8 +66,18 @@ def compute_overrides(view: FabricView) -> Overrides:
         if not _touched_by_failure(view, edge, _pod_relevance(view, pod)):
             continue
         prefix, d_aggs, d_cores = _dest_state(view, edge, pod, position)
-        _edge_overrides(view, overrides, edge, pod, prefix, d_aggs, d_cores)
-        _agg_overrides(view, overrides, pod, prefix, d_cores)
+        for other in view.edges():
+            if other == edge:
+                continue
+            avoid = _avoid_for_edge(view, other, pod, d_aggs, d_cores)
+            if avoid:
+                overrides.setdefault(other, {})[prefix] = avoid
+        for agg in view.aggregations():
+            if view.pod(agg) == pod:
+                continue  # same-pod aggs route down directly or drop
+            avoid = _avoid_for_agg(view, agg, d_cores)
+            if avoid:
+                overrides.setdefault(agg, {})[prefix] = avoid
     return overrides
 
 
@@ -129,23 +142,82 @@ def _avoid_for_agg(view: FabricView, agg: int, d_cores: set[int]) -> set[int]:
     return phys_cores - (phys_cores & d_cores)
 
 
-def _edge_overrides(view: FabricView, overrides: Overrides, edge: int,
+class _Algebra:
+    """One update's derivation, as set algebra over ``view``'s
+    :meth:`~FabricView.uplink_index`: the same rules as
+    :func:`compute_overrides`, each sender's avoid set one difference.
+
+    ``live_cores`` maps each aggregation switch to its cores whose link
+    is not in the fault matrix, read once; so an algebra lives for one
+    update and never outlasts the matrix it read.
+    """
+
+    def __init__(self, view: FabricView) -> None:
+        self.view = view
+        self.edges, self.aggs = view.uplink_index()
+        cut: dict[int, set[int]] = {}
+        for link in view.failed:
+            for end in link:
+                cut.setdefault(end, set()).update(link)
+        self.live_cores = {agg: cores - cut[agg] if agg in cut else cores
+                           for agg, (_pod, cores) in self.aggs.items()}
+        self._feeding: dict[frozenset[int], set[int]] = {}
+
+    def dest_state(self, edge: int, pod: int, position: int
+                   ) -> tuple[tuple[int, int], set[int], set[int]]:
+        """``(prefix, D_aggs, D_cores)`` for one destination edge."""
+        value, bits = position_prefix(pod, position)
+        d_aggs = {agg for agg in self.view.aggs_in_pod(pod)
+                  if self.view.alive(agg, edge)}
+        d_cores: set[int] = set()
+        for agg in d_aggs:
+            d_cores |= self.live_cores[agg]
+        return (value.value, bits), d_aggs, d_cores
+
+    def feeding(self, d_cores: set[int]) -> set[int]:
+        """Aggregation switches with a live link to some core in
+        ``d_cores`` — the uplinks an edge outside the destination's pod
+        may keep (remembered per ``d_cores``: many prefixes share one)."""
+        key = frozenset(d_cores)
+        feeding = self._feeding.get(key)
+        if feeding is None:
+            feeding = self._feeding[key] = {
+                agg for agg, live in self.live_cores.items()
+                if not live.isdisjoint(d_cores)}
+        return feeding
+
+    def avoid_for(self, sender: int, pod: int, d_aggs: set[int],
+                  d_cores: set[int]) -> set[int]:
+        """The avoid set of one sender for a destination in ``pod``."""
+        if sender in self.edges:
+            sender_pod, uplinks = self.edges[sender]
+            return uplinks - (d_aggs if sender_pod == pod
+                              else self.feeding(d_cores))
+        if sender in self.aggs:
+            sender_pod, cores = self.aggs[sender]
+            if sender_pod != pod:
+                return cores - d_cores
+        return set()
+
+
+def _edge_overrides(algebra: _Algebra, overrides: Overrides, edge: int,
                     pod: int, prefix: tuple[int, int],
                     d_aggs: set[int], d_cores: set[int]) -> None:
-    for other in view.edges():
+    feeding = algebra.feeding(d_cores)
+    for other, (other_pod, uplinks) in algebra.edges.items():
         if other == edge:
             continue
-        avoid = _avoid_for_edge(view, other, pod, d_aggs, d_cores)
+        avoid = uplinks - (d_aggs if other_pod == pod else feeding)
         if avoid:
             overrides.setdefault(other, {})[prefix] = avoid
 
 
-def _agg_overrides(view: FabricView, overrides: Overrides, pod: int,
+def _agg_overrides(algebra: _Algebra, overrides: Overrides, pod: int,
                    prefix: tuple[int, int], d_cores: set[int]) -> None:
-    for agg in view.aggregations():
-        if view.pod(agg) == pod:
+    for agg, (agg_pod, cores) in algebra.aggs.items():
+        if agg_pod == pod:
             continue  # same-pod aggs route down directly or drop
-        avoid = _avoid_for_agg(view, agg, d_cores)
+        avoid = cores - d_cores
         if avoid:
             overrides.setdefault(agg, {})[prefix] = avoid
 
@@ -162,9 +234,13 @@ class OverrideComputer:
       endpoints;
     * a wiring change at switch *s* (LDP pruning or re-adding links in
       its neighbour report) additionally rewrites *s*'s own avoid rows
-      for every prefix, since ``phys_up``/``core_neighbors`` of a sender
-      are read from its own record only — rows are recomputed from the
-      cached ``(D_aggs, D_cores)`` of each unaffected destination.
+      for every prefix, since a sender's uplinks and cores are read from
+      its own record only — rows are recomputed from the cached
+      ``(D_aggs, D_cores)`` of each unaffected destination.
+
+    A prefix is derived by set algebra (:class:`_Algebra`): per
+    destination, ``D_aggs``, ``D_cores`` and the aggregation switches
+    still feeding ``D_cores``; per sender, one set difference.
 
     Level/pod/position changes (and anything else the caller cannot
     attribute) must come as a full update, which starts over with
@@ -214,16 +290,20 @@ class OverrideComputer:
         changed_ids: set[int] = set(changed_switches or ())
         for link in changed_links:
             changed_ids.update(link)
-        self._recompute_affected(view, changed_ids)
-        if changed_switches:
-            self._recompute_rows(view, set(changed_switches))
+        algebra = self._recompute_affected(view, changed_ids)
+        if changed_switches and self._dest:
+            self._recompute_rows(algebra or _Algebra(view),
+                                 set(changed_switches))
         return self.overrides
 
     def _recompute_affected(self, view: FabricView,
-                            changed_ids: set[int]) -> None:
+                            changed_ids: set[int]) -> _Algebra | None:
         """Re-derive every destination prefix whose edge or pod
         relevance set meets ``changed_ids`` — the computer's one way to
-        derive a prefix. An edge without a pod or a position has none."""
+        derive a prefix. An edge without a pod or a position has none.
+        Returns the update's algebra, made only if a prefix needed it
+        (a fault-free run builds no index)."""
+        algebra = None
         if self._located is None:
             self._located = sorted(
                 (edge, record.pod, record.position)
@@ -243,29 +323,24 @@ class OverrideComputer:
                 self._strip_prefix(cached[0])
             if not _touched_by_failure(view, edge, relevant):
                 continue
-            prefix, d_aggs, d_cores = _dest_state(view, edge, pod, position)
+            if algebra is None:
+                algebra = _Algebra(view)
+            prefix, d_aggs, d_cores = algebra.dest_state(edge, pod, position)
             self._strip_prefix(prefix)
             self._dest[edge] = (prefix, pod, d_aggs, d_cores)
-            _edge_overrides(view, self.overrides, edge, pod, prefix,
+            _edge_overrides(algebra, self.overrides, edge, pod, prefix,
                             d_aggs, d_cores)
-            _agg_overrides(view, self.overrides, pod, prefix, d_cores)
+            _agg_overrides(algebra, self.overrides, pod, prefix, d_cores)
+        return algebra
 
-    def _recompute_rows(self, view: FabricView, senders: set[int]) -> None:
+    def _recompute_rows(self, algebra: _Algebra, senders: set[int]) -> None:
         """Rewrite the avoid rows of wiring-changed sender switches for
         every prefix that was *not* re-derived this round."""
         for sender in senders:
-            level = view.level(sender)
             for edge, (prefix, pod, d_aggs, d_cores) in self._dest.items():
-                if sender == edge:
-                    continue
-                if level is SwitchLevel.EDGE:
-                    avoid = _avoid_for_edge(view, sender, pod, d_aggs, d_cores)
-                elif (level is SwitchLevel.AGGREGATION
-                      and view.pod(sender) != pod):
-                    avoid = _avoid_for_agg(view, sender, d_cores)
-                else:
-                    avoid = set()
-                self._set_row(sender, prefix, avoid)
+                if sender != edge:
+                    avoid = algebra.avoid_for(sender, pod, d_aggs, d_cores)
+                    self._set_row(sender, prefix, avoid)
 
     def _set_row(self, switch_id: int, prefix: tuple[int, int],
                  avoid: set[int]) -> None:

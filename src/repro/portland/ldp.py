@@ -235,6 +235,11 @@ class LdpProcess:
         # no-op (location_complete is still False here).
         self._maybe_announce()
 
+    @property
+    def next_beacon_at(self) -> float | None:
+        """When the next keepalive beacon goes out (None when stopped)."""
+        return self._beacon.next_at
+
     def preseed(self, level: SwitchLevel, pod: int | None = None,
                 position: int | None = None,
                 host_ports: tuple[int, ...] = ()) -> None:

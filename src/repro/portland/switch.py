@@ -168,7 +168,7 @@ class PortlandSwitch(Node):
         entry, actions, port, set_dst = plan
         entry.packets += 1
         entry.bytes += size
-        if trace.wants("verify.hop"):
+        if trace.hop_wanted:
             trace.emit(self.sim.now, "verify.hop", self.name,
                        payload=current.payload, dst=current.dst.value,
                        ethertype=current.ethertype, entry=entry.name,
@@ -289,7 +289,7 @@ class PortlandSwitch(Node):
             self._miss(frame, from_port_index, injected=True)
             return
         entry.touch(frame)
-        if self.sim.trace.wants("verify.hop"):
+        if self.sim.trace.hop_wanted:
             self.sim.trace.emit(self.sim.now, "verify.hop", self.name,
                                 payload=frame.payload, dst=frame.dst.value,
                                 ethertype=frame.ethertype, entry=entry.name,

@@ -45,11 +45,12 @@ class FabricView:
     A view is made for one computation (``FabricManager.view()`` builds
     one per push, the checkers one per check) and remembers its
     structural answers — the per-level id lists, ``aggs_in_pod``,
-    ``neighbors_of``, ``core_neighbors`` — the first time each is asked:
-    an override push asks the same few hundred thousand times. So make a
-    new view once the switch records have changed; the fault matrix is
-    always read live. The containers handed out are the remembered ones:
-    read them, do not change them.
+    ``neighbors_of``, the neighbour-id sets :meth:`adjacent` tests,
+    ``core_neighbors`` and the :meth:`uplink_index` — the first time each
+    is asked: an override push asks the same few hundred thousand times.
+    So make a new view once the switch records have changed; the fault
+    matrix is always read live. The containers handed out are the
+    remembered ones: read them, do not change them.
     """
 
     def __init__(self, switches: dict[int, SwitchRecord],
@@ -57,9 +58,11 @@ class FabricView:
         self.switches = switches
         self.failed = failed
         self._at_level: dict[SwitchLevel, tuple[int, ...]] = {}
-        self._aggs_in_pod: dict[int, tuple[int, ...]] = {}
+        self._aggs_in_pod: dict[int | None, tuple[int, ...]] | None = None
         self._neighbors_of: dict[int, dict[int, int]] = {}
+        self._neighbor_ids: dict[int, set[int]] = {}
         self._core_neighbors: dict[int, tuple[int, ...]] = {}
+        self._uplink_index: tuple[dict, dict] | None = None
 
     def fresh(self) -> "FabricView":
         """A view of the same records with nothing remembered yet."""
@@ -100,11 +103,13 @@ class FabricView:
         return self._ids_at(SwitchLevel.CORE)
 
     def aggs_in_pod(self, pod: int) -> tuple[int, ...]:
-        aggs = self._aggs_in_pod.get(pod)
-        if aggs is None:
-            aggs = self._aggs_in_pod[pod] = tuple(
-                sid for sid in self.aggregations() if self.pod(sid) == pod)
-        return aggs
+        if self._aggs_in_pod is None:  # every pod's in one pass
+            by_pod: dict[int | None, list[int]] = {}
+            for sid in self.aggregations():
+                by_pod.setdefault(self.switches[sid].pod, []).append(sid)
+            self._aggs_in_pod = {
+                key: tuple(ids) for key, ids in by_pod.items()}
+        return self._aggs_in_pod.get(pod, ())
 
     def neighbors_of(self, switch_id: int) -> dict[int, int]:
         """port -> neighbor id for one switch (physical)."""
@@ -122,10 +127,17 @@ class FabricView:
                 return port
         return None
 
+    def _wired_to(self, switch_id: int) -> set[int]:
+        """The ids ``switch_id`` reports wired to it (physical)."""
+        ids = self._neighbor_ids.get(switch_id)
+        if ids is None:
+            ids = self._neighbor_ids[switch_id] = set(
+                self.neighbors_of(switch_id).values())
+        return ids
+
     def adjacent(self, a: int, b: int) -> bool:
         """Physically wired (either side reported it)."""
-        return (b in self.neighbors_of(a).values()
-                or a in self.neighbors_of(b).values())
+        return b in self._wired_to(a) or a in self._wired_to(b)
 
     def alive(self, a: int, b: int) -> bool:
         """Wired and not in the fault matrix."""
@@ -142,3 +154,22 @@ class FabricView:
                 nbr for nbr in self.neighbors_of(agg_id).values()
                 if self.level(nbr) is SwitchLevel.CORE)
         return cores
+
+    def uplink_index(self) -> tuple[dict[int, tuple[int | None, set[int]]],
+                                    dict[int, tuple[int | None, set[int]]]]:
+        """``(edges, aggs)``: edge id -> (pod, the aggregation switches it
+        reports wired to), in :meth:`edges` order, and aggregation id ->
+        (pod, the set of its :meth:`core_neighbors`), in
+        :meth:`aggregations` order — one pass over the records (physical;
+        the override derivation's set algebra reads it)."""
+        if self._uplink_index is None:
+            aggregation = SwitchLevel.AGGREGATION
+            edges = {
+                edge: (self.pod(edge), {
+                    nbr for nbr in self.neighbors_of(edge).values()
+                    if self.level(nbr) is aggregation})
+                for edge in self.edges()}
+            aggs = {agg: (self.pod(agg), set(self.core_neighbors(agg)))
+                    for agg in self.aggregations()}
+            self._uplink_index = edges, aggs
+        return self._uplink_index

@@ -131,6 +131,11 @@ class PeriodicTask:
         """Whether the task is currently scheduled to keep firing."""
         return self._running
 
+    @property
+    def next_at(self) -> float | None:
+        """Simulated time of the next tick (None when stopped)."""
+        return self._event[TIME] if self._running else None
+
     def start(self, first_delay: float | None = None) -> None:
         """Begin firing; first tick after ``first_delay`` (default: one
         jittered period)."""

@@ -44,20 +44,22 @@ class TraceBus:
         self._handlers: dict[str, list[TraceHandler]] = {}
         self._any_handlers: list[TraceHandler] = []
         # category -> whether any handler would receive it, as answered
-        # since the subscriptions last changed (asked per frame per hop).
+        # since the subscriptions last changed.
         self._wanted: dict[str, bool] = {}
+        #: ``wants("verify.hop")``, resolved whenever the subscriptions
+        #: change: the one question the switch pipeline asks per frame.
+        self.hop_wanted = False
 
     def subscribe(self, category: str, handler: TraceHandler) -> None:
         """Register ``handler`` for ``category`` (or ``"*"`` for all)."""
-        self._wanted.clear()
         if category == "*":
             self._any_handlers.append(handler)
         else:
             self._handlers.setdefault(category, []).append(handler)
+        self._resolve()
 
     def unsubscribe(self, category: str, handler: TraceHandler) -> None:
         """Remove a previously registered handler. Missing ones are ignored."""
-        self._wanted.clear()
         handlers = (self._any_handlers if category == "*"
                     else self._handlers.get(category, []))
         if handler in handlers:
@@ -66,6 +68,11 @@ class TraceBus:
             # So that the last handler leaving really turns the category
             # off again (and emit goes back to its one-lookup fast path).
             self._handlers.pop(category, None)
+        self._resolve()
+
+    def _resolve(self) -> None:
+        self._wanted.clear()
+        self.hop_wanted = self.wants("verify.hop")
 
     def wants(self, category: str) -> bool:
         """Whether emitting ``category`` would reach any handler (to a

@@ -192,7 +192,7 @@ class PathCache:
         sim = self.sim
         trace = sim.trace
         time = sim.now
-        wanted = trace.wants("verify.hop")
+        wanted = trace.hop_wanted
         dst = frame.dst.value if wanted else None
         for hop in path.hops:
             if wanted:

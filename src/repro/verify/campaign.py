@@ -99,6 +99,11 @@ class CampaignConfig:
     #: registry (and, with ``policy``, the ACL re-push machinery) is
     #: exercised under continuous re-registration traffic.
     churn: bool = False
+    #: Add ``port-toggle`` steps to the op mix: disable the far port of
+    #: a live switch link while a keepalive is on the wire toward it,
+    #: and enable it again :data:`TOGGLE_HOLD_S` later; a disabled port
+    #: must receive nothing meanwhile (``disabled-rx``).
+    ports: bool = False
 
 
 #: The verify lanes: every configuration the campaign is run in, by name
@@ -128,6 +133,8 @@ LANES: dict[str, CampaignConfig] = {
     # The cross-fabric conformance gate (the fat tree is "default").
     "topo-jellyfish": CampaignConfig(backend="jellyfish"),
     "topo-twolayer": CampaignConfig(backend="twolayer"),
+    # port-toggle steps at keepalive arrivals: no disabled-rx.
+    "ports": CampaignConfig(ports=True),
     # Compiled-path (cut-through) transit under every fault.
     "path-cache": CampaignConfig(
         fabric=PortlandConfig(path_cache_entries=4096)),
@@ -369,6 +376,42 @@ def _fm_partition(fabric, rng: random.Random) -> str:
     return label
 
 
+def _toggle_port(fabric, oracle: InvariantOracle, rng: random.Random,
+                 pair: tuple[str, str]) -> str:
+    """Disable one end of the switch link ``pair`` while the other end's
+    next keepalive is serializing or on the wire toward it (an LDM
+    arrival landmark, :data:`TOGGLE_OFFSETS_S`), and enable it again
+    :data:`TOGGLE_HOLD_S` later. What reached the port is read at both
+    instants; a disabled port receives nothing, so a difference is a
+    ``disabled-rx`` violation (a streamed keepalive booked as received
+    though its port was off when it arrived)."""
+    sender, receiver = pair if rng.random() < 0.5 else pair[::-1]
+    offset = rng.choice(TOGGLE_OFFSETS_S)
+    link = fabric.link_between(*pair)
+    port = link.a if link.a.node.name == receiver else link.b
+    label = f"port-toggle {port.name} +{offset * 1e6:.1f}us"
+    beacon_at = fabric.agents[sender].ldp.next_beacon_at
+    if beacon_at is None:
+        return label + " (sender silent)"
+    sim = fabric.sim
+    received = []
+
+    def disable() -> None:
+        port.enabled = False
+        received.append(port.counters.rx_frames)
+
+    def enable() -> None:
+        if port.counters.rx_frames != received[0]:
+            oracle.violations.append(Violation(
+                "disabled-rx", port.name, sim.now,
+                {"frames": port.counters.rx_frames - received[0]}))
+        port.enabled = True
+
+    sim.schedule_at(beacon_at + offset, disable)
+    sim.schedule_at(beacon_at + offset + TOGGLE_HOLD_S, enable)
+    return label
+
+
 #: Settling time after fail/recover steps before invariants are checked.
 SETTLE_S = 0.4
 #: Settling time after a migration step (downtime + adoption grace).
@@ -377,6 +420,13 @@ MIGRATE_SETTLE_S = 1.2
 FM_SETTLE_S = 1.6
 #: Max links taken down by a single multi-link failure step.
 MAX_LINKS_PER_FAILURE = 3
+#: After the beacon that sends it, a keepalive on a campaign link (64
+#: bytes at 1 Gb/s, 1 us of propagation) is serializing at the first
+#: offset and on the wire at the second.
+TOGGLE_OFFSETS_S = (0.3e-6, 1.0e-6)
+#: How long a toggled port stays disabled: well inside LDP's miss
+#: window, so the control plane does not react.
+TOGGLE_HOLD_S = 0.002
 #: Aggregate background ARP-storm rate while ``churn`` is on (queries/s).
 CHURN_RATE_PPS = 200.0
 
@@ -429,10 +479,12 @@ def run_scenario(scenario_seed: int, config: CampaignConfig) -> ScenarioResult:
             ops.append("expand")
         if config.policy:
             ops.extend(["acl-install", "acl-install", "acl-revoke"])
+        if config.ports:
+            ops.append("port-toggle")
         op = rng.choice(ops)
         if op == "recover" and not failed:
             op = "fail"
-        if op in ("fail", "fail-switch") and not alive:
+        if op in ("fail", "fail-switch", "port-toggle") and not alive:
             op = "recover"
         if op == "acl-revoke" and not acls:
             op = "acl-install"
@@ -508,6 +560,9 @@ def run_scenario(scenario_seed: int, config: CampaignConfig) -> ScenarioResult:
         elif op == "fm-partition":
             settle = max(settle, FM_SETTLE_S)
             result.steps.append(_fm_partition(fabric, rng))
+        elif op == "port-toggle":
+            result.steps.append(
+                _toggle_port(fabric, oracle, rng, rng.choice(alive)))
         elif op == "acl-install":
             src, dst = rng.sample(hosts, 2)
             fabric.fabric_manager.install_acl(src.ip, dst.ip)

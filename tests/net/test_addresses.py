@@ -1,5 +1,7 @@
 """Unit and property tests for MAC/IPv4 address types."""
 
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -57,6 +59,17 @@ def test_ipv4_parse_and_str_roundtrip():
     a = ip("10.1.2.3")
     assert str(a) == "10.1.2.3"
     assert a.value == (10 << 24) | (1 << 16) | (2 << 8) | 3
+
+
+@given(st.integers(0, IPv4Address.MAX))
+def test_ipv4_hash_is_stored_and_survives_pickling(value):
+    # The stored hash is the one a per-call tuple gave, so no set or
+    # dict of addresses changes order; a pickled copy rehashes.
+    address = IPv4Address(value)
+    assert hash(address) == hash((IPv4Address, value))
+    copy = pickle.loads(pickle.dumps(address))
+    assert copy == address and hash(copy) == hash(address)
+    assert {address: 1}[copy] == 1
 
 
 @pytest.mark.parametrize("bad", ["10.0.0", "10.0.0.0.0", "256.0.0.1",

@@ -15,7 +15,8 @@ from repro.portland.topology_view import FabricView, SwitchRecord
 
 
 def make_fat_tree_view(k=4, failed=()):
-    """A hand-built k=4 fat-tree FabricView with integer switch ids.
+    """A hand-built fat-tree FabricView (k=4 unless given) with integer
+    switch ids.
 
     Ids: edges 100+index, aggs 200+index, cores 300+index, where index =
     pod * (k/2) + pos for edges/aggs.
@@ -318,9 +319,10 @@ def _examined_by_the_per_edge_loop(view, changed_ids):
 
 
 @settings(max_examples=60, deadline=None)
-@given(ops=_ops)
-def test_incremental_computer_matches_full(ops):
-    view = make_fat_tree_view()
+@given(k=st.sampled_from((4, 6)), ops=_ops)
+def test_incremental_computer_matches_full(k, ops):
+    view = make_fat_tree_view(k)
+    half = k // 2
     links = _candidate_links(view)
     computer = OverrideComputer()
     computer.update(view)  # prime on the clean fabric
@@ -357,11 +359,11 @@ def test_incremental_computer_matches_full(ops):
                         if view.failed else 0)
         else:
             # One-sided wiring toggle (LDP pruning / re-adding an uplink
-            # in one switch's report): ports 2-3 are the up-neighbours
-            # of both edges and aggs in the hand-built k=4 view.
+            # in one switch's report): ports k/2 .. k-1 are the
+            # up-neighbours of both edges and aggs in the hand-built view.
             targets = sorted(view.edges()) + sorted(view.aggregations())
             sid = targets[n % len(targets)]
-            port = 2 + (n // len(targets)) % 2
+            port = half + (n // len(targets)) % half
             record = view.switches[sid]
             if (sid, port) in removed:
                 record.neighbors[port] = removed.pop((sid, port))

@@ -90,6 +90,20 @@ def test_duplicate_subscribe_unsubscribe_balances_prefix():
     assert not bus.wants("x.y")
 
 
+def test_hop_wanted_follows_the_subscriptions():
+    # Resolved on subscribe and unsubscribe, so a frame reads a flag;
+    # it answers exactly what wants("verify.hop") answers.
+    bus = TraceBus()
+    assert not bus.hop_wanted
+    for category in ("verify.hop", "verify.miss", "verify", "*", "link"):
+        seen = []
+        bus.subscribe(category, seen.append)
+        assert bus.hop_wanted == bus.wants("verify.hop") == (
+            category != "link")
+        bus.unsubscribe(category, seen.append)
+        assert not bus.hop_wanted
+
+
 def test_collector_close_detaches():
     sim = Simulator()
     collector = TraceCollector(sim.trace, "evt")

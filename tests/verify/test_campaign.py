@@ -12,6 +12,7 @@ from dataclasses import replace
 import pytest
 
 import repro.portland.faults as faults
+from repro.net.link import Port
 from repro.portland.config import PortlandConfig
 from repro.portland.fm_shard import FmShardCluster
 from repro.portland.messages import FaultUpdate
@@ -25,6 +26,7 @@ from repro.verify.campaign import (
     shrink_failure_links,
     static_violations_for_links,
 )
+from tests.net.test_accounted_frames import _keepalive_across_a_port_toggle
 
 
 def quick_config(**overrides) -> CampaignConfig:
@@ -107,6 +109,31 @@ def test_shrinker_uses_the_lane_fabric(monkeypatch):
     assert reproducer.static, str(reproducer)
     assert static_violations_for_links(reproducer.k, reproducer.links, config,
                                        topo_seed=reproducer.scenario_seed)
+
+
+def _enabled_without_redeliver(port, enabled):
+    """``Port.enabled``'s setter with the fix of the disabled-port bug
+    reverted: the link's streams close, but a keepalive streamed toward
+    the port is not handed back as a frame for its arrival to judge."""
+    if port.link is not None:
+        port.link.settle(close=True)
+    port._enabled = enabled
+
+
+@pytest.mark.campaign
+def test_mutation_keepalive_booked_at_a_disabled_port_is_caught(monkeypatch):
+    monkeypatch.setattr(Port, "enabled", property(Port.enabled.fget,
+                                                  _enabled_without_redeliver))
+    # The unit test's schedule: the far port disabled under the wire.
+    assert (_keepalive_across_a_port_toggle(True, 1, 1.0e-6, False)[:3]
+            != _keepalive_across_a_port_toggle(False, 1, 1.0e-6, False)[:3])
+    # No other lane toggles a port; this one catches it.
+    report = run_campaign(LANES["ports"])
+    assert not report.ok
+    assert {v.kind for result in report.results
+            for v in result.violations} == {"disabled-rx"}
+    assert all("port-toggle" in result.steps[-1]
+               for result in report.results if not result.ok)
 
 
 @pytest.mark.parametrize("lane", LANES)
