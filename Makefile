@@ -1,6 +1,6 @@
 # Convenience targets for the PortLand reproduction.
 
-.PHONY: install test bench ledger ledger-smoke ledger-test ledger-driver ledger-pairs verify-pairs hop-profile census bench-hybrid bench-topo bench-parallel bench-fm bench-policy examples loc verify verify-all verify-topo test-topo all
+.PHONY: install test bench ledger ledger-smoke ledger-test ledger-driver ledger-pairs verify-pairs hop-profile census bench-hybrid bench-topo bench-fm bench-policy examples loc verify verify-all verify-topo test-topo all
 
 install:
 	pip install -e .
@@ -98,12 +98,6 @@ test-topo:
 # writes BENCH_topo.json.
 bench-topo:
 	PYTHONPATH=src pytest benchmarks/bench_topologies.py --benchmark-only -q
-
-# Sharded parallel kernel: k=16 all-to-all, sharded vs single-process,
-# determinism asserted then speedup/overhead gated; writes
-# BENCH_parallel.json (docs/PERF.md).
-bench-parallel:
-	PYTHONPATH=src pytest benchmarks/bench_parallel.py --benchmark-only -q
 
 # Fabric-manager control-plane benches (Figs. 14/15 extended to the
 # sharded FM): batching and shard-utilization gates; writes BENCH_fm.json.

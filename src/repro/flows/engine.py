@@ -199,8 +199,7 @@ class FlowEngine:
         #: Times a refilled flow got less than its demand (its max-min
         #: share hit a saturated link). Zero over a whole run certifies
         #: the demand-limited regime, where flows do not couple through
-        #: shared links — what the sharded kernel's per-shard engines
-        #: rely on (docs/PERF.md).
+        #: shared links.
         self.bottleneck_events = 0
 
     # ------------------------------------------------------------------

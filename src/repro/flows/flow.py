@@ -103,8 +103,10 @@ class ResolvedPath:
     volatile (interpreted) path, but only the ingress host link of a
     compiled one, whose cut-through composite events charge wire time on
     transit hops without mid-path queueing (this keeps fluid FCTs
-    agreeing with the frame path's). All segments still count for
-    liveness detection, counter charging, and hybrid load push.
+    agreeing with those of cut-through frames; frames forwarded hop by
+    hop queue at every hop and finish later, docs/FLOWS.md "Deliberate
+    approximations"). All segments still count for liveness detection,
+    counter charging, and hybrid load push.
     ``seg_ids`` / ``con_ids`` name them (all / constrained only) by
     ``id(tx port)``, the engine's direction-index key.
     """

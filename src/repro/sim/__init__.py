@@ -6,7 +6,7 @@ every other subsystem in the library.
 
 from repro.sim.events import PRIORITY_HIGH, PRIORITY_LOW, PRIORITY_NORMAL, Event
 from repro.sim.process import PeriodicTask, Timer
-from repro.sim.rng import RandomStreams, child_seed
+from repro.sim.rng import RandomStreams
 from repro.sim.simulator import Simulator
 from repro.sim.stats import (
     RateMeter,
@@ -34,7 +34,6 @@ __all__ = [
     "TraceCollector",
     "TraceRecord",
     "aggregate_counters",
-    "child_seed",
     "percentile",
     "summarize",
 ]

@@ -14,20 +14,6 @@ import hashlib
 import random
 
 
-def child_seed(root_seed: int, shard_id: int | str) -> int:
-    """Derive a stable per-shard seed from a root seed.
-
-    Used by the sharded parallel kernel (:mod:`repro.sim.parallel`) so
-    every shard — and a single-process run standing in for all of them —
-    derives identical per-pod randomness from ``(root_seed, shard_id)``
-    alone. The derivation is pure (sha256 over the rendered pair), so it
-    is stable across processes, platforms, and hash randomization.
-    """
-    digest = hashlib.sha256(
-        f"{int(root_seed)}/shard/{shard_id}".encode()).digest()
-    return int.from_bytes(digest[:8], "big")
-
-
 class RandomStreams:
     """Factory of per-component deterministic ``random.Random`` streams."""
 
@@ -50,7 +36,3 @@ class RandomStreams:
         """Derive a child factory, e.g. one per experiment repetition."""
         digest = hashlib.sha256(f"{self.master_seed}/spawn/{name}".encode()).digest()
         return RandomStreams(int.from_bytes(digest[:8], "big"))
-
-    def child(self, shard_id: int | str) -> "RandomStreams":
-        """A per-shard child factory seeded via :func:`child_seed`."""
-        return RandomStreams(child_seed(self.master_seed, shard_id))

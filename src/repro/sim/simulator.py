@@ -40,7 +40,7 @@ from heapq import heapify, heappop, heappush
 from typing import Any, Callable
 
 from repro.errors import SimulationError
-from repro.sim.events import CALLBACK, PRIORITY_NORMAL, TIME, Event
+from repro.sim.events import CALLBACK, PRIORITY_NORMAL, Event
 from repro.sim.rng import RandomStreams
 from repro.sim.trace import TraceBus
 
@@ -71,9 +71,9 @@ class Simulator:
         self._stopped = False
         #: How far execution has got in the ``[time, priority, seq]``
         #: order: the event being executed (or, after ``stop()`` /
-        #: ``step()``, the last one); after a completed ``run`` /
-        #: ``run_before``, a key between what fired and what did not.
-        #: Only ever compared with ``<`` (see :meth:`has_fired`).
+        #: ``step()``, the last one); after a completed ``run``, a key
+        #: past everything at the clock's instant. Only ever compared
+        #: with ``<`` (see :meth:`has_fired`).
         self._position: list = [0.0, _BEFORE_ALL]
         #: ``reserve()`` holds the place in the event order that an event
         #: scheduled now would get among others at its instant, without
@@ -148,8 +148,7 @@ class Simulator:
         event that is executing, not merely the clock: at ``time ==
         now`` the answer depends on which of the two the kernel orders
         first. Outside any event, everything at ``now`` has fired after
-        ``run(until)`` and nothing at ``bound`` has after
-        ``run_before(bound)``."""
+        ``run(until)``."""
         return [time, PRIORITY_NORMAL, seq] < self._position
 
     def schedule_reserved(self, time: float, seq: int,
@@ -196,7 +195,7 @@ class Simulator:
         is advanced to exactly ``until`` even if the queue drained earlier,
         so back-to-back ``run`` calls compose predictably.
         """
-        self._drain(until, inclusive=True)
+        self._drain(until)
         if until is not None and self.now < until:
             self.now = until
         if not self._stopped:
@@ -218,39 +217,16 @@ class Simulator:
             self.run(until=min(self.now + step_s, deadline))
         return done()
 
-    def run_before(self, bound: float) -> float:
-        """Execute every event *strictly before* ``bound``, then advance
-        the clock to exactly ``bound``.
-
-        The windowed-execution primitive of the sharded parallel kernel
-        (:mod:`repro.sim.parallel`): a shard granted a horizon drains its
-        queue up to — but excluding — the horizon, so back-to-back
-        ``run_before`` calls partition the timeline into half-open
-        windows ``[now, bound)`` and a final inclusive :meth:`run`
-        executes exactly the same event set a single ``run(until)``
-        would have.
-        """
-        if bound < self.now:
-            raise SimulationError(
-                f"cannot run_before({bound}) with clock at {self.now}")
-        self._drain(bound, inclusive=False)
-        if self.now < bound:
-            self.now = bound
-        if not self._stopped:
-            self._position = [bound, _BEFORE_ALL]
-        return self.now
-
     def step(self) -> bool:
         """Execute exactly one event, under :meth:`run`'s rules (not
         from inside an event; the event over ``max_events`` raises and
         stays queued). Returns ``False`` if the queue is empty."""
-        return self._drain(None, inclusive=True, limit=1) == 1
+        return self._drain(None, limit=1) == 1
 
-    def _drain(self, bound: float | None, inclusive: bool,
-               limit: float = _INF) -> int:
-        """Execute events in order up to ``bound`` (all of them when it
-        is ``None``), at most ``limit`` of them; an event exactly at
-        ``bound`` runs only when ``inclusive``. Returns how many ran.
+    def _drain(self, bound: float | None, limit: float = _INF) -> int:
+        """Execute events in order up to and including ``bound`` (all of
+        them when it is ``None``), at most ``limit`` of them. Returns how
+        many ran.
 
         The one place an event is taken: per event, one look at the
         head, one ``heappop`` and the live count (the executed count is
@@ -277,7 +253,7 @@ class Simulator:
                 if callback is None:
                     heappop(heap)
                     continue
-                if time >= bound and (time > bound or not inclusive):
+                if time > bound:
                     break
                 if taken >= last:
                     if taken < limit:
@@ -294,17 +270,6 @@ class Simulator:
             self.events_executed += taken
             self._running = False
         return taken
-
-    def next_event_time(self) -> float | None:
-        """Absolute time of the earliest pending event (``None`` if idle).
-
-        The lookahead input of the conservative barrier: peers may not
-        be granted a horizon past ``min(next_event_time)`` + window.
-        """
-        heap = self._heap
-        while heap and heap[0][CALLBACK] is None:
-            heappop(heap)
-        return heap[0][TIME] if heap else None
 
     def stop(self) -> None:
         """Ask a running :meth:`run` loop to return after the current event."""

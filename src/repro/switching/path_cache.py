@@ -324,29 +324,6 @@ class PathCache:
     # ------------------------------------------------------------------
     # Observability
 
-    def table_signature(self) -> str:
-        """Order-independent digest of every live compiled path.
-
-        Two fabrics with identical compiled state produce identical
-        signatures regardless of compile order — the replica-consistency
-        probe of the sharded kernel (:mod:`repro.sim.parallel`): shards
-        route traffic through *replicated* fabrics, and their compiled
-        paths for the same key must agree hop for hop. Negative verdicts
-        are included (they are fabric state too).
-        """
-        import hashlib
-
-        lines = []
-        for path in {id(p): p for bucket in self._by_switch.values()
-                     for p in bucket}.values():
-            hops = tuple((hop.node.name, hop.in_index, hop.out_port.index,
-                          hop.entry.name) for hop in path.hops)
-            lines.append(repr((path.ingress.name, path.key, hops,
-                               path.compiled)))
-        lines.sort()
-        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-        return f"{len(lines)}:{digest[:16]}"
-
     def stats(self) -> dict[str, int]:
         """Counter snapshot (aggregatable via ``stats.aggregate_counters``)."""
         return {

@@ -39,6 +39,7 @@ from repro.verify.campaign import (
 )
 from repro.verify.invariants import (
     Violation,
+    check_fault_state,
     check_override_soundness,
     check_pmac_consistency,
 )
@@ -60,6 +61,7 @@ __all__ = [
     "ScenarioResult",
     "Violation",
     "check_all_pairs_delivery",
+    "check_fault_state",
     "check_override_soundness",
     "check_pmac_consistency",
     "deliverable_via_agg",

@@ -138,6 +138,9 @@ LANES: dict[str, CampaignConfig] = {
     # Compiled-path (cut-through) transit under every fault.
     "path-cache": CampaignConfig(
         fabric=PortlandConfig(path_cache_entries=4096)),
+    # Live Jellyfish expansion steps (odd k: even degree, so the splice
+    # engages); no fault outlives its link (stale-fault).
+    "expand": CampaignConfig(backend="jellyfish", ks=(5,), expand=True),
 }
 
 

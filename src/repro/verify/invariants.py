@@ -30,7 +30,7 @@ class Violation:
         kind: Invariant family, e.g. ``"loop"``, ``"blackhole"``,
             ``"misdelivery"``, ``"pmac-duplicate"``, ``"pmac-structure"``,
             ``"pmac-registry"``, ``"override-soundness"``,
-            ``"up-after-down"``.
+            ``"stale-fault"``, ``"up-after-down"``.
         where: Name/id of the component where it was observed.
         time: Simulated time of observation.
         detail: Free-form context for the report.
@@ -188,4 +188,51 @@ def check_override_soundness(fabric) -> list[Violation]:
                         {"prefix": str(pmac), "avoid": neighbor,
                          "dst_edge": dst_edge,
                          "reason": "alive path forbidden by override"}))
+    return violations
+
+
+# ----------------------------------------------------------------------
+# Fault-state staleness
+
+
+def check_fault_state(fabric) -> list[Violation]:
+    """Only dead links stay failed.
+
+    Every switch pair in the fabric manager's fault matrix must name a
+    wired link that is down, and no agent may block
+    (``fm_blocked_neighbors``) a neighbour it has a live link to. The
+    override check judges overrides by the manager's own matrix, so an
+    entry whose recovery never reached it — a ``LinkRecover`` naming
+    the wrong link — looks sound there while it keeps the link out of
+    every ECMP set for good.
+    """
+    fm = fabric.fabric_manager
+    if fm is None:
+        return []
+    now = fabric.sim.now
+    ids = {name: agent.switch_id for name, agent in fabric.agents.items()}
+    # Switch pair -> whether a live link joins it in the wiring.
+    wired: dict[frozenset[int], bool] = {}
+    for link in fabric.links.values():
+        a, b = link.a, link.b
+        if a.node.name in ids and b.node.name in ids:
+            pair = frozenset((ids[a.node.name], ids[b.node.name]))
+            wired[pair] = wired.get(pair, False) or (
+                a.is_up and b.is_up and link.can_carry(a)
+                and link.can_carry(b))
+    violations = [
+        Violation("stale-fault", fm.name, now,
+                  {"link": sorted(pair),
+                   "reason": ("live link in the fault matrix"
+                              if pair in wired else
+                              "fault matrix names no wired link")})
+        for pair in sorted(fm.fault_matrix, key=sorted)
+        if wired.get(pair, True)]
+    for name, agent in fabric.agents.items():
+        for neighbor in sorted(agent.fm_blocked_neighbors):
+            if wired.get(frozenset((agent.switch_id, neighbor))):
+                violations.append(Violation(
+                    "stale-fault", name, now,
+                    {"neighbor": neighbor,
+                     "reason": "live neighbour blocked"}))
     return violations

@@ -26,8 +26,8 @@ flows only ever occupy valid up*-down* paths, including the re-resolved
 path after a fault.
 
 ``check_now()`` additionally runs the static checks (PMAC consistency,
-override soundness, all-pairs table walks) against the current fabric
-state, for use after the fabric has settled.
+override soundness, no stale fault state, all-pairs table walks) against
+the current fabric state, for use after the fabric has settled.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from repro.portland.forwarding import entry_direction
 from repro.sim.trace import TraceRecord
 from repro.verify.invariants import (
     Violation,
+    check_fault_state,
     check_override_soundness,
     check_pmac_consistency,
 )
@@ -203,6 +204,7 @@ class InvariantOracle:
             found.extend(check_pmac_consistency(self.fabric))
         if overrides:
             found.extend(check_override_soundness(self.fabric))
+            found.extend(check_fault_state(self.fabric))
         if delivery:
             found.extend(check_all_pairs_delivery(self.fabric, pairs=pairs))
         self.violations.extend(found)

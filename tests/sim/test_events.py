@@ -50,14 +50,6 @@ def test_len_counts_only_live_events():
     assert sim.pending_events() == 1
 
 
-def test_peek_time_skips_cancelled():
-    sim = Simulator()
-    e1 = sim.schedule_at(1.0, lambda: None)
-    sim.schedule_at(2.0, lambda: None)
-    sim.cancel(e1)
-    assert sim.next_event_time() == 2.0
-
-
 def test_nan_time_rejected():
     sim = Simulator()
     with pytest.raises(SimulationError):
@@ -138,7 +130,7 @@ def test_queue_stats_counters():
 
 
 # ----------------------------------------------------------------------
-# Bounded draining (the sharded kernel's ``Simulator.run_before``)
+# Bounded draining (``run(until)`` windows)
 
 
 def test_compaction_correct_under_bounded_drain():
@@ -156,7 +148,7 @@ def test_compaction_correct_under_bounded_drain():
         for i, event in enumerate(events):
             if i % 4 != 0:                    # cancel 3 of every 4
                 sim.cancel(event)
-        sim.run_before(base + 1.0)
+        sim.run(until=base + 1.0)
     assert fired == sorted(fired)
     assert len(fired) == 8 * 50               # survivors of each window
     assert sim.queue_stats()["compactions"] >= 1  # churn actually compacted

@@ -170,7 +170,7 @@ def test_periodic_start_is_idempotent():
 def test_timer_slotted_rearm_across_run_before_windows():
     """The slotted re-arm optimisation (a deferred heap entry sliding to
     a later deadline) must behave identically when time advances via
-    bounded ``run_before`` windows instead of one ``run``."""
+    bounded ``run(until)`` windows instead of one ``run``."""
     def scenario(windowed: bool) -> tuple[list[float], float]:
         sim = Simulator()
         fired = []
@@ -184,7 +184,7 @@ def test_timer_slotted_rearm_across_run_before_windows():
             bound = 0.0
             while bound < 3.0:
                 bound += 0.25                 # boundaries hit deferrals
-                sim.run_before(bound)
+                sim.run(until=bound)
             sim.run(until=3.0)
         else:
             sim.run(until=3.0)

@@ -225,7 +225,7 @@ def test_decision_caches_flush_only_when_a_table_changes():
 # BENCH_*.json artifact schema (see repro.metrics.benchout)
 
 #: Every `make bench-*` lane and the artifact it must commit.
-EXPECTED_BENCHES = ("hybrid", "topo", "parallel", "policy")
+EXPECTED_BENCHES = ("hybrid", "topo", "policy")
 
 
 def test_bench_payload_roundtrip():

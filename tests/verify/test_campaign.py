@@ -13,9 +13,10 @@ import pytest
 
 import repro.portland.faults as faults
 from repro.net.link import Port
+from repro.portland.agent import PortlandAgent
 from repro.portland.config import PortlandConfig
 from repro.portland.fm_shard import FmShardCluster
-from repro.portland.messages import FaultUpdate
+from repro.portland.messages import FaultUpdate, LinkRecover
 from repro.verify.campaign import (
     LANES,
     CampaignConfig,
@@ -27,6 +28,7 @@ from repro.verify.campaign import (
     static_violations_for_links,
 )
 from tests.net.test_accounted_frames import _keepalive_across_a_port_toggle
+from tests.topology import test_jellyfish_expand_live as expand_live
 
 
 def quick_config(**overrides) -> CampaignConfig:
@@ -133,6 +135,35 @@ def test_mutation_keepalive_booked_at_a_disabled_port_is_caught(monkeypatch):
     assert {v.kind for result in report.results
             for v in result.violations} == {"disabled-rx"}
     assert all("port-toggle" in result.steps[-1]
+               for result in report.results if not result.ok)
+
+
+def _recover_naming_the_new_neighbour(self, port_index):
+    """``PortlandAgent.on_neighbor_changed`` with the fix of the stale
+    fault bug reverted: the recovery names whoever answers on the port
+    now, not the peer whose failure the agent reported."""
+    failed_peer = self._reported_failed.pop(port_index, None)
+    if failed_peer is not None:
+        self.send_to_fm(LinkRecover(
+            self.switch_id, port_index,
+            self.ldp.neighbors[port_index].switch_id))
+    self._refresh_entries(port_index)
+    self._schedule_report()
+
+
+@pytest.mark.campaign
+def test_mutation_recovery_naming_the_new_neighbour_is_caught(monkeypatch):
+    monkeypatch.setattr(PortlandAgent, "on_neighbor_changed",
+                        _recover_naming_the_new_neighbour)
+    # The unit test's live splice leaves the fault matrix stale.
+    with pytest.raises(AssertionError):
+        expand_live.test_live_expansion_leaves_no_stale_fault()
+    # No other lane splices a switch in; this one catches it.
+    report = run_campaign(LANES["expand"])
+    assert not report.ok
+    assert {v.kind for result in report.results
+            for v in result.violations} == {"stale-fault"}
+    assert all(result.steps[-1].startswith("expand +")
                for result in report.results if not result.ok)
 
 
