@@ -6,9 +6,12 @@ archive`` and copy the working tree (without ``.git``) into a temporary
 directory, run ``python -m repro.cli --seed 7 verify all`` in both at
 once, split each output on its ``== lane NAME`` headers and print, per
 lane, whether the two sides printed the same bytes — and where they did
-not, the first line that differs. Exits 1 if any lane differs (or is
-missing on one side), 0 if every lane is byte-identical. A change that
-claims to leave the simulation alone is claiming exactly this.
+not, the first line that differs. Exits 1 if a lane both sides ran
+differs, or a lane of ``<rev>`` is missing from the working tree; 0 if
+every lane of ``<rev>`` is byte-identical. A lane only the working tree
+has is listed apart as new and not compared: a change may add a lane. A
+change that claims to leave the simulation alone is claiming exactly
+this.
 """
 
 import argparse
@@ -45,6 +48,33 @@ def first_difference(parent: list[str], change: list[str]) -> str:
     shorter = "change" if len(change) < len(parent) else "parent"
     return (f"{shorter} side stops after line {min(len(parent), len(change))}"
             f" of {max(len(parent), len(change))}")
+
+
+def compare(parent: dict[str, list[str]],
+            change: dict[str, list[str]]) -> tuple[list[str], int]:
+    """The report on two sides' :func:`lanes`, and the exit status."""
+    report = []
+    differ = 0
+    for name, lines in parent.items():
+        if name not in change:
+            differ += 1
+            report.append(f"  {name:<16} MISSING on the change side")
+        elif lines == change[name]:
+            report.append(f"  {name:<16} identical ({len(lines)} lines)")
+        else:
+            differ += 1
+            report.append(f"  {name:<16} DIFFERENT at "
+                          f"{first_difference(lines, change[name])}")
+    for name in change:
+        if name not in parent:
+            report.append(f"  {name:<16} new, not compared "
+                          f"({len(change[name])} lines)")
+    if differ or not parent:
+        report.append(f"\nverify-pairs: {differ} of {len(parent)} lanes "
+                      "differ")
+        return report, 1
+    report.append("\nverify-pairs: every lane identical")
+    return report, 0
 
 
 def main(argv=None) -> int:
@@ -85,25 +115,9 @@ def main(argv=None) -> int:
             if not outputs[side]:
                 print(printed[-2000:])
 
-    parent, change = outputs["parent"], outputs["change"]
-    differ = 0
-    for name in [*parent, *(n for n in change if n not in parent)]:
-        if name not in parent or name not in change:
-            differ += 1
-            missing = "parent" if name not in parent else "change"
-            print(f"  {name:<16} MISSING on the {missing} side")
-        elif parent[name] == change[name]:
-            print(f"  {name:<16} identical ({len(parent[name])} lines)")
-        else:
-            differ += 1
-            print(f"  {name:<16} DIFFERENT at "
-                  f"{first_difference(parent[name], change[name])}")
-    if differ or not parent:
-        print(f"\nverify-pairs: {differ} of {len(set(parent) | set(change))}"
-              " lanes differ")
-        return 1
-    print("\nverify-pairs: every lane identical")
-    return 0
+    report, status = compare(outputs["parent"], outputs["change"])
+    print("\n".join(report))
+    return status
 
 
 if __name__ == "__main__":

@@ -766,7 +766,7 @@ class FlowEngine:
     # Observability
 
     def stats(self) -> dict[str, int]:
-        """Counter snapshot (aggregatable via ``stats.aggregate_counters``)."""
+        """Counter snapshot."""
         return {
             "flows_started": self.flows_started,
             "flows_completed": self.flows_completed,

@@ -7,20 +7,14 @@ through to stage 2 (*forwarding table*), which holds the PMAC
 longest-prefix-match entries, multicast entries, ARP interception, and
 the ECMP default-up route.
 
-Stage 2 runs behind a per-switch :class:`DecisionCache`: the verdict of
-the longest-prefix walk is compiled once into a
-:class:`~repro.switching.decision_cache.Plan` — matched entry,
-hash-resolved actions and, for a unicast verdict, the egress port and
-destination rewrite — memoised by (dst PMAC, ethertype, IP protocol,
-flow hash), so steady-state forwarding costs one dict probe and one
-``port.send`` per hop instead of a priority-ordered match scan and an
-action interpreter. A plan is compiled from one table entry and the
-switch's ports, so the table's change listener is the one thing that
-retires it: every entry install or removal — fault-override diffs and
-ECMP membership refreshes included — flushes the cache, and a message
-that leaves the table as it was leaves the plans too. With
-the cache off or bypassed the same plan is compiled per frame, so the
-path cache and the hop walker read one kind of verdict in every mode.
+Stage 2's verdict is a :class:`~repro.switching.flow_table.Plan` —
+matched entry, hash-resolved actions and, for a unicast verdict, the
+egress port and destination rewrite — that the forwarding table
+memoises itself (:meth:`FlowTable.decide`), so steady-state forwarding
+costs one dict probe and one ``port.send`` per hop. A change of the
+table is the one thing that retires a plan; a table that cannot memoise
+compiles the same plan per frame, so the path cache and the hop walker
+read one kind of verdict in every case.
 
 LDP frames and control-network frames bypass the tables entirely — they
 terminate in switch software, like protocol packets reaching a switch
@@ -38,12 +32,6 @@ from repro.net.ethernet import ETHERTYPE_LDP, EthernetFrame
 from repro.net.link import Port
 from repro.net.node import Node
 from repro.sim.simulator import Simulator
-from repro.switching.decision_cache import (
-    DEFAULT_CAPACITY,
-    DecisionCache,
-    Plan,
-    compile_plan,
-)
 from repro.switching.flow_table import (
     Drop,
     FlowTable,
@@ -71,7 +59,6 @@ class PortlandSwitch(Node):
         name: str,
         num_ports: int,
         agent_delay_s: float = 50e-6,
-        decision_cache_entries: int = DEFAULT_CAPACITY,
     ) -> None:
         super().__init__(sim, name, num_ports)
         #: Stage 1 (edge MAC rewriting) and stage 2 (forwarding).
@@ -86,10 +73,6 @@ class PortlandSwitch(Node):
         #: (testing hook).
         self.rx_tap: Callable[[EthernetFrame, Port], None] | None = None
         self.control_port: Port | None = None
-        self.decision_cache: DecisionCache | None = None
-        if decision_cache_entries > 0:
-            self.decision_cache = DecisionCache(
-                self.table, decision_cache_entries, self.ports)
         #: Shared fabric-level compiled-path cache (wired by the topology
         #: builder when ``PortlandConfig.path_cache_entries > 0``).
         self.path_cache: PathCache | None = None
@@ -152,16 +135,16 @@ class PortlandSwitch(Node):
                     path_cache.launch(path, current)
                     return
 
-        # A hit is this one probe (what ``_forwarding_decision`` would do
-        # through two more calls); anything else is its business.
-        cache = self.decision_cache
-        plan = (cache.plans.get(decision_key(current))
-                if cache is not None and self.table.cache_safe else None)
+        # A hit is this one probe (what ``table.decide`` would do through
+        # one more call); anything else is its business. A table that
+        # cannot memoise holds no plan.
+        table = self.table
+        plan = table.plans.get(decision_key(current))
         trace = self.sim.trace
         if plan is not None:
-            cache.hits += 1
+            table.hits += 1
         else:
-            plan = self._forwarding_decision(current, in_index)
+            plan = table.decide(current, in_index, self.ports)
             if plan is None:
                 self._miss(current, in_index)
                 return
@@ -240,33 +223,6 @@ class PortlandSwitch(Node):
             return
         if 0 <= port_index < len(self.ports):
             self.ports[port_index].send(frame)
-
-    # ------------------------------------------------------------------
-    # Forwarding fast path
-
-    def _forwarding_decision(self, frame: EthernetFrame,
-                             in_index: int) -> Plan | None:
-        """The stage-2 verdict for ``frame``, or ``None`` on a miss.
-
-        Served from the decision cache when possible; falls back to the
-        full LPM walk (and memoises the plan compiled from its verdict)
-        otherwise. The cache is bypassed entirely while the table holds
-        any match the decision key cannot distinguish (``cache_safe``
-        false) — correctness before speed — and the plan is then
-        compiled for this frame alone, like with no cache at all.
-        """
-        key = decision_key(frame)
-        cache = self.decision_cache if self.table.cache_safe else None
-        plan = cache.lookup(key) if cache is not None else None
-        if plan is None:
-            entry = self.table.lookup(frame, in_index)
-            if entry is None:
-                # Misses are not memoised: they occur in convergence
-                # windows where the table is about to change anyway.
-                return None
-            plan = (cache.install(key, entry) if cache is not None
-                    else compile_plan(entry, key[3], self.ports))
-        return plan
 
     def _miss(self, frame: EthernetFrame, in_index: int, **detail) -> None:
         """No entry matched: the frame is dropped, and counted."""

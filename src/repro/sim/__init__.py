@@ -12,7 +12,6 @@ from repro.sim.stats import (
     RateMeter,
     SummaryStats,
     TimeSeries,
-    aggregate_counters,
     percentile,
     summarize,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "TraceBus",
     "TraceCollector",
     "TraceRecord",
-    "aggregate_counters",
     "percentile",
     "summarize",
 ]

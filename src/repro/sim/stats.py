@@ -141,16 +141,3 @@ def summarize(samples: list[float]) -> SummaryStats:
         p95=percentile(ordered, 0.95),
         p99=percentile(ordered, 0.99),
     )
-
-
-def aggregate_counters(counter_dicts) -> dict[str, int]:
-    """Key-wise sum of an iterable of ``{name: count}`` dicts.
-
-    Rolls per-switch decision-cache snapshots (or per-simulator event
-    queue stats) into one fabric-wide view for benchmarks and reports.
-    """
-    total: dict[str, int] = {}
-    for counters in counter_dicts:
-        for key, value in counters.items():
-            total[key] = total.get(key, 0) + value
-    return total

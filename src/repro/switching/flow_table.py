@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from repro.errors import SwitchError
 from repro.net.addresses import MacAddress
@@ -19,6 +20,9 @@ from repro.net.ipv4 import IPPROTO_TCP, IPPROTO_UDP, IPv4Packet
 from repro.net.packet import payload_as
 from repro.net.tcp_wire import TcpSegment
 from repro.net.udp import UdpDatagram
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.net.link import Port
 
 MAC_MASK_ALL = (1 << 48) - 1
 
@@ -53,11 +57,10 @@ class Match:
         """Whether this match depends only on (eth_dst, ethertype,
         ip_proto) — the fields captured by a :func:`decision_key`.
 
-        Two frames with equal decision keys are indistinguishable to a
-        key-only match, which is what makes caching its verdict sound.
-        Matches constrained by ``in_port`` or ``eth_src`` can tell such
-        frames apart, so one entry of that shape disables the decision
-        cache for the whole table (see ``FlowTable.cache_safe``).
+        Frames with equal keys are alike to a key-only match, which is
+        what makes memoising its verdict sound; one entry constrained by
+        ``in_port`` or ``eth_src`` stops its table memoising
+        (``FlowTable.cache_safe``).
         """
         return self.in_port is None and self.eth_src is None
 
@@ -166,36 +169,83 @@ class FlowEntry:
         self.bytes += frame.wire_length()
 
 
-class FlowTable:
-    """Priority-ordered flow table with first-match semantics.
+#: Plans one table memoises, oldest out first: a k=48 edge switch's
+#: working set (its hosts' flows) is far smaller.
+PLAN_MEMO_ENTRIES = 4096
 
-    Every mutation bumps ``version`` and fires the registered change
-    listeners — the invalidation hooks decision caches hang off so a
-    table install/remove (base entries, fault overrides, ECMP membership
-    refreshes) immediately retires any cached verdicts derived from the
-    old contents. :meth:`sync` is how an owner states the entries it
-    wants: what is already there stays (counters included) and the
-    listeners hear about it once, and only if something changed.
+
+class Plan(NamedTuple):
+    """What a switch does with every frame of one decision key.
+
+    ``port`` is set for the two shapes a unicast verdict has —
+    ``Output(p)`` and ``SetEthDst(mac), Output(p)`` with ``p`` a port the
+    switch has: rewrite the destination to ``set_dst`` if there is one,
+    then ``port.send``, unless ``port`` is where the frame came in. Every
+    other verdict (punt, replication, drop, no action, a rewrite of the
+    source or after the output) has ``port`` ``None`` and is executed by
+    ``PortlandSwitch.apply_actions`` from ``actions``.
+    """
+
+    entry: FlowEntry
+    #: ``entry.actions`` with ``SelectByHash`` resolved for the key's hash.
+    actions: tuple[Action, ...]
+    port: "Port | None"
+    set_dst: MacAddress | None
+
+
+def compile_plan(entry: FlowEntry, fhash: int,
+                 ports: "Sequence[Port]") -> Plan:
+    """The plan for frames of flow hash ``fhash`` that matched ``entry``
+    on the switch owning ``ports`` — the one place that reads the shape
+    of an action list on behalf of everything that forwards or walks."""
+    actions = resolve_actions(entry.actions, fhash)
+    last = actions[-1] if actions else None
+    if type(last) is Output and 0 <= last.port < len(ports):
+        if len(actions) == 1:
+            return Plan(entry, actions, ports[last.port], None)
+        if len(actions) == 2 and type(actions[0]) is SetEthDst:
+            return Plan(entry, actions, ports[last.port], actions[0].mac)
+    return Plan(entry, actions, None, None)
+
+
+class FlowTable:
+    """Priority-ordered flow table with first-match semantics, and the
+    memo of its own verdicts.
+
+    :meth:`decide` keeps the :class:`Plan` of each :func:`decision_key`
+    it walks in ``plans``. Only a ``cache_safe`` table memoises: every
+    match is ``key_only``, so frames with equal keys are alike to every
+    entry (what depends on the ingress port is applied when a plan is
+    executed). A plan is a function of one entry and the switch's ports,
+    so a mutation is the one thing that retires it: :meth:`_changed`
+    empties ``plans``, bumps ``version``, then tells the change listeners
+    (the path cache's). :meth:`sync` is how an owner states the entries
+    it wants: what is already there stays, counters included, and the
+    table changes once, only if something changed.
     """
 
     def __init__(self) -> None:
         self._entries: list[FlowEntry] = []
-        #: Bumped on every mutation: a count of changes for tests to
-        #: read. Caches hear of a change through the listeners instead.
+        #: Bumped on every mutation: a count of changes for tests to read.
         self.version = 0
         self._listeners: list = []
-        # Entries whose match inspects fields outside the decision key
-        # (in_port / eth_src); any such entry makes cached decisions
-        # unsound for this table.
+        # Entries whose match reads in_port or eth_src (outside the key).
         self._non_key_entries = 0
-        #: Whether every installed match is decision-key-only (so a
-        #: decision cache keyed by :func:`decision_key` is sound).
+        #: Whether every match is ``key_only``: only then may it memoise.
         self.cache_safe = True
         #: Ingress port -> the entries a frame arriving there can match
         #: (``match.in_port`` unset or equal), in table order. Filled by
         #: the first lookup from that port, dropped by every mutation;
         #: an empty tuple lets the switch skip a stage without a lookup.
         self.by_ingress: dict[int, tuple[FlowEntry, ...]] = {}
+        #: Decision key -> memoised plan, oldest first; empty unless
+        #: ``cache_safe``. The switch probes it itself and counts the hit.
+        self.plans: dict[DecisionKey, Plan] = {}
+        self.hits = 0
+        self.misses = 0
+        self.installs = 0
+        self.evictions = 0
+        self.flushes = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -211,6 +261,10 @@ class FlowTable:
         self.version += 1
         self.cache_safe = self._non_key_entries == 0
         self.by_ingress.clear()
+        # An empty memo (bring-up installs before any packet) is no flush.
+        if self.plans:
+            self.plans.clear()
+            self.flushes += 1
         for listener in self._listeners:
             listener()
 
@@ -336,6 +390,33 @@ class FlowTable:
                 return entry
         return None
 
+    def decide(self, frame: EthernetFrame, in_port: int,
+               ports: "Sequence[Port]") -> Plan | None:
+        """The plan for ``frame`` on ``in_port`` of the switch owning
+        ``ports`` — memoised, else walked, compiled and memoised — or
+        ``None`` on a miss. A table that is not ``cache_safe`` compiles
+        the plan for this frame alone: correctness before speed."""
+        key = decision_key(frame)
+        if not self.cache_safe:
+            entry = self.lookup(frame, in_port)
+            return None if entry is None else compile_plan(entry, key[3], ports)
+        plans = self.plans
+        plan = plans.get(key)
+        if plan is not None:
+            self.hits += 1
+            return plan
+        self.misses += 1
+        entry = self.lookup(frame, in_port)
+        if entry is None:
+            # Not memoised: a miss is a table about to change.
+            return None
+        if len(plans) >= PLAN_MEMO_ENTRIES:
+            del plans[next(iter(plans))]  # FIFO: the oldest goes
+            self.evictions += 1
+        plan = plans[key] = compile_plan(entry, key[3], ports)
+        self.installs += 1
+        return plan
+
 
 # ----------------------------------------------------------------------
 # Flow hashing (for ECMP)
@@ -404,27 +485,24 @@ def flow_hash(frame: EthernetFrame) -> int:
     return decision_key(frame)[3]
 
 
-#: A cache key: (dst MAC value, ethertype, IP protocol, flow hash).
+#: A memo key: (dst MAC value, ethertype, IP protocol, flow hash).
 DecisionKey = tuple[int, int, int | None, int]
 
 
 def decision_key(frame: EthernetFrame) -> DecisionKey:
-    """The exact-match key a decision cache indexes by.
+    """The exact-match key a table memoises its verdicts by.
 
     Covers every frame field a ``cache_safe`` table can branch on
     (``eth_dst``, ``ethertype``, ``ip_proto``) plus the flow hash, which
     pins the ECMP member a ``SelectByHash`` action would pick — so one
-    cached verdict replays both the LPM walk and the hash selection.
+    memoised verdict replays both the LPM walk and the hash selection.
 
-    The key is memoised on the frame: a frame crosses ~5 switches and
-    the hash material is identical at each, so recomputing the CRC per
-    hop would dominate the fast path. The memo records the (src, dst)
-    address objects and the ethertype it was derived from and is
-    recomputed whenever any of them was replaced (PMAC/AMAC rewrites,
-    in-place router rewrites) — addresses are immutable, so the same
-    object is the same value, and the check costs no call. The payload
-    needs no check because the library treats payloads as immutable
-    once sent.
+    The key is memoised on the frame, which crosses ~5 switches with
+    the same hash material. The memo records the (src, dst) address
+    objects and the ethertype it was derived from, and is recomputed
+    when any of them was replaced (PMAC/AMAC and router rewrites):
+    addresses are immutable, so the check costs no call, and payloads
+    are immutable once sent.
     """
     memo = frame._fwd_memo
     if (memo is not None and memo[0] is frame.src and memo[1] is frame.dst

@@ -8,11 +8,11 @@ scheduling simulator events: the compiled-path cache
 path-cache tests drive (:mod:`repro.workloads.replay`) and the
 trace-equivalence tests. This module is the single copy of that walk.
 
-The walk calls ``_forwarding_decision`` — exactly what ``receive`` runs
-after the rewrite stage — and follows the egress port of the plan it
-returns across the real wiring until the frame would leave on a
-host-facing port. It charges no counters: it is a pure query against
-current state (it does warm the decision caches it asks). A plan's
+The walk calls ``table.decide`` — exactly what ``receive`` runs after
+the rewrite stage — and follows the egress port of the plan it returns
+across the real wiring until the frame would leave on a host-facing
+port. It charges no entry or port counters: it is a pure query against
+current state (it does warm the memos of the tables it asks). A plan's
 destination rewrite is recorded on the hop and applied, to a copy, only
 if the walk goes on to another switch.
 """
@@ -75,8 +75,8 @@ def walk_decision_path(node, in_index: int, frame: "EthernetFrame",
     a table the decision key cannot index (not ``cache_safe``) or an rx
     tap, or (past the first) would rewrite the frame in stage 1, and at
     a lossy link. Each is checked *before* the switch is asked for its
-    verdict, so a refused walk warms no decision cache beyond the last
-    pure switch.
+    verdict, so a refused walk warms no table memo beyond the last pure
+    switch.
     """
     hops: list[Hop] = []
     if visited is None:
@@ -92,7 +92,7 @@ def walk_decision_path(node, in_index: int, frame: "EthernetFrame",
                      or (hops and node.rewrite_table.lookup(
                          frame, in_index) is not None)):
             return hops, None
-        plan = node._forwarding_decision(frame, in_index)
+        plan = node.table.decide(frame, in_index, node.ports)
         # No plan is a miss; no port is software, replication, a drop,
         # or a rewrite only the interpreter applies in order.
         if plan is None:

@@ -3,15 +3,15 @@
 PortLand forwarding is deterministic once PMAC prefixes, fault
 overrides, and the flow hash are fixed: a frame's entire
 edge→agg→core→agg→edge hop sequence is a pure function of fabric state.
-The per-switch :class:`~repro.switching.decision_cache.DecisionCache`
-already memoises each hop's verdict, but the simulator still pays one
+Each switch's :class:`~repro.switching.flow_table.FlowTable` already
+memoises its hop's verdict, but the simulator still pays one
 scheduled event and one Python dispatch per switch per frame. A
 :class:`PathCache` extends the memo from one switch to the whole path —
 the megaflow idea of OpenFlow-style datapaths applied end-to-end.
 
 On the first cache-safe frame of a flow at its ingress edge switch, the
 cache *compiles* the path: it dry-walks the per-switch stage-2 verdicts
-(warming the decision caches as it goes), recording for every hop the
+(warming the tables' memos as it goes), recording for every hop the
 switch, ingress/egress port indices, matched entry, and traversed link,
 plus the net header rewrites (ingress AMAC→PMAC was already applied by
 the caller; the egress PMAC→AMAC rewrite is captured from the final
@@ -325,7 +325,7 @@ class PathCache:
     # Observability
 
     def stats(self) -> dict[str, int]:
-        """Counter snapshot (aggregatable via ``stats.aggregate_counters``)."""
+        """Counter snapshot."""
         return {
             "hits": self.hits,
             "misses": self.misses,

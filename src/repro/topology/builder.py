@@ -157,13 +157,12 @@ class PortlandFabric:
         return located, self.run_until_registered(timeout_s=timeout_s)
 
     def decision_cache_stats(self) -> dict[str, int]:
-        """Fabric-wide decision-cache counters (hits, misses, flushes...)."""
-        from repro.sim.stats import aggregate_counters
-
-        return aggregate_counters(
-            switch.decision_cache.stats()
-            for switch in self.switches.values()
-            if switch.decision_cache is not None)
+        """Fabric-wide counters of the forwarding tables' verdict memos."""
+        tables = [switch.table for switch in self.switches.values()]
+        stats = {name: sum(getattr(t, name) for t in tables) for name in
+                 ("hits", "misses", "installs", "evictions", "flushes")}
+        stats["entries"] = sum(len(t.plans) for t in tables)
+        return stats
 
     def path_cache_stats(self) -> dict[str, int]:
         """Compiled-path cache counters (empty dict when disabled)."""

@@ -104,6 +104,10 @@ class CampaignConfig:
     #: and enable it again :data:`TOGGLE_HOLD_S` later; a disabled port
     #: must receive nothing meanwhile (``disabled-rx``).
     ports: bool = False
+    #: Add ``ldm-cut`` steps: fail a live switch link while a keepalive
+    #: sent across it is in the far switch's software path; no neighbour
+    #: may then be listed on the dead port (``ghost-neighbor``).
+    ldm_cuts: bool = False
 
 
 #: The verify lanes: every configuration the campaign is run in, by name
@@ -135,6 +139,8 @@ LANES: dict[str, CampaignConfig] = {
     "topo-twolayer": CampaignConfig(backend="twolayer"),
     # port-toggle steps at keepalive arrivals: no disabled-rx.
     "ports": CampaignConfig(ports=True),
+    # Link cuts under a keepalive's packet-in: no ghost-neighbor.
+    "ldm-cuts": CampaignConfig(ldm_cuts=True),
     # Compiled-path (cut-through) transit under every fault.
     "path-cache": CampaignConfig(
         fabric=PortlandConfig(path_cache_entries=4096)),
@@ -415,6 +421,36 @@ def _toggle_port(fabric, oracle: InvariantOracle, rng: random.Random,
     return label
 
 
+def _cut_under_an_ldm(fabric, oracle: InvariantOracle, rng: random.Random,
+                      pair: tuple[str, str]) -> str:
+    """Fail the switch link ``pair`` while the next keepalive one end
+    beacons across it is in the other end's software path
+    (:data:`CUT_OFFSETS_S`), and look :data:`CUT_CHECK_S` later: a
+    neighbour listed on the dead port is a ``ghost-neighbor`` (its agent
+    reported the link up)."""
+    sender, receiver = pair if rng.random() < 0.5 else pair[::-1]
+    offset = rng.choice(CUT_OFFSETS_S)
+    link = fabric.link_between(*pair)
+    port = link.a if link.a.node.name == receiver else link.b
+    label = f"ldm-cut {port.name} +{offset * 1e6:.1f}us"
+    beacon_at = fabric.agents[sender].ldp.next_beacon_at
+    if beacon_at is None:
+        link.fail()
+        return label + " (sender silent)"
+    sim = fabric.sim
+    neighbors = fabric.agents[receiver].ldp.neighbors
+
+    def check() -> None:
+        if link.failed and port.index in neighbors:
+            oracle.violations.append(Violation(
+                "ghost-neighbor", port.name, sim.now,
+                {"neighbor": neighbors[port.index].switch_id}))
+
+    sim.schedule_at(beacon_at + offset, link.fail)
+    sim.schedule_at(beacon_at + offset + CUT_CHECK_S, check)
+    return label
+
+
 #: Settling time after fail/recover steps before invariants are checked.
 SETTLE_S = 0.4
 #: Settling time after a migration step (downtime + adoption grace).
@@ -430,6 +466,12 @@ TOGGLE_OFFSETS_S = (0.3e-6, 1.0e-6)
 #: How long a toggled port stays disabled: well inside LDP's miss
 #: window, so the control plane does not react.
 TOGGLE_HOLD_S = 0.002
+#: After its beacon, a keepalive has reached the far switch (~1.7 us)
+#: and is in its 50 us software path at both offsets.
+CUT_OFFSETS_S = (5e-6, 30e-6)
+#: When an ``ldm-cut``'s far end is looked at: after that packet-in,
+#: well inside LDP's miss window.
+CUT_CHECK_S = 100e-6
 #: Aggregate background ARP-storm rate while ``churn`` is on (queries/s).
 CHURN_RATE_PPS = 200.0
 
@@ -484,10 +526,13 @@ def run_scenario(scenario_seed: int, config: CampaignConfig) -> ScenarioResult:
             ops.extend(["acl-install", "acl-install", "acl-revoke"])
         if config.ports:
             ops.append("port-toggle")
+        if config.ldm_cuts:
+            ops.append("ldm-cut")
         op = rng.choice(ops)
         if op == "recover" and not failed:
             op = "fail"
-        if op in ("fail", "fail-switch", "port-toggle") and not alive:
+        if (op in ("fail", "fail-switch", "port-toggle", "ldm-cut")
+                and not alive):
             op = "recover"
         if op == "acl-revoke" and not acls:
             op = "acl-install"
@@ -566,6 +611,10 @@ def run_scenario(scenario_seed: int, config: CampaignConfig) -> ScenarioResult:
         elif op == "port-toggle":
             result.steps.append(
                 _toggle_port(fabric, oracle, rng, rng.choice(alive)))
+        elif op == "ldm-cut":
+            pair = rng.choice(alive)
+            failed[pair] = fabric.link_between(*pair)
+            result.steps.append(_cut_under_an_ldm(fabric, oracle, rng, pair))
         elif op == "acl-install":
             src, dst = rng.sample(hosts, 2)
             fabric.fabric_manager.install_acl(src.ip, dst.ip)

@@ -2,8 +2,9 @@
 
 These helpers push synthetic frames through the *decision layer* of a
 live fabric without scheduling simulator events: the per-hop variant
-calls ``PortlandSwitch._forwarding_decision`` (exactly what ``receive``
-runs) and follows output ports across the real wiring; the compiled
+calls ``FlowTable.decide`` on each switch's table (exactly what
+``receive`` runs) and follows output ports across the real wiring; the
+compiled
 variant probes the :class:`~repro.switching.path_cache.PathCache`'s
 per-ingress tables. The tier-1 perf smoke test and the path-cache tests
 use them to measure the steady-state cost of forwarding itself,

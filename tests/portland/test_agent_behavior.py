@@ -205,8 +205,8 @@ def test_repeated_fault_update_mutates_once_and_flushes_once(fabric):
     sim.run(until=sim.now + 0.05)
     assert len(inbox.inbox) == 1
     agent = fabric.agents["edge-p0-s0"]
-    cache = agent.switch.decision_cache
-    assert len(cache) > 0  # a plan the first update has to retire
+    table = agent.switch.table
+    assert len(table.plans) > 0  # a plan the first update has to retire
 
     value, bits = position_prefix(agent.ldp.pod ^ 1, 0)
     update = FaultUpdate(value, bits,
@@ -214,11 +214,11 @@ def test_repeated_fault_update_mutates_once_and_flushes_once(fabric):
     frame = EthernetFrame(MacAddress(agent.switch_id), MacAddress(1),
                           ETHERTYPE_FABRIC, update)
     mutations = []
-    agent.switch.table.add_change_listener(lambda: mutations.append(1))
-    flushes = cache.flushes
+    table.add_change_listener(lambda: mutations.append(1))
+    flushes = table.flushes
     agent._handle_fm_frame(frame)
-    version = agent.switch.table.version
+    version = table.version
     agent._handle_fm_frame(frame)
-    assert len(mutations) == 1 and agent.switch.table.version == version
+    assert len(mutations) == 1 and table.version == version
     # A plan dies with the table it was compiled from, and only then.
-    assert cache.flushes == flushes + 1
+    assert table.flushes == flushes + 1

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.sim.stats import (
     RateMeter,
     TimeSeries,
-    aggregate_counters,
     percentile,
     summarize,
 )
@@ -73,16 +72,6 @@ def test_percentile_handles_unsorted_input():
        st.floats(min_value=0.0, max_value=1.0))
 def test_percentile_order_invariant(samples, frac):
     assert percentile(samples, frac) == percentile(sorted(samples), frac)
-
-
-def test_aggregate_counters_sums_keywise():
-    merged = aggregate_counters([
-        {"hits": 3, "misses": 1},
-        {"hits": 2, "evictions": 5},
-        {},
-    ])
-    assert merged == {"hits": 5, "misses": 1, "evictions": 5}
-    assert aggregate_counters([]) == {}
 
 
 def test_summarize_basics():

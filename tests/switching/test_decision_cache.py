@@ -1,12 +1,10 @@
-"""Unit tests for the forwarding decision cache and its table hooks."""
+"""Unit tests for a flow table's memo of its own verdicts."""
 
-import pytest
-
+import repro.switching.flow_table as flow_table
 from repro.net import AppData, EthernetFrame, IPv4Packet, UdpDatagram, mac
 from repro.net.addresses import IPv4Address
 from repro.net.ethernet import ETHERTYPE_ARP, ETHERTYPE_IPV4
 from repro.net.ipv4 import IPPROTO_UDP
-from repro.switching.decision_cache import DecisionCache
 from repro.switching.flow_table import (
     FlowTable,
     Match,
@@ -67,45 +65,47 @@ def test_resolve_actions_pins_ecmp_choice():
 
 
 # ----------------------------------------------------------------------
-# Cache behaviour
+# Memo behaviour
+
+#: A switch's port list as ``decide`` reads it: only its length matters
+#: to a plan that is not executed.
+PORTS = tuple(range(10))
 
 
 def test_cache_hit_returns_same_decision_as_walk():
     table = _pmac_table()
-    cache = DecisionCache(table)
     frame = _udp_frame("00:03:00:01:00:00")
     key = decision_key(frame)
-    assert cache.lookup(key) is None
-    entry = table.lookup(frame, 0)
-    decision = cache.install(key, entry)
-    assert cache.lookup(key) == decision
-    assert decision[0] is entry
-    assert cache.hits == 1 and cache.misses == 1 and cache.installs == 1
+    assert key not in table.plans
+    decision = table.decide(frame, 0, PORTS)
+    assert table.plans[key] is decision
+    assert table.decide(frame, 0, PORTS) is decision
+    assert decision[0] is table.lookup(frame, 0)
+    assert table.hits == 1 and table.misses == 1 and table.installs == 1
 
 
 def test_any_table_mutation_flushes_cache():
     table = _pmac_table()
-    cache = DecisionCache(table)
     frame = _udp_frame("00:03:00:01:00:00")
     key = decision_key(frame)
-    cache.install(key, table.lookup(frame, 0))
+    table.decide(frame, 0, PORTS)
 
     table.install(Match(), (Output(5),), 50, "extra")
-    assert cache.lookup(key) is None, "install did not invalidate"
+    assert key not in table.plans, "install did not invalidate"
 
-    cache.install(key, table.lookup(frame, 0))
+    table.decide(frame, 0, PORTS)
     table.remove_by_name("extra")
-    assert cache.lookup(key) is None, "remove_by_name did not invalidate"
+    assert key not in table.plans, "remove_by_name did not invalidate"
 
-    cache.install(key, table.lookup(frame, 0))
+    table.decide(frame, 0, PORTS)
     table.remove_where(lambda e: e.name == "up")
-    assert cache.lookup(key) is None, "remove_where did not invalidate"
+    assert key not in table.plans, "remove_where did not invalidate"
 
     table.install(Match(), (SelectByHash((2, 3)),), 100, "up")
-    cache.install(key, table.lookup(frame, 0))
+    table.decide(frame, 0, PORTS)
     table.clear()
-    assert cache.lookup(key) is None, "clear did not invalidate"
-    assert cache.flushes >= 4
+    assert key not in table.plans, "clear did not invalidate"
+    assert table.flushes == 4
 
 
 def test_noop_removals_do_not_bump_version():
@@ -121,6 +121,11 @@ def test_cache_safe_tracks_non_key_matches():
     assert table.cache_safe
     entry = table.install(Match(in_port=3), (Output(1),), 300, "port-match")
     assert not table.cache_safe
+    # Not cache-safe: the verdict is compiled for the frame, not kept.
+    frame = _udp_frame("00:03:00:07:00:00")
+    assert table.decide(frame, 3, PORTS).entry is entry
+    assert table.decide(frame, 0, PORTS).entry.name == "drop"
+    assert table.plans == {} and table.misses == table.installs == 0
     table.remove(entry)
     assert table.cache_safe
     table.install(Match(eth_src=mac("00:01:00:00:00:01")), (Output(1),),
@@ -130,34 +135,23 @@ def test_cache_safe_tracks_non_key_matches():
     assert table.cache_safe
 
 
-def test_capacity_eviction_is_fifo_and_bounded():
+def test_capacity_eviction_is_fifo_and_bounded(monkeypatch):
+    monkeypatch.setattr(flow_table, "PLAN_MEMO_ENTRIES", 4)
     table = _pmac_table()
-    cache = DecisionCache(table, capacity=4)
     frames = [_udp_frame("00:03:00:01:00:00", src_port=p)
               for p in range(1000, 1006)]
     keys = [decision_key(f) for f in frames]
-    for frame, key in zip(frames, keys):
-        cache.install(key, table.lookup(frame, 0))
-    assert len(cache) == 4
-    assert cache.evictions == 2
-    assert cache.lookup(keys[0]) is None  # oldest two evicted
-    assert cache.lookup(keys[-1]) is not None
+    for frame in frames:
+        table.decide(frame, 0, PORTS)
+    assert len(table.plans) == 4
+    assert table.evictions == 2
+    assert list(table.plans) == keys[2:]  # oldest two evicted
 
 
-def test_cache_rejects_bad_capacity():
-    with pytest.raises(ValueError):
-        DecisionCache(FlowTable(), capacity=0)
-
-
-def test_stats_snapshot_and_hit_rate():
+def test_stats_snapshot():
     table = _pmac_table()
-    cache = DecisionCache(table)
     frame = _udp_frame("00:03:00:01:00:00")
-    key = decision_key(frame)
-    cache.lookup(key)
-    cache.install(key, table.lookup(frame, 0))
-    cache.lookup(key)
-    stats = cache.stats()
-    assert stats["hits"] == 1 and stats["misses"] == 1
-    assert stats["entries"] == 1
-    assert cache.hit_rate == 0.5
+    table.decide(frame, 0, PORTS)
+    table.decide(frame, 0, PORTS)
+    assert table.hits == 1 and table.misses == 1
+    assert len(table.plans) == 1

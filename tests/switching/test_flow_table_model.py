@@ -16,6 +16,8 @@ from repro.switching.flow_table import (
     Match,
     Output,
     ToAgent,
+    compile_plan,
+    decision_key,
     mac_prefix_mask,
 )
 
@@ -106,7 +108,13 @@ def test_flow_table_matches_reference(operations, probes):
 # must equal a linear first-match over the table as it is *now*, so the
 # probes run between the mutations, not after them. The same run checks
 # the table against a sort-based model after every mutation, ``sync``
-# (the agents' reconcile-to-these-specs operation) included.
+# (the agents' reconcile-to-these-specs operation) included, and that
+# the table's memo of its verdicts never outlives a change: ``decide``
+# is the plan of that first match, compiled afresh.
+
+#: A switch's port list as ``decide`` reads it: only its length matters
+#: to a plan that is not executed.
+PORTS = ("port-0", "port-1")
 
 
 def _scan(table, frame, in_port, skip_punts):
@@ -144,6 +152,11 @@ MUTATIONS = st.lists(
     ),
     min_size=1, max_size=20,
 )
+
+
+def _verdict(plan):
+    """A plan with its entry by identity: entries compare by value."""
+    return None if plan is None else (id(plan.entry), plan[1:])
 
 
 def _specs_for(table, drawn):
@@ -246,6 +259,10 @@ def test_indexed_lookup_equals_scan_after_every_mutation(mutations, probes):
         assert table.cache_safe == all(row[1].key_only for row in model.rows)
         assert ((table.version != before[0])
                 == ([id(entry) for entry in table] != before[1]))
+        # No plan outlives a change, and a table with a match the key
+        # cannot tell frames apart by memoises nothing.
+        if table.version != before[0] or not table.cache_safe:
+            assert table.plans == {}
         for entry, row in zip(table, model.ordered()):
             entry.packets += 1
             row[5] += 1
@@ -257,3 +274,11 @@ def test_indexed_lookup_equals_scan_after_every_mutation(mutations, probes):
                     expected = _scan(table, frame, in_port, skip_punts)
                     assert table.lookup(frame, in_port, skip_punts) is expected
                     assert table.lookup(frame, in_port, skip_punts) is expected
+                expected = _scan(table, frame, in_port, False)
+                if expected is not None:
+                    expected = compile_plan(expected, decision_key(frame)[3],
+                                            PORTS)
+                # Twice: the second answer is the memo's, if it keeps one.
+                for _ in range(2):
+                    assert (_verdict(table.decide(frame, in_port, PORTS))
+                            == _verdict(expected))

@@ -144,14 +144,14 @@ def test_refused_compile_warms_only_the_switches_it_asked(taint,
     walked, _final = walk_decision_path(node, in_index, frame)
     assert len(walked) == 5
     for switch in fabric.switches.values():
-        switch.decision_cache.invalidate_all()
+        switch.table.plans.clear()
     core = walked[2].node
     cure = taint(fabric, core, walked[2])
     assert cache.resolve(node, frame, in_index) is None
     assert cache.compile_failures == 1
     key = decision_key(frame)
     warm = {name for name, switch in fabric.switches.items()
-            if key in switch.decision_cache.plans}
+            if key in switch.table.plans}
     asked = walked[:3] if core_is_asked else walked[:2]
     assert warm == {hop.node.name for hop in asked}
     # The verdict is registered against the switches entered, the core

@@ -13,7 +13,6 @@ import pytest
 
 from repro.host.apps import UdpStreamReceiver, UdpStreamSender
 from repro.portland.config import PortlandConfig
-from repro.portland.switch import PortlandSwitch
 from repro.sim import Simulator
 from repro.switching.flow_table import FlowTable
 from repro.topology import build_portland_fabric
@@ -37,17 +36,17 @@ def _converged_k4(path_cache_entries: int):
 
 
 def _decisions_during(monkeypatch, replay, workload) -> tuple[int, tuple]:
-    """(``_forwarding_decision`` calls, replay result) for one replay."""
+    """(``FlowTable.decide`` calls, replay result) for one replay."""
     calls = 0
-    original = PortlandSwitch._forwarding_decision
+    original = FlowTable.decide
 
-    def counting(self, frame, in_index):
+    def counting(self, frame, in_port, ports):
         nonlocal calls
         calls += 1
-        return original(self, frame, in_index)
+        return original(self, frame, in_port, ports)
 
     with monkeypatch.context() as patch:
-        patch.setattr(PortlandSwitch, "_forwarding_decision", counting)
+        patch.setattr(FlowTable, "decide", counting)
         result = replay(workload)
     return calls, result
 
@@ -207,7 +206,7 @@ def test_decision_caches_flush_only_when_a_table_changes():
     switches = list(fabric.switches.values())
 
     def totals() -> tuple[int, int]:
-        return (sum(s.decision_cache.flushes for s in switches),
+        return (sum(s.table.flushes for s in switches),
                 sum(s.table.version for s in switches))
 
     before = totals()

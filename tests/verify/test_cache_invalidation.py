@@ -34,11 +34,11 @@ def test_link_failure_mid_flow_never_serves_stale_decision(fabric):
 
         # Cut the agg->core link the flow crosses: the switches either
         # side of it hold plans compiled while it was up. (A link off
-        # the path changes only tables whose caches are empty, and an
-        # empty cache has nothing to flush.)
+        # the path changes only tables whose memos are empty, and an
+        # empty memo has nothing to flush.)
         agg, core = (next(name for name, switch in fabric.switches.items()
                           if name.startswith(level)
-                          and len(switch.decision_cache))
+                          and len(switch.table.plans))
                      for level in ("agg-p0", "core"))
         fail_time = sim.now
         fabric.link_between(agg, core).fail()

@@ -12,11 +12,13 @@ from dataclasses import replace
 import pytest
 
 import repro.portland.faults as faults
+from repro.net.codec import decode_payload
 from repro.net.link import Port
 from repro.portland.agent import PortlandAgent
 from repro.portland.config import PortlandConfig
 from repro.portland.fm_shard import FmShardCluster
-from repro.portland.messages import FaultUpdate, LinkRecover
+from repro.portland.ldp import LdpProcess
+from repro.portland.messages import FaultUpdate, LinkRecover, decode_ldp
 from repro.verify.campaign import (
     LANES,
     CampaignConfig,
@@ -28,6 +30,9 @@ from repro.verify.campaign import (
     static_violations_for_links,
 )
 from tests.net.test_accounted_frames import _keepalive_across_a_port_toggle
+from tests.portland.test_ldp import (
+    test_ldm_in_software_path_cannot_resurrect_a_carrier_lost_neighbor,
+)
 from tests.topology import test_jellyfish_expand_live as expand_live
 
 
@@ -164,6 +169,33 @@ def test_mutation_recovery_naming_the_new_neighbour_is_caught(monkeypatch):
     assert {v.kind for result in report.results
             for v in result.violations} == {"stale-fault"}
     assert all(result.steps[-1].startswith("expand +")
+               for result in report.results if not result.ok)
+
+
+def _on_frame_from_any_link(self, frame, in_port):
+    """``LdpProcess.on_frame`` with the fix of the ghost-neighbour bug
+    reverted: a frame punted just before carrier loss, or from an
+    unwired port, is processed as if its link were alive."""
+    message = decode_payload(frame.payload, decode_ldp)
+    handler = self._HANDLERS.get(type(message))
+    if handler is None:
+        self.malformed_dropped += 1
+        return
+    handler(self, message, in_port)
+
+
+@pytest.mark.campaign
+def test_mutation_ldm_from_a_dead_link_is_caught(monkeypatch):
+    monkeypatch.setattr(LdpProcess, "on_frame", _on_frame_from_any_link)
+    # The unit test's cut under an LDM's packet-in brings it back.
+    with pytest.raises(AssertionError):
+        test_ldm_in_software_path_cannot_resurrect_a_carrier_lost_neighbor()
+    # No other lane cuts a link inside that 50 us window; this one does.
+    report = run_campaign(LANES["ldm-cuts"])
+    assert not report.ok
+    assert {v.kind for result in report.results
+            for v in result.violations} == {"ghost-neighbor"}
+    assert all(result.steps[-1].startswith("ldm-cut")
                for result in report.results if not result.ok)
 
 

@@ -15,11 +15,11 @@ uncontended hop"):
   the frame starts, through the method ``Link.transmit`` itself uses —
   the event sequence of the code before the rule existed.
 
-A third reference, ``"interpreted"``, leaves no event out: it takes
-every switch's decision cache away, so every switch walks its
-table and compiles its plan for every frame instead of executing a
-cached one (docs/PERF.md, "The hop as a plan") — the same events, and
-everything below must still agree.
+A third reference, ``"interpreted"``, leaves no event out: a patch,
+living here, that makes ``FlowTable.decide`` memoise nothing, so every
+switch walks its table and compiles its plan for every frame instead of
+executing a memoised one (docs/PERF.md, "The hop as a plan") — the same
+events, and everything below must still agree.
 
 Under any schedule of ``fail`` / ``recover`` / ``fail_direction``, and
 of disabling and re-enabling one end's port, the run and its reference
@@ -49,6 +49,7 @@ its delivery.
 import collections
 import contextlib
 import functools
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -64,7 +65,7 @@ from repro.portland.config import PortlandConfig
 from repro.portland.ldp import LdpProcess
 from repro.portland.messages import LocationDiscoveryMessage
 from repro.sim import Simulator, TraceCollector
-from repro.switching.decision_cache import DecisionCache
+from repro.switching.flow_table import FlowTable, compile_plan, decision_key
 from repro.topology import build_portland_fabric
 from repro.topology.builder import LinkParams
 
@@ -119,6 +120,14 @@ def _after_every_start(hook):
         Link.transmit, Link._start_transmission = transmit, start
 
 
+def _compiled_per_frame(table, frame, in_port, ports):
+    """The ``"interpreted"`` reference: ``FlowTable.decide`` as a table
+    that memoises nothing runs it — the walk and its plan, every frame."""
+    entry = table.lookup(frame, in_port)
+    return (None if entry is None
+            else compile_plan(entry, decision_key(frame)[3], ports))
+
+
 def _end_of_serialization_now(link, src_port, direction, frame) -> None:
     """The ``"eager"`` reference: what ``transmit`` does for the first
     frame that has to wait, done for every frame as it starts."""
@@ -170,10 +179,10 @@ def _run(seed: int, k: int, carrier: bool, faults, reference: str | None,
     fabric = build_portland_fabric(
         sim, k=k, config=config,
         link_params=LinkParams(carrier_detect=carrier))
-    if reference == "interpreted":
-        for switch in fabric.switches.values():
-            switch.decision_cache = None
     with contextlib.ExitStack() as patches:
+        if reference == "interpreted":
+            patches.enter_context(
+                mock.patch.object(FlowTable, "decide", _compiled_per_frame))
         if reference == "eager":
             patches.enter_context(
                 _after_every_start(_end_of_serialization_now))
@@ -566,15 +575,24 @@ def test_reference_catches_a_tie_rule_that_ignores_event_order(monkeypatch):
     assert got["hops"] != expected["hops"]
 
 
+def _changed_keeping_plans(table) -> None:
+    """``FlowTable._changed`` without its flush of the memo."""
+    table.version += 1
+    table.cache_safe = table._non_key_entries == 0
+    table.by_ingress.clear()
+    for listener in table._listeners:
+        listener()
+
+
 def test_reference_catches_a_plan_that_outlives_its_table(monkeypatch):
-    """The table's change listener is the only thing that retires a
-    cached plan. Silence it, and after one link failure the switches
-    that rerouted around it keep executing the plans they compiled
-    before: frames the reference sends the new way go the old one."""
+    """A change of its table is the only thing that retires a memoised
+    plan. Keep the plans across it, and after one link failure the
+    switches that rerouted around it keep executing the plans they
+    compiled before: frames the reference sends the new way go the old
+    one."""
     faults = [(0.01, "fail", 0, 0)]
     _, expected = _run(3, 4, True, faults, "interpreted")
-    monkeypatch.setattr(DecisionCache, "_on_table_change",
-                        lambda self: None)
+    monkeypatch.setattr(FlowTable, "_changed", _changed_keeping_plans)
     _, got = _run(3, 4, True, faults, None)
     assert got["hops"] != expected["hops"]
     assert got["counters"] != expected["counters"]
