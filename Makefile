@@ -64,9 +64,10 @@ bench-hybrid:
 	PYTHONPATH=src pytest benchmarks/bench_hybrid.py --benchmark-only -q
 
 # The invariant fault campaign (docs/VERIFY.md) at its fixed seed. The
-# lanes are the rows of LANES in src/repro/verify/campaign.py:
-# `make verify-<lane>` runs one (e.g. `make verify-fm`), `make verify`
-# the default row, `make verify-all` every row (~4 min).
+# lanes are the rows of LANES in src/repro/verify/campaign.py, each
+# naming the OPS rows its steps draw from: `make verify-<lane>` runs one
+# (e.g. `make verify-fm`), `make verify` the default row, `make
+# verify-all` every row (~4 min).
 VERIFY = PYTHONPATH=src python -m repro.cli --seed 7 verify
 
 verify:

@@ -41,7 +41,6 @@ from repro.switching.flow_table import (
     SetEthDst,
     SetEthSrc,
     ToAgent,
-    decision_key,
     flow_hash,
 )
 
@@ -135,19 +134,11 @@ class PortlandSwitch(Node):
                     path_cache.launch(path, current)
                     return
 
-        # A hit is this one probe (what ``table.decide`` would do through
-        # one more call); anything else is its business. A table that
-        # cannot memoise holds no plan.
-        table = self.table
-        plan = table.plans.get(decision_key(current))
+        plan = self.table.decide(current, in_index, self.ports)
+        if plan is None:
+            self._miss(current, in_index)
+            return
         trace = self.sim.trace
-        if plan is not None:
-            table.hits += 1
-        else:
-            plan = table.decide(current, in_index, self.ports)
-            if plan is None:
-                self._miss(current, in_index)
-                return
         entry, actions, port, set_dst = plan
         entry.packets += 1
         entry.bytes += size

@@ -239,7 +239,7 @@ class FlowTable:
         #: an empty tuple lets the switch skip a stage without a lookup.
         self.by_ingress: dict[int, tuple[FlowEntry, ...]] = {}
         #: Decision key -> memoised plan, oldest first; empty unless
-        #: ``cache_safe``. The switch probes it itself and counts the hit.
+        #: ``cache_safe``.
         self.plans: dict[DecisionKey, Plan] = {}
         self.hits = 0
         self.misses = 0
@@ -393,18 +393,19 @@ class FlowTable:
     def decide(self, frame: EthernetFrame, in_port: int,
                ports: "Sequence[Port]") -> Plan | None:
         """The plan for ``frame`` on ``in_port`` of the switch owning
-        ``ports`` — memoised, else walked, compiled and memoised — or
-        ``None`` on a miss. A table that is not ``cache_safe`` compiles
-        the plan for this frame alone: correctness before speed."""
+        ``ports`` — memoised (one probe), else walked, compiled and
+        memoised — or ``None`` on a miss. A table that is not
+        ``cache_safe`` holds no plan and compiles one for this frame
+        alone: correctness before speed."""
         key = decision_key(frame)
-        if not self.cache_safe:
-            entry = self.lookup(frame, in_port)
-            return None if entry is None else compile_plan(entry, key[3], ports)
         plans = self.plans
         plan = plans.get(key)
         if plan is not None:
             self.hits += 1
             return plan
+        if not self.cache_safe:
+            entry = self.lookup(frame, in_port)
+            return None if entry is None else compile_plan(entry, key[3], ports)
         self.misses += 1
         entry = self.lookup(frame, in_port)
         if entry is None:

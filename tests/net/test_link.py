@@ -327,3 +327,28 @@ def test_cut_and_recovery_under_a_frame_on_the_wire(one_way):
     assert b.received[1][0] == pytest.approx(x_done + serialization + 1e-6)
     # A one-way cut leaves the other direction's frame alone.
     assert [f for _t, f in a.received] == ([reverse] if one_way else [])
+
+
+@pytest.mark.parametrize("one_way", [False, True])
+def test_a_cut_voids_the_end_of_serialization_a_frame_waited_for(one_way):
+    sim = Simulator()
+    a, b = Sink(sim, "a"), Sink(sim, "b")
+    link = wire(sim, a, b, rate_bps=1e9, delay_s=1e-6, carrier_detect=False)
+    doomed, waiting, x, y = (frame(1400) for _ in range(4))
+    serialization = link.serialization_time(x)
+    cut = ((lambda: link.fail_direction(a.port(0))) if one_way
+           else link.fail)
+    a.port(0).send(doomed)    # on the wire until 11.504 us ...
+    a.port(0).send(waiting)   # ... and, as this waits, an event then
+    sim.schedule_at(1e-6, cut)
+    sim.schedule_at(2e-6, link.recover)
+    sim.schedule_at(3e-6, a.port(0).send, x)      # on the wire until 14.504 us
+    sim.schedule_at(4e-6, a.port(0).send, y)
+    sim.run()
+    assert [f for _t, f in b.received] == [x, y]
+    # The end of the doomed frame's serialization died in the cut: y
+    # waited for x (arriving at 27.008 us), not for the dead end, which
+    # would have clocked it out over x at 11.504 us (arriving at 24.008).
+    x_done = 3e-6 + serialization
+    assert b.received[0][0] == pytest.approx(x_done + 1e-6)
+    assert b.received[1][0] == pytest.approx(x_done + serialization + 1e-6)

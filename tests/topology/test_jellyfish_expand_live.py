@@ -119,7 +119,9 @@ def test_campaign_expand_step_recovers():
     # by a triple link failure (pinned by the seeded op sequence): the
     # oracle must stay clean through splices and faults combined.
     config = CampaignConfig(backend="jellyfish", ks=(5,), steps=3,
-                            expand=True, probe_pairs=2,
+                            ops=("fail", "fail", "fail-switch", "recover",
+                                 "migrate", "expand"),
+                            probe_pairs=2,
                             fabric=PortlandConfig(path_cache_entries=256))
     result = run_scenario(0, config)
     expand_steps = [s for s in result.steps if s.startswith("expand +")]

@@ -13,7 +13,7 @@ import pytest
 
 import repro.portland.faults as faults
 from repro.net.codec import decode_payload
-from repro.net.link import Port
+from repro.net.link import Link, Port
 from repro.portland.agent import PortlandAgent
 from repro.portland.config import PortlandConfig
 from repro.portland.fm_shard import FmShardCluster
@@ -21,6 +21,7 @@ from repro.portland.ldp import LdpProcess
 from repro.portland.messages import FaultUpdate, LinkRecover, decode_ldp
 from repro.verify.campaign import (
     LANES,
+    OPS,
     CampaignConfig,
     Reproducer,
     run_campaign,
@@ -29,6 +30,7 @@ from repro.verify.campaign import (
     shrink_failure_links,
     static_violations_for_links,
 )
+from tests.net import test_link as link_tests
 from tests.net.test_accounted_frames import _keepalive_across_a_port_toggle
 from tests.portland.test_ldp import (
     test_ldm_in_software_path_cannot_resurrect_a_carrier_lost_neighbor,
@@ -84,7 +86,8 @@ def test_mutation_agg_overrides_skipped_is_caught(monkeypatch):
 def test_mutation_caught_by_campaign_with_reproducer(monkeypatch):
     monkeypatch.setattr(faults, "_agg_overrides", lambda *a, **k: None)
     # Enough scenarios/steps that some scenario fails an agg-core link.
-    report = run_campaign(quick_config(scenarios=4, steps=4, migrate=False))
+    report = run_campaign(quick_config(
+        scenarios=4, steps=4, ops=("fail", "fail", "fail-switch", "recover")))
     assert not report.ok
     assert report.reproducers
     reproducer = report.reproducers[0]
@@ -108,7 +111,8 @@ def test_shrinker_uses_the_lane_fabric(monkeypatch):
 
     monkeypatch.setattr(FmShardCluster, "relay", relay_all_but_overrides)
     config = CampaignConfig(scenarios=1, seed=11, steps=4, probe_pairs=2,
-                            probe_rate_pps=100.0, migrate=False,
+                            probe_rate_pps=100.0,
+                            ops=("fail", "fail", "fail-switch", "recover"),
                             fabric=PortlandConfig(fm_shards=4))
     report = run_campaign(config)
     assert not report.ok
@@ -197,6 +201,108 @@ def test_mutation_ldm_from_a_dead_link_is_caught(monkeypatch):
             for v in result.violations} == {"ghost-neighbor"}
     assert all(result.steps[-1].startswith("ldm-cut")
                for result in report.results if not result.ok)
+
+
+_transmission_done = Link._transmission_done
+
+
+def _transmission_done_after_any_cut(self, src_port, direction, cuts):
+    """``Link._transmission_done`` with the fix of the stale
+    end-of-serialization bug reverted: an end whose frame died in a cut
+    still starts the next waiting frame, over whatever holds the wire."""
+    _transmission_done(self, src_port, direction, direction.cuts)
+
+
+@pytest.mark.campaign
+def test_mutation_stale_end_of_serialization_is_caught(monkeypatch):
+    monkeypatch.setattr(Link, "_transmission_done",
+                        _transmission_done_after_any_cut)
+    # The unit test's schedule: a frame clocked out over another.
+    with pytest.raises(AssertionError):
+        link_tests.test_a_cut_voids_the_end_of_serialization_a_frame_waited_for(
+            False)
+    # No other lane cuts a link while a frame waits; this one does.
+    report = run_campaign(LANES["flaps"])
+    assert not report.ok
+    assert {v.kind for result in report.results
+            for v in result.violations} == {"overlap"}
+    assert all(result.steps[-1].startswith("flap")
+               for result in report.results if not result.ok)
+
+
+_deliver = Link._deliver
+
+
+def _deliver_after_any_cut(self, src_port, direction, frame, cuts, size):
+    """``Link._deliver`` with the fix of the flap-delivery bug reverted:
+    a frame that was on the wire when its link was cut is delivered if
+    the link is whole again by the time it would have arrived."""
+    _deliver(self, src_port, direction, frame, direction.cuts, size)
+
+
+@pytest.mark.campaign
+def test_mutation_frame_delivered_across_a_flap_is_caught(monkeypatch):
+    monkeypatch.setattr(Link, "_deliver", _deliver_after_any_cut)
+    # The unit test's 1 us fail/recover under a frame on the wire.
+    with pytest.raises(AssertionError):
+        link_tests.test_cut_and_recovery_under_a_frame_on_the_wire(False)
+    # The flaps lane's first frame is on the wire at its cut.
+    report = run_campaign(LANES["flaps"])
+    assert not report.ok
+    assert {v.kind for result in report.results
+            for v in result.violations} == {"overlap"}
+    assert all(result.steps[-1].startswith("flap")
+               for result in report.results if not result.ok)
+
+
+#: What each lane draws from, pinned: a changed row draws other ops
+#: from the same seed, so its lane prints something else (a new op
+#: belongs in a new row).
+LANE_OPS = {
+    "default": ("fail", "fail", "fail-switch", "recover", "migrate"),
+    "flows": ("fail", "fail", "fail-switch", "recover", "migrate"),
+    "hybrid": ("fail", "fail", "fail-switch", "recover", "migrate"),
+    "parallel": ("fail", "fail", "fail-switch", "recover", "migrate"),
+    "policy": ("fail", "fail", "fail-switch", "recover", "migrate",
+               "acl-install", "acl-install", "acl-revoke"),
+    "fm": ("fail", "fail", "fail-switch", "recover", "migrate",
+           "fm-restart", "fm-partition"),
+    "fm-churn": ("fail", "fail", "fail-switch", "recover", "migrate",
+                 "migrate", "fm-restart", "fm-partition"),
+    "topo-jellyfish": ("fail", "fail", "fail-switch", "recover", "migrate"),
+    "topo-twolayer": ("fail", "fail", "fail-switch", "recover", "migrate"),
+    "ports": ("fail", "fail", "fail-switch", "recover", "migrate",
+              "port-toggle"),
+    "ldm-cuts": ("fail", "fail", "fail-switch", "recover", "migrate",
+                 "ldm-cut"),
+    "path-cache": ("fail", "fail", "fail-switch", "recover", "migrate"),
+    "expand": ("fail", "fail", "fail-switch", "recover", "migrate",
+               "expand"),
+    "flaps": ("fail", "fail", "fail-switch", "recover", "migrate", "flap"),
+}
+
+
+def test_every_lane_draws_its_pinned_ops():
+    assert {name: row.ops for name, row in LANES.items()} == LANE_OPS
+
+
+def test_every_op_a_lane_names_is_a_row():
+    assert {op for row in LANES.values() for op in row.ops} <= set(OPS)
+    # An op that needs something falls back to a row.
+    for _step, needs, fallback in OPS.values():
+        assert (needs is None) == (fallback is None)
+        assert fallback is None or fallback in OPS
+
+
+def test_unknown_op_is_rejected():
+    with pytest.raises(ValueError, match="flood"):
+        CampaignConfig(ops=("fail", "flood"))
+
+
+@pytest.mark.parametrize("backend", ["fattree", "twolayer"])
+def test_expand_needs_the_jellyfish_backend(backend):
+    with pytest.raises(ValueError, match="expand"):
+        CampaignConfig(backend=backend, ops=("fail", "expand"))
 
 
 @pytest.mark.parametrize("lane", LANES)

@@ -56,6 +56,8 @@ def test_policy_campaign_is_clean():
 
 def test_policy_campaign_with_churn_and_shards_is_clean():
     report = run_campaign(quick_config(
+        ops=("fail", "fail", "fail-switch", "recover", "migrate", "migrate",
+             "acl-install", "acl-install", "acl-revoke"),
         churn=True,
         fabric=PortlandConfig(fm_shards=4, fm_batch_interval_s=0.02)))
     assert report.ok
