@@ -103,7 +103,7 @@ def test_hybrid_sea_under_frame_foreground(benchmark):
     wall0 = time.perf_counter()
     fabric = converged_portland(
         SEED, k=K, carrier=True, timeout_s=10.0,
-        config=PortlandConfig(flow_mode="hybrid", path_cache_entries=32768))
+        config=PortlandConfig(flow_mode="hybrid"))
     sim = fabric.sim
     hosts = fabric.host_list()
     bg_pairs, fg_pairs = _pairs(hosts)
@@ -153,9 +153,7 @@ def test_hybrid_sea_under_frame_foreground(benchmark):
 
     # ------------------------------------------------------------------
     # All-frame arm: identical offered load, steady-rate sample.
-    frame_fab = converged_portland(
-        SEED, k=K, carrier=True, timeout_s=10.0,
-        config=PortlandConfig(path_cache_entries=32768))
+    frame_fab = converged_portland(SEED, k=K, carrier=True, timeout_s=10.0)
     fhosts = frame_fab.host_list()
     fbg, ffg = _pairs(fhosts)
     udp = UdpFlowSet(fbg, rate_pps=BG_RATE_BPS / (BG_PAYLOAD * 8),

@@ -1,6 +1,6 @@
 """The fluid flow engine: max-min rates over compiled paths.
 
-Where the frame path schedules one (composite) event per *frame*, the
+Where the frame path schedules events per *frame* and hop, the
 :class:`FlowEngine` schedules one event per *rate change*, and that
 event touches only the flows something happened to and the flows
 coupled to them. A flow becomes *dirty* on arrival or ``stop_flow``;
@@ -138,8 +138,9 @@ class FlowEngine:
     """Fluid-mode executor for one fabric.
 
     Built by the topology builder when ``PortlandConfig.flow_mode`` is
-    set, on a fabric that always has a compiled-path cache: resolution
-    and invalidation ride the same machinery as cut-through transit.
+    set, on a fabric the builder gives a path cache: it resolves each
+    flow's hop list, and its invalidation re-resolves the flows pinned
+    to a retired path.
     """
 
     def __init__(self, fabric: "PortlandFabric",

@@ -101,12 +101,12 @@ class ResolvedPath:
     the directed link as a shared capacity constraint: exactly where the
     mirrored frame executor actually *queues* — every segment of a
     volatile (interpreted) path, but only the ingress host link of a
-    compiled one, whose cut-through composite events charge wire time on
-    transit hops without mid-path queueing (this keeps fluid FCTs
-    agreeing with those of cut-through frames; frames forwarded hop by
-    hop queue at every hop and finish later, docs/FLOWS.md "Deliberate
-    approximations"). All segments still count for liveness detection,
-    counter charging, and hybrid load push.
+    compiled one. That is the cut-through calibration: fluid FCTs agree
+    with those of frames whose switches never wait for the wire (the
+    reference ``tests/test_flows_smoke.py`` builds); frames forwarded
+    hop by hop queue at every hop and finish later, docs/FLOWS.md
+    "Deliberate approximations". All segments still count for liveness
+    detection, counter charging, and hybrid load push.
     ``seg_ids`` / ``con_ids`` name them (all / constrained only) by
     ``id(tx port)``, the engine's direction-index key.
     """

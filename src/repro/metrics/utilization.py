@@ -4,12 +4,11 @@ Answers "where did the bytes go?" for any fabric: per-link byte and
 frame counts (:func:`snapshot`; diff two to measure a window) and the
 bytes and drops of each traffic class.
 
-Port counters include compiled cut-through traversals and fluid-flow
-charges: when the path cache is enabled (see ``docs/PERF.md``),
-launched frames charge every traversed port at launch time, and in
-flow mode (``docs/FLOWS.md``) the engine charges the same counters at
-every settlement — so these aggregates stay accurate in every
-execution mode even though no per-hop link events ran.
+Port counters include fluid-flow charges: in flow mode
+(``docs/FLOWS.md``) the engine charges the counters frames charge at
+every hop, at every settlement — so these aggregates stay accurate in
+every execution mode even though no per-hop link events ran for a
+fluid flow.
 """
 
 from __future__ import annotations

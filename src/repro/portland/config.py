@@ -22,20 +22,13 @@ class PortlandConfig:
 
     #: Switch software (packet-in) path latency.
     agent_delay_s: float = 50e-6
-    #: Per-ingress-switch compiled-path cache capacity (0 — the default —
-    #: disables end-to-end cut-through transit). When enabled, cached
-    #: flows are delivered by one composite event that skips per-hop
-    #: queueing/contention; turn it on for experiments where forwarding
-    #: throughput matters more than in-fabric queueing fidelity (see
-    #: docs/PERF.md).
-    path_cache_entries: int = 0
     #: Flow-level (fluid) simulation mode: the builder attaches a
     #: :class:`repro.flows.FlowEngine` to the fabric, which advances
     #: flows as max-min fair *rates* over compiled hop lists instead of
-    #: per-frame events (see ``docs/FLOWS.md``). Forces the compiled-path
-    #: cache on (with :data:`~repro.switching.path_cache.DEFAULT_PATH_CAPACITY`
-    #: when ``path_cache_entries`` is 0) — flow path resolution and
-    #: invalidation ride the same machinery as cut-through transit.
+    #: per-frame events (see ``docs/FLOWS.md``). The builder gives such a
+    #: fabric a :class:`~repro.switching.path_cache.PathCache`, which
+    #: resolves each flow's hop list and retires it when a table or link
+    #: its walk read changes.
     #: ``"hybrid"`` additionally couples the two executors through shared
     #: ``Link`` capacity: fluid allocations slow frame serialization on
     #: the links they cross, and measured frame load (epoch EWMA) shrinks

@@ -13,8 +13,8 @@ egress port and destination rewrite — that the forwarding table
 memoises itself (:meth:`FlowTable.decide`), so steady-state forwarding
 costs one dict probe and one ``port.send`` per hop. A change of the
 table is the one thing that retires a plan; a table that cannot memoise
-compiles the same plan per frame, so the path cache and the hop walker
-read one kind of verdict in every case.
+compiles the same plan per frame, so the hop walker reads one kind of
+verdict in every case.
 
 LDP frames and control-network frames bypass the tables entirely — they
 terminate in switch software, like protocol packets reaching a switch
@@ -46,7 +46,6 @@ from repro.switching.flow_table import (
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.portland.agent import PortlandAgent
-    from repro.switching.path_cache import PathCache
 
 
 class PortlandSwitch(Node):
@@ -72,12 +71,6 @@ class PortlandSwitch(Node):
         #: (testing hook).
         self.rx_tap: Callable[[EthernetFrame, Port], None] | None = None
         self.control_port: Port | None = None
-        #: Shared fabric-level compiled-path cache (wired by the topology
-        #: builder when ``PortlandConfig.path_cache_entries > 0``).
-        self.path_cache: PathCache | None = None
-        #: Per-ingress compiled paths, keyed (in_port, decision key);
-        #: owned and indexed by :attr:`path_cache`.
-        self._path_table: dict = {}
 
     def attach_control_port(self) -> Port:
         """Add the out-of-band port that connects to the fabric manager."""
@@ -116,22 +109,6 @@ class PortlandSwitch(Node):
                 current = self.apply_actions(current, in_port,
                                              rewrite.actions)
                 if current is None:  # the entry did more than rewrite headers
-                    return
-
-        path_cache = self.path_cache
-        if path_cache is not None and current.tclass == 0:
-            # Compiled cut-through transit: only for class-0 frames
-            # entering the fabric from an attached host (switch-to-switch
-            # arrivals are mid-path hops of interpreted frames).
-            # Prioritized traffic always takes the interpreted path so it
-            # meets the real per-port egress queues — cut-through transit
-            # never queues, which would erase exactly the head-of-line
-            # effect the priority classes exist to control.
-            peer = in_port.peer
-            if peer is not None and not isinstance(peer.node, PortlandSwitch):
-                path = path_cache.resolve(self, current, in_index)
-                if path is not None:
-                    path_cache.launch(path, current)
                     return
 
         plan = self.table.decide(current, in_index, self.ports)

@@ -1,5 +1,5 @@
-"""Switch substrate: flow tables and their verdict memo, the path
-cache, the hop walk, and the baseline designs."""
+"""Switch substrate: flow tables and their verdict memo, the hop
+walk, the flow engine's path cache, and the baseline designs."""
 
 from repro.switching.flow_table import (
     Action,

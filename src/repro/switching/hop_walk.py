@@ -2,11 +2,11 @@
 
 Several layers need to answer the same question — "which switch-by-switch
 path would the live decision layer send this frame down?" — without
-scheduling simulator events: the compiled-path cache
-(:mod:`repro.switching.path_cache`), the flow engine's path resolver
-(:mod:`repro.flows`), the event-free replay the perf smoke and
-path-cache tests drive (:mod:`repro.workloads.replay`) and the
-trace-equivalence tests. This module is the single copy of that walk.
+scheduling simulator events: the flow engine's path cache
+(:mod:`repro.switching.path_cache`) and its volatile fallback
+(:mod:`repro.flows`), and the event-free replay the perf smoke and
+path-cache tests drive (:mod:`repro.workloads.replay`). This module is
+the single copy of that walk.
 
 The walk calls ``table.decide`` — exactly what ``receive`` runs after
 the rewrite stage — and follows the egress port of the plan it returns
@@ -69,7 +69,7 @@ def walk_decision_path(node, in_index: int, frame: "EthernetFrame",
     ``links`` (if given) the links read: each hop's, and the one a walk
     stopped at because it could not (or, ``pure``, would not) use it.
 
-    ``pure`` is the compiled-path cache's mode: live, and every hop
+    ``pure`` is the path cache's mode: live, and every hop
     provably a function of (ingress port, decision key) alone — it also
     dead-ends at a switch that is not a two-stage PortLand pipeline, has
     a table the decision key cannot index (not ``cache_safe``) or an rx

@@ -16,7 +16,7 @@ from repro.portland.fabric_manager import FabricManager
 from repro.portland.fm_shard import FmShardCluster
 from repro.portland.switch import PortlandSwitch
 from repro.sim.simulator import Simulator
-from repro.switching.path_cache import DEFAULT_PATH_CAPACITY, PathCache
+from repro.switching.path_cache import PathCache
 from repro.topology.fattree import FatTree, WireSpec, build_fat_tree
 from repro.topology.scheme import FatTreeScheme, TopologyScheme
 
@@ -53,7 +53,8 @@ class PortlandFabric:
     links: dict[tuple[str, str], Link] = field(default_factory=dict)
     fabric_manager: FabricManager | None = None
     control: ControlNetwork | None = None
-    #: Shared compiled-path cache (None unless the config enables it).
+    #: Path resolution for the flow engine (None unless
+    #: ``config.flow_mode``).
     path_cache: PathCache | None = None
     #: Flow-level (fluid) engine (None unless ``config.flow_mode``).
     flow_engine: FlowEngine | None = None
@@ -71,10 +72,9 @@ class PortlandFabric:
 
     def rack_switch(self, name: str, num_ports: int) -> PortlandAgent:
         """Create one switch and its agent (not started) under this
-        fabric's config, scheme and shared path cache."""
+        fabric's config and scheme."""
         switch = PortlandSwitch(self.sim, name, num_ports,
                                 agent_delay_s=self.config.agent_delay_s)
-        switch.path_cache = self.path_cache
         agent = PortlandAgent(switch, self.config, self.scheme)
         switch.attach_agent(agent)
         self.switches[name] = switch
@@ -165,7 +165,7 @@ class PortlandFabric:
         return stats
 
     def path_cache_stats(self) -> dict[str, int]:
-        """Compiled-path cache counters (empty dict when disabled)."""
+        """Path-resolution counters (empty dict outside flow mode)."""
         return self.path_cache.stats() if self.path_cache is not None else {}
 
     def flow_engine_stats(self) -> dict[str, int]:
@@ -211,13 +211,9 @@ def build_portland_fabric(
                                         wire.port_a + 1)
         ports_needed[wire.node_b] = max(ports_needed.get(wire.node_b, 0),
                                         wire.port_b + 1)
-    # Flow mode resolves and invalidates paths through the compiled-path
-    # cache, so it forces the cache on (default-sized when unconfigured).
-    path_entries = config.path_cache_entries
-    if config.flow_mode and path_entries <= 0:
-        path_entries = DEFAULT_PATH_CAPACITY
-    if path_entries > 0:
-        fabric.path_cache = PathCache(sim, capacity=path_entries)
+    # Flow mode resolves and invalidates flow paths through the cache.
+    if config.flow_mode:
+        fabric.path_cache = PathCache(sim)
     for name in tree.edge_names + tree.agg_names + tree.core_names:
         fabric.rack_switch(name, max(tree.k, ports_needed.get(name, 0)))
 

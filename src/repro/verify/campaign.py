@@ -95,8 +95,6 @@ class ScenarioResult:
     failed_links: list[tuple[str, str]] = field(default_factory=list)
     violations: list[Violation] = field(default_factory=list)
     hops: int = 0
-    #: Compiled-path launches in this scenario (0 when the cache is off).
-    path_launches: int = 0
     #: Oracle-checked fluid path resolutions (flow-mode scenarios only).
     flow_paths: int = 0
     #: Fluid-engine counters at scenario end (flow-mode scenarios only).
@@ -601,7 +599,6 @@ def run_scenario(scenario_seed: int, config: CampaignConfig) -> ScenarioResult:
     result.failed_links = sorted(scenario.failed)
     result.violations = list(oracle.violations)
     result.hops = oracle.hops
-    result.path_launches = fabric.path_cache_stats().get("launches", 0)
     result.flow_paths = oracle.flow_paths
     result.flow_stats = fabric.flow_engine_stats()
     oracle.close()
@@ -642,9 +639,6 @@ LANES: dict[str, CampaignConfig] = {
     "ports": CampaignConfig(ops=BASE_OPS + ("port-toggle",)),
     # Link cuts under a keepalive's packet-in: no ghost-neighbor.
     "ldm-cuts": CampaignConfig(ops=BASE_OPS + ("ldm-cut",)),
-    # Compiled-path (cut-through) transit under every fault.
-    "path-cache": CampaignConfig(
-        fabric=PortlandConfig(path_cache_entries=4096)),
     # Live Jellyfish expansion (odd k: even degree, so the splice
     # engages); no fault outlives its link (stale-fault).
     "expand": CampaignConfig(backend="jellyfish", ks=(5,),

@@ -36,18 +36,12 @@ __all__ += ["IncastWorkload"]
 
 from repro.workloads.replay import (
     all_to_all_frames,
-    compile_paths,
-    compiled_signature,
     decision_signature,
-    replay_compiled,
     replay_decisions,
 )
 
 __all__ += [
     "all_to_all_frames",
-    "compile_paths",
-    "compiled_signature",
     "decision_signature",
-    "replay_compiled",
     "replay_decisions",
 ]

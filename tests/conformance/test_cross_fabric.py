@@ -75,66 +75,63 @@ def test_enumerated_paths_follow_the_wiring(fabric_backend):
 
 
 # ----------------------------------------------------------------------
-# Compiled-path (cut-through) trace equivalence
+# Compiled-path trace equivalence
 
 
-def _traced_run(fabric_backend, path_cache_entries: int):
-    fabric = fabric_backend.converged(
-        seed=11, config=PortlandConfig(path_cache_entries=path_cache_entries))
+def _traced_frames(fabric_backend, pairs):
+    """Sender and the set of per-datagram hop trajectories (switch,
+    entry, in port) of a low-rate UDP stream per ``pairs`` entry, each
+    sent hop by hop on a frame-mode fabric."""
+    fabric = fabric_backend.converged(seed=11)
     sim = fabric.sim
     hosts = fabric.host_list()
-    pairs = [(hosts[0], hosts[-1], 7300), (hosts[1], hosts[-2], 7301)]
     collector = TraceCollector(sim.trace, "verify.hop")
     senders = []
-    for stagger, (src, dst, port) in enumerate(pairs):
-        UdpStreamReceiver(dst, port)
-        sender = UdpStreamSender(src, dst.ip, port, rate_pps=200.0)
-        # Staggered starts keep flows off the wire simultaneously, so
-        # the interpreted run sees no queueing cut-through would skip.
-        sender.start(first_delay=0.0013 * stagger)
+    for src, dst, port in pairs:
+        UdpStreamReceiver(hosts[dst], port)
+        sender = UdpStreamSender(hosts[src], hosts[dst].ip, port,
+                                 rate_pps=200.0)
+        sender.start()
         senders.append(sender)
     sim.run(until=sim.now + 0.2)
     for sender in senders:
         sender.stop()
     sim.run(until=sim.now + 0.01)
     collector.close()
-    return fabric, collector.records
-
-
-def _trajectories(records):
     by_packet = {}
-    for record in records:
-        ip = record.detail["payload"]
-        udp = getattr(ip, "payload", None)
-        app = getattr(udp, "payload", None)
-        if not isinstance(app, AppData) or not app.flow_id:
-            continue  # control traffic (ARP/LDP punts)
-        by_packet.setdefault((app.flow_id, app.seq), []).append(
-            (record.time, record.source, record.detail["entry"],
-             record.detail["in_port"], record.detail["dst"],
-             record.detail["ethertype"]))
-    return by_packet
+    for record in collector.records:
+        app = getattr(getattr(record.detail["payload"], "payload", None),
+                      "payload", None)
+        if isinstance(app, AppData) and app.flow_id:
+            by_packet.setdefault((app.flow_id, app.seq), []).append(
+                (record.source, record.detail["entry"],
+                 record.detail["in_port"]))
+    trajectories = {sender.flow_id: set() for sender in senders}
+    for (flow_id, _seq), hops in by_packet.items():
+        trajectories[flow_id].add(tuple(hops))
+    return [(sender, trajectories[sender.flow_id]) for sender in senders]
 
 
 def test_compiled_paths_trace_identically(fabric_backend):
-    """With the path cache on, every datagram's hop-by-hop trajectory —
-    entries, ports, timestamps — matches the interpreted run exactly."""
-    _f, interpreted_records = _traced_run(fabric_backend, 0)
-    compiled_fabric, compiled_records = _traced_run(fabric_backend, 4096)
-
-    stats = compiled_fabric.path_cache_stats()
-    assert stats["launches"] > 50, "cut-through never engaged"
-    assert stats["dropped_in_flight"] == 0
-
-    interpreted = _trajectories(interpreted_records)
-    compiled = _trajectories(compiled_records)
-    assert interpreted, "no data-frame hops traced"
-    assert interpreted.keys() == compiled.keys()
-    for key in interpreted:
-        assert compiled[key] == interpreted[key], (
-            f"datagram {key}: compiled trajectory diverged\n"
-            f"  interpreted: {interpreted[key]}\n"
-            f"  compiled:    {compiled[key]}")
+    """The path the flow engine compiles for a 5-tuple is, switch by
+    switch, entry by entry and port by port, the one every datagram of
+    that 5-tuple takes when forwarded hop by hop."""
+    pairs = ((0, -1, 7300), (1, -2, 7301))
+    traced = _traced_frames(fabric_backend, pairs)
+    fluid_fab = fabric_backend.converged(
+        seed=11, config=PortlandConfig(flow_mode=True))
+    hosts = fluid_fab.host_list()
+    engine = fluid_fab.flow_engine
+    for (src, dst, port), (sender, trajectories) in zip(pairs, traced):
+        assert len(trajectories) == 1, (
+            f"{sender.flow_id}: datagrams took {len(trajectories)} paths")
+        flow = engine.start_flow(hosts[src], hosts[dst].ip, demand_bps=1e6,
+                                 sport=sender.socket.port, dport=port,
+                                 payload_bytes=sender.payload_bytes)
+        fluid_fab.sim.run(until=fluid_fab.sim.now + 0.01)
+        engine.settle_now()
+        assert flow._path.compiled is not None
+        assert trajectories == {flow._path.hop_records}
 
 
 # ----------------------------------------------------------------------

@@ -1,31 +1,29 @@
-"""Unit tests for the fabric-level compiled-path cache.
+"""Unit tests for the fabric-level path cache the flow engine resolves
+through.
 
 These drive :class:`~repro.switching.path_cache.PathCache` directly on a
-converged fabric: compilation and cut-through delivery, negative
-verdicts, FIFO eviction, both invalidation triggers (a table change,
-a link carrier change — including the link a refused compile stopped
-at), and the in-flight revalidation
-semantics (table-only invalidation delivers; a dead link drops and is
-counted at the transmitting port).
+converged flow-mode fabric: compilation, negative verdicts, FIFO
+eviction, and both invalidation triggers (a table change, a link
+carrier change — including the link a refused compile stopped at).
 """
 
 import pytest
 
-from repro.host.apps import UdpStreamReceiver, UdpStreamSender
 from repro.net import AppData, EthernetFrame, mac
 from repro.net.ethernet import ETHERTYPE_ARP
 from repro.portland.config import PortlandConfig
 from repro.sim import Simulator
 from repro.switching.flow_table import Match, SetEthSrc, decision_key
 from repro.switching.hop_walk import walk_decision_path
+from repro.switching.path_cache import PathCache
 from repro.topology import build_portland_fabric
 from repro.workloads.replay import all_to_all_frames, decision_signature
 
 
-def _converged(seed=1234, path_entries=256, k=4):
+def _converged(seed=1234, k=4):
     sim = Simulator(seed=seed)
     fabric = build_portland_fabric(
-        sim, k=k, config=PortlandConfig(path_cache_entries=path_entries))
+        sim, k=k, config=PortlandConfig(flow_mode=True))
     fabric.start()
     fabric.run_until_located()
     fabric.announce_hosts()
@@ -54,33 +52,16 @@ def test_compile_records_full_path_and_rewrites(pc_fabric):
     assert [(h.node.name, h.out_port.index) for h in path.hops] == list(
         decision_signature(node, in_index, frame))
     # edge -> agg -> core -> agg -> edge: 5 switches, 5 links, host egress.
-    assert len(path.hops) == len(path.links) == len(path.entries) == 5
+    assert len(path.hops) == len(path.links) == len(path.switches) == 5
     assert not isinstance(path.final_port.node, type(node))
     # The egress edge rewrites PMAC back to the destination's real MAC.
-    assert path.final_dst is not None and path.final_dst != frame.dst
+    egress_dst = path.hops[-1].set_dst
+    assert egress_dst is not None and egress_dst != frame.dst
     # Second resolve is a pure dict hit.
     before = cache.stats()
     assert cache.resolve(node, frame, in_index) is path
     assert cache.stats()["hits"] == before["hits"] + 1
     assert cache.stats()["compiles"] == before["compiles"]
-
-
-def test_cut_through_delivers_end_to_end():
-    fabric = _converged()
-    sim = fabric.sim
-    hosts = fabric.host_list()
-    receiver = UdpStreamReceiver(hosts[-1], 7100)
-    UdpStreamSender(hosts[0], hosts[-1].ip, 7100, rate_pps=1000.0).start()
-    sim.run(until=sim.now + 0.2)
-    stats = fabric.path_cache_stats()
-    assert stats["compiles"] > 0
-    assert stats["launches"] > 0
-    assert stats["delivered"] > 0
-    assert stats["dropped_in_flight"] == 0
-    assert len(receiver.arrivals) > 100, "stream did not flow cut-through"
-    # In-order, no duplicates: the composite event preserves semantics.
-    seqs = [seq for _t, seq, _d in receiver.arrivals]
-    assert seqs == sorted(set(seqs))
 
 
 def test_uncompilable_frame_gets_negative_verdict(pc_fabric):
@@ -156,7 +137,7 @@ def test_refused_compile_warms_only_the_switches_it_asked(taint,
     assert warm == {hop.node.name for hop in asked}
     # The verdict is registered against the switches entered, the core
     # included: lifting the taint there must retire it.
-    negative = node._path_table[(in_index, key)]
+    negative = cache._tables[node][(in_index, key)]
     assert [s.name for s in negative.switches] == [
         hop.node.name for hop in walked[:3]]
     if cure is not None:
@@ -170,8 +151,8 @@ def test_refused_compile_warms_only_the_switches_it_asked(taint,
 
 
 def test_fifo_eviction_bounds_the_table():
-    fabric = _converged(path_entries=2)
-    cache = fabric.path_cache
+    fabric = _converged()
+    cache = PathCache(fabric.sim, capacity=2)
     workload = all_to_all_frames(fabric, flows_per_pair=1)
     # All flows entering one ingress switch.
     node = workload[0][0]
@@ -179,7 +160,7 @@ def test_fifo_eviction_bounds_the_table():
     assert len(mine) >= 3
     for ingress, in_index, frame in mine:
         cache.resolve(ingress, frame, in_index)
-    assert len(node._path_table) <= 2
+    assert len(cache._tables[node]) <= 2
     assert cache.evictions >= len(mine) - 2
 
 
@@ -191,7 +172,7 @@ def test_table_change_on_any_hop_invalidates(pc_fabric):
     # Any mutation of a traversed switch's table kills the path.
     mid.table.install(Match(ethertype=0x86DD), (), priority=1, name="noop")
     assert not path.alive
-    assert path.key not in node._path_table
+    assert path.key not in cache._tables[node]
     assert cache.invalidated >= 1
 
 
@@ -209,53 +190,8 @@ def test_link_state_change_invalidates_and_recompiles(pc_fabric):
     assert cache.compiles == before + 1
 
 
-def test_in_flight_frame_dropped_when_link_dies(pc_fabric):
-    cache = pc_fabric.path_cache
-    sim = pc_fabric.sim
-    node, in_index, frame = _cross_pod_item(pc_fabric)
-    path = cache.resolve(node, frame, in_index)
-    victim = path.hops[2]
-    drops_before = victim.out_port.counters.drops
-    cache.launch(path, frame)
-    victim.link.fail()  # before the composite delivery event runs
-    sim.run(until=sim.now + 0.01)
-    assert cache.dropped_in_flight == 1
-    assert cache.delivered == 0
-    # The drop is charged at the dead hop's transmit port (plus whatever
-    # control frames the link swallowed during the settle window).
-    assert victim.out_port.counters.drops > drops_before
-
-
-def test_in_flight_frame_survives_table_only_invalidation(pc_fabric):
-    cache = pc_fabric.path_cache
-    sim = pc_fabric.sim
-    node, in_index, frame = _cross_pod_item(pc_fabric)
-    path = cache.resolve(node, frame, in_index)
-    cache.launch(path, frame)
-    # A table mutation on a traversed switch; the links all stay up.
-    path.switches[1].table.install(Match(ethertype=0x86DD), (), priority=1,
-                                   name="noop")
-    assert not path.alive
-    sim.run(until=sim.now + 0.01)
-    assert cache.delivered == 1
-    assert cache.dropped_in_flight == 0
-
-
-def test_port_and_entry_accounting_matches_hops(pc_fabric):
-    cache = pc_fabric.path_cache
-    node, in_index, frame = _cross_pod_item(pc_fabric)
-    path = cache.resolve(node, frame, in_index)
-    tx_before = [c.tx_frames for c in path.tx_counters]
-    entries_before = [e.packets for e in path.entries]
-    cache.launch(path, frame)
-    assert [c.tx_frames for c in path.tx_counters] == [
-        n + 1 for n in tx_before]
-    assert [e.packets for e in path.entries] == [
-        n + 1 for n in entries_before]
-
-
 def test_disabled_by_default(fabric):
-    # The default config must leave the cache off: compiled transit skips
-    # queueing/drop fidelity and existing timing tests depend on it.
+    # A frame-mode fabric has no path cache: its frames are forwarded hop
+    # by hop, and only the flow engine resolves paths.
     assert fabric.path_cache is None
     assert fabric.path_cache_stats() == {}

@@ -1,12 +1,12 @@
-"""Tier-1 fast-path smoke: the compiled-path replay must stay hop-for-hop
-equivalent to interpreted per-hop forwarding while never consulting the
-decision layer.
+"""Tier-1 fast-path smoke: what a frame hop costs, counted.
 
-What makes the compiled path fast is *structural* — one table probe per
-frame instead of one forwarding decision per hop — so that is what this
-test counts: exact, repeatable, and independent of the host clock. How
-many seconds the difference is worth is the performance ledger's number
-(``frame_shuffle_k8``, docs/PERF.md), not a tier-1 assertion.
+The flow engine's compiled paths must stay hop-for-hop equivalent to
+per-hop forwarding, and the per-hop replay asks the decision layer
+exactly once per hop. The costs are *structural* counts — decisions,
+events, calls and matches per hop — so they are exact, repeatable, and
+independent of the host clock. How many seconds they are worth is the
+performance ledger's number (``frame_shuffle_k8``, docs/PERF.md), not a
+tier-1 assertion.
 """
 
 import pytest
@@ -19,18 +19,15 @@ from repro.topology import build_portland_fabric
 from repro.topology.builder import LinkParams
 from repro.workloads.replay import (
     all_to_all_frames,
-    compile_paths,
-    compiled_signature,
     decision_signature,
-    replay_compiled,
     replay_decisions,
 )
 
 
-def _converged_k4(path_cache_entries: int):
+def _converged_k4(flow_mode: bool):
     sim = Simulator(seed=99)
     fabric = build_portland_fabric(
-        sim, k=4, config=PortlandConfig(path_cache_entries=path_cache_entries))
+        sim, k=4, config=PortlandConfig(flow_mode=flow_mode))
     fabric.bring_up()
     return fabric
 
@@ -52,31 +49,29 @@ def _decisions_during(monkeypatch, replay, workload) -> tuple[int, tuple]:
 
 
 def test_compiled_replay_beats_decision_replay(monkeypatch):
-    baseline = _converged_k4(path_cache_entries=0)
-    compiled = _converged_k4(path_cache_entries=4096)
+    baseline = _converged_k4(flow_mode=False)
+    compiled = _converged_k4(flow_mode=True)
     workload_base = all_to_all_frames(baseline)
     workload_compiled = all_to_all_frames(compiled)
 
-    # Warm both layers; every flow must compile and match the
-    # interpreted walk hop for hop.
-    replay_decisions(workload_base)
-    assert compile_paths(compiled, workload_compiled) == len(workload_compiled)
+    # Every flow must compile and match the interpreted walk hop for hop.
+    cache = compiled.path_cache
+    compiled_hops = 0
     for node, in_index, frame in workload_compiled:
-        assert (compiled_signature(node, in_index, frame)
+        path = cache.resolve(node, frame, in_index)
+        assert path is not None
+        assert (tuple((hop.node.name, hop.out_port.index)
+                      for hop in path.hops)
                 == decision_signature(node, in_index, frame))
-    assert replay_compiled(workload_compiled) == replay_decisions(
-        workload_compiled)
+        compiled_hops += len(path.hops)
 
-    # The interpreted replay asks the decision layer once per hop; the
-    # compiled replay, over the same frames, never asks it at all.
+    # The interpreted replay asks the decision layer once per hop, on
+    # the same hops the compiled paths hold.
+    replay_decisions(workload_base)
     asked, (hops, delivered) = _decisions_during(
         monkeypatch, replay_decisions, workload_base)
     assert delivered == len(workload_base)
-    assert asked == hops > delivered
-    asked, walked = _decisions_during(
-        monkeypatch, replay_compiled, workload_compiled)
-    assert asked == 0
-    assert walked == (hops, delivered)
+    assert asked == hops == compiled_hops > delivered
 
 
 # ----------------------------------------------------------------------

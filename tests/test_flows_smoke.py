@@ -22,12 +22,20 @@ gated:
   agree between modes within 10%: the RTT-aware fluid TCP model
   (handshake setup, cwnd ramp, FIN drain — see docs/FLOWS.md) has to
   reproduce what the frame path's real TCP stack measures, not just
-  move the same bytes.
+  move the same bytes. The fluid model constrains only a compiled
+  path's ingress host link, so its frame reference is cut-through: the
+  frame shuffle runs with switches that never wait for the wire
+  (:func:`_switches_never_wait_for_the_wire`).
 """
+
+import contextlib
+import math
 
 from repro.host.apps.udp_stream import UdpStreamReceiver, UdpStreamSender
 from repro.metrics.utilization import snapshot
+from repro.net.link import Link
 from repro.portland.config import PortlandConfig
+from repro.portland.switch import PortlandSwitch
 from repro.sim import Simulator
 from repro.topology import build_portland_fabric
 from repro.workloads.shuffle import FluidShuffleWorkload, ShuffleWorkload
@@ -50,14 +58,37 @@ PAYLOAD = 1000
 
 def _converged(seed: int, flow_mode: bool):
     sim = Simulator(seed=seed)
-    config = PortlandConfig(flow_mode=True) if flow_mode else PortlandConfig(
-        path_cache_entries=4096)
-    fabric = build_portland_fabric(sim, k=4, config=config)
+    fabric = build_portland_fabric(
+        sim, k=4, config=PortlandConfig(flow_mode=flow_mode))
     fabric.start()
     fabric.run_until_located()
     fabric.announce_hosts()
     fabric.run_until_registered()
     return fabric
+
+
+@contextlib.contextmanager
+def _switches_never_wait_for_the_wire():
+    """Cut-through frames: a frame a switch sends never waits for the
+    wire. Before ``Link.transmit`` sends from a switch port, a streaming
+    direction is settled and the wire marked free, so the frame starts
+    serializing at once and nothing queues inside the fabric; hosts'
+    NICs queue as ever."""
+    transmit = Link.transmit
+
+    def cut_through(self, src_port, frame):
+        if isinstance(src_port.node, PortlandSwitch):
+            direction = src_port._tx
+            if direction.stream_log is not None:
+                self.settle(close=True)
+            direction.busy_until = -math.inf
+        return transmit(self, src_port, frame)
+
+    Link.transmit = cut_through
+    try:
+        yield
+    finally:
+        Link.transmit = transmit
 
 
 def _pair_names(fabric):
@@ -144,10 +175,12 @@ def test_fluid_shuffle_needs_far_fewer_events():
 
     frame_pairs = [(frame_fab.hosts[a], frame_fab.hosts[b]) for a, b in pairs]
     before = frame_fab.sim.events_executed
-    frame_shuffle = ShuffleWorkload(frame_fab.sim, frame_fab.host_list(),
-                                    pairs=frame_pairs, bytes_per_flow=200_000)
-    frame_shuffle.start()
-    frame_shuffle.run_until_done(timeout_s=30.0)
+    with _switches_never_wait_for_the_wire():
+        frame_shuffle = ShuffleWorkload(frame_fab.sim, frame_fab.host_list(),
+                                        pairs=frame_pairs,
+                                        bytes_per_flow=200_000)
+        frame_shuffle.start()
+        frame_shuffle.run_until_done(timeout_s=30.0)
     frame_events = frame_fab.sim.events_executed - before
 
     fluid_pairs = [(fluid_fab.hosts[a], fluid_fab.hosts[b]) for a, b in pairs]

@@ -37,8 +37,7 @@ DEMAND_TOLERANCE = 0.01
 
 def _converged(seed: int, hybrid: bool):
     sim = Simulator(seed=seed)
-    config = PortlandConfig(flow_mode="hybrid" if hybrid else False,
-                            path_cache_entries=4096)
+    config = PortlandConfig(flow_mode="hybrid" if hybrid else False)
     fabric = build_portland_fabric(sim, k=4, config=config)
     fabric.start()
     fabric.run_until_located()

@@ -3,8 +3,8 @@
 The static :func:`expand_jellyfish` is covered by the jellyfish property
 tests; these tests exercise :func:`expand_jellyfish_live` — the same
 Singla §3 rewiring performed on a simulating fabric — and assert the
-full recovery story: compiled paths through spliced links are
-invalidated, routing re-converges through the new switch, the new hosts
+full recovery story: a fluid flow's compiled path through a spliced
+link is invalidated, routing re-converges through the new switch, the new hosts
 register with the fabric manager, and the invariant oracle comes back
 clean. A campaign-level test pins a scenario whose op draw includes
 ``expand`` steps mid-fault-sequence.
@@ -32,7 +32,7 @@ def converged_even_degree_fabric(sim):
     tree = build_jellyfish(12, 4, hosts_per_switch=1, seed=3,
                            spare_host_ports=1)
     fabric = build_portland_fabric(
-        sim, config=PortlandConfig(path_cache_entries=256),
+        sim, config=PortlandConfig(flow_mode=True),
         scheme=JellyfishScheme(tree))
     fabric.start()
     fabric.run_until_located()
@@ -46,7 +46,7 @@ def test_live_expansion_recovers_clean():
     fabric = converged_even_degree_fabric(sim)
 
     # Predict (from the deterministic splice seed) one link that the
-    # expansion will unplug, and pin a compiled path across it first.
+    # expansion will unplug, and pin a fluid flow's path across it first.
     graph = jellyfish_graph(fabric.tree)
     removed = ({frozenset(e) for e in graph.edges()}
                - {frozenset(e) for e in
@@ -59,6 +59,12 @@ def test_live_expansion_recovers_clean():
     pinger.ping()
     sim.run(until=sim.now + 0.3)
     assert pinger.answered == 1  # adjacent pair: path uses the spliced link
+    flow = fabric.flow_engine.start_flow(src, dst.ip, demand_bps=10e6)
+    sim.run(until=sim.now + 0.01)
+    fabric.flow_engine.settle_now()
+    pinned = flow._path.compiled
+    spliced = fabric.link_between(f"jelly-{a}", f"jelly-{b}")
+    assert pinned is not None and spliced in pinned.links
     invalidated_before = fabric.path_cache.stats()["invalidated"]
 
     oracle = InvariantOracle(fabric)
@@ -71,6 +77,7 @@ def test_live_expansion_recovers_clean():
 
     # The compiled path across the spliced link was retired (carrier
     # loss on detach), and the fabric re-located with the new switch.
+    assert not pinned.alive
     assert fabric.path_cache.stats()["invalidated"] > invalidated_before
     assert fabric.located()
 
@@ -122,12 +129,12 @@ def test_campaign_expand_step_recovers():
                             ops=("fail", "fail", "fail-switch", "recover",
                                  "migrate", "expand"),
                             probe_pairs=2,
-                            fabric=PortlandConfig(path_cache_entries=256))
+                            fabric=PortlandConfig(flow_mode=True))
     result = run_scenario(0, config)
     expand_steps = [s for s in result.steps if s.startswith("expand +")]
     assert len(expand_steps) == 2
     assert result.ok, result.violations
-    assert result.path_launches > 0
+    assert result.flow_paths > 0
 
 
 def test_live_expansion_leaves_no_stale_fault():

@@ -275,7 +275,6 @@ LANE_OPS = {
               "port-toggle"),
     "ldm-cuts": ("fail", "fail", "fail-switch", "recover", "migrate",
                  "ldm-cut"),
-    "path-cache": ("fail", "fail", "fail-switch", "recover", "migrate"),
     "expand": ("fail", "fail", "fail-switch", "recover", "migrate",
                "expand"),
     "flaps": ("fail", "fail", "fail-switch", "recover", "migrate", "flap"),
@@ -335,8 +334,6 @@ def test_parallel_campaign_matches_sequential():
     assert parallel.ok == sequential.ok
     assert len(parallel.results) == len(sequential.results)
     for a, b in zip(sequential.results, parallel.results):
-        assert (a.seed, a.k, a.steps, a.failed_links, a.hops,
-                a.path_launches) == \
-               (b.seed, b.k, b.steps, b.failed_links, b.hops,
-                b.path_launches)
+        assert (a.seed, a.k, a.steps, a.failed_links, a.hops) == \
+               (b.seed, b.k, b.steps, b.failed_links, b.hops)
         assert len(a.violations) == len(b.violations)
