@@ -1,6 +1,6 @@
 # Convenience targets for the PortLand reproduction.
 
-.PHONY: install test bench ledger ledger-smoke ledger-test ledger-driver ledger-pairs verify-pairs hop-profile census bench-hybrid bench-topo bench-fm bench-policy examples loc verify verify-all verify-topo test-topo all
+.PHONY: install test bench ledger ledger-smoke ledger-test ledger-driver ledger-pairs verify-pairs hop-profile coupled-fluid census bench-hybrid bench-topo bench-fm bench-policy examples loc verify verify-all verify-topo test-topo all
 
 install:
 	pip install -e .
@@ -50,6 +50,13 @@ hop-profile:
 	python3 benchmarks/hop_profile.py \
 		--workload $(or $(WORKLOAD),frame_shuffle_k8) \
 		--seed $(or $(SEED),31) $(if $(SMOKE),--smoke)
+
+# The fluid engine's coupled stress case: fluid_shuffle_k8's workload
+# with every path segment a max-min constraint (measurement only; no
+# configuration knob). `make coupled-fluid SEED=97`; prints run seconds,
+# events, flows_refilled and a hash of the simulated results.
+coupled-fluid:
+	python3 benchmarks/coupled_fluid.py --seed $(or $(SEED),31)
 
 # Reach census: every def under src/ that no example, ledger smoke run,
 # CLI subcommand, verify lane or bench enters, per file, with line

@@ -98,39 +98,70 @@ def max_min_allocate(demands: list[float], segs_of: list[list[int]],
     Invariants (property-tested in ``tests/flows/test_refill_properties``):
     every rate ≤ its demand; per-link allocations sum to ≤ the link's
     starting capacity; and removing a flow improves the survivors in
-    the *leximin* order — the sorted survivor rate vector never drops
-    lexicographically (per-flow monotonicity is genuinely false for
-    multi-link max-min: freeing one link can let a neighbor grow and
-    squeeze a third flow elsewhere).
+    the *leximin* order (per-flow monotonicity is genuinely false for
+    multi-link max-min). Unfrozen flows share one ``level``, so each
+    round freezes a prefix of the demand order plus the flows of the
+    links it saturated, and the per-link counts shrink as they freeze.
     """
     rates = [0.0] * len(demands)
-    unfrozen = (set(range(len(demands))) if active is None
-                else set(active))
-    for _round in range(len(demands) + 1):
-        if not unfrozen:
-            break
-        members: dict[int, int] = {}
-        for i in unfrozen:
-            for pid in segs_of[i]:
-                members[pid] = members.get(pid, 0) + 1
-        delta = min(demands[i] - rates[i] for i in unfrozen)
-        for pid, count in members.items():
-            share = remaining[pid] / count
+    flows = range(len(demands)) if active is None else active
+    if len(flows) == 1:
+        (i,) = flows
+        segs = segs_of[i]
+        if len(set(segs)) == len(segs):  # one round, each share whole
+            delta = demands[i]
+            for pid in segs:
+                if remaining[pid] < delta:
+                    delta = remaining[pid]
+            if 0.0 < delta < math.inf:
+                rates[i] = delta
+                for pid in segs:
+                    remaining[pid] -= delta
+            return rates
+    order = sorted(flows, key=demands.__getitem__)
+    users: dict[int, list[int]] = {}
+    for i in order:
+        for pid in segs_of[i]:
+            users.setdefault(pid, []).append(i)
+    count = {pid: len(ids) for pid, ids in users.items()}  # unfrozen only
+    unfrozen, level, head = set(order), 0.0, 0  # order[:head] is frozen
+    while unfrozen:
+        while order[head] not in unfrozen:
+            head += 1
+        delta = demands[order[head]] - level
+        for pid, n in count.items():
+            share = remaining[pid] / n
             if share < delta:
                 delta = share
-        if delta > 0 and not math.isinf(delta):
-            for i in unfrozen:
-                rates[i] += delta
-            for pid, count in members.items():
-                remaining[pid] -= delta * count
-        frozen = {
-            i for i in unfrozen
-            if rates[i] >= demands[i] - _EPS_BPS
-            or any(remaining[pid] <= _EPS_BPS for pid in segs_of[i])
-        }
+        if not 0.0 < delta < math.inf:
+            delta = 0.0  # a round without a step: subtracting 0 is exact
+        level += delta
+        saturated = []
+        for pid, n in count.items():
+            left = remaining[pid] = remaining[pid] - delta * n
+            if left <= _EPS_BPS:
+                saturated.append(pid)
+        frozen = []
+        while head < len(order) and level >= demands[order[head]] - _EPS_BPS:
+            if order[head] in unfrozen:
+                frozen.append(order[head])
+                unfrozen.remove(order[head])
+            head += 1
+        for pid in saturated:
+            for i in users[pid]:
+                if i in unfrozen:
+                    frozen.append(i)
+                    unfrozen.remove(i)
         if not frozen:
             break
-        unfrozen -= frozen
+        for i in frozen:
+            rates[i] = level
+            for pid in segs_of[i]:
+                count[pid] -= 1
+                if not count[pid]:
+                    del count[pid]
+    for i in unfrozen:
+        rates[i] = level
     return rates
 
 
@@ -590,14 +621,10 @@ class FlowEngine:
         demands = [0.0] * len(routed)
         alive_flows: set[int] = set()
         for i, flow in enumerate(routed):
-            path = flow._path
             alive = True
-            for pid, (link, port) in zip(path.seg_ids, path.segments):
-                capacity = remaining.get(pid)
-                if capacity is None:
-                    # Net of measured frame load in hybrid mode (floored
-                    # above zero: congestion is not a dead carrier).
-                    capacity = remaining[pid] = link.fluid_capacity_bps(port)
+            # Link.fluid_capacity_bps, which the link keeps current.
+            for pid, direction in flow._path.capacities:
+                capacity = remaining[pid] = direction.fluid_capacity
                 if capacity <= 0.0:
                     alive = False
             if alive:

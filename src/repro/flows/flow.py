@@ -108,11 +108,12 @@ class ResolvedPath:
     "Deliberate approximations". All segments still count for liveness
     detection, counter charging, and hybrid load push.
     ``seg_ids`` / ``con_ids`` name them (all / constrained only) by
-    ``id(tx port)``, the engine's direction-index key.
+    ``id(tx port)``, the engine's direction-index key, and
+    ``capacities`` pairs each with its link direction's object.
     """
 
     __slots__ = ("segments", "entries", "hop_records", "compiled",
-                 "constrained", "seg_ids", "con_ids")
+                 "constrained", "seg_ids", "con_ids", "capacities")
 
     def __init__(self, segments, entries, hop_records,
                  compiled: "CompiledPath | None") -> None:
@@ -125,6 +126,8 @@ class ResolvedPath:
         self.seg_ids = tuple(id(port) for _link, port in segments)
         self.con_ids = tuple(pid for pid, shared
                              in zip(self.seg_ids, self.constrained) if shared)
+        self.capacities = tuple((id(port), link.direction(port))
+                                for link, port in segments)
 
     @property
     def alive(self) -> bool:
@@ -271,13 +274,6 @@ class Flow:
     def stalled(self) -> bool:
         """Running but currently pathless (rate 0)."""
         return self.active and self._path is None
-
-    @property
-    def remaining_bytes(self) -> float | None:
-        """Payload bytes left, or ``None`` for open-ended flows."""
-        if self.size_bytes is None:
-            return None
-        return max(0.0, self.size_bytes - self.transferred_bytes)
 
     @property
     def finished_transfer(self) -> bool:

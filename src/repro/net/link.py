@@ -107,6 +107,8 @@ class Port:
             self.link.settle(close=True,
                              redeliver=self.link.other_end(self)._tx)
         self._enabled = enabled
+        if self.link is not None:
+            self.link._refresh_capacity()
 
     @property
     def is_up(self) -> bool:
@@ -156,7 +158,8 @@ class _Direction:
                  "done_seq", "cuts", "stream_log", "stream_receiver",
                  "stream_hear_delay", "stream_seen", "stream_arrival",
                  "class_queues", "failed_tx", "fluid_bps", "frame_bps",
-                 "fluid_tx_bytes", "class_tx_bytes", "class_drops")
+                 "fluid_tx_bytes", "class_tx_bytes", "class_drops",
+                 "fluid_capacity")
 
     def __init__(self) -> None:
         # Best-effort FIFO, created by the first frame that has to wait:
@@ -199,6 +202,8 @@ class _Direction:
         self.fluid_bps = 0.0
         #: Frame-path load estimate (hybrid epoch EWMA), else 0.
         self.frame_bps = 0.0
+        #: ``Link.fluid_capacity_bps``, kept current by the link.
+        self.fluid_capacity = 0.0
         #: Cumulative fluid-charged tx bytes — lets the epoch tick
         #: separate frame bytes out of tx_bytes.
         self.fluid_tx_bytes = 0
@@ -331,6 +336,7 @@ class Link:
         self.priority_queues = priority_queues
         a.link = self
         b.link = self
+        self._refresh_capacity()
         if carrier_detect:
             # Plugging a cable in asserts carrier at both ends, exactly
             # like a real NIC/PHY. Agents use this to notice new hosts.
@@ -364,6 +370,10 @@ class Link:
         residual = max(self.rate_bps - fluid_bps,
                        self.rate_bps * HYBRID_CAPACITY_FLOOR)
         return base * (self.rate_bps / residual)
+
+    def direction(self, src_port: Port) -> _Direction:
+        """The object of the ``src_port`` → peer direction."""
+        return src_port._tx
 
     def add_state_listener(self, listener) -> None:
         """Call ``listener()`` after every carrier-state change of this
@@ -414,6 +424,12 @@ class Link:
         """Register the frame path's estimated load on the ``src_port``
         direction (hybrid mode epoch tick). Zero/negative clears."""
         src_port._tx.frame_bps = bps if bps > 0.0 else 0.0
+        self._refresh_capacity()
+
+    def _refresh_capacity(self) -> None:
+        """After a carrier, port-``enabled`` or frame-load change."""
+        for direction, src_port in zip(self._directions, (self.a, self.b)):
+            direction.fluid_capacity = self.fluid_capacity_bps(src_port)
 
     def class_tx_bytes(self, src_port: Port) -> dict[int, int]:
         """Wire bytes transmitted per traffic class on the ``src_port``
@@ -444,11 +460,12 @@ class Link:
         src.tx_frames += frames
         src.tx_bytes += nbytes
         src_port._tx.fluid_tx_bytes += nbytes
-        dst = self.other_end(src_port)._counters
+        dst = (self.b if src_port is self.a else self.a)._counters
         dst.rx_frames += frames
         dst.rx_bytes += nbytes
 
     def _notify_state(self) -> None:
+        self._refresh_capacity()
         for listener in self._state_listeners:
             listener()
 

@@ -27,6 +27,7 @@ from typing import Callable
 
 from repro.host.apps import UdpStreamReceiver, UdpStreamSender
 from repro.net import AppData, EthernetFrame, mac
+from repro.net.link import DEFAULT_DELAY_S, DEFAULT_RATE_BPS
 from repro.portland.config import PortlandConfig
 from repro.portland.migration import VmMigration
 from repro.sim.simulator import Simulator
@@ -445,24 +446,30 @@ def _toggle_port(s: _Scenario, rng: random.Random) -> float:
 #: After its beacon, a keepalive has reached the far switch (~1.7 us)
 #: and is in its 50 us software path at both offsets.
 CUT_OFFSETS_S = (5e-6, 30e-6)
+#: An ``arrival-cut``'s offset: a keepalive's flight on a campaign link
+#: (64 bytes plus preamble and gap at 1 Gb/s, then 1 us), to the bit.
+ARRIVAL_OFFSETS_S = ((64 + 20) * (8.0 / DEFAULT_RATE_BPS) + DEFAULT_DELAY_S,)
 #: When an ``ldm-cut``'s far end is looked at: after that packet-in,
 #: well inside LDP's miss window.
 CUT_CHECK_S = 100e-6
 
 
-def _cut_under_an_ldm(s: _Scenario, rng: random.Random) -> float:
+def _cut_under_an_ldm(s: _Scenario, rng: random.Random, name="ldm-cut",
+                      offsets=CUT_OFFSETS_S) -> float:
     """Fail a live switch link while a keepalive sent across it is in the
-    receiving switch's software path (:data:`CUT_OFFSETS_S`), and look
-    :data:`CUT_CHECK_S` later: a neighbour listed on the dead port is a
-    ``ghost-neighbor`` (its agent reported the link up)."""
-    pair, link, port, label, at = _after_a_beacon(
-        s, rng, "ldm-cut", CUT_OFFSETS_S)
+    receiving switch's software path (:data:`CUT_OFFSETS_S`) or, as an
+    ``arrival-cut``, at the exact instant it reaches the far port, and
+    look :data:`CUT_CHECK_S` later: a neighbour listed on the dead port
+    is a ``ghost-neighbor`` (its agent reported the link up). The cut is
+    scheduled before the keepalive is sent, so it wins a tie: a frame
+    the far port counted from 1 ns before it on is a ``cut-arrival``."""
+    pair, link, port, label, at = _after_a_beacon(s, rng, name, offsets)
     s.failed[pair] = link
     s.steps.append(label)
     if at is None:
         link.fail()
         return SETTLE_S
-    sim = s.fabric.sim
+    sim, before = s.fabric.sim, []
     neighbors = s.fabric.agents[port.node.name].ldp.neighbors
 
     def check() -> None:
@@ -470,7 +477,11 @@ def _cut_under_an_ldm(s: _Scenario, rng: random.Random) -> float:
             s.oracle.violations.append(Violation(
                 "ghost-neighbor", port.name, sim.now,
                 {"neighbor": neighbors[port.index].switch_id}))
+        if port.counters.rx_frames != before[0]:
+            s.oracle.violations.append(
+                Violation("cut-arrival", port.name, at, {}))
 
+    sim.schedule_at(at - 1e-9, lambda: before.append(port.counters.rx_frames))
     sim.schedule_at(at, link.fail)
     sim.schedule_at(at + CUT_CHECK_S, check)
     return SETTLE_S
@@ -554,6 +565,8 @@ OPS: dict[str, tuple[Callable, str | None, str | None]] = {
     "port-toggle": (_toggle_port, "alive", "recover"),
     "ldm-cut": (_cut_under_an_ldm, "alive", "recover"),
     "flap": (_flap, "alive", "recover"),
+    "arrival-cut": (lambda s, rng: _cut_under_an_ldm(
+        s, rng, "arrival-cut", ARRIVAL_OFFSETS_S), "alive", "recover"),
     "acl-install": (_acl_install, None, None),
     "acl-revoke": (_acl_revoke, "acls", "acl-install"),
 }
@@ -645,6 +658,8 @@ LANES: dict[str, CampaignConfig] = {
                              ops=BASE_OPS + ("expand",)),
     # 1 us link flaps under a waiting frame: no overlap.
     "flaps": CampaignConfig(ops=BASE_OPS + ("flap",)),
+    # Link cuts at a keepalive's exact arrival instant: no cut-arrival.
+    "arrival-cuts": CampaignConfig(ops=BASE_OPS + ("arrival-cut",)),
 }
 
 

@@ -245,3 +245,103 @@ def test_flow_recompiles_after_a_flap_shorter_than_ldp_can_see():
     assert uplink in [link for link, _port in flow._path.segments]
     assert not engine._unstable
     assert fabric.path_cache.no_path_hits <= 1
+
+
+# ----------------------------------------------------------------------
+# What the next refill sees: a path's capacity changed by a port, a
+# one-way failure or a hybrid frame load. Each pins the outcome the
+# refill after the change reached when the engine derived every
+# direction's capacity afresh at every refill.
+
+#: ``engine.stats()`` of one greedy inter-pod flow settled for 10 ms.
+_STEADY = {"flows_started": 1, "flows_completed": 0, "flows_active": 1,
+           "flows_stalled": 0, "recomputes": 2, "flows_refilled": 2,
+           "reresolutions": 1, "stall_events": 0, "bottleneck_events": 1,
+           "tcp_cuts": 1, "epoch_ticks": 0}
+
+
+def _steady_greedy_flow(fabric):
+    src, dst = _inter_pod_pair(fabric)
+    engine = fabric.flow_engine
+    flow = engine.start_flow(src, dst.ip, dport=7001)
+    fabric.sim.run(until=fabric.sim.now + 0.01)
+    assert flow.rate_bps == GBPS / flow.gross_per_payload
+    return engine, flow
+
+
+@pytest.mark.parametrize("end", ["tx", "rx"])
+def test_a_disabled_port_drops_the_path_at_the_next_refill(flow_fabric, end):
+    """No carrier event and no invalidation: the refill a second flow
+    from the same host starts reads the dead direction, drops the first
+    flow's path and leaves it to the retry tick."""
+    engine, flow = _steady_greedy_flow(flow_fabric)
+    assert engine.stats() == _STEADY
+    link, port = flow._path.segments[1]
+    (port if end == "tx" else link.other_end(port)).enabled = False
+    src = flow.src
+    local = next(h for h in flow_fabric.host_list()
+                 if h is not src and h.name[:-1] == src.name[:-1])
+    other = engine.start_flow(src, local.ip, dport=7002)
+    sim = flow_fabric.sim
+    sim.run(until=sim.now)
+    assert flow.rate_bps == 0.0 and flow._path is None
+    assert flow._path_sig == () and flow in engine._unstable
+    assert other.rate_bps == 0.0  # its handshake is in flight
+    assert engine.stats() == {**_STEADY, "flows_started": 2,
+                              "flows_active": 2, "flows_stalled": 1,
+                              "recomputes": 3, "flows_refilled": 4,
+                              "reresolutions": 2}
+    # The retry re-resolves the same compiled path (nothing retired
+    # it), and the refill drops it again.
+    sim.run(until=sim.now + engine.retry_interval_s)
+    assert flow.rate_bps == 0.0 and flow._path is None and flow.reroutes == 1
+    assert other.rate_bps == GBPS / other.gross_per_payload
+    assert engine.stats() == {**_STEADY, "flows_started": 2,
+                              "flows_active": 2, "flows_stalled": 1,
+                              "recomputes": 4, "flows_refilled": 6,
+                              "reresolutions": 3, "bottleneck_events": 2,
+                              "tcp_cuts": 2}
+
+
+def test_a_one_way_failure_stalls_the_flow_at_the_next_refill(flow_fabric):
+    """``fail_direction`` retires the compiled path; the tables still
+    point the flow into the dead direction, so it stalls."""
+    engine, flow = _steady_greedy_flow(flow_fabric)
+    link, port = flow._path.segments[2]
+    link.fail_direction(port)
+    sim = flow_fabric.sim
+    sim.run(until=sim.now)
+    assert flow.rate_bps == 0.0 and flow._path is None and flow.stalled
+    assert engine.stats() == {**_STEADY, "flows_stalled": 1,
+                              "recomputes": 3, "flows_refilled": 3,
+                              "stall_events": 1}
+
+
+def test_a_frame_load_move_rerates_the_flow_at_the_next_refill():
+    """Hybrid: a fluid flow joins a host link a UDP stream already
+    loads. The first epoch's estimate moves past the threshold, and the
+    refill it triggers water-fills the capacity net of that load."""
+    from repro.flows.engine import HYBRID_EPOCH_S
+    from repro.host.apps.udp_stream import UdpStreamSender
+
+    sim = Simulator(seed=71)
+    fabric = build_portland_fabric(
+        sim, k=4, config=PortlandConfig(flow_mode="hybrid"))
+    fabric.bring_up()
+    engine = fabric.flow_engine
+    hosts = fabric.host_list()
+    src = hosts[0]
+    UdpStreamSender(src, hosts[5].ip, 9999, rate_pps=200e6 / (500 * 8),
+                    payload_bytes=500).start()
+    sim.run(until=sim.now + 0.01)
+    flow = engine.start_flow(src, hosts[-1].ip, dport=7001)
+    sim.run(until=sim.now + 0.001)
+    assert flow.rate_bps == GBPS / flow.gross_per_payload
+    link, port = flow._path.segments[0]
+    refills = len(flow.rate_log)
+    sim.run(until=sim.now + HYBRID_EPOCH_S)
+    assert link.fluid_capacity_bps(port) == 987332800.0
+    assert flow.rate_log[refills:] == [(0.115, 926203377.1106942)]
+    assert engine.stats() == {**_STEADY, "recomputes": 3,
+                              "flows_refilled": 3, "bottleneck_events": 2,
+                              "tcp_cuts": 2, "epoch_ticks": 1}

@@ -215,6 +215,41 @@ def test_disabled_port_drops_rx_and_tx():
     assert b.port(0).send(frame()) is False
 
 
+def test_each_direction_keeps_its_fluid_capacity_current():
+    """A direction's ``fluid_capacity`` (what the fluid engine's refill
+    reads) is ``Link.fluid_capacity_bps`` re-derived after every change
+    of an input to it: a port's ``enabled``, the carrier, a frame load."""
+    sim = Simulator()
+    a, b = Sink(sim, "a"), Sink(sim, "b")
+    a.port(0).enabled = False  # before it is wired
+    link = wire(sim, a, b, rate_bps=1e6)
+    pa, pb = a.port(0), b.port(0)
+
+    def capacities():
+        held = [link.direction(port).fluid_capacity for port in (pa, pb)]
+        assert held == [link.fluid_capacity_bps(port) for port in (pa, pb)]
+        return held
+
+    assert capacities() == [0.0, 0.0]
+    pa.enabled = True
+    assert capacities() == [1e6, 1e6]
+    link.set_frame_load(pb, 4e5)
+    assert capacities() == [1e6, 6e5]
+    link.fail_direction(pa)
+    assert capacities() == [0.0, 6e5]
+    link.recover()
+    assert capacities() == [1e6, 6e5]
+    pb.enabled = False
+    assert capacities() == [0.0, 0.0]
+    pb.enabled = True
+    link.fail()
+    assert capacities() == [0.0, 0.0]
+    link.recover()
+    assert capacities() == [1e6, 6e5]
+    link.detach()
+    assert capacities() == [0.0, 0.0]
+
+
 def test_counters_track_bytes():
     sim = Simulator()
     a, b = Sink(sim, "a"), Sink(sim, "b")

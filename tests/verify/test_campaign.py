@@ -19,6 +19,7 @@ from repro.portland.config import PortlandConfig
 from repro.portland.fm_shard import FmShardCluster
 from repro.portland.ldp import LdpProcess
 from repro.portland.messages import FaultUpdate, LinkRecover, decode_ldp
+from repro.sim.simulator import Simulator
 from repro.verify.campaign import (
     LANES,
     OPS,
@@ -36,6 +37,7 @@ from tests.portland.test_ldp import (
     test_ldm_in_software_path_cannot_resurrect_a_carrier_lost_neighbor,
 )
 from tests.topology import test_jellyfish_expand_live as expand_live
+from tests.verify import test_keepalive_equivalence as keepalive_tests
 
 
 def quick_config(**overrides) -> CampaignConfig:
@@ -255,6 +257,41 @@ def test_mutation_frame_delivered_across_a_flap_is_caught(monkeypatch):
                for result in report.results if not result.ok)
 
 
+_settle = Link.settle
+
+
+def _settle_by_the_clock(self, *args, **kwargs):
+    """``Link.settle`` with the fix of the exact-instant cut bug
+    reverted: a streamed keepalive's pending arrival counts as arrived
+    once the clock has reached it (``deliver_at <= sim.now``), not once
+    the kernel has passed its place in the event order. Inside
+    ``settle`` that arrival is the only place ``has_fired`` decides
+    (``schedule_reserved`` asks it again only of one not yet due)."""
+    has_fired = Simulator.has_fired
+    Simulator.has_fired = lambda sim, at, _seq: at <= sim.now
+    try:
+        _settle(self, *args, **kwargs)
+    finally:
+        Simulator.has_fired = has_fired
+
+
+@pytest.mark.campaign
+def test_mutation_cut_at_an_arrival_ordered_by_the_clock_is_caught(
+        monkeypatch):
+    monkeypatch.setattr(Link, "settle", _settle_by_the_clock)
+    # The unit test's cut at the instant an LDM reaches the far port.
+    with pytest.raises(AssertionError):
+        keepalive_tests.test_link_cut_at_the_instant_an_ldm_arrives(
+            True, False)
+    # No other lane cuts at an arrival's exact instant; this one does.
+    report = run_campaign(LANES["arrival-cuts"])
+    assert not report.ok
+    assert {v.kind for result in report.results
+            for v in result.violations} == {"cut-arrival"}
+    assert all(result.steps[-1].startswith("arrival-cut")
+               for result in report.results if not result.ok)
+
+
 #: What each lane draws from, pinned: a changed row draws other ops
 #: from the same seed, so its lane prints something else (a new op
 #: belongs in a new row).
@@ -278,6 +315,8 @@ LANE_OPS = {
     "expand": ("fail", "fail", "fail-switch", "recover", "migrate",
                "expand"),
     "flaps": ("fail", "fail", "fail-switch", "recover", "migrate", "flap"),
+    "arrival-cuts": ("fail", "fail", "fail-switch", "recover", "migrate",
+                     "arrival-cut"),
 }
 
 
